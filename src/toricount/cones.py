@@ -179,11 +179,6 @@ def dual_cone(gens, ambient_dim):
     return _norm_gens(result)
 
 
-def facet_normals(gens, ambient_dim):
-    """Dual generators, the facet inequalities of cone(gens)."""
-    return dual_cone(gens, ambient_dim)
-
-
 def nu_simplicial(gens, omega):
     """nu(-Lambda) for the simplicial cone Lambda spanned by gens.
 

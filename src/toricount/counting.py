@@ -5,6 +5,13 @@ comparison of exact rationals and every count is a reproducible integer.  The
 enumerator walks coordinate magnitudes in lexicographic order with per-cone
 pruning; each surviving magnitude tuple is counted with multiplicity
 2^(n - rho), the number of canonical sign patterns on it.
+
+Heights stay in integers.  On a canonical point the height of a nef class is
+the largest of its per-cone monomials, so each basis class is split once per
+lattice into nef classes, e_i = a_i - b_i, and H_{e_i} is a ratio of two such
+maxima.  Every constraint, region facets included, is compiled once per
+(region, B) to integer exponents and an integer bound fraction; the descent
+decides the nef ones exactly, and the leaf cross-multiplies the rest.
 """
 
 from dataclasses import dataclass
@@ -273,24 +280,68 @@ class EnumerationResult:
     count: int
     visited: int
     bounds: list
-    wall_events: int = 0
 
 
 def _compile_constraints(lattice, region, B):
-    """Integerized constraints: (E ints, bound Fraction, nef per-cone reps)."""
+    """Integer constraints (E ints, bound num, bound den, nef per-cone reps).
+
+    Every region constraint has its exponents cleared to integers, and every
+    facet f joins as the constraint H^{-f} <= 1.  On canonical points a nef
+    class has an integer height and an anti-nef class the reciprocal of
+    one, so their bounds round to floor(bound) and 1/ceil(1/bound) without
+    changing the point set; mixed classes keep their bound.  reps is the
+    list of per-cone representatives for a nef class, None otherwise.
+    """
     B = Fraction(B)
-    out = []
+    raw = []
     for con in region.constraints:
         den = 1
         for x in con.cls:
             den = lcm(den, Fraction(x).denominator)
         den = lcm(den, con.s.denominator)
-        e = [int(Fraction(x) * den) for x in con.cls]
-        bound = con.gamma ** den * B ** int(con.s * den)
+        raw.append(([int(Fraction(x) * den) for x in con.cls],
+                    con.gamma ** den * B ** int(con.s * den)))
+    raw += [([-x for x in f], Fraction(1)) for f in region.facets]
+    out = []
+    for e, bound in raw:
         reps = [lattice.class_representative(s, e)
                 for s in range(len(lattice.fan.max_cones))]
-        nef = all(all(x >= 0 for x in w) for w in reps)
-        out.append((e, bound, reps if nef else None))
+        if all(x >= 0 for w in reps for x in w):
+            bound = Fraction(bound.numerator // bound.denominator)
+        else:
+            if all(x <= 0 for w in reps for x in w):
+                inv = 1 / bound
+                bound = Fraction(1, -((-inv.numerator) // inv.denominator))
+            reps = None
+        out.append((e, bound.numerator, bound.denominator, reps))
+    return out
+
+
+def _sides(e, bn, bd, num, den):
+    """Both sides of prod (num_k/den_k)^{e_k} <= bn/bd, cross-multiplied;
+    num and den hold ints or numpy arrays, and so do the sides."""
+    lhs, rhs = bd, bn
+    for k, ei in enumerate(e):
+        if ei > 0:
+            lhs = lhs * num[k] ** ei
+            rhs = rhs * den[k] ** ei
+        elif ei < 0:
+            lhs = lhs * den[k] ** -ei
+            rhs = rhs * num[k] ** -ei
+    return lhs, rhs
+
+
+def _basis_heights(terms, m, vmax):
+    """Numerators and denominators of the basis heights at last coordinate
+    m, an int or an array: each is a max over (prefix, w) of prefix * m^w."""
+    out = ([], [])
+    for pair in terms:
+        for side, half in zip(out, pair):
+            acc = None
+            for pref, w in half:
+                v = pref * m ** w if w else pref
+                acc = v if acc is None else vmax(acc, v)
+            side.append(acc)
     return out
 
 
@@ -311,47 +362,38 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
     membership; streams every canonical point to `callback(coords, hvals)`
     when given, or every surviving magnitude tuple to
     `tuple_callback(mags, hvals, weight)` (2^(n-rho) cheaper than per-point).
-    hvals are plain integers when every basis class is nef, exact Fractions
-    otherwise.  `first_range=(lo, hi)` restricts the first coordinate for
-    data-parallel partitioning.  Raises BudgetError past `budget` candidates.
+
+    Heights are integers throughout: each basis class is split once per
+    lattice as e_i = a_i - b_i with a_i, b_i nef (HeightEvaluator.nef_split),
+    and on a canonical point H_{e_i} is the ratio of the two max-monomials.
+    Nef constraints are decided by the descent, whose per-cone prefix checks
+    and leaf caps bound every monomial; only the other constraints (facets
+    included) are checked at the leaf.  hvals holds an int for every nef
+    basis class and an exact Fraction for the others.  `first_range=(lo,
+    hi)` restricts the first coordinate for data-parallel partitioning.
+    Raises BudgetError past `budget` candidates, and DegenerateInputError
+    for a fan with no ample class (a complete fan that is not projective).
     """
     ev = _evaluator(lattice)
+    _, _, mono = ev.nef_split
     fan = lattice.fan
     n, rho = fan.n_rays, lattice.rank
     bounds = coordinate_bounds(lattice, region, B)
     if any(m == 0 for m in bounds):
         return EnumerationResult(count=0, visited=0, bounds=bounds)
 
-    B = Fraction(B)
     cons = _compile_constraints(lattice, region, B)
-    facets = region.facets
-
-    table_mode = all(
-        lattice.is_nef([1 if j == i else 0 for j in range(rho)])
-        for i in range(rho))
-    if table_mode:
-        # heights are integers, so single-sign bounds round to integer
-        # thresholds; this keeps numerators small (wall values carry huge
-        # denominators) without changing the point set
-        rounded = []
-        for e, bound, reps in cons:
-            if all(x >= 0 for x in e):
-                bound = Fraction(bound.numerator // bound.denominator)
-            elif all(x <= 0 for x in e):
-                inv = 1 / bound
-                t = -((-inv.numerator) // inv.denominator)
-                bound = Fraction(1, t)
-            rounded.append((e, bound, reps))
-        cons = rounded
+    nef_cons = [c for c in cons if c[3] is not None]
+    leaf_cons = [c for c in cons if c[3] is None]
+    nef_basis = [b == [(0,) * n] for _, b in mono]
     cones = [set(c) for c in fan.max_cones]
     ncones = len(cones)
     comp_has = [[lam not in cones[s] for lam in range(n)]
                 for s in range(ncones)]
     weight = 1 << (n - rho)
     masks = _canonical_masks(ev) if callback is not None else None
-    w_basis = ev.w_tables  # [cone][basis][ray], valid for nef classes
 
-    if not any(c[2] is not None for c in cons):
+    if not nef_cons:
         vol = 1
         for m in bounds:
             vol *= 2 * m
@@ -360,36 +402,16 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
                 f"candidate box of size {vol} exceeds the budget {budget} "
                 "and the region offers no usable pruning")
 
-    wall0 = ev.wall_events
     visited = 0
     count = 0
 
     # per-cone running complement products and per-constraint nef partials
     comp_prod = [[1] * ncones]
-    con_part = [[[1] * ncones for _ in cons]]
-
-    def heights_of(mags):
-        if table_mode:
-            vals = []
-            for i in range(rho):
-                best = 0
-                for s in range(ncones):
-                    v = 1
-                    for m, w in zip(mags, w_basis[s][i]):
-                        if w:
-                            v *= m ** w
-                    if v > best:
-                        best = v
-                vals.append(best)
-            return tuple(vals)
-        return ev.multi_height(tuple(mags)).values
+    con_part = [[[1] * ncones for _ in nef_cons]]
 
     def leaf_cap(depth, parts):
         cap = bounds[depth]
-        for (e, bound, reps), part in zip(cons, parts):
-            if reps is None:
-                continue
-            bn, bd = bound.numerator, bound.denominator
+        for (_, bn, bd, reps), part in zip(nef_cons, parts):
             for s in range(ncones):
                 w = reps[s][depth]
                 if part[s] * bd > bn:
@@ -403,41 +425,83 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
 
     mags = [0] * n
 
-    def check_leaf_value(mvals):
+    def leaf_terms(depth):
+        """Per basis class, the (prefix monomial, last exponent) pairs of
+        both halves of the split at the prefix mags[:depth]."""
+        out = []
+        for half in mono:
+            row = []
+            for vecs in half:
+                terms = []
+                for w in vecs:
+                    pref = 1
+                    for lam in range(depth):
+                        if w[lam]:
+                            pref *= mags[lam] ** w[lam]
+                    terms.append((pref, w[depth]))
+                row.append(terms)
+            out.append(row)
+        return out
+
+    def _leaf_scalar(lo, hi, depth):
         nonlocal count
-        hvals = heights_of(mvals)
-        hnum = [Fraction(h).numerator for h in hvals]
-        hden = [Fraction(h).denominator for h in hvals]
-        for e, bound, _ in cons:
-            lhs, rhs = bound.denominator, bound.numerator
-            for k, ei in enumerate(e):
-                if ei > 0:
-                    lhs *= hnum[k] ** ei
-                    rhs *= hden[k] ** ei
-                elif ei < 0:
-                    lhs *= hden[k] ** (-ei)
-                    rhs *= hnum[k] ** (-ei)
-            if lhs > rhs:
-                return
-        for f in facets:
-            lhs = rhs = 1
-            for k, ei in enumerate(f):
-                if ei > 0:
-                    lhs *= hnum[k] ** ei
-                    rhs *= hden[k] ** ei
-                elif ei < 0:
-                    lhs *= hden[k] ** (-ei)
-                    rhs *= hnum[k] ** (-ei)
-            if lhs < rhs:
-                return
-        count += weight
-        if tuple_callback is not None:
-            tuple_callback(tuple(mvals), hvals, weight)
-        if callback is not None:
-            for mask in masks:
-                coords = tuple(-m if mask >> lam & 1 else m
-                               for lam, m in enumerate(mvals))
-                callback(coords, hvals)
+        base = comp_prod[-1]
+        streams = callback is not None or tuple_callback is not None
+        terms = leaf_terms(depth) if leaf_cons or streams else None
+        for m in range(lo, hi + 1):
+            g = 0
+            for s in range(ncones):
+                g = gcd(g, base[s] * m if comp_has[s][depth] else base[s])
+                if g == 1:
+                    break
+            if g != 1:
+                continue
+            if terms is not None:
+                num, den = _basis_heights(terms, m, max)
+                if any(lhs > rhs for lhs, rhs in (
+                        _sides(e, bn, bd, num, den)
+                        for e, bn, bd, _ in leaf_cons)):
+                    continue
+            count += weight
+            if not streams:
+                continue
+            mags[depth] = m
+            hvals = tuple(x if nef else Fraction(x, y)
+                          for x, y, nef in zip(num, den, nef_basis))
+            if tuple_callback is not None:
+                tuple_callback(tuple(mags), hvals, weight)
+            if callback is not None:
+                for mask in masks:
+                    coords = tuple(-v if mask >> lam & 1 else v
+                                   for lam, v in enumerate(mags))
+                    callback(coords, hvals)
+
+    def _leaf_numpy(lo, hi, depth):
+        """Vectorized last coordinate; returns surviving tuple count or None
+        when some product could leave int64."""
+        base = comp_prod[-1]
+        if any(b * hi > _INT64_SAFE for b in base):
+            return None
+        terms = leaf_terms(depth) if leaf_cons else []
+        num, den = _basis_heights(terms, hi, max)
+        if any(v > _INT64_SAFE for v in num + den):
+            return None
+        # every factor is >= 1 and grows with m, so products peak at m = hi
+        for e, bn, bd, _ in leaf_cons:
+            if max(_sides(e, bn, bd, num, den)) > _INT64_SAFE:
+                return None
+
+        m = np.arange(lo, hi + 1, dtype=np.int64)
+        comp = np.empty((ncones, m.size), dtype=np.int64)
+        for s in range(ncones):
+            comp[s] = base[s] * m if comp_has[s][depth] else base[s]
+        mask = np.gcd.reduce(comp, axis=0) == 1
+        if leaf_cons and mask.any():
+            num, den = _basis_heights(terms, m, np.maximum)
+            for e, bn, bd, _ in leaf_cons:
+                lhs, rhs = _sides(e, bn, bd, num, den)
+                mask &= lhs <= rhs
+        return int(mask.sum())
 
     def descend(depth):
         nonlocal visited, count
@@ -454,21 +518,12 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
             if visited > budget:
                 raise BudgetError(
                     f"enumeration visited more than {budget} candidates")
-            done = _leaf_numpy(lo, hi, depth, comp_prod[-1])
-            if done is not None:
-                count += done * weight
-                return
-            base = comp_prod[-1]
-            for m in range(lo, hi + 1):
-                g = 0
-                for s in range(ncones):
-                    g = gcd(g, base[s] * m if comp_has[s][depth] else base[s])
-                    if g == 1:
-                        break
-                if g != 1:
-                    continue
-                mags[depth] = m
-                check_leaf_value(mags)
+            if callback is None and tuple_callback is None and hi - lo >= 32:
+                done = _leaf_numpy(lo, hi, depth)
+                if done is not None:
+                    count += done * weight
+                    return
+            _leaf_scalar(lo, hi, depth)
             return
         visited += 1
         if visited > budget:
@@ -486,114 +541,22 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
             if g != 1:
                 continue
             newparts = []
-            ok = True
-            for (e, bound, reps), part in zip(cons, parts):
-                if reps is None:
-                    newparts.append(part)
-                    continue
+            for (_, bn, bd, reps), part in zip(nef_cons, parts):
                 np_ = [part[s] * m ** reps[s][depth] if reps[s][depth]
                        else part[s] for s in range(ncones)]
-                bn, bd = bound.numerator, bound.denominator
                 if any(v * bd > bn for v in np_):
-                    ok = False
                     break
                 newparts.append(np_)
-            if not ok:
-                continue
-            mags[depth] = m
-            comp_prod.append(newcomp)
-            con_part.append(newparts)
-            descend(depth + 1)
-            comp_prod.pop()
-            con_part.pop()
-
-    def _leaf_numpy(lo, hi, depth, base):
-        """Vectorized last coordinate; returns surviving tuple count or None."""
-        if (callback is not None or tuple_callback is not None
-                or not table_mode or hi - lo < 32):
-            return None
-        capm = hi
-        hmax = []
-        for i in range(rho):
-            best = 0
-            for s in range(ncones):
-                v = 1
-                for lam in range(depth):
-                    w = w_basis[s][i][lam]
-                    if w:
-                        v *= mags[lam] ** w
-                w = w_basis[s][i][depth]
-                v *= capm ** w
-                best = max(best, v)
-            if best > _INT64_SAFE:
-                return None
-            hmax.append(best)
-        for e, bound, _ in cons:
-            lhs, rhs = bound.denominator, bound.numerator
-            for hm, ei in zip(hmax, e):
-                if ei > 0:
-                    lhs *= hm ** ei
-                elif ei < 0:
-                    rhs *= hm ** (-ei)
-            if lhs > _INT64_SAFE or rhs > _INT64_SAFE:
-                return None
-        for f in facets:
-            lhs = rhs = 1
-            for hm, ei in zip(hmax, f):
-                if ei > 0:
-                    lhs *= hm ** ei
-                elif ei < 0:
-                    rhs *= hm ** (-ei)
-            if lhs > _INT64_SAFE or rhs > _INT64_SAFE:
-                return None
-        if any(b * capm > _INT64_SAFE for b in base):
-            return None
-
-        m = np.arange(lo, hi + 1, dtype=np.int64)
-        comp = np.empty((ncones, m.size), dtype=np.int64)
-        for s in range(ncones):
-            comp[s] = base[s] * m if comp_has[s][depth] else base[s]
-        mask = np.gcd.reduce(comp, axis=0) == 1
-        if not mask.any():
-            return 0
-
-        hcols = []
-        for i in range(rho):
-            acc = None
-            for s in range(ncones):
-                pref = 1
-                for lam in range(depth):
-                    w = w_basis[s][i][lam]
-                    if w:
-                        pref *= mags[lam] ** w
-                w = w_basis[s][i][depth]
-                col = pref * m ** w if w else np.full(m.size, pref,
-                                                      dtype=np.int64)
-                acc = col if acc is None else np.maximum(acc, col)
-            hcols.append(acc)
-        for e, bound, _ in cons:
-            lhs = np.full(m.size, bound.denominator, dtype=np.int64)
-            rhs = np.full(m.size, bound.numerator, dtype=np.int64)
-            for col, ei in zip(hcols, e):
-                if ei > 0:
-                    lhs = lhs * col ** ei
-                elif ei < 0:
-                    rhs = rhs * col ** (-ei)
-            mask &= lhs <= rhs
-        for f in facets:
-            lhs = np.ones(m.size, dtype=np.int64)
-            rhs = np.ones(m.size, dtype=np.int64)
-            for col, ei in zip(hcols, f):
-                if ei > 0:
-                    lhs = lhs * col ** ei
-                elif ei < 0:
-                    rhs = rhs * col ** (-ei)
-            mask &= lhs >= rhs
-        return int(mask.sum())
+            else:
+                mags[depth] = m
+                comp_prod.append(newcomp)
+                con_part.append(newparts)
+                descend(depth + 1)
+                comp_prod.pop()
+                con_part.pop()
 
     descend(0)
-    return EnumerationResult(count=count, visited=visited, bounds=bounds,
-                             wall_events=ev.wall_events - wall0)
+    return EnumerationResult(count=count, visited=visited, bounds=bounds)
 
 
 def partition_first_coordinate(lattice, region, B, parts):

@@ -2,7 +2,8 @@
 
 A fan is given by its rays (primitive integer vectors) and its maximal cones
 (index sets of size dim).  Validation enforces smoothness (each maximal cone
-unimodular), completeness (facet pairing plus sampling), and primitivity.
+unimodular), completeness and non-overlap (exactly, by facet pairing and
+one generic point), and primitivity.
 
 ClassLattice packages the divisor class machinery: the projection
 Z^rays -> Pic = Z^rho obtained from the cokernel of the ray matrix, the ray
@@ -11,7 +12,6 @@ representatives.
 """
 
 import json
-import random
 from dataclasses import dataclass
 from itertools import combinations
 from math import gcd
@@ -112,46 +112,40 @@ def validate_fan(fan):
         dets.append(dv)
         smooth.append(abs(dv) == 1)
 
-    # completeness, combinatorial part: every facet of a maximal cone is
-    # shared by exactly one other maximal cone
-    facet_count = {}
-    for c in fan.max_cones:
-        for f in combinations(sorted(c), d - 1):
-            facet_count[f] = facet_count.get(f, 0) + 1
-    if d == 1:
-        # the empty facet appears once per cone; a complete 1-dim fan has
-        # exactly two cones
-        facets_paired = len(fan.max_cones) == 2
-        unpaired = [] if facets_paired else [()]
-    else:
-        unpaired = sorted(f for f, k in facet_count.items() if k != 2)
-        facets_paired = not unpaired
-
-    # completeness, metric part: deterministic integer samples all land in
-    # some maximal cone; strict interiors must not overlap
+    # completeness and overlap, exactly.  When every facet of a maximal cone
+    # bounds exactly two maximal cones, on opposite sides of its hyperplane,
+    # the number of cones containing a point is the same off the (d-2)-faces;
+    # one generic point then gives it, and it must be 1.
+    facets = {}
+    for j, c in enumerate(fan.max_cones):
+        for f in combinations(c, d - 1):
+            facets.setdefault(f, []).append(j)
+    unpaired = sorted(f for f, js in facets.items() if len(js) != 2)
+    facets_paired = not unpaired
     covered = True
     overlap = False
-    if all(smooth):
-        inv_t = []
-        for c in fan.max_cones:
-            vt = linalg.transpose([list(fan.rays[i]) for i in c])
-            inv_t.append(linalg.integer_inverse(vt))
-        rng = random.Random(0xC0FFEE)
-        for _ in range(256):
-            x = [rng.randint(-9, 9) for _ in range(d)]
-            if all(v == 0 for v in x):
-                continue
-            inside = strict = 0
-            for m in inv_t:
-                coeff = linalg.mat_vec(m, x)
-                if all(v >= 0 for v in coeff):
-                    inside += 1
-                    if all(v > 0 for v in coeff):
-                        strict += 1
-            if inside == 0:
-                covered = False
-            if strict > 1:
-                overlap = True
+    if all(dets):
+        normals = {f: linalg.primitive_vector(linalg.nullspace(
+            [fan.rays[i] for i in f] or [[0] * d])[0]) for f in facets}
+
+        def side(f, j):
+            """Sign of cone j's ray off facet f against the facet normal."""
+            r = next(i for i in fan.max_cones[j] if i not in f)
+            v = linalg.vec_dot(normals[f], fan.rays[r])
+            return (v > 0) - (v < 0)
+
+        overlap = any(side(f, js[0]) == side(f, js[1])
+                      for f, js in facets.items() if len(js) == 2)
+        # off every facet hyperplane: <h, x> = sum h_j big^j with |h_j| < big
+        big = 1 + max(abs(x) for h in normals.values() for x in h)
+        x = [big ** j for j in range(d)]
+        inside = 0
+        for j, c in enumerate(fan.max_cones):
+            if all((linalg.vec_dot(normals[f], x) > 0) == (side(f, j) > 0)
+                   for f in combinations(c, d - 1)):
+                inside += 1
+        covered = inside > 0
+        overlap = overlap or inside > 1
 
     problems = []
     for i, p in enumerate(ray_primitive):
@@ -165,7 +159,7 @@ def validate_fan(fan):
     if not facets_paired:
         problems.append(f"fan not complete: {len(unpaired)} unpaired facet(s)")
     if not covered:
-        problems.append("fan not complete: sample point outside all cones")
+        problems.append("fan not complete: a generic point lies in no cone")
     if overlap:
         problems.append("maximal cones have overlapping interiors")
     return FanDiagnostics(

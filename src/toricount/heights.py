@@ -8,8 +8,10 @@ positive rationals so region membership never touches floating point.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, log, prod
 
+from .cones import dual_cone
 from .errors import CoprimalityError, DegenerateInputError
 
 INF_PLACE = "inf"
@@ -125,6 +127,45 @@ class HeightEvaluator:
         self._sign_rows = [reduced[i] for i in order]
         self._sign_pivots = [pivots[i] for i in order]
         self.wall_events = 0
+
+    @cached_property
+    def nef_split(self):
+        """Nef classes a_i, b_i with e_i = a_i - b_i, and their monomials.
+
+        b_i = 0 when e_i is nef; otherwise b_i = k*A with A the sum of the
+        extremal rays of the nef cone (an ample class) and k the least
+        integer making e_i + k*A nef.  Returns (a, b, mono): mono[i] is the
+        pair of deduplicated per-cone representative lists (w(sigma, a_i)
+        over sigma, w(sigma, b_i) over sigma), so that on a canonical point
+        H_{e_i} = max_w y^w over the first list / max_w y^w over the second.
+        Raises DegenerateInputError when the fan has no ample class.
+        """
+        lat = self.lattice
+        basis = [[1 if j == i else 0 for j in range(self.rho)]
+                 for i in range(self.rho)]
+        shifts = [0] * self.rho
+        ample = [0] * self.rho
+        if not all(lat.is_nef(e) for e in basis):
+            ineqs = [g for g in lat.nef_inequalities() if any(g)]
+            gens = dual_cone(ineqs, self.rho)
+            ample = [sum(col) for col in zip(*gens)]
+            pair = [sum(x * y for x, y in zip(g, ample)) for g in ineqs]
+            if min(pair) <= 0:
+                raise DegenerateInputError(
+                    "fan is not projective: its nef cone is not "
+                    "full-dimensional, so there is no ample class to write "
+                    "the basis heights as ratios of nef heights")
+            for i in range(self.rho):
+                shifts[i] = max([0] + [-(g[i] // p)
+                                       for g, p in zip(ineqs, pair)])
+        a = [[e + k * x for e, x in zip(row, ample)]
+             for row, k in zip(basis, shifts)]
+        b = [[k * x for x in ample] for k in shifts]
+        cones = range(len(self.fan.max_cones))
+        mono = [tuple(sorted({lat.class_representative(s, c) for s in cones})
+                      for c in (ai, bi))
+                for ai, bi in zip(a, b)]
+        return a, b, mono
 
     # -- torsor point plumbing ------------------------------------------
 
@@ -320,9 +361,6 @@ class HeightEvaluator:
                     vals[i] *= Fraction(p) ** (-e)
         return MultiHeight(values=tuple(vals))
 
-    def height_of_class(self, point, c):
-        return self.multi_height(point).of_class(c)
-
     def max_monomial_height(self, point, c):
         """max over cones of prod |y_lam|^{w(sigma,c)_lam}.
 
@@ -374,12 +412,3 @@ def local_height(lattice, point, place, a):
 
 def multi_height(lattice, point):
     return _evaluator(lattice).multi_height(point)
-
-
-def height_of_class(mh, c):
-    return mh.of_class(c)
-
-
-def region_membership(mh, region, B):
-    """Exact membership of a multi-height in a counting Region."""
-    return region.contains(mh.values, B)

@@ -49,14 +49,6 @@ def vec_sub(u, v):
     return [x - y for x, y in zip(u, v)]
 
 
-def vec_add(u, v):
-    return [x + y for x, y in zip(u, v)]
-
-
-def vec_scale(u, c):
-    return [c * x for x in u]
-
-
 def vec_gcd(v):
     g = 0
     for x in v:

@@ -9,7 +9,7 @@ against the classical constants on projective spaces and products.
 """
 
 from fractions import Fraction
-from math import exp, log, sqrt
+from math import comb, exp, expm1, log, sqrt
 
 import numpy as np
 
@@ -69,43 +69,61 @@ def local_density(fan, p):
     return Fraction(total, p ** d)
 
 
-def euler_product(fan, p_max, rho=None):
-    """prod_{p <= p_max} (1 - 1/p)^rho omega_p with a fitted tail bound.
+def euler_polynomial(fan):
+    """Integer coefficients q_0..q_n of Q(x) = sum_k f_k x^k (1-x)^(n-k).
 
-    The factors behave like 1 + c/p^2; c is fitted by least squares on the
-    log factors over the last decade of primes and the model tail
-    sum_{p > p_max} |c|/p^2 <= |c|/log(p_max) ... is reported as the bound.
+    f_k counts the k-dimensional cones, so #X(F_p) = sum_k f_k (p-1)^(d-k)
+    gives (1 - 1/p)^rho omega_p = Q(1/p) with rho = n - d.  Q(0) = 1 and the
+    x term cancels (f_1 = n): P1 gives 1 - x^2, P3 gives 1 - x^4.
+    """
+    n = fan.n_rays
+    q = [0] * (n + 1)
+    for face in _all_faces(fan):
+        k = len(face)
+        for j in range(n - k + 1):
+            q[k + j] += (-1) ** j * comb(n - k, j)
+    return q
+
+
+def euler_product(fan, p_max):
+    """prod_{p <= p_max} (1 - 1/p)^rho omega_p with a proven error bound.
+
+    rho = n - d, the only exponent for which the product converges.  Each
+    factor is Q(1/p) = 1 + sum_{j >= j0} q_j p^-j (euler_polynomial), with
+    j0 >= 2 the lowest degree of Q - 1.  tail_bound bounds |E - value|,
+    E the infinite product, as the sum of two parts.
+
+    Truncation: for 0 < x <= 1, |Q(x) - 1| <= S x^j0, S = sum_{j>0} |q_j|, so
+    the tail T = prod_{p > p_max} Q(1/p) has |T - 1| <= exp(t) - 1 with
+    t = S sum_{p > p_max} p^-j0 <= S integral_{p_max}^inf x^-j0 dx
+      = S / ((j0 - 1) p_max^(j0 - 1)).
+
+    Rounding: a factor is the integer ratio sum_j q_j p^(n-j) / p^n, which
+    int division rounds once, correctly, and each step of the running
+    product rounds once.  So value = V prod_{i <= 2 pi(p_max)} (1 + eps_i)
+    for the exact partial product V, with |eps_i| <= u = 2^-53, and
+    |value - V| <= g V with g = 2 pi(p_max) u / (1 - 2 pi(p_max) u).
+
+    With E = V T and V <= value / (1 - g):
+    |E - value| <= V (exp(t) - 1 + g) <= value (expm1(t) + g) / (1 - g).
     """
     if p_max < 100:
         raise DegenerateInputError("p_max must be at least 100")
-    if rho is None:
-        rho = fan.n_rays - fan.dim
-    faces = _all_faces(fan)
-    d = fan.dim
-    dims = sorted(len(f) for f in faces)
-
+    q = euler_polynomial(fan)
+    j0 = next(j for j, c in enumerate(q) if j and c)  # Q(1) = 0, so exists
+    primes = primes_up_to(p_max)
     value = 1.0
-    fit_x, fit_y = [], []
-    cutoff = p_max / 10
-    for p in primes_up_to(p_max):
-        count = sum((p - 1) ** (d - k) for k in dims)
-        factor = (1.0 - 1.0 / p) ** rho * count / float(p ** d)
-        value *= factor
-        if p > cutoff:
-            fit_x.append(1.0 / (p * p))
-            fit_y.append(log(factor))
-    sxx = sum(x * x for x in fit_x)
-    c_fit = sum(x * y for x, y in zip(fit_x, fit_y)) / sxx if sxx else 0.0
-    # sum_{p > p_max} 1/p^2 < sum_{n > p_max} 1/n^2 < 1/p_max
-    log_tail = abs(c_fit) / p_max
-    bound = value * (exp(log_tail) - 1.0)
+    for p in primes:
+        num = 0
+        for c in q:
+            num = num * p + c
+        value *= num / p ** fan.n_rays
+    t = sum(map(abs, q[1:])) / ((j0 - 1) * float(p_max) ** (j0 - 1))
+    g = 2 * len(primes) * 2.0 ** -53
+    g /= 1.0 - g
+    bound = value * (expm1(t) + g) / (1.0 - g)
     return {"value": value, "tail_bound": bound, "p_max": p_max,
-            "c_fit": c_fit, "rho": rho}
-
-
-def omega_p_table(fan, p_max):
-    """Exact omega_p for every prime up to p_max."""
-    return {p: local_density(fan, p) for p in primes_up_to(p_max)}
+            "rho": fan.n_rays - fan.dim}
 
 
 def _compile_membership(lattice, box):
@@ -221,7 +239,7 @@ def tamagawa(lattice, p_max=10 ** 5, samples=DEFAULT_SAMPLES, seed=0):
     """Operational Tamagawa number 2^{-rho} omega_inf euler, with errors."""
     fan = lattice.fan
     rho = lattice.rank
-    ep = euler_product(fan, p_max, rho=rho)
+    ep = euler_product(fan, p_max)
     arch = archimedean_density(lattice, default_boxes(rho)[0],
                                samples=samples, seed=seed)
     norm = 0.5 ** rho
@@ -236,7 +254,7 @@ def tamagawa(lattice, p_max=10 ** 5, samples=DEFAULT_SAMPLES, seed=0):
         "rho": rho,
         "normalization": norm,
         "euler": {"value": ep["value"], "tail_bound": ep["tail_bound"],
-                  "p_max": p_max, "c_fit": ep["c_fit"]},
+                  "p_max": p_max},
         "omega_inf": {"value": arch["value"], "stderr": arch["stderr"],
                       "samples": arch["samples"], "seed": seed},
         "tau": {"value": tau, "error": err},

@@ -198,6 +198,10 @@ def run_per_cone(exp):
         dec = effective_decomposition([list(c) for c in lat.classes],
                                       list(lat.anticanonical))
         j = exp.params.get("cone_index", 0)
+        if not 0 <= j < len(dec.cones):
+            raise DegenerateInputError(
+                f"cone index {j} out of range; the decomposition has "
+                f"{len(dec.cones)} pieces")
         gens = dec.cones[j]
         nu_neg = dec.nus[j]
     else:

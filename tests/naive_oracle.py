@@ -1,14 +1,15 @@
 """A deliberately slow point counter used to certify the fast enumerator.
 
 It iterates every magnitude tuple inside per-coordinate bounds obtained from
-an LP relaxation, filters by the per-cone gcd conditions and by exact height
+an LP relaxation, drops tuples whose coordinate products break the same LP's
+bounds, filters by the per-cone gcd conditions and by exact height
 membership, and counts sign classes by brute force over all sign vectors
 modulo the character action, never trusting the orbit-size formula or any of
 the production pruning.
 """
 
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import exp, gcd, log
 
 import numpy as np
@@ -18,12 +19,13 @@ from toricount.counting import Region
 from toricount.heights import multi_height
 
 
-def coordinate_caps(lattice, region, B):
-    """Float LP bound for each |y_lam| over the region, padded by 2.
+def _lp_log_caps(lattice, region, B, groups):
+    """LP maximum of sum_{lam in S} <[D_lam], h> over the region, per group
+    S of rays; None when the region is empty.
 
     In log-height coordinates h the region constraints read <q, h> <= log rhs
     and h pairs nonnegatively with every ray class; |y_lam| <= H_{[D_lam]}
-    gives the cap as the LP maximum of <[D_lam], h>.
+    and multiplicativity bound sum_{lam in S} log|y_lam| by this maximum.
     """
     rho = lattice.rank
     a_ub, b_ub = [], []
@@ -36,16 +38,27 @@ def coordinate_caps(lattice, region, B):
     for f in region.facets:
         a_ub.append([-float(x) for x in f])
         b_ub.append(0.0)
-    caps = []
-    for cls in lattice.classes:
+    out = []
+    for group in groups:
+        cls = [sum(lattice.classes[lam][j] for lam in group)
+               for j in range(rho)]
         res = linprog([-float(x) for x in cls], A_ub=a_ub, b_ub=b_ub,
                       bounds=[(None, None)] * rho, method="highs")
         if res.status == 3:
             raise ValueError("unbounded coordinate; refusing to enumerate")
         if not res.success:
-            return [0] * len(lattice.classes)
-        caps.append(int(exp(-res.fun)) + 2)
-    return caps
+            return None
+        out.append(-res.fun)
+    return out
+
+
+def coordinate_caps(lattice, region, B):
+    """Float LP bound for each |y_lam| over the region, padded by 2."""
+    n = lattice.fan.n_rays
+    logs = _lp_log_caps(lattice, region, B, [(lam,) for lam in range(n)])
+    if logs is None:
+        return [0] * n
+    return [int(exp(v)) + 2 for v in logs]
 
 
 def cone_gcd_ok(fan, mags):
@@ -112,6 +125,15 @@ def naive_count(lattice, region, B):
             prod_out *= flat[:, c]
         g = prod_out if g is None else np.gcd(g, prod_out)
     survivors = flat[g == 1]
+
+    # the same LP bounds every product of two or more coordinates; the
+    # slack of 1e-3 in log space keeps LP rounding on the safe side
+    groups = [grp for k in range(2, n + 1) for grp in combinations(range(n), k)]
+    logs = np.log(survivors.astype(float))
+    keep = np.ones(len(survivors), dtype=bool)
+    for grp, cap in zip(groups, _lp_log_caps(lattice, region, B, groups)):
+        keep &= logs[:, list(grp)].sum(axis=1) <= cap + 1e-3
+    survivors = survivors[keep]
 
     weight = sign_class_count(lattice)
     total = 0

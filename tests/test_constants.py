@@ -1,7 +1,7 @@
 """Local densities, Euler products, and the archimedean density."""
 
 from fractions import Fraction
-from math import pi, sqrt
+from math import log, pi, sqrt
 
 import pytest
 from scipy.special import zeta
@@ -88,6 +88,36 @@ def test_euler_product_closed_forms():
         assert e["p_max"] == p_max
 
 
+def test_euler_polynomial():
+    """(1 - 1/p)^rho omega_p = Q(1/p) with integer Q = 1 + O(x^2)."""
+    q = {name: tamagawa.euler_polynomial(get_lattice(name).fan)
+         for name in BUILTIN_NAMES}
+    assert q["P1"] == [1, 0, -1]
+    assert q["P3"] == [1, 0, 0, 0, -1]
+    assert q["P1xP1"] == q["F1"] == [1, 0, -2, 0, 1]
+    for name in BUILTIN_NAMES:
+        fan = get_lattice(name).fan
+        rho = fan.n_rays - fan.dim
+        for p in (2, 3, 97):
+            value = sum(c * Fraction(1, p) ** j for j, c in enumerate(q[name]))
+            assert value == (1 - Fraction(1, p)) ** rho * \
+                tamagawa.local_density(fan, p)
+
+
+@pytest.mark.parametrize("name,p_max", [
+    ("P1", 10 ** 3), ("P1", 10 ** 5), ("P2", 10 ** 4), ("P1xP1", 10 ** 4),
+    ("F1", 10 ** 3), ("P3", 10 ** 5), ("P3", 10 ** 6)])
+def test_euler_tail_bound_is_proven(name, p_max):
+    """|E - value| <= tail_bound against the zeta closed forms."""
+    exact = {"P1": 1 / zeta(2), "P2": 1 / zeta(3), "P3": 1 / zeta(4),
+             "P1xP1": 1 / zeta(2) ** 2, "F1": 1 / zeta(2) ** 2}[name]
+    e = tamagawa.euler_product(get_lattice(name).fan, p_max)
+    assert abs(e["value"] - exact) <= e["tail_bound"]
+    # not vacuous: sum_{p > P} p^-2 ~ 1/(P log P) costs the bound a log
+    assert e["tail_bound"] < 2 * log(p_max) * max(abs(e["value"] - exact),
+                                                  1e-11)
+
+
 def test_euler_product_enforces_minimum_pmax():
     with pytest.raises(DegenerateInputError):
         tamagawa.euler_product(get_lattice("P1").fan, 50)
@@ -95,7 +125,8 @@ def test_euler_product_enforces_minimum_pmax():
 
 def test_omega_p_table():
     fan = get_lattice("P1").fan
-    table = tamagawa.omega_p_table(fan, 100)
+    table = {p: tamagawa.local_density(fan, p)
+             for p in tamagawa.primes_up_to(100)}
     assert len(table) == 25
     assert table[2] == Fraction(3, 2)
     assert table[97] == Fraction(98, 97)

@@ -5,7 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from toricount import counting, heights
+from toricount import counting, fans, heights
 from toricount.counting import (
     ExactLog, FTable, Region, WallCollisionError, anticanonical_region,
     build_box_decomposition, coordinate_bounds, count_anticanonical,
@@ -220,6 +220,32 @@ def test_oracle_equivalence_general_region():
     region = Region([((1, 0), 4, 0), ((0, 1), 1, 1)])
     fast = enumerate_region(lat, region, 30).count
     assert fast == naive_count(lat, region, 30)
+
+
+def test_f1_counts_without_multi_height(monkeypatch):
+    """F1's basis class (0,1) is not nef; its heights come from the nef
+    split, never from the place-by-place evaluator."""
+    def refuse(self, point):
+        raise AssertionError("multi_height called by the enumerator")
+
+    monkeypatch.setattr(heights.HeightEvaluator, "multi_height", refuse)
+    lat = get_lattice("F1")
+    assert enumerate_region(lat, anticanonical_region(lat),
+                            10 ** 4).count == 102316
+    region = Region([((1, 0), 4, 0), ((0, 1), 1, 1)])
+    assert enumerate_region(lat, region, 30).count == 72924
+    test_hyperbola_sandwich_f1()
+
+
+def test_fan_without_ample_class_is_rejected():
+    fan = fans.make_fan(
+        3, [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 2),
+            (-1, -1, -1)],
+        [(0, 1, 4), (0, 1, 6), (0, 2, 3), (0, 2, 6), (0, 3, 4), (1, 2, 5),
+         (1, 2, 6), (1, 4, 5), (2, 3, 5), (3, 4, 5)], validate=False)
+    lat = fans.class_lattice(fan)
+    with pytest.raises(DegenerateInputError, match="not projective"):
+        enumerate_region(lat, anticanonical_region(lat), 10)
 
 
 def test_monotone_in_B():

@@ -372,6 +372,11 @@ def test_cli_exit_code_bad_cone_index(capsys):
     rc = cli.main(["hyperbola", "P1", "--cone", "7", "--grid", "10,100",
                    "--tau", "1.0"])
     assert rc == 2
+    for cone in ("5", "-1"):
+        rc = cli.main(["verify", "P2", "--theorem", "per_cone", "--grid",
+                       "10", "--cone", cone, "--tau", "1"])
+        assert rc == 2
+    assert "out of range" in capsys.readouterr().err
 
 
 def test_cli_argparse_rejects_unknown_theorem():

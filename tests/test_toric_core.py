@@ -160,6 +160,32 @@ def test_bad_geometry_reported():
     assert not diag.ok
 
 
+def test_overlapping_cones_rejected():
+    """Every facet is paired, yet (1, 5, 9) lies inside three cones."""
+    rays = [(1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 1, 1), (0, 2, 1), (1, 2, 2),
+            (-1, -1, -1)]
+    cones = [(0, 1, 4), (0, 1, 6), (0, 2, 3), (0, 2, 6), (0, 3, 4),
+             (1, 2, 5), (1, 2, 6), (1, 4, 5), (2, 3, 5), (3, 4, 5)]
+    with pytest.raises(MalformedFanError, match="overlapping"):
+        fans.make_fan(3, rays, cones)
+    diag = fans.validate_fan(fans.make_fan(3, rays, cones, validate=False))
+    assert diag.facets_paired and diag.overlapping_interiors
+    # folds back at (0,-1), where the generic point (1, N) sees one cone
+    fold = fans.make_fan(2, [(-1, 0), (0, -1), (-1, -1), (0, 1), (1, 0),
+                             (1, -1)],
+                         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0)],
+                         validate=False)
+    # winds twice around the origin without folding
+    twice = fans.make_fan(2, [(1, 0), (0, 1), (-1, 0), (0, -1), (1, 1),
+                              (-1, 1), (-1, -1), (1, -1)],
+                          [(i, (i + 1) % 8) for i in range(8)],
+                          validate=False)
+    for fan in (fold, twice):
+        diag = fans.validate_fan(fan)
+        assert diag.facets_paired and diag.sampling_covered
+        assert diag.overlapping_interiors
+
+
 def test_torsion_class_group_rejected():
     fan = fans.make_fan(2, [(2, 1), (0, 1), (-2, -1)],
                         [(0, 1), (1, 2), (2, 0)], validate=False)
