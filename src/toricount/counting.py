@@ -11,7 +11,8 @@ the largest of its per-cone monomials, so each basis class is split once per
 lattice into nef classes, e_i = a_i - b_i, and H_{e_i} is a ratio of two such
 maxima.  Every constraint, region facets included, is compiled once per
 (region, B) to integer exponents and an integer bound fraction; the descent
-decides the nef ones exactly, and the leaf cross-multiplies the rest.
+decides the nef ones exactly, and the last coordinate is counted in closed
+form by Moebius inversion over an interval (enumerate_region).
 """
 
 from dataclasses import dataclass
@@ -19,16 +20,12 @@ from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
 
-import numpy as np
-
 from . import linalg
 from .cones import dual_cone, effective_decomposition
 from .errors import BudgetError, DegenerateInputError
 from .heights import _evaluator
 
 DEFAULT_BUDGET = 10 ** 10
-
-_INT64_SAFE = 1 << 62
 
 
 class ExactLog:
@@ -283,14 +280,15 @@ class EnumerationResult:
 
 
 def _compile_constraints(lattice, region, B):
-    """Integer constraints (E ints, bound num, bound den, nef per-cone reps).
+    """Integer constraints (E ints, bound num, bound den, reps), split into
+    (nef, anti-nef, mixed) lists.
 
     Every region constraint has its exponents cleared to integers, and every
     facet f joins as the constraint H^{-f} <= 1.  On canonical points a nef
     class has an integer height and an anti-nef class the reciprocal of
-    one, so their bounds round to floor(bound) and 1/ceil(1/bound) without
-    changing the point set; mixed classes keep their bound.  reps is the
-    list of per-cone representatives for a nef class, None otherwise.
+    one, so their bounds round to floor(bound) and 1/c, c = ceil(1/bound),
+    without changing the point set.  reps lists the per-cone representatives
+    of E (nef) or the distinct ones of -E (anti-nef), and is None (mixed).
     """
     B = Fraction(B)
     raw = []
@@ -302,24 +300,23 @@ def _compile_constraints(lattice, region, B):
         raw.append(([int(Fraction(x) * den) for x in con.cls],
                     con.gamma ** den * B ** int(con.s * den)))
     raw += [([-x for x in f], Fraction(1)) for f in region.facets]
-    out = []
+    nef, anti, mixed = [], [], []
     for e, bound in raw:
         reps = [lattice.class_representative(s, e)
                 for s in range(len(lattice.fan.max_cones))]
         if all(x >= 0 for w in reps for x in w):
-            bound = Fraction(bound.numerator // bound.denominator)
+            nef.append((e, bound.numerator // bound.denominator, 1, reps))
+        elif all(x <= 0 for w in reps for x in w):
+            inv = 1 / bound
+            anti.append((e, 1, -((-inv.numerator) // inv.denominator),
+                         sorted({tuple(-x for x in w) for w in reps})))
         else:
-            if all(x <= 0 for w in reps for x in w):
-                inv = 1 / bound
-                bound = Fraction(1, -((-inv.numerator) // inv.denominator))
-            reps = None
-        out.append((e, bound.numerator, bound.denominator, reps))
-    return out
+            mixed.append((e, bound.numerator, bound.denominator, None))
+    return nef, anti, mixed
 
 
 def _sides(e, bn, bd, num, den):
-    """Both sides of prod (num_k/den_k)^{e_k} <= bn/bd, cross-multiplied;
-    num and den hold ints or numpy arrays, and so do the sides."""
+    """Both sides of prod (num_k/den_k)^{e_k} <= bn/bd, cross-multiplied."""
     lhs, rhs = bd, bn
     for k, ei in enumerate(e):
         if ei > 0:
@@ -329,20 +326,6 @@ def _sides(e, bn, bd, num, den):
             lhs = lhs * den[k] ** -ei
             rhs = rhs * num[k] ** -ei
     return lhs, rhs
-
-
-def _basis_heights(terms, m, vmax):
-    """Numerators and denominators of the basis heights at last coordinate
-    m, an int or an array: each is a max over (prefix, w) of prefix * m^w."""
-    out = ([], [])
-    for pair in terms:
-        for side, half in zip(out, pair):
-            acc = None
-            for pref, w in half:
-                v = pref * m ** w if w else pref
-                acc = v if acc is None else vmax(acc, v)
-            side.append(acc)
-    return out
 
 
 def _canonical_masks(ev):
@@ -367,12 +350,19 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
     lattice as e_i = a_i - b_i with a_i, b_i nef (HeightEvaluator.nef_split),
     and on a canonical point H_{e_i} is the ratio of the two max-monomials.
     Nef constraints are decided by the descent, whose per-cone prefix checks
-    and leaf caps bound every monomial; only the other constraints (facets
-    included) are checked at the leaf.  hvals holds an int for every nef
-    basis class and an exact Fraction for the others.  `first_range=(lo,
+    and leaf caps bound every monomial.  The last coordinate m then runs
+    over [lo, cap]; an anti-nef constraint max_s pref_s m^{w_s} >= c raises
+    lo to min_s ceil((c/pref_s)^{1/w_s}), and the m coprime to G0 (the gcd
+    of the prefix complement products over the cones holding the last ray)
+    are counted as sum_{d | rad G0} mu(d) (floor(cap/d) - floor((lo-1)/d)),
+    the Moebius treatment of torsor coprimality (Salberger, Asterisque 251;
+    de la Breteche, J. Number Theory 87).  Only a callback or a constraint
+    of mixed sign makes the leaf test each m.  hvals holds an int for every
+    nef basis class and an exact Fraction for the others.  `first_range=(lo,
     hi)` restricts the first coordinate for data-parallel partitioning.
-    Raises BudgetError past `budget` candidates, and DegenerateInputError
-    for a fan with no ample class (a complete fan that is not projective).
+    `visited` counts descent nodes plus full leaf widths.  Raises
+    BudgetError past `budget` candidates, and DegenerateInputError for a
+    fan with no ample class (a complete fan that is not projective).
     """
     ev = _evaluator(lattice)
     _, _, mono = ev.nef_split
@@ -382,9 +372,10 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
     if any(m == 0 for m in bounds):
         return EnumerationResult(count=0, visited=0, bounds=bounds)
 
-    cons = _compile_constraints(lattice, region, B)
-    nef_cons = [c for c in cons if c[3] is not None]
-    leaf_cons = [c for c in cons if c[3] is None]
+    nef_cons, anti_cons, mixed_cons = _compile_constraints(lattice, region, B)
+    leaf_cons = anti_cons + mixed_cons
+    streams = callback is not None or tuple_callback is not None
+    closed = not streams and not mixed_cons
     nef_basis = [b == [(0,) * n] for _, b in mono]
     cones = [set(c) for c in fan.max_cones]
     ncones = len(cones)
@@ -424,30 +415,69 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
         return cap
 
     mags = [0] * n
+    factored = {}
+
+    def prefix(w, depth):
+        """The monomial y^w over the assigned magnitudes mags[:depth]."""
+        out = 1
+        for lam in range(depth):
+            if w[lam]:
+                out *= mags[lam] ** w[lam]
+        return out
+
+    def primes_of(m):
+        """Distinct primes of a magnitude, by trial division, cached."""
+        if m not in factored:
+            out, x, p = [], m, 2
+            while p * p <= x:
+                if x % p == 0:
+                    out.append(p)
+                    while x % p == 0:
+                        x //= p
+                p += 1
+            factored[m] = out + [x] * (x > 1)
+        return factored[m]
+
+    def leaf_count(lo, hi, depth):
+        """Admissible last coordinates in [lo, hi], in closed form."""
+        for _, _, c, reps in anti_cons:
+            ends = []
+            for w in reps:
+                pref = prefix(w, depth)
+                if pref >= c:
+                    break
+                if w[depth]:
+                    q = -(-c // pref)
+                    r = linalg.iroot(q, w[depth])
+                    ends.append(r + (r ** w[depth] < q))
+            else:  # with no ends, no cone's monomial ever reaches c
+                lo = max(lo, min(ends, default=hi + 1))
+        if hi < lo:
+            return 0
+        # the prefix complement products are coprime (the descent checked
+        # them), so the m left are those coprime to their gcd G0 over the
+        # cones that hold the last ray
+        g0 = 0
+        for s, b in enumerate(comp_prod[-1]):
+            if not comp_has[s][depth]:
+                g0 = gcd(g0, b)
+        divs = [(1, 1)]
+        for p in {p for lam in range(depth) for p in primes_of(mags[lam])
+                  if g0 % p == 0}:
+            divs += [(d * p, -mu) for d, mu in divs if d * p <= hi]
+        return sum(mu * (hi // d - (lo - 1) // d) for d, mu in divs)
 
     def leaf_terms(depth):
-        """Per basis class, the (prefix monomial, last exponent) pairs of
-        both halves of the split at the prefix mags[:depth]."""
-        out = []
-        for half in mono:
-            row = []
-            for vecs in half:
-                terms = []
-                for w in vecs:
-                    pref = 1
-                    for lam in range(depth):
-                        if w[lam]:
-                            pref *= mags[lam] ** w[lam]
-                    terms.append((pref, w[depth]))
-                row.append(terms)
-            out.append(row)
-        return out
+        """Numerator and denominator halves of the split: per basis class,
+        the (prefix monomial, last exponent) pairs at the prefix mags[:depth].
+        """
+        return [[[(prefix(w, depth), w[depth]) for w in vecs] for vecs in side]
+                for side in zip(*mono)]
 
     def _leaf_scalar(lo, hi, depth):
         nonlocal count
         base = comp_prod[-1]
-        streams = callback is not None or tuple_callback is not None
-        terms = leaf_terms(depth) if leaf_cons or streams else None
+        terms = leaf_terms(depth)
         for m in range(lo, hi + 1):
             g = 0
             for s in range(ncones):
@@ -456,12 +486,12 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
                     break
             if g != 1:
                 continue
-            if terms is not None:
-                num, den = _basis_heights(terms, m, max)
-                if any(lhs > rhs for lhs, rhs in (
-                        _sides(e, bn, bd, num, den)
-                        for e, bn, bd, _ in leaf_cons)):
-                    continue
+            num, den = ([max(p * m ** w for p, w in half) for half in side]
+                        for side in terms)
+            if any(lhs > rhs for lhs, rhs in (
+                    _sides(e, bn, bd, num, den)
+                    for e, bn, bd, _ in leaf_cons)):
+                continue
             count += weight
             if not streams:
                 continue
@@ -475,33 +505,6 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
                     coords = tuple(-v if mask >> lam & 1 else v
                                    for lam, v in enumerate(mags))
                     callback(coords, hvals)
-
-    def _leaf_numpy(lo, hi, depth):
-        """Vectorized last coordinate; returns surviving tuple count or None
-        when some product could leave int64."""
-        base = comp_prod[-1]
-        if any(b * hi > _INT64_SAFE for b in base):
-            return None
-        terms = leaf_terms(depth) if leaf_cons else []
-        num, den = _basis_heights(terms, hi, max)
-        if any(v > _INT64_SAFE for v in num + den):
-            return None
-        # every factor is >= 1 and grows with m, so products peak at m = hi
-        for e, bn, bd, _ in leaf_cons:
-            if max(_sides(e, bn, bd, num, den)) > _INT64_SAFE:
-                return None
-
-        m = np.arange(lo, hi + 1, dtype=np.int64)
-        comp = np.empty((ncones, m.size), dtype=np.int64)
-        for s in range(ncones):
-            comp[s] = base[s] * m if comp_has[s][depth] else base[s]
-        mask = np.gcd.reduce(comp, axis=0) == 1
-        if leaf_cons and mask.any():
-            num, den = _basis_heights(terms, m, np.maximum)
-            for e, bn, bd, _ in leaf_cons:
-                lhs, rhs = _sides(e, bn, bd, num, den)
-                mask &= lhs <= rhs
-        return int(mask.sum())
 
     def descend(depth):
         nonlocal visited, count
@@ -518,12 +521,10 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
             if visited > budget:
                 raise BudgetError(
                     f"enumeration visited more than {budget} candidates")
-            if callback is None and tuple_callback is None and hi - lo >= 32:
-                done = _leaf_numpy(lo, hi, depth)
-                if done is not None:
-                    count += done * weight
-                    return
-            _leaf_scalar(lo, hi, depth)
+            if closed:
+                count += leaf_count(lo, hi, depth) * weight
+            else:
+                _leaf_scalar(lo, hi, depth)
             return
         visited += 1
         if visited > budget:
@@ -827,11 +828,6 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         cons.append(([-x for x in row], 1, 0))
     region = Region(cons)
     nu_neg = nu_neg_cone(lattice, l_rows)
-
-    if any(b < 1 for b in b_vec):
-        return {"count": 0, "histogram": {}, "nu_neg": nu_neg,
-                "exponents": c, "redraws": 0, "empty_boxes_ok": True}
-
     res = enumerate_region(lattice, region, 1, budget=budget)
     out = {
         "count": res.count,
@@ -958,14 +954,13 @@ def tabulate_f(lattice, l_rows, b_max, extra_constraints=(),
     rows_int = [[int(x) for x in row] for row in l_rows]
 
     def cb(mags, hvals, weight):
+        hn = [h.numerator for h in hvals]
+        hd = [h.denominator for h in hvals]
         yf, yc = [], []
         for row in rows_int:
-            v = Fraction(1)
-            for h, e in zip(hvals, row):
-                if e:
-                    v *= Fraction(h) ** e
-            yf.append(v.numerator // v.denominator)
-            yc.append(-((-v.numerator) // v.denominator))
+            num, den = _sides(row, 1, 1, hn, hd)
+            yf.append(num // den)
+            yc.append(-(-num // den))
         kf, kc = tuple(yf), tuple(yc)
         floor_data[kf] = floor_data.get(kf, 0) + weight
         ceil_data[kc] = ceil_data.get(kc, 0) + weight
@@ -1000,25 +995,19 @@ def hyperbola_sum(table, alphas, B):
                 raise DegenerateInputError(
                     f"table covers y_{i} <= {table.caps[i]} but the domain "
                     f"reaches {cap}")
+    # prod y^alpha <= B as prod y^e <= B^den, cleared once per alpha row
     comps = []
     for r in rows:
         den = 1
         for a in r:
             den = lcm(den, a.denominator)
-        e = [int(a * den) for a in r]
-        comps.append((e, B ** den))
+        comps.append(([int(a * den) for a in r],
+                      B.numerator ** den, B.denominator ** den))
+    ones = [1] * rho
     total = 0
     for y, cnt in table.data.items():
-        ok = True
-        for e, bound in comps:
-            v = Fraction(1)
-            for yi, ei in zip(y, e):
-                if ei:
-                    v *= Fraction(yi) ** ei
-            if v > bound:
-                ok = False
-                break
-        if ok:
+        if all(lhs <= rhs for lhs, rhs in (_sides(e, bn, bd, y, ones)
+                                           for e, bn, bd in comps)):
             total += cnt
     return total
 

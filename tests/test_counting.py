@@ -1,11 +1,14 @@
 """Exact enumeration, boxes, histograms, and hyperbola sums."""
 
 from fractions import Fraction
+from itertools import combinations, product
+from math import gcd
 from types import SimpleNamespace
 
 import pytest
 
 from toricount import counting, fans, heights
+from toricount.cones import dual_cone, effective_decomposition
 from toricount.counting import (
     ExactLog, FTable, Region, WallCollisionError, anticanonical_region,
     build_box_decomposition, coordinate_bounds, count_anticanonical,
@@ -294,6 +297,102 @@ def test_partition_empty_region():
     assert partition_first_coordinate(lat, region, 1, 3) == [(1, 0)]
 
 
+def _both_leaf_paths(lat, region, B, **kw):
+    """Counts a region twice: without a callback, where the last coordinate
+    is counted in closed form when no constraint has mixed sign, and with a
+    tuple_callback, which walks it value by value."""
+    plain = enumerate_region(lat, region, B, **kw)
+    weights = []
+    streamed = enumerate_region(
+        lat, region, B, tuple_callback=lambda m, h, w: weights.append(w),
+        **kw)
+    assert plain.count == streamed.count == sum(weights)
+    assert plain.visited == streamed.visited
+    return plain
+
+
+@pytest.mark.parametrize("name,B", [("P2", 2000), ("P3", 300),
+                                    ("P1xP1", 1000), ("F1", 500)])
+def test_closed_form_leaf_anticanonical(name, B):
+    lat = get_lattice(name)
+    assert _both_leaf_paths(lat, anticanonical_region(lat), B).count > 0
+
+
+def test_closed_form_leaf_mixed_region():
+    lat = get_lattice("F1")
+    region = Region([((1, 0), 4, 0), ((0, 1), 1, 1)])
+    assert _both_leaf_paths(lat, region, 30).count == 72924
+
+
+def test_closed_form_leaf_cone_boxes():
+    """Box regions carry anti-nef lower bounds H_{L_i} >= c, which raise
+    the low end of the leaf interval."""
+    lat = get_lattice("P1xP1")
+    decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
+    b_vec = (20, 20)
+    total = 0
+    for n_vec in product(*(range(1, k + 2) for k in decomp.kept(b_vec))):
+        region = counting._box_region(decomp, b_vec, n_vec)
+        total += _both_leaf_paths(lat, region, 1).count
+    cone = count_cone_box(lat, [[1, 0], [0, 1]], b_vec, histogram=False)
+    assert total == cone["count"] == 260100
+    box = Region([((1, 0), 12, 0), ((-1, 0), Fraction(1, 5), 0),
+                  ((0, 1), 9, 0), ((0, -1), Fraction(2, 7), 0)])
+    assert _both_leaf_paths(lat, box, 1).count > 0
+
+
+@pytest.mark.parametrize("name,B,low", [("P2", 20000, 7001),
+                                        ("P1xP1", 3000, 1001),
+                                        ("P3", 3000, 999)])
+def test_closed_form_leaf_anticanonical_annulus(name, B, low):
+    """low <= H_{omega^-1} <= B: the anti-nef lower end needs a root of
+    order 2 to 4 of a bound that is not a perfect power."""
+    lat = get_lattice(name)
+    anti = [-x for x in lat.anticanonical]
+    region = Region([(lat.anticanonical, B, 0), (anti, Fraction(1, low), 0)])
+    full = anticanonical_region(lat)
+    want = (enumerate_region(lat, full, B).count
+            - enumerate_region(lat, full, low - 1).count)
+    assert _both_leaf_paths(lat, region, 1).count == want > 0
+
+
+@pytest.mark.parametrize("name,B", [("P1xP1", 300), ("F1", 200)])
+def test_closed_form_leaf_inclusion_exclusion_facets(name, B):
+    lat = get_lattice(name)
+    dec = effective_decomposition([list(c) for c in lat.classes],
+                                  list(lat.anticanonical))
+    facet_lists = [dual_cone([list(g) for g in cone], lat.rank)
+                   for cone in dec.cones]
+    for k in range(1, len(facet_lists) + 1):
+        for sub in combinations(facet_lists, k):
+            facets = [f for fl in sub for f in fl]
+            _both_leaf_paths(lat, anticanonical_region(lat, facets=facets), B)
+
+
+@pytest.mark.parametrize("low", [30030, 30031])
+def test_closed_form_leaf_many_primes(low):
+    """The prefix magnitude 30030 = 2*3*5*7*11*13 makes the Moebius sum run
+    over 2^6 divisors; low = 30031 leaves the lower end to the last
+    coordinate alone."""
+    lat = get_lattice("P1")
+    region = Region([((1,), 30100, 0), ((-1,), Fraction(1, low), 0)])
+    res = _both_leaf_paths(lat, region, 1, first_range=(30030, 30030))
+    want = sum(1 for m in range(1, 30101)
+               if gcd(m, 30030) == 1 and max(m, 30030) >= low)
+    assert res.count == 2 * want
+    assert res.visited == 1 + 30100
+
+
+def test_visited_is_pinned():
+    """visited counts descent nodes plus full leaf widths; these values
+    predate the closed-form leaf and fix what a budget means."""
+    lat = get_lattice("P1xP1")
+    res = enumerate_region(lat, anticanonical_region(lat), 1000)
+    assert (res.count, res.visited) == (10372, 4278)
+    out = count_cone_box(lat, [[1, 0], [0, 1]], (20, 20), histogram=False)
+    assert (out["count"], out["visited"]) == (260100, 102276)
+
+
 # -- direct vs inclusion-exclusion -------------------------------------------
 
 
@@ -457,9 +556,12 @@ def test_cone_box_wall_collision_redraw():
 
 def test_cone_box_below_one_is_empty():
     lat = get_lattice("P1xP1")
-    out = count_cone_box(lat, [[1, 0], [0, 1]], (Fraction(1, 2), 20))
+    out = count_cone_box(lat, [[1, 0], [0, 1]], (Fraction(1, 2), 20),
+                         tau=1.0)
     assert out["count"] == 0
     assert out["empty_boxes_ok"]
+    assert out["histogram_total"] == 0 and out["tail"]["ok"]
+    assert out["prediction"] > 0 and out["ratio"] == 0
 
 
 def test_cone_box_rejects_cone_outside_dual_effective():
@@ -508,6 +610,57 @@ def test_hyperbola_sandwich_f1():
         s_floor = hyperbola_sum(floor_t, [[3, 2]], B)
         s_ceil = hyperbola_sum(ceil_t, [[3, 2]], B)
         assert s_ceil <= direct <= s_floor
+
+
+def _fraction_tables(lat, l_rows, b_max):
+    """Rounded-height tables with every fingerprint built from Fractions."""
+    cons = []
+    for row, b in zip(l_rows, b_max):
+        cons += [(row, b, 0), ([-x for x in row], 1, 0)]
+    floor_d, ceil_d = {}, {}
+
+    def cb(mags, hvals, weight):
+        vals = []
+        for row in l_rows:
+            v = Fraction(1)
+            for h, e in zip(hvals, row):
+                v *= Fraction(h) ** e
+            vals.append(v)
+        kf = tuple(v.numerator // v.denominator for v in vals)
+        kc = tuple(-(-v.numerator // v.denominator) for v in vals)
+        floor_d[kf] = floor_d.get(kf, 0) + weight
+        ceil_d[kc] = ceil_d.get(kc, 0) + weight
+
+    enumerate_region(lat, Region(cons), 1, tuple_callback=cb)
+    return floor_d, ceil_d
+
+
+@pytest.mark.parametrize("name,l_rows,b_max", [
+    ("P1xP1", [[1, 0], [0, 1]], [9, 7]),
+    ("P1xP1", [[1, -1], [0, 1]], [3, 6]),
+    ("F1", [[1, 0], [0, 1]], [7, 16])])
+def test_tabulate_f_matches_fraction_fingerprints(name, l_rows, b_max):
+    """Integer fingerprints give the tables the Fraction ones give; on F1
+    the basis class (0, 1) is not nef, so its hvals are Fractions."""
+    lat = get_lattice(name)
+    floor_t, ceil_t = tabulate_f(lat, l_rows, b_max)
+    floor_d, ceil_d = _fraction_tables(lat, l_rows, b_max)
+    assert floor_t.data == floor_d and ceil_t.data == ceil_d
+    assert floor_d
+
+
+def test_hyperbola_sum_rational_bounds():
+    """The integer membership test agrees with a Fraction evaluation for
+    rational B and rational exponents."""
+    lat = get_lattice("P1xP1")
+    floor_t, _ = tabulate_f(lat, [[1, 0], [0, 1]], [12, 12])
+    for alphas, B in [([[2, 2]], Fraction(289, 2)),
+                      ([[Fraction(3, 2), Fraction(1, 2)]], Fraction(10, 3)),
+                      ([[1, 0], [Fraction(1, 2), 1]], Fraction(50, 7))]:
+        want = sum(cnt for y, cnt in floor_t.data.items()
+                   if all(Fraction(y[0]) ** a[0] * Fraction(y[1]) ** a[1]
+                          <= B for a in alphas))
+        assert hyperbola_sum(floor_t, alphas, B) == want > 0
 
 
 def test_ftable_mass():

@@ -379,6 +379,19 @@ def test_cli_exit_code_bad_cone_index(capsys):
     assert "out of range" in capsys.readouterr().err
 
 
+def test_cli_cone_box_below_one(capsys):
+    rc = cli.main(["verify", "P1xP1", "--theorem", "cone_box", "--grid",
+                   "1/2", "--tau", "1.0", "--format", "json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert [r["count"] for r in payload["rows"]] == [0]
+    checks = payload["summary"]["checks"]
+    assert len(checks) == 1
+    assert all(v is True for k, v in checks[0].items()
+               if k not in ("B", "redraws"))
+    assert payload["summary"]["all_checks_ok"] is True
+
+
 def test_cli_argparse_rejects_unknown_theorem():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "P1", "--theorem", "nonsense", "--grid", "10"])
