@@ -13,9 +13,16 @@ maxima.  Every constraint, region facets included, is compiled once per
 (region, B) to integer exponents and an integer bound fraction; the descent
 decides the nef ones exactly, and the last coordinate is counted in closed
 form by Moebius inversion over an interval (enumerate_region).
+
+The per-coordinate caps of the descent come from the vertices of the
+region's log-polytope (coordinate_bounds).  Their solve depends only on the
+region's shape, not on its scales gamma or on B, so it is compiled once per
+shape into integer exponent vectors over the bases (gamma_1, ..., gamma_k,
+B) and cached; the many box regions of one cone box share one program.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
@@ -26,66 +33,6 @@ from .errors import BudgetError, DegenerateInputError
 from .heights import _evaluator
 
 DEFAULT_BUDGET = 10 ** 10
-
-
-class ExactLog:
-    """Sum of e_j*log(b_j) with rational e_j and positive rational b_j.
-
-    Supports exact comparison and floor(exp(.)), which is all the polytope
-    vertex arithmetic needs: every bound of the form log(gamma) + s*log(B)
-    stays in this class under rational linear combinations.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        out = {}
-        if terms:
-            for b, e in terms.items():
-                b = Fraction(b)
-                e = Fraction(e)
-                if b <= 0:
-                    raise DegenerateInputError("log of a nonpositive rational")
-                if b != 1 and e != 0:
-                    out[b] = out.get(b, Fraction(0)) + e
-        self.terms = {b: e for b, e in out.items() if e != 0}
-
-    @classmethod
-    def zero(cls):
-        return cls()
-
-    def combine(self, other, scale=Fraction(1)):
-        """self + scale*other."""
-        out = dict(self.terms)
-        for b, e in other.terms.items():
-            out[b] = out.get(b, Fraction(0)) + scale * e
-        return ExactLog(out)
-
-    def scaled(self, c):
-        c = Fraction(c)
-        return ExactLog({b: c * e for b, e in self.terms.items()})
-
-    def _power(self):
-        """(X, Q) with self == (1/Q) * log(X), X an exact Fraction."""
-        q = 1
-        for e in self.terms.values():
-            q = lcm(q, e.denominator)
-        x = Fraction(1)
-        for b, e in self.terms.items():
-            x *= b ** int(e * q)
-        return x, q
-
-    def sign(self):
-        x, _ = self._power()
-        return (x > 1) - (x < 1)
-
-    def cmp(self, other):
-        return self.combine(other, Fraction(-1)).sign()
-
-    def exp_floor(self):
-        """floor(exp(self)) as an exact integer."""
-        x, q = self._power()
-        return linalg.floor_rational_power(x, 1, q)
 
 
 @dataclass(frozen=True)
@@ -193,22 +140,74 @@ def anticanonical_region(lattice, facets=(), cone_generators=None):
 
 # -- coordinate bounds -----------------------------------------------------
 
-def _region_rows(lattice, region, B):
+def _sides(e, bn, bd, num, den):
+    """Both sides of prod (num_k/den_k)^{e_k} <= bn/bd, cross-multiplied."""
+    lhs, rhs = bd, bn
+    for k, ei in enumerate(e):
+        if ei > 0:
+            lhs = lhs * num[k] ** ei
+            rhs = rhs * den[k] ** ei
+        elif ei < 0:
+            lhs = lhs * den[k] ** -ei
+            rhs = rhs * num[k] ** -ei
+    return lhs, rhs
+
+
+def _cleared(vec):
+    """(integer vector, d) with vec == integer vector / d, d > 0 least."""
+    d = 1
+    for x in vec:
+        d = lcm(d, x.denominator)
+    return tuple(int(x * d) for x in vec), d
+
+
+@lru_cache(maxsize=256)
+def _vertex_program(classes, cls_rows, s_vals, facets):
+    """The vertex solve of coordinate_bounds for one region shape.
+
+    In log coordinates the region is the polytope <q, a> <= rhs over the
+    constraint rows q = cls (rhs = log gamma + s log B), the ray classes and
+    the facets (both negated, rhs = 0).  Each rhs, and so each vertex, is a
+    rational combination of the logs of the k + 1 bases (gamma_1, ...,
+    gamma_k, B).  For every nonsingular rho-subset of rows this returns the
+    integer exponent vectors over those bases of its feasibility tests (the
+    vertex satisfies row i iff prod base^e <= 1) and, per ray class, the
+    pair (e, d) with <[D_lam], vertex> = sum_b (e_b / d) log base_b.
+    """
+    rho, k = len(classes[0]), len(cls_rows)
     rows = []
-    for con in region.constraints:
-        rhs = ExactLog({con.gamma: Fraction(1)})
-        if con.s:
-            rhs = rhs.combine(ExactLog({Fraction(B): Fraction(1)}), con.s)
-        rows.append(([Fraction(x) for x in con.cls], rhs))
-    zero = ExactLog.zero()
-    seen = set()
-    for cls in lattice.classes:
-        if cls not in seen:
-            seen.add(cls)
-            rows.append(([Fraction(-x) for x in cls], zero))
-    for f in region.facets:
-        rows.append(([Fraction(-x) for x in f], zero))
-    return rows
+    for i, (q, s) in enumerate(zip(cls_rows, s_vals)):
+        rows.append(([Fraction(x) for x in q],
+                     [Fraction(int(b == i)) for b in range(k)] + [s]))
+    zero = [Fraction(0)] * (k + 1)
+    for q in list(dict.fromkeys(classes)) + list(facets):
+        rows.append(([Fraction(-x) for x in q], zero))
+    if dual_cone([[-x for x in q] for q, _ in rows], rho):
+        raise DegenerateInputError(
+            "region is unbounded over the dual effective cone")
+
+    program = []
+    for idx in combinations(range(len(rows)), rho):
+        try:
+            inv = linalg.inverse([rows[i][0] for i in idx])
+        except ValueError:  # singular subset: no vertex
+            continue
+        vert = [[sum(inv[j][t] * rows[i][1][b] for t, i in enumerate(idx))
+                 for b in range(k + 1)] for j in range(rho)]
+
+        def pairing(q):
+            return [sum(q[j] * vert[j][b] for j in range(rho) if q[j])
+                    for b in range(k + 1)]
+
+        tests = []
+        for i, (q, rhs) in enumerate(rows):
+            if i not in idx:
+                e, _ = _cleared([a - c for a, c in zip(pairing(q), rhs)])
+                if any(e):
+                    tests.append(e)
+        program.append((tuple(tests),
+                        tuple(_cleared(pairing(c)) for c in classes)))
+    return tuple(program)
 
 
 def coordinate_bounds(lattice, region, B):
@@ -217,57 +216,44 @@ def coordinate_bounds(lattice, region, B):
     M_lam = floor exp sup{<[D_lam], a> : a in region and effective-dual}, the
     sup taken over the exact vertices of the rational polytope.  Raises for
     an unbounded region; an empty region yields all zeros.
+
+    The vertex solve depends only on the region's shape (exponent rows, their
+    B-exponents s, facets, ray classes), so it is compiled once per shape by
+    _vertex_program and cached; gamma and B enter only as the bases of its
+    integer exponent vectors.  A call then decides each test prod base^e <= 1
+    by cross-multiplying numerators and denominators (_sides), compares two
+    objectives e1/d1 and e2/d2 as the sign of e1 d2 - e2 d1 the same way,
+    and floors exp of the best by linalg.floor_rational_power: every step is
+    an exact integer comparison, so the bounds equal the rational sup's.
     """
     B = Fraction(B)
     if B <= 0:
         raise DegenerateInputError("B must be a positive rational")
-    rho = lattice.rank
-    rows = _region_rows(lattice, region, B)
-
-    rec_gens = [[-x for x in q] for q, _ in rows]
-    if dual_cone(rec_gens, rho):
-        raise DegenerateInputError(
-            "region is unbounded over the dual effective cone")
-
-    verts = []
-    for idx in combinations(range(len(rows)), rho):
-        mat = [list(rows[i][0]) for i in idx]
-        if linalg.rank(mat) < rho:
+    cons = region.constraints
+    program = _vertex_program(lattice.classes, tuple(c.cls for c in cons),
+                              tuple(c.s for c in cons), region.facets)
+    bases = [c.gamma for c in cons] + [B]
+    num = [b.numerator for b in bases]
+    den = [b.denominator for b in bases]
+    best = None
+    for tests, objs in program:
+        if any(lhs > rhs for lhs, rhs in (_sides(e, 1, 1, num, den)
+                                          for e in tests)):
             continue
-        inv = linalg.inverse(mat)
-        vert = []
-        for j in range(rho):
-            acc = ExactLog.zero()
-            for k, i in enumerate(idx):
-                if inv[j][k]:
-                    acc = acc.combine(rows[i][1], inv[j][k])
-            vert.append(acc)
-        ok = True
-        for q, rhs in rows:
-            val = ExactLog.zero()
-            for j in range(rho):
-                if q[j]:
-                    val = val.combine(vert[j], q[j])
-            if val.cmp(rhs) > 0:
-                ok = False
-                break
-        if ok:
-            verts.append(vert)
-    if not verts:
+        if best is None:
+            best = list(objs)
+            continue
+        for lam, ((e1, d1), (e2, d2)) in enumerate(zip(objs, best)):
+            diff = [a * d2 - b * d1 for a, b in zip(e1, e2)]
+            g = gcd(*diff)
+            if g:
+                lhs, rhs = _sides([x // g for x in diff], 1, 1, num, den)
+                if lhs > rhs:
+                    best[lam] = (e1, d1)
+    if best is None:
         return [0] * lattice.fan.n_rays
-
-    bounds = []
-    for cls in lattice.classes:
-        best = None
-        for vert in verts:
-            val = ExactLog.zero()
-            for j in range(rho):
-                if cls[j]:
-                    val = val.combine(vert[j], cls[j])
-            if best is None or val.cmp(best) > 0:
-                best = val
-        bounds.append(max(0, best.exp_floor()))
-    return bounds
+    return [linalg.floor_rational_power(Fraction(*_sides(e, 1, 1, num, den)),
+                                        1, d) for e, d in best]
 
 
 # -- enumeration -----------------------------------------------------------
@@ -315,19 +301,6 @@ def _compile_constraints(lattice, region, B):
     return nef, anti, mixed
 
 
-def _sides(e, bn, bd, num, den):
-    """Both sides of prod (num_k/den_k)^{e_k} <= bn/bd, cross-multiplied."""
-    lhs, rhs = bd, bn
-    for k, ei in enumerate(e):
-        if ei > 0:
-            lhs = lhs * num[k] ** ei
-            rhs = rhs * den[k] ** ei
-        elif ei < 0:
-            lhs = lhs * den[k] ** -ei
-            rhs = rhs * num[k] ** -ei
-    return lhs, rhs
-
-
 def _canonical_masks(ev):
     pivots = set(ev._sign_pivots)
     free = [lam for lam in range(ev.n) if lam not in pivots]
@@ -352,14 +325,18 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
     Nef constraints are decided by the descent, whose per-cone prefix checks
     and leaf caps bound every monomial.  The last coordinate m then runs
     over [lo, cap]; an anti-nef constraint max_s pref_s m^{w_s} >= c raises
-    lo to min_s ceil((c/pref_s)^{1/w_s}), and the m coprime to G0 (the gcd
-    of the prefix complement products over the cones holding the last ray)
-    are counted as sum_{d | rad G0} mu(d) (floor(cap/d) - floor((lo-1)/d)),
-    the Moebius treatment of torsor coprimality (Salberger, Asterisque 251;
-    de la Breteche, J. Number Theory 87).  Only a callback or a constraint
-    of mixed sign makes the leaf test each m.  hvals holds an int for every
-    nef basis class and an exact Fraction for the others.  `first_range=(lo,
-    hi)` restricts the first coordinate for data-parallel partitioning.
+    lo to min_s ceil((c/pref_s)^{1/w_s}), and m keeps the point coprime iff
+    gcd(m, G0) = 1, G0 the gcd of the prefix complement products over the
+    cones holding the last ray.  Those m are counted as sum_{d | rad G0}
+    mu(d) (floor(cap/d) - floor((lo-1)/d)), the Moebius treatment of torsor
+    coprimality (Salberger, Asterisque 251; de la Breteche, J. Number Theory
+    87).  Only a callback or a constraint of mixed sign makes the leaf walk
+    the m of [lo, cap] one by one; it then tests gcd(m, G0) and the mixed
+    constraints alone, since the interval already decides the rest.  The
+    descent's per-coordinate caps come from coordinate_bounds.  hvals holds
+    an int for every nef basis class and an exact Fraction for the others.
+    `first_range=(lo, hi)` restricts the first coordinate for data-parallel
+    partitioning.
     `visited` counts descent nodes plus full leaf widths.  Raises
     BudgetError past `budget` candidates, and DegenerateInputError for a
     fan with no ample class (a complete fan that is not projective).
@@ -373,7 +350,6 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
         return EnumerationResult(count=0, visited=0, bounds=bounds)
 
     nef_cons, anti_cons, mixed_cons = _compile_constraints(lattice, region, B)
-    leaf_cons = anti_cons + mixed_cons
     streams = callback is not None or tuple_callback is not None
     closed = not streams and not mixed_cons
     nef_basis = [b == [(0,) * n] for _, b in mono]
@@ -438,8 +414,14 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
             factored[m] = out + [x] * (x > 1)
         return factored[m]
 
-    def leaf_count(lo, hi, depth):
-        """Admissible last coordinates in [lo, hi], in closed form."""
+    def leaf_start(lo, hi, depth):
+        """The least admissible last coordinate from lo, and G0.
+
+        An anti-nef constraint max_s pref_s m^{w_s} >= c holds exactly from
+        min_s ceil((c/pref_s)^{1/w_s}) on.  The prefix complement products
+        are coprime (the descent checked them), so m keeps them coprime iff
+        gcd(m, G0) = 1, G0 their gcd over the cones that hold the last ray.
+        """
         for _, _, c, reps in anti_cons:
             ends = []
             for w in reps:
@@ -452,15 +434,17 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
                     ends.append(r + (r ** w[depth] < q))
             else:  # with no ends, no cone's monomial ever reaches c
                 lo = max(lo, min(ends, default=hi + 1))
-        if hi < lo:
-            return 0
-        # the prefix complement products are coprime (the descent checked
-        # them), so the m left are those coprime to their gcd G0 over the
-        # cones that hold the last ray
         g0 = 0
         for s, b in enumerate(comp_prod[-1]):
             if not comp_has[s][depth]:
                 g0 = gcd(g0, b)
+        return lo, g0
+
+    def leaf_count(lo, hi, depth):
+        """Admissible last coordinates in [lo, hi], in closed form."""
+        lo, g0 = leaf_start(lo, hi, depth)
+        if hi < lo:
+            return 0
         divs = [(1, 1)]
         for p in {p for lam in range(depth) for p in primes_of(mags[lam])
                   if g0 % p == 0}:
@@ -476,21 +460,16 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
 
     def _leaf_scalar(lo, hi, depth):
         nonlocal count
-        base = comp_prod[-1]
+        lo, g0 = leaf_start(lo, hi, depth)
         terms = leaf_terms(depth)
         for m in range(lo, hi + 1):
-            g = 0
-            for s in range(ncones):
-                g = gcd(g, base[s] * m if comp_has[s][depth] else base[s])
-                if g == 1:
-                    break
-            if g != 1:
+            if gcd(m, g0) != 1:
                 continue
             num, den = ([max(p * m ** w for p, w in half) for half in side]
                         for side in terms)
             if any(lhs > rhs for lhs, rhs in (
                     _sides(e, bn, bd, num, den)
-                    for e, bn, bd, _ in leaf_cons)):
+                    for e, bn, bd, _ in mixed_cons)):
                 continue
             count += weight
             if not streams:

@@ -6,16 +6,23 @@ bounds, filters by the per-cone gcd conditions and by exact height
 membership, and counts sign classes by brute force over all sign vectors
 modulo the character action, never trusting the orbit-size formula or any of
 the production pruning.
+
+It also keeps the symbolic-logarithm vertex solve (ExactLog) that
+counting.coordinate_bounds replaced, as coordinate_bounds_exactlog: every
+vertex is rebuilt from Fractions on every call, with no compiled program.
 """
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import exp, gcd, log
+from math import exp, gcd, lcm, log
 
 import numpy as np
 from scipy.optimize import linprog
 
+from toricount import linalg
+from toricount.cones import dual_cone
 from toricount.counting import Region
+from toricount.errors import DegenerateInputError
 from toricount.heights import multi_height
 
 
@@ -147,3 +154,143 @@ def naive_count(lattice, region, B):
 
 def naive_anticanonical_count(lattice, B):
     return naive_count(lattice, Region([(lattice.anticanonical, 1, 1)]), B)
+
+
+# -- coordinate bounds by symbolic logarithms ------------------------------
+
+class ExactLog:
+    """Sum of e_j*log(b_j) with rational e_j and positive rational b_j.
+
+    Supports exact comparison and floor(exp(.)), which is all the polytope
+    vertex arithmetic needs: every bound of the form log(gamma) + s*log(B)
+    stays in this class under rational linear combinations.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        out = {}
+        if terms:
+            for b, e in terms.items():
+                b = Fraction(b)
+                e = Fraction(e)
+                if b <= 0:
+                    raise DegenerateInputError("log of a nonpositive rational")
+                if b != 1 and e != 0:
+                    out[b] = out.get(b, Fraction(0)) + e
+        self.terms = {b: e for b, e in out.items() if e != 0}
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def combine(self, other, scale=Fraction(1)):
+        """self + scale*other."""
+        out = dict(self.terms)
+        for b, e in other.terms.items():
+            out[b] = out.get(b, Fraction(0)) + scale * e
+        return ExactLog(out)
+
+    def scaled(self, c):
+        c = Fraction(c)
+        return ExactLog({b: c * e for b, e in self.terms.items()})
+
+    def _power(self):
+        """(X, Q) with self == (1/Q) * log(X), X an exact Fraction."""
+        q = 1
+        for e in self.terms.values():
+            q = lcm(q, e.denominator)
+        x = Fraction(1)
+        for b, e in self.terms.items():
+            x *= b ** int(e * q)
+        return x, q
+
+    def sign(self):
+        x, _ = self._power()
+        return (x > 1) - (x < 1)
+
+    def cmp(self, other):
+        return self.combine(other, Fraction(-1)).sign()
+
+    def exp_floor(self):
+        """floor(exp(self)) as an exact integer."""
+        x, q = self._power()
+        return linalg.floor_rational_power(x, 1, q)
+
+
+def _region_rows(lattice, region, B):
+    rows = []
+    for con in region.constraints:
+        rhs = ExactLog({con.gamma: Fraction(1)})
+        if con.s:
+            rhs = rhs.combine(ExactLog({Fraction(B): Fraction(1)}), con.s)
+        rows.append(([Fraction(x) for x in con.cls], rhs))
+    zero = ExactLog.zero()
+    seen = set()
+    for cls in lattice.classes:
+        if cls not in seen:
+            seen.add(cls)
+            rows.append(([Fraction(-x) for x in cls], zero))
+    for f in region.facets:
+        rows.append(([Fraction(-x) for x in f], zero))
+    return rows
+
+
+def coordinate_bounds_exactlog(lattice, region, B):
+    """Per-ray integer bounds M_lam with |y_lam| <= M_lam on the region,
+    the reference for counting.coordinate_bounds.
+
+    M_lam = floor exp sup{<[D_lam], a> : a in region and effective-dual}, the
+    sup taken over the exact vertices of the rational polytope.  Raises for
+    an unbounded region; an empty region yields all zeros.
+    """
+    B = Fraction(B)
+    if B <= 0:
+        raise DegenerateInputError("B must be a positive rational")
+    rho = lattice.rank
+    rows = _region_rows(lattice, region, B)
+
+    rec_gens = [[-x for x in q] for q, _ in rows]
+    if dual_cone(rec_gens, rho):
+        raise DegenerateInputError(
+            "region is unbounded over the dual effective cone")
+
+    verts = []
+    for idx in combinations(range(len(rows)), rho):
+        mat = [list(rows[i][0]) for i in idx]
+        if linalg.rank(mat) < rho:
+            continue
+        inv = linalg.inverse(mat)
+        vert = []
+        for j in range(rho):
+            acc = ExactLog.zero()
+            for k, i in enumerate(idx):
+                if inv[j][k]:
+                    acc = acc.combine(rows[i][1], inv[j][k])
+            vert.append(acc)
+        ok = True
+        for q, rhs in rows:
+            val = ExactLog.zero()
+            for j in range(rho):
+                if q[j]:
+                    val = val.combine(vert[j], q[j])
+            if val.cmp(rhs) > 0:
+                ok = False
+                break
+        if ok:
+            verts.append(vert)
+    if not verts:
+        return [0] * lattice.fan.n_rays
+
+    bounds = []
+    for cls in lattice.classes:
+        best = None
+        for vert in verts:
+            val = ExactLog.zero()
+            for j in range(rho):
+                if cls[j]:
+                    val = val.combine(vert[j], cls[j])
+            if best is None or val.cmp(best) > 0:
+                best = val
+        bounds.append(max(0, best.exp_floor()))
+    return bounds

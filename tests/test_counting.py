@@ -1,5 +1,6 @@
 """Exact enumeration, boxes, histograms, and hyperbola sums."""
 
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -7,10 +8,10 @@ from types import SimpleNamespace
 
 import pytest
 
-from toricount import counting, fans, heights
+from toricount import counting, fans, heights, linalg
 from toricount.cones import dual_cone, effective_decomposition
 from toricount.counting import (
-    ExactLog, FTable, Region, WallCollisionError, anticanonical_region,
+    FTable, Region, WallCollisionError, anticanonical_region,
     build_box_decomposition, coordinate_bounds, count_anticanonical,
     count_bad_slab, count_box, count_cone_box, count_translated_polyhedron,
     enumerate_region, hyperbola_sum, nu_neg_cone, partition_first_coordinate,
@@ -18,7 +19,8 @@ from toricount.counting import (
 from toricount.errors import BudgetError, CoprimalityError, DegenerateInputError
 
 from conftest import BUILTIN_NAMES, get_lattice
-from naive_oracle import naive_count, sign_class_count
+from naive_oracle import (ExactLog, coordinate_bounds_exactlog, naive_count,
+                          sign_class_count)
 
 
 # -- exact logarithmic arithmetic -------------------------------------------
@@ -149,6 +151,105 @@ def test_coordinate_bounds_rejects_nonpositive_B():
     p1 = get_lattice("P1")
     with pytest.raises(DegenerateInputError):
         coordinate_bounds(p1, anticanonical_region(p1), 0)
+
+
+def _bounds_or_error(fn, lat, region, B):
+    try:
+        return fn(lat, region, B)
+    except DegenerateInputError as exc:
+        return str(exc)
+
+
+def _random_region(rng, lat):
+    """1-3 constraints with exponents and s in (1/2)Z, 0 < gamma <= 9,
+    an optional facet, and 0 < B <= 300."""
+    def half(lo, hi):
+        return Fraction(rng.randint(2 * lo, 2 * hi), rng.choice((1, 2)))
+
+    cons = []
+    for _ in range(rng.randint(1, 3)):
+        gamma = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+        cons.append((tuple(half(-2, 3) for _ in range(lat.rank)), gamma,
+                     half(-1, 2)))
+    facets = []
+    if rng.random() < 0.4:
+        facets.append(tuple(rng.randint(-1, 1) for _ in range(lat.rank)))
+    B = Fraction(rng.randint(1, 300), rng.randint(1, 2))
+    return Region(cons, facets=facets), B
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_coordinate_bounds_match_exactlog_oracle(name):
+    """The compiled integer program against the symbolic-log vertex solve,
+    on seeded random regions: equal bounds, or the same error."""
+    lat = get_lattice(name)
+    rng = random.Random(f"bounds-{name}")
+    kinds = set()
+    for _ in range(60):
+        region, B = _random_region(rng, lat)
+        got = _bounds_or_error(coordinate_bounds, lat, region, B)
+        assert got == _bounds_or_error(coordinate_bounds_exactlog, lat,
+                                       region, B), (region.constraints, B)
+        kinds.add("error" if isinstance(got, str)
+                  else "bounded" if any(got) else "empty")
+    assert kinds == {"error", "bounded", "empty"}
+
+
+def test_coordinate_bounds_pinned_oracle_cases():
+    f1 = get_lattice("F1")
+    half = Fraction(1, 2)
+    empty = Region([((half, 1), Fraction(1, 3), 0), ((-1, half), 2, -half)],
+                   facets=[(1, -1)])
+    assert coordinate_bounds(f1, empty, 7) == [0] * 4
+    assert coordinate_bounds_exactlog(f1, empty, 7) == [0] * 4
+    unbounded = Region([((1, -half), 9, half)])
+    for fn in (coordinate_bounds, coordinate_bounds_exactlog):
+        with pytest.raises(DegenerateInputError, match="unbounded"):
+            fn(f1, unbounded, Fraction(300, 7))
+    mixed = Region([((half, 1), 5, half), ((-1, half), 2, 0)],
+                   facets=[(1, 0)])
+    got = coordinate_bounds(f1, mixed, Fraction(299, 2))
+    assert got == coordinate_bounds_exactlog(f1, mixed, Fraction(299, 2))
+    assert all(got)
+
+
+def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
+    """The 1 + 24 enumerations of a cone box share one constraint shape, so
+    the vertex solve (its inverse calls) runs once for all of them; only
+    gamma differs, and each box still gets its own exact bounds."""
+    lat = get_lattice("P1xP1")
+    calls = []
+    inverse = linalg.inverse
+
+    def counted(a):
+        calls.append(1)
+        return inverse(a)
+
+    monkeypatch.setattr(linalg, "inverse", counted)
+    region = Region([((1, 0), 20, 0), ((-1, 0), 1, 0),
+                     ((0, 1), 20, 0), ((0, -1), 1, 0)])
+    counting._vertex_program.cache_clear()
+    coordinate_bounds(lat, region, 1)
+    one_compile = len(calls)
+    assert one_compile > 0
+
+    def cone_box():
+        calls.clear()
+        out = count_cone_box(lat, [[1, 0], [0, 1]], (20, 20), seed=7)
+        assert out["count"] == out["histogram_total"] == 260100
+        assert out["kept"] == (5, 3)      # 6 * 4 box regions
+        return len(calls)
+
+    warm = cone_box()          # no compile: only the dual-basis solves
+    counting._vertex_program.cache_clear()
+    assert cone_box() == one_compile + warm
+
+    decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
+    boxes = [counting._box_region(decomp, (20, 20), n) for n in
+             [(1, 1), (2, 3)]]
+    got = [coordinate_bounds(lat, box, 1) for box in boxes]
+    assert got[0] != got[1]
+    assert got == [coordinate_bounds_exactlog(lat, box, 1) for box in boxes]
 
 
 # -- enumeration -------------------------------------------------------------
