@@ -1,6 +1,6 @@
 """Anticanonical point counts against alpha tau B log(B)^{rho-1}.
 
-Counts are exact; the prediction uses a measured tau.  On P1xP1 the
+Counts are exact; the prediction uses tau from a truncated Euler product.  On P1xP1 the
 inclusion-exclusion count over the triangulated effective cone must
 agree with the direct count at every height bound.
 """
@@ -10,9 +10,9 @@ import time
 from toricount import Experiment, class_lattice, resolve_fan, run_experiment, tamagawa
 
 
-def table(name, grid, p_max=2000, samples=200000):
+def table(name, grid, p_max=2000):
     lat = class_lattice(resolve_fan(name))
-    tau = tamagawa(lat, p_max=p_max, samples=samples, seed=0)["tau"]["value"]
+    tau = tamagawa(lat, p_max=p_max)["tau"]["value"]
     t0 = time.time()
     rows, summary = run_experiment(
         Experiment(lat, "anticanonical", grid, tau=tau))

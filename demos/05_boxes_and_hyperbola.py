@@ -45,6 +45,6 @@ def sandwich_demo(lat, B=400):
 
 if __name__ == "__main__":
     lat = class_lattice(resolve_fan("P1xP1"))
-    tau = tamagawa(lat, p_max=1000, samples=200000, seed=0)["tau"]["value"]
+    tau = tamagawa(lat, p_max=1000)["tau"]["value"]
     box_demo(lat, tau)
     sandwich_demo(lat)

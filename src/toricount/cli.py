@@ -103,8 +103,7 @@ def cmd_constants(args):
     lat = _load(args.fan)
     dec = effective_decomposition([list(c) for c in lat.classes],
                                   list(lat.anticanonical))
-    rep = tamagawa(lat, p_max=args.pmax, samples=args.samples,
-                   seed=args.seed)
+    rep = tamagawa(lat, p_max=args.pmax)
     rep["alpha"] = str(dec.alpha)
     rep["alpha_tau"] = float(dec.alpha) * rep["tau"]["value"]
     _emit(rep, args, "constants")
@@ -160,11 +159,10 @@ def _forced_split(dec, rho):
     return [g[0], mid] + g[2:], [mid, g[1]] + g[2:]
 
 
-def _experiment(args, lat, theorem, params):
-    return verify.Experiment(lat, theorem, _grid(args.grid), seed=args.seed,
-                             tau=args.tau, samples=args.samples,
+def _experiment(args, lat, theorem, params, **extra):
+    return verify.Experiment(lat, theorem, _grid(args.grid), tau=args.tau,
                              p_max=args.pmax, budget=args.budget,
-                             params=params)
+                             params=params, **extra)
 
 
 def cmd_verify(args):
@@ -176,7 +174,7 @@ def cmd_verify(args):
         dec = effective_decomposition([list(c) for c in lat.classes],
                                       list(lat.anticanonical))
         params["cones"] = _forced_split(dec, lat.rank)
-    exp = _experiment(args, lat, args.theorem, params)
+    exp = _experiment(args, lat, args.theorem, params, seed=args.seed)
     rows, summary = verify.run_experiment(exp)
     _emit_rows(rows, summary, args, f"verify_{args.theorem}")
     return 0
@@ -212,8 +210,6 @@ def _add_tau_opts(sub):
     sub.add_argument("--tau", type=float, default=None,
                      help="preset Tamagawa value (skips its computation)")
     sub.add_argument("--pmax", type=int, default=10 ** 4)
-    sub.add_argument("--samples", type=int, default=10 ** 6)
-    sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
 
 
@@ -233,8 +229,6 @@ def build_parser():
                                           "archimedean density, tau")
     _add_common(s)
     s.add_argument("--pmax", type=int, default=10 ** 4)
-    s.add_argument("--samples", type=int, default=10 ** 6)
-    s.add_argument("--seed", type=int, default=0)
     s.set_defaults(fn=cmd_constants)
 
     s = subs.add_parser("count", help="exact count of a region at one B")
@@ -253,6 +247,8 @@ def build_parser():
                    help="comma-separated increasing B values")
     s.add_argument("--cone", type=int, default=0,
                    help="decomposition piece for per_cone")
+    s.add_argument("--seed", type=int, default=0,
+                   help="seed of the cone-box wall ratios")
     _add_tau_opts(s)
     s.set_defaults(fn=cmd_verify)
 

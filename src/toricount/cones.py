@@ -10,7 +10,6 @@ primitive integer generators for reproducible output.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-import random
 
 from . import linalg
 from .errors import DegenerateInputError
@@ -316,27 +315,6 @@ class Decomposition:
     nus: list              # nu(-Lambda_j), exact Fractions
     alpha: Fraction
 
-    def covers(self, dual_gens, samples=200, seed=20240801):
-        """Sampling check: random points of the dual cone land in some cone."""
-        rng = random.Random(seed)
-        gens = [list(g) for g in dual_gens]
-        for _ in range(samples):
-            point = [Fraction(0)] * self.ambient_dim
-            for g in gens:
-                c = Fraction(rng.randint(0, 12), rng.randint(1, 7))
-                point = [a + c * b for a, b in zip(point, g)]
-            if not any(cone_contains(c, point) for c in self.cones):
-                return False
-        return True
-
-    def intersections_proper(self):
-        """Pairwise intersections have dimension at most ambient_dim - 1."""
-        for a, b in combinations(self.cones, 2):
-            shared = [g for g in a if g in set(map(tuple, b))]
-            if shared and linalg.rank([list(g) for g in shared]) >= self.ambient_dim:
-                return False
-        return True
-
 
 def effective_decomposition(classes, omega, order="lex"):
     """Triangulate C_eff(X)^dual into simplicial cones and compute alpha.
@@ -483,39 +461,10 @@ def _face_volume(face_vertices, s):
     return total
 
 
-def _delta_section_vertices(poly, delta):
-    """Vertices of P intersected with {sum t = (1-delta) a}."""
-    s = poly.nvars
-    level = (1 - Fraction(delta)) * poly.a
-    ineqs = []
-    for i in range(s):
-        row = [Fraction(0)] * s
-        row[i] = Fraction(-1)
-        ineqs.append((row, Fraction(0)))
-    for row in poly.alphas:
-        ineqs.append(([a / w for a, w in zip(row, poly.weights)], Fraction(1)))
-    eq = ([Fraction(1)] * s, level)
-    verts = set()
-    for subset in combinations(range(len(ineqs)), s - 1):
-        mat = [ineqs[i][0] for i in subset] + [eq[0]]
-        rhs = [ineqs[i][1] for i in subset] + [eq[1]]
-        if linalg.rank(mat) < s:
-            continue
-        sol = linalg.solve_exact(mat, rhs)
-        if sol is None:
-            continue
-        if all(linalg.vec_dot(r, sol) <= b for r, b in ineqs):
-            verts.add(tuple(sol))
-    return sorted(verts)
-
-
-def c_p_constant(poly, deltas=(Fraction(1, 10), Fraction(1, 100), Fraction(1, 1000))):
-    """The section-limit constant of the top face, two ways.
-
-    Exact path: quotient (s-1)-volume of the face where sum t_i is maximal.
-    Numeric path: volumes of the sections at sum t = (1-delta) a, with a
-    linear-in-delta extrapolation from the last two deltas.  Only defined
-    when the face has full dimension s-1.
+def c_p_constant(poly):
+    """The section-limit constant of the top face: the quotient
+    (s-1)-volume of the face where sum t_i is maximal, exact.  Only defined
+    when the face has full dimension s-1.  Returns {"exact": volume}.
     """
     s = poly.nvars
     if poly.face_dim != s - 1:
@@ -523,36 +472,7 @@ def c_p_constant(poly, deltas=(Fraction(1, 10), Fraction(1, 100), Fraction(1, 10
             f"top face has dimension {poly.face_dim}, need {s - 1}: "
             "the section-limit constant is only defined for a facet-dimensional face"
         )
-    exact = _face_volume(poly.face_vertices, s)
-    sections = []
-    for d in deltas:
-        verts = _delta_section_vertices(poly, d)
-        if s == 1:
-            vol = Fraction(1) if verts else Fraction(0)
-        else:
-            vol = _face_volume(verts, s) if len(verts) >= s else Fraction(0)
-        sections.append((Fraction(d), vol))
-    if len(sections) >= 2:
-        (d1, v1), (d2, v2) = sections[-2], sections[-1]
-        extrapolated = (d1 * v2 - d2 * v1) / (d1 - d2)
-    else:
-        extrapolated = sections[-1][1]
-    return {"exact": exact, "sections": sections, "extrapolated": extrapolated}
-
-
-def k_delta_cone(vs, h, delta):
-    """cone(v_1..v_{r-1}, sum v_i + delta h); h must leave the span of the v's."""
-    vs = [[Fraction(x) for x in v] for v in vs]
-    h = [Fraction(x) for x in h]
-    if linalg.rank(vs) < len(vs):
-        raise DegenerateInputError("face generators are linearly dependent")
-    if linalg.rank(vs + [h]) == len(vs):
-        raise DegenerateInputError("displacement vector lies in the face span")
-    delta = Fraction(delta)
-    if delta <= 0:
-        raise DegenerateInputError("delta must be positive")
-    last = [sum(v[i] for v in vs) + delta * h[i] for i in range(len(h))]
-    return [tuple(v) for v in vs] + [tuple(last)]
+    return {"exact": _face_volume(poly.face_vertices, s)}
 
 
 def format_fraction(x):
@@ -561,16 +481,11 @@ def format_fraction(x):
 
 
 def constants_block(decomp, cp=None):
-    """JSON-ready fragment: alpha, per-cone nu, and the c_P data."""
+    """JSON-ready fragment: alpha, per-cone nu, and the exact c_P."""
     block = {
         "alpha": format_fraction(decomp.alpha),
         "nu_per_cone": [format_fraction(v) for v in decomp.nus],
     }
     if cp is not None:
         block["c_P_exact"] = format_fraction(cp["exact"])
-        block["c_P_sections"] = [
-            {"delta": format_fraction(d), "volume": format_fraction(v)}
-            for d, v in cp["sections"]
-        ]
-        block["c_P_extrapolated"] = format_fraction(cp["extrapolated"])
     return block

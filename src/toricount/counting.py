@@ -26,6 +26,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+import random
 
 from . import linalg
 from .cones import dual_cone, effective_decomposition
@@ -577,16 +578,21 @@ def _check_subcone(lattice, gens):
                     "cone is not contained in the dual effective cone")
 
 
+def _nu_neg(c, d):
+    """nu(-Lambda) from the (c, det) of _dual_basis_data."""
+    out = Fraction(1, 1) / d
+    for x in c:
+        out /= x
+    return out
+
+
 def nu_neg_cone(lattice, l_rows):
     """nu(-Lambda) = 1/(|det L| * prod <omega, L_i^*>), exact."""
     c, d, _ = _dual_basis_data(lattice, l_rows)
     if any(x <= 0 for x in c):
         raise DegenerateInputError(
             "anticanonical class is not interior to the cone spanned by L_i")
-    out = Fraction(1, 1) / d
-    for x in c:
-        out /= x
-    return out
+    return _nu_neg(c, d)
 
 
 # -- translated polyhedra and boxes -----------------------------------------
@@ -756,22 +762,28 @@ def build_box_decomposition(lattice, l_rows, seed=0, ratios=None):
         raise DegenerateInputError(
             "anticanonical class is not interior to the cone of the L_i")
     if ratios is None:
-        import random as _random
-        rng = _random.Random(seed)
-        ratios = []
-        for _ in l_rows:
-            den = rng.randrange(1 << 28, 1 << 29)
-            num = den + rng.randrange(den // 2, 2 * den)
-            ratios.append(Fraction(num, den))
-    else:
-        ratios = [Fraction(r) for r in ratios]
-        if any(r <= 1 for r in ratios):
-            raise DegenerateInputError("wall ratios must exceed 1")
+        return _drawn_decomposition(l_rows, seed)
+    ratios = [Fraction(r) for r in ratios]
+    if any(r <= 1 for r in ratios):
+        raise DegenerateInputError("wall ratios must exceed 1")
     return BoxDecomposition(l_rows=tuple(tuple(row) for row in l_rows),
                             ratios=tuple(ratios))
 
 
-def _box_region(decomp, b_vec, n_vec, extra=()):
+def _drawn_decomposition(l_rows, seed):
+    """The seeded walls of build_box_decomposition, for L_i it has
+    already validated."""
+    rng = random.Random(seed)
+    ratios = []
+    for _ in l_rows:
+        den = rng.randrange(1 << 28, 1 << 29)
+        num = den + rng.randrange(den // 2, 2 * den)
+        ratios.append(Fraction(num, den))
+    return BoxDecomposition(l_rows=tuple(tuple(row) for row in l_rows),
+                            ratios=tuple(ratios))
+
+
+def _box_region(decomp, b_vec, n_vec):
     """Closed region for box D_{n,B}: B r^{-n_i} <= H_{L_i} <= B r^{-(n_i-1)}."""
     cons = []
     for row, b, r, n in zip(decomp.l_rows, b_vec, decomp.ratios, n_vec):
@@ -779,7 +791,6 @@ def _box_region(decomp, b_vec, n_vec, extra=()):
         lower = Fraction(b) * r ** (-n)
         cons.append((list(row), upper, 0))
         cons.append(([-x for x in row], 1 / lower, 0))
-    cons.extend(extra)
     return Region(cons)
 
 
@@ -806,7 +817,7 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         cons.append((list(row), b, 0))
         cons.append(([-x for x in row], 1, 0))
     region = Region(cons)
-    nu_neg = nu_neg_cone(lattice, l_rows)
+    nu_neg = _nu_neg(c, d)
     res = enumerate_region(lattice, region, 1, budget=budget)
     out = {
         "count": res.count,
@@ -828,8 +839,7 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         if decomposition is not None and attempt == 0:
             decomp = decomposition
         else:
-            decomp = build_box_decomposition(lattice, l_rows,
-                                             seed=seed + attempt)
+            decomp = _drawn_decomposition(l_rows, seed + attempt)
         kept = decomp.kept(b_vec)
         hist = {}
         beyond = []
@@ -876,23 +886,6 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         "decomposition": decomp,
     })
     return out
-
-
-def count_bad_slab(lattice, decomp, b_vec, k, n_vec, budget=DEFAULT_BUDGET):
-    """Count points of box D_{n,B} whose pairing with L_k is <= 0, with the
-    proof-shaped bound prod_{i != k} (B_i r_i^{-n_i})^{<omega, L_i^*>}."""
-    c, _, _ = _dual_basis_data(lattice, decomp.l_rows)
-    region = _box_region(decomp, b_vec, n_vec,
-                         extra=[(list(decomp.l_rows[k]), 1, 0)])
-    res = enumerate_region(lattice, region, 1, budget=budget)
-    shape = 1.0
-    for i, (b, r, ci) in enumerate(zip(b_vec, decomp.ratios, c)):
-        if i == k:
-            continue
-        shape *= (float(b) * float(r) ** -n_vec[i]) ** float(ci)
-    fitted = res.count / shape if shape else float("nan")
-    return {"count": res.count, "bound_shape": shape, "fitted_C": fitted,
-            "k": k, "n": tuple(n_vec)}
 
 
 # -- f tables and hyperbola sums ---------------------------------------------

@@ -41,9 +41,6 @@ class Fan:
         """Rays as rows of an n x d integer matrix."""
         return [list(r) for r in self.rays]
 
-    def cone_rays(self, sigma):
-        return [list(self.rays[i]) for i in self.max_cones[sigma]]
-
     def to_dict(self):
         d = {
             "dim": self.dim,

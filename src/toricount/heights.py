@@ -37,9 +37,6 @@ class MultiHeight:
                 out *= h ** ci
         return out
 
-    def log_vector(self):
-        return [log(v) for v in self.values]
-
 
 def _factorize(n, _cache={}):
     """Prime factorization of a positive integer as a dict p -> exponent."""

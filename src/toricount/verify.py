@@ -25,8 +25,9 @@ THEOREMS = ("multiheight", "box", "cone_box", "per_cone", "anticanonical",
 class Experiment:
     """One verification run: a lattice, a theorem tag, and a B grid.
 
-    tau may be preset to skip the Tamagawa computation; params carries the
-    theorem-specific extras (boxes, u, l_rows, cone, cones, ...).
+    tau may be preset to skip the Tamagawa computation; seed draws the
+    cone-box wall ratios; params carries the theorem-specific extras
+    (boxes, u, l_rows, cone, cones, ...).
     """
 
     lattice: object
@@ -34,7 +35,6 @@ class Experiment:
     grid: list
     seed: int = 0
     tau: float = None
-    samples: int = 10 ** 6
     p_max: int = 10 ** 4
     budget: int = counting.DEFAULT_BUDGET
     params: dict = field(default_factory=dict)
@@ -52,9 +52,8 @@ class Experiment:
 
     def ensure_tau(self):
         if self.tau is None:
-            rep = tamagawa(self.lattice, p_max=self.p_max,
-                           samples=self.samples, seed=self.seed)
-            self.tau = rep["tau"]["value"]
+            self.tau = tamagawa(self.lattice,
+                                p_max=self.p_max)["tau"]["value"]
         return self.tau
 
 

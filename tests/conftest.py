@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -36,3 +37,13 @@ def random_points(lattice, count, seed=0, mag=50):
         except CoprimalityError:
             continue
     return out
+
+
+def default_boxes(rho):
+    """Three distinct per-basis boxes for the archimedean_density
+    ratio-invariance tests."""
+    return [
+        [(1, 2)] * rho,
+        [(Fraction(1, 2), Fraction(3, 2))] * rho,
+        [(1, 3)] + [(1, 2)] * (rho - 1),
+    ]

@@ -10,6 +10,11 @@ the production pruning.
 It also keeps the symbolic-logarithm vertex solve (ExactLog) that
 counting.coordinate_bounds replaced, as coordinate_bounds_exactlog: every
 vertex is rebuilt from Fractions on every call, with no compiled program.
+
+And it keeps the numeric route to the section-limit constant c_P that
+cones.c_p_constant replaced with the exact face volume: the volumes of the
+sections of the hyperbola polytope at sum t = (1 - delta) a, extrapolated
+linearly to delta = 0, as c_p_sections.
 """
 
 from fractions import Fraction
@@ -20,7 +25,7 @@ import numpy as np
 from scipy.optimize import linprog
 
 from toricount import linalg
-from toricount.cones import dual_cone
+from toricount.cones import _face_volume, dual_cone
 from toricount.counting import Region
 from toricount.errors import DegenerateInputError
 from toricount.heights import multi_height
@@ -294,3 +299,51 @@ def coordinate_bounds_exactlog(lattice, region, B):
                 best = val
         bounds.append(max(0, best.exp_floor()))
     return bounds
+
+
+def _delta_section_vertices(poly, delta):
+    """Vertices of P intersected with {sum t = (1-delta) a}."""
+    s = poly.nvars
+    level = (1 - Fraction(delta)) * poly.a
+    ineqs = []
+    for i in range(s):
+        row = [Fraction(0)] * s
+        row[i] = Fraction(-1)
+        ineqs.append((row, Fraction(0)))
+    for row in poly.alphas:
+        ineqs.append(([a / w for a, w in zip(row, poly.weights)], Fraction(1)))
+    eq = ([Fraction(1)] * s, level)
+    verts = set()
+    for subset in combinations(range(len(ineqs)), s - 1):
+        mat = [ineqs[i][0] for i in subset] + [eq[0]]
+        rhs = [ineqs[i][1] for i in subset] + [eq[1]]
+        if linalg.rank(mat) < s:
+            continue
+        sol = linalg.solve_exact(mat, rhs)
+        if sol is None:
+            continue
+        if all(linalg.vec_dot(r, sol) <= b for r, b in ineqs):
+            verts.add(tuple(sol))
+    return sorted(verts)
+
+
+def c_p_sections(poly, deltas=(Fraction(1, 10), Fraction(1, 100),
+                               Fraction(1, 1000))):
+    """(sections, extrapolated): the (delta, volume) of each section at
+    sum t = (1-delta) a, and the linear-in-delta extrapolation to delta = 0
+    from the last two deltas."""
+    s = poly.nvars
+    sections = []
+    for d in deltas:
+        verts = _delta_section_vertices(poly, d)
+        if s == 1:
+            vol = Fraction(1) if verts else Fraction(0)
+        else:
+            vol = _face_volume(verts, s) if len(verts) >= s else Fraction(0)
+        sections.append((Fraction(d), vol))
+    if len(sections) >= 2:
+        (d1, v1), (d2, v2) = sections[-2], sections[-1]
+        extrapolated = (d1 * v2 - d2 * v1) / (d1 - d2)
+    else:
+        extrapolated = sections[-1][1]
+    return sections, extrapolated

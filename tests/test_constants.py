@@ -9,10 +9,11 @@ from scipy.special import zeta
 import importlib
 
 from toricount.errors import DegenerateInputError
+from toricount.fans import class_lattice, make_fan
 
 tamagawa = importlib.import_module("toricount.tamagawa")
 
-from conftest import BUILTIN_NAMES, get_lattice
+from conftest import BUILTIN_NAMES, default_boxes, get_lattice
 
 
 def test_is_prime():
@@ -168,7 +169,7 @@ def test_archimedean_box_invariance():
     """The volume-to-nu ratio does not depend on the chosen box."""
     lat = get_lattice("P2")
     outs = [tamagawa.archimedean_density(lat, box, samples=200000, seed=s)
-            for s, box in enumerate(tamagawa.default_boxes(lat.rank))]
+            for s, box in enumerate(default_boxes(lat.rank))]
     for i in range(len(outs)):
         for j in range(i + 1, len(outs)):
             gap = abs(outs[i]["value"] - outs[j]["value"])
@@ -194,7 +195,7 @@ def test_archimedean_rejects_bad_box():
 
 
 def test_default_boxes_are_distinct():
-    boxes = tamagawa.default_boxes(2)
+    boxes = default_boxes(2)
     assert len(boxes) == 3
     assert len({tuple(map(tuple, b)) for b in boxes}) == 3
     assert all(len(b) == 2 for b in boxes)
@@ -202,7 +203,7 @@ def test_default_boxes_are_distinct():
 
 def test_tamagawa_report_p1():
     lat = get_lattice("P1")
-    rep = tamagawa.tamagawa(lat, p_max=300, samples=200000, seed=2)
+    rep = tamagawa.tamagawa(lat, p_max=300)
     assert rep["rho"] == 1
     assert rep["normalization"] == 0.5
     assert rep["note"] == "operational Tamagawa number"
@@ -210,7 +211,57 @@ def test_tamagawa_report_p1():
         rep["normalization"] * rep["omega_inf"]["value"] *
         rep["euler"]["value"])
     assert rep["tau"]["error"] >= 0
-    assert rep["omega_inf"]["seed"] == 2
     assert rep["euler"]["p_max"] == 300
     # classical value: tau(P1) = 4/zeta(2) with this height normalization
     assert rep["tau"]["value"] == pytest.approx(4.0 / zeta(2), abs=0.06)
+
+
+_ZETA_FORMS = {"P1": (2,), "P2": (3,), "P3": (4,), "P1xP1": (2, 2),
+               "F1": (2, 2)}
+
+
+def test_tamagawa_samples_nothing(monkeypatch):
+    """omega_inf = 2^n |Sigma_max| without a single sample, and tau.error is
+    the proven Euler tail bound alone: it covers the closed-form tau."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("tamagawa called archimedean_density")
+
+    monkeypatch.setattr(tamagawa, "archimedean_density", refuse)
+    exact = {"P1": 8, "P2": 24, "P1xP1": 64, "F1": 64, "P3": 64}
+    for name in BUILTIN_NAMES:
+        lat = get_lattice(name)
+        rep = tamagawa.tamagawa(lat)
+        w = rep["omega_inf"]["value"]
+        assert w == exact[name] and rep["omega_inf"]["stderr"] == 0.0
+        assert rep["tau"]["error"] == \
+            0.5 ** lat.rank * w * rep["euler"]["tail_bound"]
+        closed = 0.5 ** lat.rank * w
+        for k in _ZETA_FORMS[name]:
+            closed /= zeta(k)
+        assert abs(rep["tau"]["value"] - closed) <= rep["tau"]["error"]
+        assert tamagawa.tamagawa(lat, samples=1000, seed=7) == rep
+
+
+_OFF_BUILTIN_FANS = {
+    "F2": ([(1, 0), (0, 1), (-1, 2), (0, -1)],
+           [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    # P2 blown up in two torus-fixed points: 5 rays, rho = 3
+    "BlP2": ([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
+             [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "P1xP2": ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)],
+              [(0, 2, 3), (0, 3, 4), (0, 2, 4), (1, 2, 3), (1, 3, 4),
+               (1, 2, 4)]),
+}
+
+
+@pytest.mark.parametrize("name", list(_OFF_BUILTIN_FANS))
+def test_omega_inf_closed_form_matches_monte_carlo(name):
+    """The closed form 2^n |Sigma_max| against the sampled volume ratio on
+    fans outside the builtins."""
+    rays, max_cones = _OFF_BUILTIN_FANS[name]
+    lat = class_lattice(make_fan(len(rays[0]), rays, max_cones, name=name))
+    w = tamagawa.tamagawa(lat, p_max=100)["omega_inf"]["value"]
+    assert w == 2 ** len(rays) * len(max_cones)
+    out = tamagawa.archimedean_density(lat, default_boxes(lat.rank)[0],
+                                       samples=200000, seed=4)
+    assert abs(out["value"] - w) < 4 * out["stderr"]

@@ -3,6 +3,7 @@
 import json
 import os
 from fractions import Fraction
+from math import pi
 
 import pytest
 
@@ -259,8 +260,8 @@ def test_cli_analyze_p1xp1(tmp_path, capsys):
 
 
 def test_cli_constants_p1(tmp_path, capsys):
-    rc = cli.main(["constants", "P1", "--pmax", "300", "--samples", "100000",
-                   "--seed", "3", "--out", str(tmp_path)])
+    rc = cli.main(["constants", "P1", "--pmax", "300",
+                   "--out", str(tmp_path)])
     assert rc == 0
     path = capsys.readouterr().out.strip()
     with open(path) as fh:
@@ -271,6 +272,12 @@ def test_cli_constants_p1(tmp_path, capsys):
     assert payload["alpha_tau"] == pytest.approx(
         0.5 * payload["tau"]["value"])
     assert payload["tau"]["value"] == pytest.approx(2.4317, abs=0.08)
+    # omega_inf is exact, so the proven Euler tail bounds tau's error
+    assert payload["omega_inf"] == {"value": 8.0, "stderr": 0.0}
+    assert abs(payload["tau"]["value"] - 24 / pi ** 2) <= \
+        payload["tau"]["error"]
+    with pytest.raises(SystemExit):
+        cli.main(["constants", "P1", "--samples", "100000"])
 
 
 def test_cli_count_region_file(tmp_path, capsys):
@@ -331,6 +338,9 @@ def test_cli_hyperbola_subcommand(tmp_path, capsys):
         payload = json.load(fh)
     assert payload["summary"]["sandwich_ok_all"] is True
     assert [r["count"] for r in payload["rows"]] == [126, 1230]
+    # hyperbola draws no cone-box walls, so it takes no seed
+    with pytest.raises(SystemExit):
+        cli.main(["hyperbola", "P1", "--grid", "100", "--seed", "3"])
 
 
 def test_cli_exit_code_bad_fan(capsys):
