@@ -135,6 +135,10 @@ def cmd_count(args):
             parts = list(pool.map(_count_range, jobs))
         count = sum(p[0] for p in parts)
         visited = sum(p[1] for p in parts)
+        # each worker only checks its own range against the budget
+        if visited > args.budget:
+            raise BudgetError(f"enumeration visited {visited} candidates "
+                              f"across workers, more than {args.budget}")
     else:
         res = counting.enumerate_region(lat, region, b, budget=args.budget)
         count, visited = res.count, res.visited

@@ -14,6 +14,18 @@ maxima.  Every constraint, region facets included, is compiled once per
 decides the nef ones exactly, and the last coordinate is counted in closed
 form by Moebius inversion over an interval (enumerate_region).
 
+Prefixes that leave the same subtree are counted once.  On the closed path
+each prefix of depth 1..n-2 has an integer signature: per group of nef
+monomials with the same remaining exponents, the least quota floor(bound /
+prefix monomial); per anti-nef constraint, whether it already holds, or per
+group its least threshold ceil(c / prefix monomial); per group of cones with
+the same remaining rays outside them, the gcd of their prefix complement
+products.  Equal signatures have equal subtrees (the proof is in
+enumerate_region), so a per-call memo maps each signature to its (count,
+visited).  On P1xP1 every (x0, x1) with the same max(x0, x1) shares one.
+A depth where some nef group has a single nonconstant prefix monomial is
+skipped, since its signatures would not repeat; F1 has no other depth.
+
 The per-coordinate caps of the descent come from the vertices of the
 region's log-polytope (coordinate_bounds).  Their solve depends only on the
 region's shape, not on its scales gamma or on B, so it is compiled once per
@@ -26,6 +38,7 @@ from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd, lcm
+from operator import itemgetter
 import random
 
 from . import linalg
@@ -264,6 +277,7 @@ class EnumerationResult:
     count: int
     visited: int
     bounds: list
+    reused: int = 0  # subtrees taken from the signature memo
 
 
 def _compile_constraints(lattice, region, B):
@@ -311,6 +325,46 @@ def _canonical_masks(ev):
     return sorted(masks)
 
 
+def _signature_program(pair_reps, anti_cons, cones, n):
+    """Index lists of the subtree signature of enumerate_region, per
+    eligible depth d.
+
+    At depth d it holds (1) the (nef constraint, cone) pairs, as indices
+    into pair_reps, grouped by their remaining exponent vector w[d:], with
+    all-zero vectors left out; (2) per anti-nef constraint (c, reps), the
+    indices of its reps grouped the same way; (3) the cones grouped by the
+    set of remaining rays outside them.  Groups (1) and (3) come as
+    itemgetters that always return a tuple: repeating the first index
+    changes neither a min nor a gcd.  Depth d in 1..n-2 is eligible unless
+    some nef group has a single nonconstant prefix monomial y^v: its min
+    quota floor(bound / y^v) takes a new value on nearly every prefix, so
+    lookups there would miss.
+    """
+    def getters(groups):
+        return [itemgetter(*grp, grp[0]) for grp in groups]
+
+    def by_rest(vecs, d):
+        groups = {}
+        for i, w in enumerate(vecs):
+            if any(w[d:]):
+                groups.setdefault(w[d:], []).append(i)
+        return list(groups.values())
+
+    program = {}
+    for d in range(1, n - 1):
+        nef = by_rest(pair_reps, d)
+        if any(len({pair_reps[i][:d] for i in grp}) == 1
+               and any(pair_reps[grp[0]][:d]) for grp in nef):
+            continue
+        anti = [(c, reps, by_rest(reps, d)) for _, _, c, reps in anti_cons]
+        outside = {}
+        for s, cone in enumerate(cones):
+            rest = tuple(lam for lam in range(d, n) if lam not in cone)
+            outside.setdefault(rest, []).append(s)
+        program[d] = (getters(nef), anti, getters(outside.values()))
+    return program
+
+
 def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
                      budget=DEFAULT_BUDGET, first_range=None):
     """Count canonical torsor points with multi-height in the region.
@@ -323,22 +377,62 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
     Heights are integers throughout: each basis class is split once per
     lattice as e_i = a_i - b_i with a_i, b_i nef (HeightEvaluator.nef_split),
     and on a canonical point H_{e_i} is the ratio of the two max-monomials.
-    Nef constraints are decided by the descent, whose per-cone prefix checks
-    and leaf caps bound every monomial.  The last coordinate m then runs
-    over [lo, cap]; an anti-nef constraint max_s pref_s m^{w_s} >= c raises
-    lo to min_s ceil((c/pref_s)^{1/w_s}), and m keeps the point coprime iff
-    gcd(m, G0) = 1, G0 the gcd of the prefix complement products over the
-    cones holding the last ray.  Those m are counted as sum_{d | rad G0}
-    mu(d) (floor(cap/d) - floor((lo-1)/d)), the Moebius treatment of torsor
-    coprimality (Salberger, Asterisque 251; de la Breteche, J. Number Theory
-    87).  Only a callback or a constraint of mixed sign makes the leaf walk
-    the m of [lo, cap] one by one; it then tests gcd(m, G0) and the mixed
-    constraints alone, since the interval already decides the rest.  The
-    descent's per-coordinate caps come from coordinate_bounds.  hvals holds
-    an int for every nef basis class and an exact Fraction for the others.
+    Nef constraints are decided by the descent.  It carries, per (nef
+    constraint, cone) pair with representative w and bound bn/bd, the quota
+    Q = floor(bn / (bd y^w[:d])) of the prefix y_0..y_{d-1}: the point fits
+    iff the rest of its monomial stays <= Q, and a child m divides Q by
+    m^{w_d} (floor(floor(a/b)/c) = floor(a/(bc))), so a zero quota prunes
+    and the leaf cap is min iroot(Q, w_last).  The last coordinate m then
+    runs over [lo, cap]; an anti-nef constraint max_s pref_s m^{w_s} >= c
+    raises lo to min_s ceil((c/pref_s)^{1/w_s}), and m keeps the point
+    coprime iff gcd(m, G0) = 1, G0 the gcd of the prefix complement products
+    over the cones holding the last ray.  Those m are counted as
+    sum_{d | rad G0} mu(d) (floor(cap/d) - floor((lo-1)/d)), the Moebius
+    treatment of torsor coprimality (Salberger, Asterisque 251; de la
+    Breteche, J. Number Theory 87).  Only a callback or a constraint of
+    mixed sign makes the leaf walk the m of [lo, cap] one by one; it then
+    tests gcd(m, G0) and the mixed constraints alone, since the interval
+    already decides the rest.  The descent's per-coordinate caps come from
+    coordinate_bounds.  hvals holds an int for every nef basis class and an
+    exact Fraction for the others.
+
+    Subtree memo.  On the closed path (no callback, no mixed constraint)
+    the count and `visited` of the subtree below a prefix at depth d,
+    1 <= d <= n-2, are stored under its signature, and a later prefix with
+    the same signature adds them without descending (`reused` counts those
+    hits).  With the remaining vector of a monomial its exponents from
+    position d on, the signature is d together with
+      (a) per group of nef pairs with the same nonzero remaining vector v,
+          the least quota Q;
+      (b) per anti-nef constraint, a mark that some prefix monomial P_w
+          already reaches c, or else, per group of its representatives with
+          the same nonzero remaining vector, ceil(c / max P_w);
+      (c) per group of cones with the same set T of remaining rays outside
+          the cone, the gcd g_T of their prefix complement products.
+    Proof that it is complete: below the prefix, every test the descent
+    and the leaf make is one of these.  (a) A nef pair's test at any depth
+    is X <= Q, X the product of the new coordinates to the powers of v, and
+    its leaf cap is the largest m with X' m^{v_last} <= Q; pairs with the
+    same v test the same X, so together they test X <= min Q, and a zero
+    remaining vector leaves a quota the parent already found >= 1.  (b)
+    The leaf tests max_w P_w X_w >= c, X_w >= 1.  If some P_w >= c, it holds
+    on every leaf.  Otherwise P_w X >= c iff X >= ceil(c / P_w), and the
+    leaf's lower end uses ceil(c / (P_w X')) = ceil(ceil(c / P_w) / X');
+    within a group the least threshold decides, and a zero remaining vector
+    with P_w < c can never reach c.  (c) The descent's gcd tests and the
+    leaf's G0 ask, for each prime p, whether p divides base_s R_s for every
+    cone s of some set, base_s the prefix complement product and R_s the
+    product of the new coordinates outside s.  R_s depends on s only
+    through T_s, so p divides all of them iff, for every group, p divides
+    g_T or a new coordinate in T; the Moebius sum reads only the primes of
+    G0.  The bounds, the weight and the budget are fixed for the call, and
+    depth 0, where first_range acts, is never stored.  So equal signatures
+    have equal subtrees, node for node.  A depth is used only when
+    _signature_program finds it eligible, decided once per call.
+
     `first_range=(lo, hi)` restricts the first coordinate for data-parallel
-    partitioning.
-    `visited` counts descent nodes plus full leaf widths.  Raises
+    partitioning.  `visited` counts descent nodes plus full leaf widths,
+    reused subtrees included, so it does not depend on the memo.  Raises
     BudgetError past `budget` candidates, and DegenerateInputError for a
     fan with no ample class (a complete fan that is not projective).
     """
@@ -372,23 +466,29 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
 
     visited = 0
     count = 0
+    reused = 0
+    over = f"enumeration visited more than {budget} candidates"
 
-    # per-cone running complement products and per-constraint nef partials
+    # per (nef constraint, cone) pair: its exponent vector and its quota
+    # floor(bound / prefix monomial); a prefix fits iff every quota is >= 1
+    pair_reps = [w for _, _, _, reps in nef_cons for w in reps]
+    wcol = [[w[depth] for w in pair_reps] for depth in range(n)]
+    quota = [[bn // bd for _, bn, bd, reps in nef_cons for _ in reps]]
+    if 0 in quota[0]:
+        return EnumerationResult(count=0, visited=0, bounds=bounds)
+    # per-cone running complement products
     comp_prod = [[1] * ncones]
-    con_part = [[[1] * ncones for _ in nef_cons]]
+    program = (_signature_program(pair_reps, anti_cons, cones, n)
+               if closed else {})
+    memo = {}
 
-    def leaf_cap(depth, parts):
+    def leaf_cap(depth, quotas):
         cap = bounds[depth]
-        for (_, bn, bd, reps), part in zip(nef_cons, parts):
-            for s in range(ncones):
-                w = reps[s][depth]
-                if part[s] * bd > bn:
-                    return 0
-                if w > 0:
-                    q = bn // (bd * part[s])
-                    c = linalg.iroot(q, w) if q > 0 else 0
-                    if c < cap:
-                        cap = c
+        for q, w in zip(quotas, wcol[depth]):
+            if w > 0:
+                c = linalg.iroot(q, w)
+                if c < cap:
+                    cap = c
         return cap
 
     mags = [0] * n
@@ -486,10 +586,26 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
                                    for lam, v in enumerate(mags))
                     callback(coords, hvals)
 
+    def signature(depth, comp, quotas):
+        """The memo key of the subtree below the prefix mags[:depth], given
+        that prefix's complement products and nef quotas."""
+        nef, anti, coprime = program[depth]
+        key = [depth]
+        for get in nef:
+            key.append(min(get(quotas)))
+        for c, reps, groups in anti:
+            pref = [prefix(w, depth) for w in reps]
+            key.append(None if max(pref) >= c else
+                       tuple(-(-c // max(pref[i] for i in grp))
+                             for grp in groups))
+        for get in coprime:
+            key.append(gcd(*get(comp)))
+        return tuple(key)
+
     def descend(depth):
-        nonlocal visited, count
-        parts = con_part[-1]
-        cap = leaf_cap(depth, parts)
+        nonlocal visited, count, reused
+        quotas = quota[-1]
+        cap = leaf_cap(depth, quotas)
         lo, hi = 1, cap
         if depth == 0 and first_range is not None:
             lo = max(lo, first_range[0])
@@ -499,8 +615,7 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
         if depth == n - 1:
             visited += hi - lo + 1
             if visited > budget:
-                raise BudgetError(
-                    f"enumeration visited more than {budget} candidates")
+                raise BudgetError(over)
             if closed:
                 count += leaf_count(lo, hi, depth) * weight
             else:
@@ -508,9 +623,9 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
             return
         visited += 1
         if visited > budget:
-            raise BudgetError(
-                f"enumeration visited more than {budget} candidates")
+            raise BudgetError(over)
         base = comp_prod[-1]
+        col = wcol[depth]
         for m in range(lo, hi + 1):
             newcomp = [base[s] * m if comp_has[s][depth] else base[s]
                        for s in range(ncones)]
@@ -521,23 +636,33 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
                     break
             if g != 1:
                 continue
-            newparts = []
-            for (_, bn, bd, reps), part in zip(nef_cons, parts):
-                np_ = [part[s] * m ** reps[s][depth] if reps[s][depth]
-                       else part[s] for s in range(ncones)]
-                if any(v * bd > bn for v in np_):
-                    break
-                newparts.append(np_)
-            else:
-                mags[depth] = m
-                comp_prod.append(newcomp)
-                con_part.append(newparts)
-                descend(depth + 1)
-                comp_prod.pop()
-                con_part.pop()
+            newq = [q // m ** w if w else q for q, w in zip(quotas, col)]
+            if 0 in newq:
+                continue
+            mags[depth] = m
+            sig = None
+            if depth + 1 in program:
+                sig = signature(depth + 1, newcomp, newq)
+                hit = memo.get(sig)
+                if hit is not None:
+                    count += hit[0]
+                    visited += hit[1]
+                    reused += 1
+                    if visited > budget:
+                        raise BudgetError(over)
+                    continue
+                start = count, visited
+            comp_prod.append(newcomp)
+            quota.append(newq)
+            descend(depth + 1)
+            comp_prod.pop()
+            quota.pop()
+            if sig is not None:
+                memo[sig] = (count - start[0], visited - start[1])
 
     descend(0)
-    return EnumerationResult(count=count, visited=visited, bounds=bounds)
+    return EnumerationResult(count=count, visited=visited, bounds=bounds,
+                             reused=reused)
 
 
 def partition_first_coordinate(lattice, region, B, parts):

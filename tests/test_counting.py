@@ -383,14 +383,17 @@ def test_first_range_partition():
     lat = get_lattice("P1xP1")
     region = anticanonical_region(lat)
     B = 1000
-    full = enumerate_region(lat, region, B).count
-    assert full == 10372
+    full = enumerate_region(lat, region, B)
+    assert full.count == 10372
     ranges = partition_first_coordinate(lat, region, B, 4)
     assert ranges[0][0] == 1
     assert ranges[-1][1] == coordinate_bounds(lat, region, B)[0]
-    total = sum(enumerate_region(lat, region, B, first_range=r).count
-                for r in ranges)
-    assert total == full
+    runs = [enumerate_region(lat, region, B, first_range=r) for r in ranges]
+    assert sum(r.count for r in runs) == full.count
+    # the memo lives for one call, so visited stays additive: each part
+    # adds one root node of its own
+    assert len(ranges) == 4 and all(r.reused for r in runs)
+    assert sum(r.visited for r in runs) == full.visited + len(ranges) - 1
 
 
 def test_partition_empty_region():
@@ -410,6 +413,7 @@ def _both_leaf_paths(lat, region, B, **kw):
         **kw)
     assert plain.count == streamed.count == sum(weights)
     assert plain.visited == streamed.visited
+    assert streamed.reused == 0
     return plain
 
 
@@ -432,12 +436,15 @@ def test_closed_form_leaf_cone_boxes():
     lat = get_lattice("P1xP1")
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
     b_vec = (20, 20)
-    total = 0
+    total = reused = 0
     for n_vec in product(*(range(1, k + 2) for k in decomp.kept(b_vec))):
         region = counting._box_region(decomp, b_vec, n_vec)
-        total += _both_leaf_paths(lat, region, 1).count
+        res = _both_leaf_paths(lat, region, 1)
+        total += res.count
+        reused += res.reused
     cone = count_cone_box(lat, [[1, 0], [0, 1]], b_vec, histogram=False)
     assert total == cone["count"] == 260100
+    assert reused > 0
     box = Region([((1, 0), 12, 0), ((-1, 0), Fraction(1, 5), 0),
                   ((0, 1), 9, 0), ((0, -1), Fraction(2, 7), 0)])
     assert _both_leaf_paths(lat, box, 1).count > 0
@@ -493,6 +500,92 @@ def test_visited_is_pinned():
     assert (res.count, res.visited) == (10372, 4278)
     out = count_cone_box(lat, [[1, 0], [0, 1]], (20, 20), histogram=False)
     assert (out["count"], out["visited"]) == (260100, 102276)
+
+
+# -- subtree memo --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name,depths", [("P1", []), ("P2", [1]),
+                                         ("P3", [1, 2]), ("P1xP1", [2]),
+                                         ("F1", [])])
+def test_signature_depths(name, depths):
+    """Memo depths lie in 1..n-2, never at depth 0, where first_range acts;
+    a depth with a nef group of one nonconstant prefix monomial (F1 at
+    both depths, P1xP1 at depth 1) is skipped."""
+    lat = get_lattice(name)
+    nef, anti, _ = counting._compile_constraints(
+        lat, anticanonical_region(lat), 100)
+    pair_reps = [w for _, _, _, reps in nef for w in reps]
+    program = counting._signature_program(pair_reps, anti,
+                                          lat.fan.max_cones, lat.fan.n_rays)
+    assert sorted(program) == depths
+
+
+@pytest.mark.parametrize("name,B", [("P1xP1", 10000), ("P3", 20000)])
+def test_memo_matches_streaming_walk(name, B):
+    """Many hits at depth n-2 (6048 on P1xP1, 110 on P3) against the walk
+    with a tuple_callback, which never uses the memo."""
+    lat = get_lattice(name)
+    res = _both_leaf_paths(lat, anticanonical_region(lat), B)
+    assert res.reused > 100
+
+
+def test_memo_keeps_prefix_gcd():
+    """P3 prefixes (6, x1) have gcd 1, 2, 3 or 6: the subtree below depends
+    on it, and prefixes with equal gcd share one."""
+    lat = get_lattice("P3")
+    B = 12 ** 4
+    assert coordinate_bounds(lat, anticanonical_region(lat), B)[1] == 12
+    res = _both_leaf_paths(lat, anticanonical_region(lat), B,
+                           first_range=(6, 6))
+    assert res.reused == 12 - 4
+
+
+def test_memo_keeps_anti_nef_threshold():
+    """max(x0, x1) max(y0, y1) >= c under max-norm caps on P1xP1: at depth 2
+    the nef quotas are constant and the threshold ceil(c / max(x0, x1)) is
+    all that tells prefixes apart.  A coprime pair has max-norm k in a(k)
+    ways, a(1) = 1 and a(k) = 2 phi(k), and 4 sign classes."""
+    cap, c = 20, 80
+    lat = get_lattice("P1xP1")
+    region = Region([((1, 0), cap, 0), ((0, 1), cap, 0),
+                     ((-1, -1), Fraction(1, c), 0)])
+    a = [0, 1] + [2 * sum(gcd(j, k) == 1 for j in range(1, k + 1))
+                  for k in range(2, cap + 1)]
+    want = 4 * sum(a[kx] * a[ky] for kx in range(1, cap + 1)
+                   for ky in range(1, cap + 1) if kx * ky >= c)
+    res = _both_leaf_paths(lat, region, 1)
+    assert res.count == want > 0
+    assert res.reused > 0
+
+
+def test_memo_reuse_by_fan():
+    """F1 has no eligible depth; callbacks never use the memo."""
+    results = {}
+    for name in ("P1xP1", "P3", "F1"):
+        lat = get_lattice(name)
+        results[name] = enumerate_region(lat, anticanonical_region(lat), 2000)
+    assert results["P1xP1"].reused > 0 and results["P3"].reused > 0
+    assert results["F1"].reused == 0
+    lat = get_lattice("P1xP1")
+    seen = []
+    res = enumerate_region(lat, anticanonical_region(lat), 2000,
+                           callback=lambda c, h: seen.append(c))
+    assert res.reused == 0
+    assert (res.count, res.visited) == (len(seen),
+                                        results["P1xP1"].visited)
+
+
+def test_memo_hits_respect_budget():
+    """A hit adds the stored visited before the budget check, so the memo
+    raises exactly where the walk would."""
+    lat = get_lattice("P1xP1")
+    region = anticanonical_region(lat)
+    res = enumerate_region(lat, region, 1000)
+    assert res.reused > 0
+    enumerate_region(lat, region, 1000, budget=res.visited)
+    with pytest.raises(BudgetError):
+        enumerate_region(lat, region, 1000, budget=res.visited - 1)
 
 
 # -- direct vs inclusion-exclusion -------------------------------------------

@@ -378,6 +378,22 @@ def test_cli_exit_code_budget(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_cli_budget_is_global_across_workers(tmp_path, capsys, workers):
+    """10000 leaf candidates plus one root node per worker: each of two
+    workers stays under 6000, but the run does not."""
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps(
+        {"constraints": [{"class": [2], "s": 1}]}))
+    args = ["count", "P1", "--region", str(region), "--B", "10000",
+            "--workers", workers]
+    assert cli.main(args + ["--budget", "6000"]) == 3
+    assert "6000" in capsys.readouterr().err
+    assert cli.main(args + ["--budget", "10002"]) == 0
+    visited = json.loads(capsys.readouterr().out)["visited"]
+    assert visited == 10000 + int(workers)
+
+
 def test_cli_exit_code_bad_cone_index(capsys):
     rc = cli.main(["hyperbola", "P1", "--cone", "7", "--grid", "10,100",
                    "--tau", "1.0"])
