@@ -26,6 +26,13 @@ visited).  On P1xP1 every (x0, x1) with the same max(x0, x1) shares one.
 A depth where some nef group has a single nonconstant prefix monomial is
 skipped, since its signatures would not repeat; F1 has no other depth.
 
+The rounded-height tables of tabulate_f are tallied on the same path.  The
+leaf then walks the last coordinate and adds each point to its floor and
+ceiling fingerprint cells; the signature also holds, per group of the
+max-monomials that make up the basis heights, the largest prefix monomial,
+so equal signatures give equal fingerprints, and a stored subtree keeps
+its two sub-tables, which a hit merges into the caller's.
+
 The per-coordinate caps of the descent come from the vertices of the
 region's log-polytope (coordinate_bounds).  Their solve depends only on the
 region's shape, not on its scales gamma or on B, so it is compiled once per
@@ -278,6 +285,8 @@ class EnumerationResult:
     visited: int
     bounds: list
     reused: int = 0  # subtrees taken from the signature memo
+    floor: dict = None  # with fingerprints: floor fingerprint -> count
+    ceil: dict = None   # with fingerprints: ceiling fingerprint -> count
 
 
 def _compile_constraints(lattice, region, B):
@@ -325,7 +334,7 @@ def _canonical_masks(ev):
     return sorted(masks)
 
 
-def _signature_program(pair_reps, anti_cons, cones, n):
+def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
     """Index lists of the subtree signature of enumerate_region, per
     eligible depth d.
 
@@ -333,46 +342,67 @@ def _signature_program(pair_reps, anti_cons, cones, n):
     into pair_reps, grouped by their remaining exponent vector w[d:], with
     all-zero vectors left out; (2) per anti-nef constraint (c, reps), the
     indices of its reps grouped the same way; (3) the cones grouped by the
-    set of remaining rays outside them.  Groups (1) and (3) come as
-    itemgetters that always return a tuple: repeating the first index
-    changes neither a min nor a gcd.  Depth d in 1..n-2 is eligible unless
-    some nef group has a single nonconstant prefix monomial y^v: its min
-    quota floor(bound / y^v) takes a new value on nearly every prefix, so
-    lookups there would miss.
+    set of remaining rays outside them; (4) for a tally, the distinct
+    prefix vectors w[:d] of the max-monomial lists `lists`, and per list
+    the groups of its reps with the same remaining vector, zero included,
+    as indices into those prefix vectors.  A zero prefix vector gives the
+    monomial 1, which never exceeds the others, so it is left out, and a
+    group of nothing else is constant and left out whole.  Groups (1), (3)
+    and (4) come as itemgetters that always return a tuple: repeating the
+    first index changes neither a min, a max nor a gcd.  Depth d in 1..n-2
+    is eligible unless some group of (1) or (4) has a single nonconstant
+    prefix monomial y^v: its part of the key then takes a new value on
+    nearly every prefix, so lookups there would miss.
     """
     def getters(groups):
         return [itemgetter(*grp, grp[0]) for grp in groups]
 
-    def by_rest(vecs, d):
+    def by_rest(vecs, d, zero=False):
         groups = {}
         for i, w in enumerate(vecs):
-            if any(w[d:]):
+            if zero or any(w[d:]):
                 groups.setdefault(w[d:], []).append(i)
         return list(groups.values())
+
+    def single(vecs, groups, d):
+        return any(len({vecs[i][:d] for i in grp}) == 1
+                   and any(vecs[grp[0]][:d]) for grp in groups)
 
     program = {}
     for d in range(1, n - 1):
         nef = by_rest(pair_reps, d)
-        if any(len({pair_reps[i][:d] for i in grp}) == 1
-               and any(pair_reps[grp[0]][:d]) for grp in nef):
+        if single(pair_reps, nef, d):
+            continue
+        heads = sorted({w[:d] for reps in lists for w in reps if any(w[:d])})
+        tally = []
+        for reps in lists:
+            for grp in by_rest(reps, d, zero=True):
+                idx = {heads.index(reps[i][:d]) for i in grp
+                       if any(reps[i][:d])}
+                if idx:
+                    tally.append(sorted(idx))
+        if any(len(grp) == 1 for grp in tally):
             continue
         anti = [(c, reps, by_rest(reps, d)) for _, _, c, reps in anti_cons]
         outside = {}
         for s, cone in enumerate(cones):
             rest = tuple(lam for lam in range(d, n) if lam not in cone)
             outside.setdefault(rest, []).append(s)
-        program[d] = (getters(nef), anti, getters(outside.values()))
+        program[d] = (getters(nef), anti, getters(outside.values()),
+                      (heads, getters(tally)))
     return program
 
 
-def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
-                     budget=DEFAULT_BUDGET, first_range=None):
+def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
+                     budget=DEFAULT_BUDGET, first_range=None,
+                     table_limit=None):
     """Count canonical torsor points with multi-height in the region.
 
     Deterministic lexicographic walk over coordinate magnitudes; exact
     membership; streams every canonical point to `callback(coords, hvals)`
-    when given, or every surviving magnitude tuple to
-    `tuple_callback(mags, hvals, weight)` (2^(n-rho) cheaper than per-point).
+    when given.  `fingerprints`, a list of integer class rows L_1..L_k,
+    asks for a tally: the result's `floor` and `ceil` map each fingerprint
+    (floor H_{L_i})_i, resp. (ceil H_{L_i})_i, to its number of points.
 
     Heights are integers throughout: each basis class is split once per
     lattice as e_i = a_i - b_i with a_i, b_i nef (HeightEvaluator.nef_split),
@@ -389,12 +419,12 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
     over the cones holding the last ray.  Those m are counted as
     sum_{d | rad G0} mu(d) (floor(cap/d) - floor((lo-1)/d)), the Moebius
     treatment of torsor coprimality (Salberger, Asterisque 251; de la
-    Breteche, J. Number Theory 87).  Only a callback or a constraint of
-    mixed sign makes the leaf walk the m of [lo, cap] one by one; it then
-    tests gcd(m, G0) and the mixed constraints alone, since the interval
-    already decides the rest.  The descent's per-coordinate caps come from
-    coordinate_bounds.  hvals holds an int for every nef basis class and an
-    exact Fraction for the others.
+    Breteche, J. Number Theory 87).  Only a callback, a tally or a
+    constraint of mixed sign makes the leaf walk the m of [lo, cap] one by
+    one; it then tests gcd(m, G0) and the mixed constraints alone, since
+    the interval already decides the rest.  The descent's per-coordinate
+    caps come from coordinate_bounds.  hvals holds an int for every nef
+    basis class and an exact Fraction for the others.
 
     Subtree memo.  On the closed path (no callback, no mixed constraint)
     the count and `visited` of the subtree below a prefix at depth d,
@@ -408,7 +438,11 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
           already reaches c, or else, per group of its representatives with
           the same nonzero remaining vector, ceil(c / max P_w);
       (c) per group of cones with the same set T of remaining rays outside
-          the cone, the gcd g_T of their prefix complement products.
+          the cone, the gcd g_T of their prefix complement products;
+      (d) with a tally only, per max-monomial list of nef_split (the
+          a-list and the b-list of each basis class, 2 rho lists) and per
+          group of its representatives with the same remaining vector, zero
+          vector included, the largest prefix monomial max P_w.
     Proof that it is complete: below the prefix, every test the descent
     and the leaf make is one of these.  (a) A nef pair's test at any depth
     is X <= Q, X the product of the new coordinates to the powers of v, and
@@ -425,28 +459,49 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
     product of the new coordinates outside s.  R_s depends on s only
     through T_s, so p divides all of them iff, for every group, p divides
     g_T or a new coordinate in T; the Moebius sum reads only the primes of
-    G0.  The bounds, the weight and the budget are fixed for the call, and
-    depth 0, where first_range acts, is never stored.  So equal signatures
-    have equal subtrees, node for node.  A depth is used only when
-    _signature_program finds it eligible, decided once per call.
+    G0.  (d) Below the prefix a list's max-monomial is max_w P_w X_w, and
+    X_w depends on w only through its group g, so it equals
+    max_g (max_{w in g} P_w) X_g: equal keys give equal max-monomials, so
+    equal H_{e_j} and equal fingerprints, point for point.  A group whose
+    prefix monomials are all 1 is constant and left out of the key.  The
+    bounds, the weight, the rows L_i and the budget are fixed for the call,
+    and depth 0, where first_range acts, is never stored.  So equal
+    signatures have equal subtrees, node for node, and with a tally equal
+    floor and ceiling sub-tables.  A depth is used only when
+    _signature_program finds it eligible, decided once per call.  With a
+    tally a stored entry also keeps the subtree's two sub-tables: a miss
+    opens fresh ones for its leaves, storing merges them into the parent's,
+    and a hit merges the stored ones.  The key, the leaf and this
+    bookkeeping are chosen once per call, so a count without a tally does
+    no tally work at any node.
 
     `first_range=(lo, hi)` restricts the first coordinate for data-parallel
     partitioning.  `visited` counts descent nodes plus full leaf widths,
-    reused subtrees included, so it does not depend on the memo.  Raises
-    BudgetError past `budget` candidates, and DegenerateInputError for a
-    fan with no ample class (a complete fan that is not projective).
+    reused subtrees included, so it does not depend on the memo, the
+    callback or the tally.  Raises BudgetError past `budget` candidates,
+    DegenerateInputError when a tally's floor table (the whole one or a
+    subtree's, whose cells all reach the whole one) passes `table_limit`
+    cells, checked after each leaf and each merge, and DegenerateInputError
+    for a fan with no ample class (a complete fan that is not projective).
     """
     ev = _evaluator(lattice)
     _, _, mono = ev.nef_split
     fan = lattice.fan
     n, rho = fan.n_rays, lattice.rank
+    tally = fingerprints is not None
+    rows = [[int(x) for x in row] for row in fingerprints or ()]
     bounds = coordinate_bounds(lattice, region, B)
+
+    def empty():
+        return EnumerationResult(count=0, visited=0, bounds=bounds,
+                                 floor={} if tally else None,
+                                 ceil={} if tally else None)
+
     if any(m == 0 for m in bounds):
-        return EnumerationResult(count=0, visited=0, bounds=bounds)
+        return empty()
 
     nef_cons, anti_cons, mixed_cons = _compile_constraints(lattice, region, B)
-    streams = callback is not None or tuple_callback is not None
-    closed = not streams and not mixed_cons
+    closed = callback is None and not mixed_cons
     nef_basis = [b == [(0,) * n] for _, b in mono]
     cones = [set(c) for c in fan.max_cones]
     ncones = len(cones)
@@ -475,12 +530,17 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
     wcol = [[w[depth] for w in pair_reps] for depth in range(n)]
     quota = [[bn // bd for _, bn, bd, reps in nef_cons for _ in reps]]
     if 0 in quota[0]:
-        return EnumerationResult(count=0, visited=0, bounds=bounds)
+        return empty()
     # per-cone running complement products
     comp_prod = [[1] * ncones]
-    program = (_signature_program(pair_reps, anti_cons, cones, n)
+    program = (_signature_program(pair_reps, anti_cons, cones, n,
+                                  [side for pair in mono for side in pair]
+                                  if tally else ())
                if closed else {})
     memo = {}
+    # the floor and ceiling tables of the subtrees being stored, innermost
+    # last, under the whole call's
+    tables = [({}, {})]
 
     def leaf_cap(depth, quotas):
         cap = bounds[depth]
@@ -543,14 +603,16 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
 
     def leaf_count(lo, hi, depth):
         """Admissible last coordinates in [lo, hi], in closed form."""
+        nonlocal count
         lo, g0 = leaf_start(lo, hi, depth)
         if hi < lo:
-            return 0
+            return
         divs = [(1, 1)]
         for p in {p for lam in range(depth) for p in primes_of(mags[lam])
                   if g0 % p == 0}:
             divs += [(d * p, -mu) for d, mu in divs if d * p <= hi]
-        return sum(mu * (hi // d - (lo - 1) // d) for d, mu in divs)
+        count += weight * sum(mu * (hi // d - (lo - 1) // d)
+                              for d, mu in divs)
 
     def leaf_terms(depth):
         """Numerator and denominator halves of the split: per basis class,
@@ -559,10 +621,23 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
         return [[[(prefix(w, depth), w[depth]) for w in vecs] for vecs in side]
                 for side in zip(*mono)]
 
-    def _leaf_scalar(lo, hi, depth):
+    def guard(table):
+        if table_limit is not None and len(table) > table_limit:
+            raise DegenerateInputError("f table exceeds the memory guard")
+
+    def merge(sub):
+        for table, part in zip(tables[-1], sub):
+            for y, cnt in part.items():
+                table[y] = table.get(y, 0) + cnt
+        guard(tables[-1][0])
+
+    def leaf_walk(lo, hi, depth):
+        """The last coordinates in [lo, hi] one by one, for a callback, a
+        tally or a mixed constraint."""
         nonlocal count
         lo, g0 = leaf_start(lo, hi, depth)
         terms = leaf_terms(depth)
+        floor_t, ceil_t = tables[-1]
         for m in range(lo, hi + 1):
             if gcd(m, g0) != 1:
                 continue
@@ -573,23 +648,29 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
                     for e, bn, bd, _ in mixed_cons)):
                 continue
             count += weight
-            if not streams:
-                continue
-            mags[depth] = m
-            hvals = tuple(x if nef else Fraction(x, y)
-                          for x, y, nef in zip(num, den, nef_basis))
-            if tuple_callback is not None:
-                tuple_callback(tuple(mags), hvals, weight)
+            if tally:
+                yf, yc = [], []
+                for row in rows:
+                    lhs, rhs = _sides(row, 1, 1, num, den)
+                    yf.append(lhs // rhs)
+                    yc.append(-(-lhs // rhs))
+                yf, yc = tuple(yf), tuple(yc)
+                floor_t[yf] = floor_t.get(yf, 0) + weight
+                ceil_t[yc] = ceil_t.get(yc, 0) + weight
             if callback is not None:
+                mags[depth] = m
+                hvals = tuple(x if nef else Fraction(x, y)
+                              for x, y, nef in zip(num, den, nef_basis))
                 for mask in masks:
                     coords = tuple(-v if mask >> lam & 1 else v
                                    for lam, v in enumerate(mags))
                     callback(coords, hvals)
+        guard(floor_t)
 
     def signature(depth, comp, quotas):
         """The memo key of the subtree below the prefix mags[:depth], given
         that prefix's complement products and nef quotas."""
-        nef, anti, coprime = program[depth]
+        nef, anti, coprime, _ = program[depth]
         key = [depth]
         for get in nef:
             key.append(min(get(quotas)))
@@ -601,6 +682,34 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
         for get in coprime:
             key.append(gcd(*get(comp)))
         return tuple(key)
+
+    def tally_signature(depth, comp, quotas):
+        """signature with part (d): the largest prefix monomial per group
+        of each max-monomial list."""
+        heads, groups = program[depth][3]
+        vals = [prefix(v, depth) for v in heads]
+        return signature(depth, comp, quotas) + tuple(max(get(vals))
+                                                      for get in groups)
+
+    def tally_lookup(sig):
+        hit = memo.get(sig)
+        if hit is None:
+            tables.append(({}, {}))
+        else:
+            merge(hit[2])
+        return hit
+
+    def tally_store(sig, entry):
+        sub = tables.pop()
+        merge(sub)
+        memo[sig] = entry + (sub,)
+
+    if tally:
+        leaf, key_of = leaf_walk, tally_signature
+        lookup, store = tally_lookup, tally_store
+    else:
+        leaf = leaf_count if closed else leaf_walk
+        key_of, lookup, store = signature, memo.get, memo.__setitem__
 
     def descend(depth):
         nonlocal visited, count, reused
@@ -616,10 +725,7 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
             visited += hi - lo + 1
             if visited > budget:
                 raise BudgetError(over)
-            if closed:
-                count += leaf_count(lo, hi, depth) * weight
-            else:
-                _leaf_scalar(lo, hi, depth)
+            leaf(lo, hi, depth)
             return
         visited += 1
         if visited > budget:
@@ -642,8 +748,8 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
             mags[depth] = m
             sig = None
             if depth + 1 in program:
-                sig = signature(depth + 1, newcomp, newq)
-                hit = memo.get(sig)
+                sig = key_of(depth + 1, newcomp, newq)
+                hit = lookup(sig)
                 if hit is not None:
                     count += hit[0]
                     visited += hit[1]
@@ -658,11 +764,12 @@ def enumerate_region(lattice, region, B, callback=None, tuple_callback=None,
             comp_prod.pop()
             quota.pop()
             if sig is not None:
-                memo[sig] = (count - start[0], visited - start[1])
+                store(sig, (count - start[0], visited - start[1]))
 
     descend(0)
+    floor_t, ceil_t = tables[0] if tally else (None, None)
     return EnumerationResult(count=count, visited=visited, bounds=bounds,
-                             reused=reused)
+                             reused=reused, floor=floor_t, ceil=ceil_t)
 
 
 def partition_first_coordinate(lattice, region, B, parts):
@@ -730,7 +837,8 @@ def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
     boxes: list of per-basis (lo_i, hi_i) positive rationals at B = 1.
     u: rational pairings <e_i, u>; must be interior to the dual effective
     cone.  Returns count, exact nu(D_1), the growth exponent <omega, u>, and
-    the prediction nu*tau*B^expo when tau is given.
+    the prediction nu*tau*B^expo when tau is given.  `budget` bounds the
+    candidates visited over all boxes together.
     """
     rho = lattice.rank
     u = [Fraction(x) for x in u]
@@ -740,7 +848,7 @@ def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
                 "translation direction is not interior to the dual "
                 "effective cone")
     omega = [Fraction(x) for x in lattice.anticanonical]
-    total = 0
+    total = spent = 0
     nu1 = Fraction(0)
     for box in boxes:
         cons = []
@@ -752,8 +860,10 @@ def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
             e_dn = [-1 if j == i else 0 for j in range(rho)]
             cons.append((e_up, hi, u[i]))
             cons.append((e_dn, 1 / lo, -u[i]))
-        res = enumerate_region(lattice, Region(cons), B, budget=budget)
+        res = enumerate_region(lattice, Region(cons), B,
+                               budget=budget - spent)
         total += res.count
+        spent += res.visited
         term = Fraction(1)
         for (lo, hi), w in zip(box, omega):
             lo, hi = Fraction(lo), Fraction(hi)
@@ -763,7 +873,8 @@ def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
             term *= (hi ** int(w) - lo ** int(w)) / w
         nu1 += term
     expo = sum(w * x for w, x in zip(omega, u))
-    out = {"count": total, "nu": nu1, "exponent": expo, "B": Fraction(B)}
+    out = {"count": total, "nu": nu1, "exponent": expo, "B": Fraction(B),
+           "visited": spent}
     if tau is not None:
         pred = float(nu1) * tau * float(Fraction(B)) ** float(expo)
         out["prediction"] = pred
@@ -929,7 +1040,9 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
     effective cone.  The histogram comes from one closed enumeration per box;
     a point sitting exactly on an internal wall is then counted twice, so a
     histogram total exceeding the region count is an exact wall-collision
-    detector and triggers a redraw of the walls.
+    detector and triggers a redraw of the walls.  `budget` bounds the
+    candidates visited over the whole call: the region, every box and every
+    redraw.
     """
     c, d, gens = _dual_basis_data(lattice, l_rows)
     if any(x <= 0 for x in c):
@@ -944,6 +1057,7 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
     region = Region(cons)
     nu_neg = _nu_neg(c, d)
     res = enumerate_region(lattice, region, 1, budget=budget)
+    spent = res.visited
     out = {
         "count": res.count,
         "nu_neg": nu_neg,
@@ -970,8 +1084,10 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         beyond = []
         total = 0
         for n_vec in product(*(range(1, k + 2) for k in kept)):
-            cnt = enumerate_region(lattice, _box_region(decomp, b_vec, n_vec),
-                                   1, budget=budget).count
+            box = enumerate_region(lattice, _box_region(decomp, b_vec, n_vec),
+                                   1, budget=budget - spent)
+            spent += box.visited
+            cnt = box.count
             if any(n > k for n, k in zip(n_vec, kept)):
                 beyond.append((n_vec, cnt))
             else:
@@ -1017,12 +1133,15 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
 
 @dataclass
 class FTable:
-    """Counts of points by rounded height fingerprint y = round(H_{L_i})."""
+    """Counts of points by rounded height fingerprint y = round(H_{L_i}),
+    with the `visited` and `reused` of the enumeration that built them."""
 
     variant: str           # "floor" or "ceil"
     l_rows: tuple
     caps: tuple            # table covers y_i <= caps_i
     data: dict             # tuple y -> count
+    visited: int = 0
+    reused: int = 0
 
     def mass(self, b_vec):
         b = [int(x) for x in b_vec]
@@ -1037,6 +1156,13 @@ def tabulate_f(lattice, l_rows, b_max, extra_constraints=(),
     """One enumeration pass filling both rounded-height tables over
     {h in Lambda, H_{L_i} <= Bmax_i}.
 
+    The enumerator tallies the floor and ceiling fingerprints itself
+    (enumerate_region with fingerprints=l_rows): its leaves walk the last
+    coordinate and add each point to its two cells, and on the closed path
+    a subtree whose signature repeats merges its stored sub-tables instead
+    of being walked again.  DegenerateInputError is raised while the
+    enumeration runs, as soon as a floor table passes table_limit cells.
+
     extra_constraints (Region constraint triples) restrict the tabulated
     domain further, e.g. to an anticanonical sublevel set; the caller must
     keep the restriction floor-complete for the cells it will query.
@@ -1047,28 +1173,13 @@ def tabulate_f(lattice, l_rows, b_max, extra_constraints=(),
         cons.append((list(row), b, 0))
         cons.append(([-x for x in row], 1, 0))
     cons.extend(extra_constraints)
-    floor_data, ceil_data = {}, {}
-    rows_int = [[int(x) for x in row] for row in l_rows]
-
-    def cb(mags, hvals, weight):
-        hn = [h.numerator for h in hvals]
-        hd = [h.denominator for h in hvals]
-        yf, yc = [], []
-        for row in rows_int:
-            num, den = _sides(row, 1, 1, hn, hd)
-            yf.append(num // den)
-            yc.append(-(-num // den))
-        kf, kc = tuple(yf), tuple(yc)
-        floor_data[kf] = floor_data.get(kf, 0) + weight
-        ceil_data[kc] = ceil_data.get(kc, 0) + weight
-        if len(floor_data) > table_limit:
-            raise DegenerateInputError("f table exceeds the memory guard")
-
-    enumerate_region(lattice, Region(cons), 1, tuple_callback=cb,
-                     budget=budget)
+    res = enumerate_region(lattice, Region(cons), 1, fingerprints=l_rows,
+                           budget=budget, table_limit=table_limit)
     l_t = tuple(tuple(r) for r in l_rows)
-    return (FTable("floor", l_t, tuple(b_max), floor_data),
-            FTable("ceil", l_t, tuple(b_max), ceil_data))
+    return tuple(FTable(variant, l_t, tuple(b_max), data, res.visited,
+                        res.reused)
+                 for variant, data in (("floor", res.floor),
+                                       ("ceil", res.ceil)))
 
 
 def hyperbola_sum(table, alphas, B):
@@ -1115,7 +1226,8 @@ def count_anticanonical(lattice, B, mode="direct", decomposition=None,
                         budget=DEFAULT_BUDGET):
     """#{h(omega^{-1}) <= log B}, directly or by inclusion-exclusion over a
     simplicial decomposition of the dual effective cone; the two modes agree
-    exactly.  Returns a report dict."""
+    exactly.  `budget` bounds the candidates visited over all the
+    inclusion-exclusion terms together.  Returns a report dict."""
     if mode == "direct":
         res = enumerate_region(lattice, anticanonical_region(lattice), B,
                                budget=budget)
@@ -1129,7 +1241,7 @@ def count_anticanonical(lattice, B, mode="direct", decomposition=None,
     rho = lattice.rank
     facet_lists = [dual_cone([list(g) for g in cone], rho)
                    for cone in decomposition.cones]
-    total = 0
+    total = spent = 0
     terms = []
     idx = range(len(facet_lists))
     for k in range(1, len(facet_lists) + 1):
@@ -1138,8 +1250,10 @@ def count_anticanonical(lattice, B, mode="direct", decomposition=None,
             for j in sub:
                 facets.extend(facet_lists[j])
             region = anticanonical_region(lattice, facets=facets)
-            cnt = enumerate_region(lattice, region, B, budget=budget).count
+            res = enumerate_region(lattice, region, B, budget=budget - spent)
+            spent += res.visited
+            cnt = res.count
             total += cnt if k % 2 == 1 else -cnt
-            terms.append({"cones": sub, "count": cnt})
+            terms.append({"cones": sub, "count": cnt, "visited": res.visited})
     return {"count": total, "mode": mode, "terms": terms,
-            "pieces": len(facet_lists)}
+            "pieces": len(facet_lists), "visited": spent}

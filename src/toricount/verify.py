@@ -311,6 +311,8 @@ def run_hyperbola(exp):
     summary = {"theorem": "hyperbola", "tau": tau, "nu_neg": str(nu_neg),
                "alphas": [str(x) for x in alphas], "caps": caps,
                "table_sizes": [len(f_floor.data), len(f_ceil.data)],
+               "tabulation": {"visited": f_floor.visited,
+                              "reused": f_floor.reused},
                "sandwich_ok_all": sandwich_ok,
                "final_ratio": rows[-1]["ratio"]}
     return rows, summary

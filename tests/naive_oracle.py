@@ -116,45 +116,74 @@ def sign_class_count(lattice):
     return total
 
 
-def naive_count(lattice, region, B):
-    """Exact number of torus points with multi-height in the region at B."""
+def _naive_points(lattice, region, B):
+    """Every magnitude tuple of the region at B, with its multi-height.
+
+    The tuples inside the LP caps are built one value of the first
+    coordinate at a time, so memory stays at one slice of the box.
+    """
     caps = coordinate_caps(lattice, region, B)
     if any(c <= 0 for c in caps):
-        return 0
+        return
     fan = lattice.fan
     n = fan.n_rays
     inside_sets = [set(c) for c in fan.max_cones]
-
-    # vectorized coprimality prefilter over all magnitude tuples
-    grids = np.meshgrid(*(np.arange(1, c + 1, dtype=np.int64) for c in caps),
-                        indexing="ij")
-    flat = np.stack([g.reshape(-1) for g in grids], axis=1)
-    g = None
-    for inside in inside_sets:
-        cols = [lam for lam in range(n) if lam not in inside]
-        prod_out = flat[:, cols[0]].copy()
-        for c in cols[1:]:
-            prod_out *= flat[:, c]
-        g = prod_out if g is None else np.gcd(g, prod_out)
-    survivors = flat[g == 1]
-
     # the same LP bounds every product of two or more coordinates; the
     # slack of 1e-3 in log space keeps LP rounding on the safe side
     groups = [grp for k in range(2, n + 1) for grp in combinations(range(n), k)]
-    logs = np.log(survivors.astype(float))
-    keep = np.ones(len(survivors), dtype=bool)
-    for grp, cap in zip(groups, _lp_log_caps(lattice, region, B, groups)):
-        keep &= logs[:, list(grp)].sum(axis=1) <= cap + 1e-3
-    survivors = survivors[keep]
+    log_caps = _lp_log_caps(lattice, region, B, groups)
 
+    for first in range(1, caps[0] + 1):
+        grids = np.meshgrid(np.array([first], dtype=np.int64),
+                            *(np.arange(1, c + 1, dtype=np.int64)
+                              for c in caps[1:]), indexing="ij")
+        flat = np.stack([g.reshape(-1) for g in grids], axis=1)
+        # vectorized coprimality prefilter over the slice
+        g = None
+        for inside in inside_sets:
+            cols = [lam for lam in range(n) if lam not in inside]
+            prod_out = flat[:, cols[0]].copy()
+            for c in cols[1:]:
+                prod_out *= flat[:, c]
+            g = prod_out if g is None else np.gcd(g, prod_out)
+        survivors = flat[g == 1]
+        logs = np.log(survivors.astype(float))
+        keep = np.ones(len(survivors), dtype=bool)
+        for grp, cap in zip(groups, log_caps):
+            keep &= logs[:, list(grp)].sum(axis=1) <= cap + 1e-3
+        for row in survivors[keep]:
+            mags = tuple(int(x) for x in row)
+            mh = multi_height(lattice, mags)
+            if region.contains(mh.values, B):
+                yield mags, mh
+
+
+def naive_count(lattice, region, B):
+    """Exact number of torus points with multi-height in the region at B."""
     weight = sign_class_count(lattice)
-    total = 0
-    for row in survivors:
-        mags = tuple(int(x) for x in row)
-        mh = multi_height(lattice, mags)
-        if region.contains(mh.values, B):
-            total += weight
-    return total
+    return weight * sum(1 for _ in _naive_points(lattice, region, B))
+
+
+def naive_tables(lattice, l_rows, b_max, extra_constraints=()):
+    """The floor and ceiling tables of counting.tabulate_f, by brute force.
+
+    Over {1 <= H_{L_i} <= b_max_i} and the extra constraints, each point
+    adds to the cells (floor H_{L_i})_i and (ceil H_{L_i})_i, with every
+    H_{L_i} taken from the place-by-place multi_height.
+    """
+    cons = []
+    for row, b in zip(l_rows, b_max):
+        cons += [(row, b, 0), ([-x for x in row], 1, 0)]
+    region = Region(cons + list(extra_constraints))
+    weight = sign_class_count(lattice)
+    floor_d, ceil_d = {}, {}
+    for _, mh in _naive_points(lattice, region, 1):
+        vals = [mh.of_class(row) for row in l_rows]
+        kf = tuple(v.numerator // v.denominator for v in vals)
+        kc = tuple(-(-v.numerator // v.denominator) for v in vals)
+        floor_d[kf] = floor_d.get(kf, 0) + weight
+        ceil_d[kc] = ceil_d.get(kc, 0) + weight
+    return floor_d, ceil_d
 
 
 def naive_anticanonical_count(lattice, B):

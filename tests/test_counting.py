@@ -11,7 +11,7 @@ import pytest
 from toricount import counting, fans, heights, linalg
 from toricount.cones import dual_cone, effective_decomposition
 from toricount.counting import (
-    FTable, Region, WallCollisionError, anticanonical_region,
+    DEFAULT_BUDGET, FTable, Region, WallCollisionError, anticanonical_region,
     build_box_decomposition, coordinate_bounds, count_anticanonical,
     count_box, count_cone_box, count_translated_polyhedron,
     enumerate_region, hyperbola_sum, nu_neg_cone, partition_first_coordinate,
@@ -20,7 +20,7 @@ from toricount.errors import BudgetError, CoprimalityError, DegenerateInputError
 
 from conftest import BUILTIN_NAMES, get_lattice
 from naive_oracle import (ExactLog, coordinate_bounds_exactlog, naive_count,
-                          sign_class_count)
+                          naive_tables, sign_class_count)
 
 
 # -- exact logarithmic arithmetic -------------------------------------------
@@ -285,16 +285,14 @@ def test_f1_count_and_callbacks_agree():
     assert len(seen) == 268
     assert len(set(seen)) == 268
 
-    weights = []
-
-    def tcb(mags, hvals, weight):
+    # every magnitude tuple carries 2^(n - rho) canonical sign patterns
+    per_tuple = {}
+    for coords in seen:
+        mags = tuple(abs(y) for y in coords)
         assert all(m >= 1 for m in mags)
-        weights.append(weight)
-
-    res_t = enumerate_region(lat, region, 50, tuple_callback=tcb)
-    assert res_t.count == 268
-    assert sum(weights) == 268
-    assert set(weights) == {2 ** (lat.fan.n_rays - lat.rank)}
+        per_tuple[mags] = per_tuple.get(mags, 0) + 1
+    assert sum(per_tuple.values()) == 268
+    assert set(per_tuple.values()) == {2 ** (lat.fan.n_rays - lat.rank)}
 
 
 def test_tuple_weight_matches_sign_class_count():
@@ -405,13 +403,15 @@ def test_partition_empty_region():
 def _both_leaf_paths(lat, region, B, **kw):
     """Counts a region twice: without a callback, where the last coordinate
     is counted in closed form when no constraint has mixed sign, and with a
-    tuple_callback, which walks it value by value."""
+    callback, which walks it value by value and sees every point."""
     plain = enumerate_region(lat, region, B, **kw)
-    weights = []
-    streamed = enumerate_region(
-        lat, region, B, tuple_callback=lambda m, h, w: weights.append(w),
-        **kw)
-    assert plain.count == streamed.count == sum(weights)
+    points = [0]
+
+    def cb(coords, hvals):
+        points[0] += 1
+
+    streamed = enumerate_region(lat, region, B, callback=cb, **kw)
+    assert plain.count == streamed.count == points[0]
     assert plain.visited == streamed.visited
     assert streamed.reused == 0
     return plain
@@ -521,10 +521,28 @@ def test_signature_depths(name, depths):
     assert sorted(program) == depths
 
 
+@pytest.mark.parametrize("name,depths", [("P1", []), ("P2", []),
+                                         ("P3", [2]), ("P1xP1", [2]),
+                                         ("F1", [])])
+def test_signature_depths_with_tally(name, depths):
+    """A tally keys on the largest prefix monomial per group of each
+    max-monomial list; at depth 1 of P2 and P3 that is y_0 alone, which
+    never repeats, so the depth is skipped."""
+    lat = get_lattice(name)
+    nef, anti, _ = counting._compile_constraints(
+        lat, anticanonical_region(lat), 100)
+    pair_reps = [w for _, _, _, reps in nef for w in reps]
+    mono = heights._evaluator(lat).nef_split[2]
+    program = counting._signature_program(
+        pair_reps, anti, lat.fan.max_cones, lat.fan.n_rays,
+        [side for pair in mono for side in pair])
+    assert sorted(program) == depths
+
+
 @pytest.mark.parametrize("name,B", [("P1xP1", 10000), ("P3", 20000)])
 def test_memo_matches_streaming_walk(name, B):
     """Many hits at depth n-2 (6048 on P1xP1, 110 on P3) against the walk
-    with a tuple_callback, which never uses the memo."""
+    with a callback, which never uses the memo."""
     lat = get_lattice(name)
     res = _both_leaf_paths(lat, anticanonical_region(lat), B)
     assert res.reused > 100
@@ -614,6 +632,25 @@ def test_inclusion_exclusion_custom_split():
     assert len(ie["terms"]) == 3
 
 
+def test_inclusion_exclusion_budget_is_per_call():
+    """The 2^k - 1 terms share one budget: each fits alone, their sum
+    does not."""
+    lat = get_lattice("P1xP1")
+    split = SimpleNamespace(cones=[[(1, 0), (1, 1)], [(1, 1), (0, 1)]])
+
+    def ie(budget=DEFAULT_BUDGET):
+        return count_anticanonical(lat, 300, mode="inclusion_exclusion",
+                                   decomposition=split, budget=budget)
+
+    full = ie()
+    visited = [t["visited"] for t in full["terms"]]
+    assert len(visited) == 3
+    assert full["visited"] == sum(visited) > max(visited)
+    with pytest.raises(BudgetError):
+        ie(max(visited))
+    assert ie(sum(visited))["count"] == full["count"]
+
+
 def test_count_anticanonical_rejects_unknown_mode():
     lat = get_lattice("P1")
     with pytest.raises(DegenerateInputError):
@@ -652,6 +689,21 @@ def test_translated_polyhedron_union_adds():
     hi = count_translated_polyhedron(lat, [[(2, 4)]], u, 400)
     assert both["count"] == lo["count"] + hi["count"]
     assert both["nu"] == lo["nu"] + hi["nu"]
+
+
+def test_translated_polyhedron_budget_is_per_call():
+    """Both boxes share one budget: each fits alone, their sum does not."""
+    lat = get_lattice("P1")
+    u = [Fraction(1, 2)]
+    boxes = [[(1, 2)], [(2, 4)]]
+    visited = [count_translated_polyhedron(lat, [box], u, 400)["visited"]
+               for box in boxes]
+    both = count_translated_polyhedron(lat, boxes, u, 400)
+    assert both["visited"] == sum(visited) > max(visited)
+    with pytest.raises(BudgetError):
+        count_translated_polyhedron(lat, boxes, u, 400, budget=max(visited))
+    assert count_translated_polyhedron(
+        lat, boxes, u, 400, budget=sum(visited))["count"] == both["count"]
 
 
 def test_count_box_frozen():
@@ -759,6 +811,25 @@ def test_cone_box_below_one_is_empty():
     assert out["prediction"] > 0 and out["ratio"] == 0
 
 
+def test_cone_box_budget_is_per_call():
+    """The region and its boxes share one budget: each enumeration fits
+    alone, their sum does not."""
+    lat = get_lattice("P1xP1")
+    l_rows, b_vec = [[1, 0], [0, 1]], (20, 20)
+    out = count_cone_box(lat, l_rows, b_vec)
+    assert out["redraws"] == 0
+    decomp = out["decomposition"]
+    visited = [out["visited"]] + [
+        enumerate_region(lat, counting._box_region(decomp, b_vec, n_vec),
+                         1).visited
+        for n_vec in product(*(range(1, k + 2) for k in out["kept"]))]
+    assert sum(visited) > max(visited)
+    with pytest.raises(BudgetError):
+        count_cone_box(lat, l_rows, b_vec, budget=max(visited))
+    again = count_cone_box(lat, l_rows, b_vec, budget=sum(visited))
+    assert again["histogram"] == out["histogram"]
+
+
 def test_cone_box_rejects_cone_outside_dual_effective():
     lat = get_lattice("P1xP1")
     with pytest.raises(DegenerateInputError):
@@ -792,25 +863,30 @@ def test_hyperbola_sandwich_f1():
 
 
 def _fraction_tables(lat, l_rows, b_max):
-    """Rounded-height tables with every fingerprint built from Fractions."""
+    """Rounded-height tables with every fingerprint built from Fractions,
+    once per distinct height vector."""
     cons = []
     for row, b in zip(l_rows, b_max):
         cons += [(row, b, 0), ([-x for x in row], 1, 0)]
     floor_d, ceil_d = {}, {}
+    cells = {}
 
-    def cb(mags, hvals, weight):
-        vals = []
-        for row in l_rows:
-            v = Fraction(1)
-            for h, e in zip(hvals, row):
-                v *= Fraction(h) ** e
-            vals.append(v)
-        kf = tuple(v.numerator // v.denominator for v in vals)
-        kc = tuple(-(-v.numerator // v.denominator) for v in vals)
-        floor_d[kf] = floor_d.get(kf, 0) + weight
-        ceil_d[kc] = ceil_d.get(kc, 0) + weight
+    def cb(coords, hvals):
+        if hvals not in cells:
+            vals = []
+            for row in l_rows:
+                v = Fraction(1)
+                for h, e in zip(hvals, row):
+                    v *= Fraction(h) ** e
+                vals.append(v)
+            cells[hvals] = (
+                tuple(v.numerator // v.denominator for v in vals),
+                tuple(-(-v.numerator // v.denominator) for v in vals))
+        kf, kc = cells[hvals]
+        floor_d[kf] = floor_d.get(kf, 0) + 1
+        ceil_d[kc] = ceil_d.get(kc, 0) + 1
 
-    enumerate_region(lat, Region(cons), 1, tuple_callback=cb)
+    enumerate_region(lat, Region(cons), 1, callback=cb)
     return floor_d, ceil_d
 
 
@@ -826,6 +902,73 @@ def test_tabulate_f_matches_fraction_fingerprints(name, l_rows, b_max):
     floor_d, ceil_d = _fraction_tables(lat, l_rows, b_max)
     assert floor_t.data == floor_d and ceil_t.data == ceil_d
     assert floor_d
+
+
+@pytest.mark.parametrize("name,l_rows,b_max,extra", [
+    # k = 41..44 all give floor(8000 / k^2) = 4: only the largest prefix
+    # monomial of the signature keeps their x-prefixes apart
+    ("P1xP1", [[1, 0], [0, 1]], [44, 44], [((2, 2), 8000, 0)]),
+    ("P1xP1", [[1, -1], [0, 1]], [3, 6], []),
+    ("P1xP1", [[1, 1], [0, 1]], [30, 5], []),
+    ("F1", [[1, 0], [0, 1]], [5, 10], []),
+    ("F1", [[1, 1], [0, 1]], [16, 5], []),
+    ("P2", [[1]], [16], []),
+    ("P3", [[1]], [6], [])])
+def test_tabulate_f_matches_naive_tables(name, l_rows, b_max, extra):
+    """The tables equal the brute-force ones, built from multi_height with
+    no descent and no memo."""
+    lat = get_lattice(name)
+    floor_t, ceil_t = tabulate_f(lat, l_rows, b_max, extra_constraints=extra)
+    want = naive_tables(lat, l_rows, b_max, extra)
+    assert (floor_t.data, ceil_t.data) == want
+    assert want[0]
+
+
+def test_tabulate_f_reports_its_enumeration():
+    """The tables carry visited and reused; visited does not depend on the
+    memo or the tally (its value predates both on the criterion 6c
+    region), and P1xP1 reuses subtrees."""
+    lat = get_lattice("P1xP1")
+    floor_t, ceil_t = tabulate_f(
+        lat, [[1, 0], [0, 1]], [200, 200],
+        extra_constraints=[(list(lat.anticanonical), 16 * 10 ** 4, 0)])
+    assert floor_t.visited == ceil_t.visited == 922220
+    assert floor_t.reused == ceil_t.reused > 0
+    assert sum(floor_t.data.values()) == 2333572
+
+
+def test_table_limit_is_checked_at_leaves():
+    """The guard stops the walk: the callback has not seen every point."""
+    lat = get_lattice("F1")
+    region = Region([((1, 0), 7, 0), ((-1, 0), 1, 0),
+                     ((0, 1), 16, 0), ((0, -1), 1, 0)])
+    full = enumerate_region(lat, region, 1)
+    seen = []
+    with pytest.raises(DegenerateInputError):
+        enumerate_region(lat, region, 1, callback=lambda c, h: seen.append(c),
+                         fingerprints=[[1, 0], [0, 1]], table_limit=5)
+    assert 0 < len(seen) < full.count
+    with pytest.raises(DegenerateInputError):
+        tabulate_f(lat, [[1, 0], [0, 1]], [7, 16], table_limit=5)
+
+
+def test_table_limit_is_checked_at_merges():
+    """On P1xP1 under H_{e_2} <= 3 each stored subtree has at most three
+    cells, so only a merge can pass the limit of 5.  It raises during the
+    run: with a budget one short of the whole run, the guard still fires
+    before the budget does."""
+    lat = get_lattice("P1xP1")
+    floor_t, _ = tabulate_f(lat, [[1, 0], [0, 1]], [44, 3])
+    assert len(floor_t.data) > 5 and floor_t.reused > 0
+    with pytest.raises(BudgetError):
+        tabulate_f(lat, [[1, 0], [0, 1]], [44, 3],
+                   budget=floor_t.visited - 1)
+    with pytest.raises(DegenerateInputError):
+        tabulate_f(lat, [[1, 0], [0, 1]], [44, 3], table_limit=5,
+                   budget=floor_t.visited - 1)
+    again, _ = tabulate_f(lat, [[1, 0], [0, 1]], [44, 3],
+                          table_limit=len(floor_t.data))
+    assert again.data == floor_t.data
 
 
 def test_hyperbola_sum_rational_bounds():

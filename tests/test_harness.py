@@ -159,6 +159,9 @@ def test_run_hyperbola_p1xp1():
     rows, summary = run_experiment(exp)
     assert [r["count"] for r in rows] == [836, 3908]
     assert summary["sandwich_ok_all"]
+    # the tables' enumeration: visited as before the memo, subtrees reused
+    assert summary["tabulation"]["visited"] == 24884
+    assert summary["tabulation"]["reused"] > 0
     for r in rows:
         assert r["sum_ceil"] == r["count"] == r["sum_floor"]
 
