@@ -52,8 +52,10 @@ from . import linalg
 from .cones import dual_cone, effective_decomposition
 from .errors import BudgetError, DegenerateInputError
 from .heights import _evaluator
+from .tamagawa import nu_of_box
 
 DEFAULT_BUDGET = 10 ** 10
+MAX_REDRAWS = 20  # wall draws count_cone_box tries before it gives up
 
 
 @dataclass(frozen=True)
@@ -283,7 +285,6 @@ def coordinate_bounds(lattice, region, B):
 class EnumerationResult:
     count: int
     visited: int
-    bounds: list
     reused: int = 0  # subtrees taken from the signature memo
     floor: dict = None  # with fingerprints: floor fingerprint -> count
     ceil: dict = None   # with fingerprints: ceiling fingerprint -> count
@@ -323,15 +324,6 @@ def _compile_constraints(lattice, region, B):
         else:
             mixed.append((e, bound.numerator, bound.denominator, None))
     return nef, anti, mixed
-
-
-def _canonical_masks(ev):
-    pivots = set(ev._sign_pivots)
-    free = [lam for lam in range(ev.n) if lam not in pivots]
-    masks = [0]
-    for lam in free:
-        masks += [m | (1 << lam) for m in masks]
-    return sorted(masks)
 
 
 def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
@@ -393,14 +385,13 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
     return program
 
 
-def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
+def enumerate_region(lattice, region, B, fingerprints=None,
                      budget=DEFAULT_BUDGET, first_range=None,
                      table_limit=None):
     """Count canonical torsor points with multi-height in the region.
 
-    Deterministic lexicographic walk over coordinate magnitudes; exact
-    membership; streams every canonical point to `callback(coords, hvals)`
-    when given.  `fingerprints`, a list of integer class rows L_1..L_k,
+    Deterministic lexicographic walk over coordinate magnitudes with exact
+    membership.  `fingerprints`, a list of integer class rows L_1..L_k,
     asks for a tally: the result's `floor` and `ceil` map each fingerprint
     (floor H_{L_i})_i, resp. (ceil H_{L_i})_i, to its number of points.
 
@@ -419,18 +410,16 @@ def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
     over the cones holding the last ray.  Those m are counted as
     sum_{d | rad G0} mu(d) (floor(cap/d) - floor((lo-1)/d)), the Moebius
     treatment of torsor coprimality (Salberger, Asterisque 251; de la
-    Breteche, J. Number Theory 87).  Only a callback, a tally or a
-    constraint of mixed sign makes the leaf walk the m of [lo, cap] one by
-    one; it then tests gcd(m, G0) and the mixed constraints alone, since
-    the interval already decides the rest.  The descent's per-coordinate
-    caps come from coordinate_bounds.  hvals holds an int for every nef
-    basis class and an exact Fraction for the others.
+    Breteche, J. Number Theory 87).  Only a tally or a constraint of mixed
+    sign makes the leaf walk the m of [lo, cap] one by one; it then tests
+    gcd(m, G0) and the mixed constraints alone, since the interval already
+    decides the rest.  The descent's per-coordinate caps come from
+    coordinate_bounds.
 
-    Subtree memo.  On the closed path (no callback, no mixed constraint)
-    the count and `visited` of the subtree below a prefix at depth d,
-    1 <= d <= n-2, are stored under its signature, and a later prefix with
-    the same signature adds them without descending (`reused` counts those
-    hits).  With the remaining vector of a monomial its exponents from
+    Subtree memo.  On the closed path (no mixed constraint) the count and
+    `visited` of the subtree below a prefix at depth d, 1 <= d <= n-2, are
+    stored under its signature, and a later prefix with the same signature
+    adds them without descending (`reused` counts those hits).  With the remaining vector of a monomial its exponents from
     position d on, the signature is d together with
       (a) per group of nef pairs with the same nonzero remaining vector v,
           the least quota Q;
@@ -477,12 +466,12 @@ def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
 
     `first_range=(lo, hi)` restricts the first coordinate for data-parallel
     partitioning.  `visited` counts descent nodes plus full leaf widths,
-    reused subtrees included, so it does not depend on the memo, the
-    callback or the tally.  Raises BudgetError past `budget` candidates,
-    DegenerateInputError when a tally's floor table (the whole one or a
-    subtree's, whose cells all reach the whole one) passes `table_limit`
-    cells, checked after each leaf and each merge, and DegenerateInputError
-    for a fan with no ample class (a complete fan that is not projective).
+    reused subtrees included, so it does not depend on the memo or the
+    tally.  Raises BudgetError past `budget` candidates, DegenerateInputError
+    when a tally's floor table (the whole one or a subtree's, whose cells
+    all reach the whole one) passes `table_limit` cells, checked after each
+    leaf and each merge, and DegenerateInputError for a fan with no ample
+    class (a complete fan that is not projective).
     """
     ev = _evaluator(lattice)
     _, _, mono = ev.nef_split
@@ -493,7 +482,7 @@ def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
     bounds = coordinate_bounds(lattice, region, B)
 
     def empty():
-        return EnumerationResult(count=0, visited=0, bounds=bounds,
+        return EnumerationResult(count=0, visited=0,
                                  floor={} if tally else None,
                                  ceil={} if tally else None)
 
@@ -501,14 +490,12 @@ def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
         return empty()
 
     nef_cons, anti_cons, mixed_cons = _compile_constraints(lattice, region, B)
-    closed = callback is None and not mixed_cons
-    nef_basis = [b == [(0,) * n] for _, b in mono]
+    closed = not mixed_cons
     cones = [set(c) for c in fan.max_cones]
     ncones = len(cones)
     comp_has = [[lam not in cones[s] for lam in range(n)]
                 for s in range(ncones)]
     weight = 1 << (n - rho)
-    masks = _canonical_masks(ev) if callback is not None else None
 
     if not nef_cons:
         vol = 1
@@ -632,8 +619,8 @@ def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
         guard(tables[-1][0])
 
     def leaf_walk(lo, hi, depth):
-        """The last coordinates in [lo, hi] one by one, for a callback, a
-        tally or a mixed constraint."""
+        """The last coordinates in [lo, hi] one by one, for a tally or a
+        mixed constraint."""
         nonlocal count
         lo, g0 = leaf_start(lo, hi, depth)
         terms = leaf_terms(depth)
@@ -657,14 +644,6 @@ def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
                 yf, yc = tuple(yf), tuple(yc)
                 floor_t[yf] = floor_t.get(yf, 0) + weight
                 ceil_t[yc] = ceil_t.get(yc, 0) + weight
-            if callback is not None:
-                mags[depth] = m
-                hvals = tuple(x if nef else Fraction(x, y)
-                              for x, y, nef in zip(num, den, nef_basis))
-                for mask in masks:
-                    coords = tuple(-v if mask >> lam & 1 else v
-                                   for lam, v in enumerate(mags))
-                    callback(coords, hvals)
         guard(floor_t)
 
     def signature(depth, comp, quotas):
@@ -768,8 +747,8 @@ def enumerate_region(lattice, region, B, callback=None, fingerprints=None,
 
     descend(0)
     floor_t, ceil_t = tables[0] if tally else (None, None)
-    return EnumerationResult(count=count, visited=visited, bounds=bounds,
-                             reused=reused, floor=floor_t, ceil=ceil_t)
+    return EnumerationResult(count=count, visited=visited, reused=reused,
+                             floor=floor_t, ceil=ceil_t)
 
 
 def partition_first_coordinate(lattice, region, B, parts):
@@ -786,7 +765,12 @@ def partition_first_coordinate(lattice, region, B, parts):
 # -- dual-basis data for box machinery --------------------------------------
 
 def _dual_basis_data(lattice, l_rows):
-    """(c, det, gens): c_i = <omega, L_i^*>, |det L|, dual basis generators."""
+    """(c, det, gens): c_i = <omega, L_i^*>, |det L|, dual basis generators.
+
+    c solves sum_i c_i L_i = omega.  Raises unless the L_i form a basis with
+    every c_i > 0, the anticanonical class interior to their positive span:
+    the standing assumption of the box machinery.
+    """
     rho = lattice.rank
     a = [[Fraction(x) for x in row] for row in l_rows]
     if len(a) != rho or any(len(r) != rho for r in a):
@@ -796,6 +780,9 @@ def _dual_basis_data(lattice, l_rows):
         raise DegenerateInputError("L_i do not form a basis")
     at = [[a[i][j] for i in range(rho)] for j in range(rho)]
     c = linalg.solve_exact(at, [Fraction(x) for x in lattice.anticanonical])
+    if any(x <= 0 for x in c):
+        raise DegenerateInputError(
+            "anticanonical class is not interior to the cone of the L_i")
     inv = linalg.inverse(a)
     gens = [[inv[j][i] for j in range(rho)] for i in range(rho)]
     return c, abs(d), gens
@@ -821,13 +808,22 @@ def _nu_neg(c, d):
 def nu_neg_cone(lattice, l_rows):
     """nu(-Lambda) = 1/(|det L| * prod <omega, L_i^*>), exact."""
     c, d, _ = _dual_basis_data(lattice, l_rows)
-    if any(x <= 0 for x in c):
-        raise DegenerateInputError(
-            "anticanonical class is not interior to the cone spanned by L_i")
     return _nu_neg(c, d)
 
 
 # -- translated polyhedra and boxes -----------------------------------------
+
+def _box_region(l_rows, lows, highs, slopes=None, extra=()):
+    """lo_i B^{s_i} <= H_{L_i} <= hi_i B^{s_i} for every row L_i, as the
+    Region of the constraints (L_i, hi_i, s_i) and (-L_i, 1/lo_i, -s_i),
+    followed by the extra constraints; every s_i is 0 without slopes."""
+    slopes = slopes or [0] * len(l_rows)
+    cons = []
+    for row, lo, hi, s in zip(l_rows, lows, highs, slopes):
+        cons.append((list(row), hi, s))
+        cons.append(([-x for x in row], 1 / Fraction(lo), -s))
+    return Region(cons + list(extra))
+
 
 def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
                                 budget=DEFAULT_BUDGET):
@@ -841,6 +837,7 @@ def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
     candidates visited over all boxes together.
     """
     rho = lattice.rank
+    axes = [[int(j == i) for j in range(rho)] for i in range(rho)]
     u = [Fraction(x) for x in u]
     for cls in lattice.classes:
         if sum(Fraction(c) * x for c, x in zip(cls, u)) <= 0:
@@ -851,27 +848,14 @@ def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
     total = spent = 0
     nu1 = Fraction(0)
     for box in boxes:
-        cons = []
-        for i, (lo, hi) in enumerate(box):
-            lo, hi = Fraction(lo), Fraction(hi)
-            if not 0 < lo <= hi:
-                raise DegenerateInputError("invalid box bounds")
-            e_up = [1 if j == i else 0 for j in range(rho)]
-            e_dn = [-1 if j == i else 0 for j in range(rho)]
-            cons.append((e_up, hi, u[i]))
-            cons.append((e_dn, 1 / lo, -u[i]))
-        res = enumerate_region(lattice, Region(cons), B,
+        lows, highs = zip(*((Fraction(lo), Fraction(hi)) for lo, hi in box))
+        if not all(0 < lo <= hi for lo, hi in zip(lows, highs)):
+            raise DegenerateInputError("invalid box bounds")
+        nu1 += nu_of_box(lattice, box)
+        res = enumerate_region(lattice, _box_region(axes, lows, highs, u), B,
                                budget=budget - spent)
         total += res.count
         spent += res.visited
-        term = Fraction(1)
-        for (lo, hi), w in zip(box, omega):
-            lo, hi = Fraction(lo), Fraction(hi)
-            if w == 0:
-                raise DegenerateInputError(
-                    "anticanonical class vanishes on a basis direction")
-            term *= (hi ** int(w) - lo ** int(w)) / w
-        nu1 += term
     expo = sum(w * x for w, x in zip(omega, u))
     out = {"count": total, "nu": nu1, "exponent": expo, "B": Fraction(B),
            "visited": spent}
@@ -888,6 +872,7 @@ def count_box(lattice, l_rows, lows, highs, b_vec, tau=None,
     product-form prediction nu(D(a,b)) tau prod B_i^{<omega, L_i^*>}.
 
     lows/highs are the multiplicative bounds e^{a_i} < e^{b_i} (rationals).
+    The L_i are checked (_dual_basis_data) before anything is enumerated.
     """
     c, d, _ = _dual_basis_data(lattice, l_rows)
     lows = [Fraction(x) for x in lows]
@@ -897,19 +882,14 @@ def count_box(lattice, l_rows, lows, highs, b_vec, tau=None,
         raise DegenerateInputError("box needs a_i < b_i")
     if any(b < 1 for b in b_vec):
         raise DegenerateInputError("box scale parameters must be >= 1")
-    cons = []
-    for row, lo, hi, b in zip(l_rows, lows, highs, b_vec):
-        cons.append((list(row), hi * b, 0))
-        cons.append(([-x for x in row], 1 / (lo * b), 0))
-    res = enumerate_region(lattice, Region(cons), 1, budget=budget)
+    region = _box_region(l_rows, [lo * b for lo, b in zip(lows, b_vec)],
+                         [hi * b for hi, b in zip(highs, b_vec)])
+    res = enumerate_region(lattice, region, 1, budget=budget)
 
     nu = Fraction(1, 1) / d
     exact = True
     nu_f = 1.0 / float(d)
     for ci, lo, hi in zip(c, lows, highs):
-        if ci <= 0:
-            raise DegenerateInputError(
-                "anticanonical class is not interior to the cone of the L_i")
         if ci.denominator == 1:
             nu *= (hi ** int(ci) - lo ** int(ci)) / ci
             nu_f *= float((hi ** int(ci) - lo ** int(ci)) / ci)
@@ -961,6 +941,12 @@ class BoxDecomposition:
             out.append(n)
         return tuple(out)
 
+    def region(self, b_vec, n_vec):
+        """Closed region for box D_{n,B}: B r^{-n_i} <= H_{L_i} <= B r^{-(n_i-1)}."""
+        walls = [(Fraction(b) * r ** -n, Fraction(b) * r ** (1 - n))
+                 for b, r, n in zip(b_vec, self.ratios, n_vec)]
+        return _box_region(self.l_rows, *zip(*walls))
+
     def walls(self, b, i, n_max):
         """Wall values B r_i^{-k} for k = 0..n_max."""
         out = [Fraction(b)]
@@ -993,10 +979,7 @@ def build_box_decomposition(lattice, l_rows, seed=0, ratios=None):
     must be a basis with the anticanonical class interior to their span's
     positive orthant, the standing assumption of the box machinery.
     """
-    c, _, _ = _dual_basis_data(lattice, l_rows)
-    if any(x <= 0 for x in c):
-        raise DegenerateInputError(
-            "anticanonical class is not interior to the cone of the L_i")
+    _dual_basis_data(lattice, l_rows)
     if ratios is None:
         return _drawn_decomposition(l_rows, seed)
     ratios = [Fraction(r) for r in ratios]
@@ -1019,20 +1002,8 @@ def _drawn_decomposition(l_rows, seed):
                             ratios=tuple(ratios))
 
 
-def _box_region(decomp, b_vec, n_vec):
-    """Closed region for box D_{n,B}: B r^{-n_i} <= H_{L_i} <= B r^{-(n_i-1)}."""
-    cons = []
-    for row, b, r, n in zip(decomp.l_rows, b_vec, decomp.ratios, n_vec):
-        upper = Fraction(b) * r ** (-(n - 1))
-        lower = Fraction(b) * r ** (-n)
-        cons.append((list(row), upper, 0))
-        cons.append(([-x for x in row], 1 / lower, 0))
-    return Region(cons)
-
-
 def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
-                   budget=DEFAULT_BUDGET, max_redraws=20, histogram=True,
-                   decomposition=None):
+                   budget=DEFAULT_BUDGET, histogram=True, decomposition=None):
     """Count {h in Lambda, H_{L_i} <= B_i} with per-box histogram, emptiness
     verification, and the nu-tail inequality report.
 
@@ -1040,29 +1011,22 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
     effective cone.  The histogram comes from one closed enumeration per box;
     a point sitting exactly on an internal wall is then counted twice, so a
     histogram total exceeding the region count is an exact wall-collision
-    detector and triggers a redraw of the walls.  `budget` bounds the
-    candidates visited over the whole call: the region, every box and every
-    redraw.
+    detector and triggers a redraw of the walls, at most MAX_REDRAWS times.
+    `budget` bounds the candidates visited over the whole call, the region,
+    every box and every redraw, and `visited` reports their sum.
     """
     c, d, gens = _dual_basis_data(lattice, l_rows)
-    if any(x <= 0 for x in c):
-        raise DegenerateInputError(
-            "anticanonical class is not interior to the cone of the L_i")
     _check_subcone(lattice, gens)
     b_vec = tuple(Fraction(x) for x in b_vec)
-    cons = []
-    for row, b in zip(l_rows, b_vec):
-        cons.append((list(row), b, 0))
-        cons.append(([-x for x in row], 1, 0))
-    region = Region(cons)
     nu_neg = _nu_neg(c, d)
-    res = enumerate_region(lattice, region, 1, budget=budget)
+    res = enumerate_region(lattice, _box_region(l_rows, [1] * len(b_vec),
+                                                b_vec), 1, budget=budget)
     spent = res.visited
     out = {
         "count": res.count,
         "nu_neg": nu_neg,
         "exponents": c,
-        "visited": res.visited,
+        "visited": spent,
     }
     if tau is not None:
         pred = float(nu_neg) * tau
@@ -1084,8 +1048,8 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         beyond = []
         total = 0
         for n_vec in product(*(range(1, k + 2) for k in kept)):
-            box = enumerate_region(lattice, _box_region(decomp, b_vec, n_vec),
-                                   1, budget=budget - spent)
+            box = enumerate_region(lattice, decomp.region(b_vec, n_vec), 1,
+                                   budget=budget - spent)
             spent += box.visited
             cnt = box.count
             if any(n > k for n, k in zip(n_vec, kept)):
@@ -1100,7 +1064,7 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         # a height sat exactly on an internal wall (double count) or leaked
         # past the emptiness bound; both demand fresh walls
         attempt += 1
-        if attempt >= max_redraws:
+        if attempt >= MAX_REDRAWS:
             raise DegenerateInputError(
                 "box walls kept colliding with point heights")
 
@@ -1120,6 +1084,7 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         "ratios": decomp.ratios,
         "kept": kept,
         "redraws": attempt,
+        "visited": spent,
         "empty_boxes_ok": beyond_ok,
         "histogram_total": total,
         "tail": {"sum": tail, "bound_c": cbound, "d": dexp,
@@ -1168,12 +1133,9 @@ def tabulate_f(lattice, l_rows, b_max, extra_constraints=(),
     keep the restriction floor-complete for the cells it will query.
     """
     b_max = [int(x) for x in b_max]
-    cons = []
-    for row, b in zip(l_rows, b_max):
-        cons.append((list(row), b, 0))
-        cons.append(([-x for x in row], 1, 0))
-    cons.extend(extra_constraints)
-    res = enumerate_region(lattice, Region(cons), 1, fingerprints=l_rows,
+    region = _box_region(l_rows, [1] * len(b_max), b_max,
+                         extra=extra_constraints)
+    res = enumerate_region(lattice, region, 1, fingerprints=l_rows,
                            budget=budget, table_limit=table_limit)
     l_t = tuple(tuple(r) for r in l_rows)
     return tuple(FTable(variant, l_t, tuple(b_max), data, res.visited,

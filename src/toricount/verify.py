@@ -4,6 +4,8 @@ coefficient, and emit byte-deterministic reports.
 
 Each runner returns (rows, summary).  Rows always carry B, count, prediction,
 ratio; extra keys are kept in the JSON report but dropped from the CSV.
+`Experiment.budget` bounds the candidates visited over the whole run: each
+count gets what the counts before it have left.
 """
 
 import json
@@ -125,9 +127,11 @@ def run_multiheight(exp):
         u = _default_direction(lat)
     rows = []
     nu = expo = None
+    spent = 0
     for b in exp.grid:
         r = counting.count_translated_polyhedron(lat, boxes, u, b, tau=tau,
-                                                 budget=exp.budget)
+                                                 budget=exp.budget - spent)
+        spent += r["visited"]
         nu, expo = r["nu"], r["exponent"]
         pred = r.get("prediction", 0.0)
         rows.append({"B": b, "count": r["count"], "prediction": pred,
@@ -148,9 +152,11 @@ def run_box(exp):
     highs = exp.params.get("highs", [2] * rho)
     rows = []
     r = None
+    spent = 0
     for b in exp.grid:
         r = counting.count_box(lat, l_rows, lows, highs, [b] * rho, tau=tau,
-                               budget=exp.budget)
+                               budget=exp.budget - spent)
+        spent += r["visited"]
         rows.append({"B": b, "count": r["count"],
                      "prediction": r["prediction"], "ratio": r["ratio"]})
     summary = {"theorem": "box", "tau": tau,
@@ -166,10 +172,13 @@ def run_cone_box(exp):
     l_rows = _basis_rows(exp)
     histogram = exp.params.get("histogram", True)
     rows, checks = [], []
+    spent = 0
     for b in exp.grid:
         r = counting.count_cone_box(lat, l_rows, [b] * lat.rank,
                                     seed=exp.seed, tau=tau,
-                                    budget=exp.budget, histogram=histogram)
+                                    budget=exp.budget - spent,
+                                    histogram=histogram)
+        spent += r["visited"]
         rows.append({"B": b, "count": r["count"],
                      "prediction": r["prediction"], "ratio": r["ratio"]})
         if histogram:
@@ -209,9 +218,12 @@ def run_per_cone(exp):
     region = counting.anticanonical_region(lat, cone_generators=gens)
     lead = float(nu_neg) * tau / _factorial(rho - 1)
     rows, counts = [], []
+    spent = 0
     for b in exp.grid:
-        cnt = counting.enumerate_region(lat, region, b,
-                                        budget=exp.budget).count
+        res = counting.enumerate_region(lat, region, b,
+                                        budget=exp.budget - spent)
+        spent += res.visited
+        cnt = res.count
         counts.append(cnt)
         pred = lead * float(b) * log(float(b)) ** (rho - 1)
         rows.append({"B": b, "count": cnt, "prediction": pred,
@@ -232,12 +244,17 @@ def run_anticanonical(exp):
                                   list(lat.anticanonical))
     lead = float(dec.alpha) * tau
     rows, counts, ie_ok = [], [], True
+    spent = 0
     for b in exp.grid:
-        direct = counting.count_anticanonical(lat, b, mode="direct",
-                                              budget=exp.budget)["count"]
-        ie = counting.count_anticanonical(lat, b, mode="inclusion_exclusion",
-                                          decomposition=dec,
-                                          budget=exp.budget)["count"]
+        r = counting.count_anticanonical(lat, b, mode="direct",
+                                         budget=exp.budget - spent)
+        spent += r["visited"]
+        direct = r["count"]
+        r = counting.count_anticanonical(lat, b, mode="inclusion_exclusion",
+                                         decomposition=dec,
+                                         budget=exp.budget - spent)
+        spent += r["visited"]
+        ie = r["count"]
         equal = direct == ie
         ie_ok = ie_ok and equal
         counts.append(direct)
@@ -256,21 +273,14 @@ def run_anticanonical(exp):
 def _hyperbola_setup(lat, l_rows, b_top, budget):
     """Tables for the rounded-height sums, floor-complete up to b_top.
 
-    alphas solves sum_i alpha_i L_i = omega.  A point whose floor fingerprint
+    alphas solves sum_i alpha_i L_i = omega (_dual_basis_data, which also
+    checks that every alpha_i > 0).  A point whose floor fingerprint
     is queried satisfies H_i < y_i + 1 <= 2 y_i and H_omega < 2^{sum alpha}
     prod y^alpha, so doubling the per-coordinate caps and relaxing the
     anticanonical cutoff by 2^{ceil(sum alpha)} keeps every needed point in
     the tabulated set; the ceil table needs no slack.
     """
-    rho = lat.rank
-    a = [[Fraction(x) for x in row] for row in l_rows]
-    at = [[a[i][j] for i in range(rho)] for j in range(rho)]
-    alphas = linalg.solve_exact(at, [Fraction(x) for x in lat.anticanonical])
-    if alphas is None:
-        raise DegenerateInputError("L_i do not form a basis")
-    if any(x <= 0 for x in alphas):
-        raise DegenerateInputError(
-            "anticanonical class is not interior to the cone of the L_i")
+    alphas, _, _ = counting._dual_basis_data(lat, l_rows)
     caps = [linalg.floor_rational_power(Fraction(b_top), x.denominator,
                                         x.numerator) for x in alphas]
     total = sum(alphas)
@@ -297,11 +307,14 @@ def run_hyperbola(exp):
     region = counting.Region([(lat.anticanonical, 1, 1)],
                              facets=[[int(x) for x in row] for row in l_rows])
     rows, sandwich_ok = [], True
+    spent = f_floor.visited
     for b in exp.grid:
         lo = counting.hyperbola_sum(f_ceil, [alphas], b)
         hi = counting.hyperbola_sum(f_floor, [alphas], b)
-        direct = counting.enumerate_region(lat, region, b,
-                                           budget=exp.budget).count
+        res = counting.enumerate_region(lat, region, b,
+                                        budget=exp.budget - spent)
+        spent += res.visited
+        direct = res.count
         ok = lo <= direct <= hi
         sandwich_ok = sandwich_ok and ok
         pred = lead * float(b) * log(float(b)) ** (rho - 1)
@@ -333,9 +346,12 @@ def run_intersections(exp):
                                                   rho))
     region = counting.anticanonical_region(lat, facets=facets)
     rows = []
+    spent = 0
     for b in exp.grid:
-        cnt = counting.enumerate_region(lat, region, b,
-                                        budget=exp.budget).count
+        res = counting.enumerate_region(lat, region, b,
+                                        budget=exp.budget - spent)
+        spent += res.visited
+        cnt = res.count
         bf = float(b)
         denom = bf * log(bf) ** (rho - 1) if bf > 1 else bf
         rows.append({"B": b, "count": cnt, "prediction": 0.0,

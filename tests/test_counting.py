@@ -19,8 +19,8 @@ from toricount.counting import (
 from toricount.errors import BudgetError, CoprimalityError, DegenerateInputError
 
 from conftest import BUILTIN_NAMES, get_lattice
-from naive_oracle import (ExactLog, coordinate_bounds_exactlog, naive_count,
-                          naive_tables, sign_class_count)
+from naive_oracle import (ExactLog, _naive_points, coordinate_bounds_exactlog,
+                          naive_count, naive_tables, sign_class_count)
 
 
 # -- exact logarithmic arithmetic -------------------------------------------
@@ -246,8 +246,7 @@ def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
     assert cone_box() == one_compile + warm
 
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
-    boxes = [counting._box_region(decomp, (20, 20), n) for n in
-             [(1, 1), (2, 3)]]
+    boxes = [decomp.region((20, 20), n) for n in [(1, 1), (2, 3)]]
     got = [coordinate_bounds(lat, box, 1) for box in boxes]
     assert got[0] != got[1]
     assert got == [coordinate_bounds_exactlog(lat, box, 1) for box in boxes]
@@ -265,34 +264,12 @@ def test_p1_frozen_counts():
 
 
 def test_f1_count_and_callbacks_agree():
+    """F1 at B = 50 against the brute-force oracle, which streams every
+    canonical point through the place-by-place multi_height."""
     lat = get_lattice("F1")
     region = anticanonical_region(lat)
-    plain = enumerate_region(lat, region, 50)
-    assert plain.count == 268
-
-    ev = heights._evaluator(lat)
-    seen = []
-
-    def cb(coords, hvals):
-        assert ev.is_canonical(coords)
-        mh = heights.multi_height(lat, coords)
-        assert tuple(Fraction(h) for h in hvals) == mh.values
-        assert region.contains(mh.values, 50)
-        seen.append(tuple(coords))
-
-    res_cb = enumerate_region(lat, region, 50, callback=cb)
-    assert res_cb.count == 268
-    assert len(seen) == 268
-    assert len(set(seen)) == 268
-
-    # every magnitude tuple carries 2^(n - rho) canonical sign patterns
-    per_tuple = {}
-    for coords in seen:
-        mags = tuple(abs(y) for y in coords)
-        assert all(m >= 1 for m in mags)
-        per_tuple[mags] = per_tuple.get(mags, 0) + 1
-    assert sum(per_tuple.values()) == 268
-    assert set(per_tuple.values()) == {2 ** (lat.fan.n_rays - lat.rank)}
+    assert enumerate_region(lat, region, 50).count == 268
+    assert naive_count(lat, region, 50) == 268
 
 
 def test_tuple_weight_matches_sign_class_count():
@@ -401,19 +378,18 @@ def test_partition_empty_region():
 
 
 def _both_leaf_paths(lat, region, B, **kw):
-    """Counts a region twice: without a callback, where the last coordinate
-    is counted in closed form when no constraint has mixed sign, and with a
-    callback, which walks it value by value and sees every point."""
+    """Counts a region twice: as is, where the last coordinate is counted
+    in closed form when no constraint has mixed sign, and as a tally of the
+    basis heights with the signature memo switched off, which walks it
+    value by value, adds every point to a cell and never reuses a subtree."""
     plain = enumerate_region(lat, region, B, **kw)
-    points = [0]
-
-    def cb(coords, hvals):
-        points[0] += 1
-
-    streamed = enumerate_region(lat, region, B, callback=cb, **kw)
-    assert plain.count == streamed.count == points[0]
-    assert plain.visited == streamed.visited
-    assert streamed.reused == 0
+    rows = [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_signature_program", lambda *a, **k: {})
+        walked = enumerate_region(lat, region, B, fingerprints=rows, **kw)
+    assert plain.count == walked.count == sum(walked.floor.values())
+    assert plain.visited == walked.visited
+    assert walked.reused == 0
     return plain
 
 
@@ -438,8 +414,7 @@ def test_closed_form_leaf_cone_boxes():
     b_vec = (20, 20)
     total = reused = 0
     for n_vec in product(*(range(1, k + 2) for k in decomp.kept(b_vec))):
-        region = counting._box_region(decomp, b_vec, n_vec)
-        res = _both_leaf_paths(lat, region, 1)
+        res = _both_leaf_paths(lat, decomp.region(b_vec, n_vec), 1)
         total += res.count
         reused += res.reused
     cone = count_cone_box(lat, [[1, 0], [0, 1]], b_vec, histogram=False)
@@ -541,8 +516,8 @@ def test_signature_depths_with_tally(name, depths):
 
 @pytest.mark.parametrize("name,B", [("P1xP1", 10000), ("P3", 20000)])
 def test_memo_matches_streaming_walk(name, B):
-    """Many hits at depth n-2 (6048 on P1xP1, 110 on P3) against the walk
-    with a callback, which never uses the memo."""
+    """Many hits at depth n-2 (6048 on P1xP1, 110 on P3) against the
+    per-point walk with no memo."""
     lat = get_lattice(name)
     res = _both_leaf_paths(lat, anticanonical_region(lat), B)
     assert res.reused > 100
@@ -578,20 +553,13 @@ def test_memo_keeps_anti_nef_threshold():
 
 
 def test_memo_reuse_by_fan():
-    """F1 has no eligible depth; callbacks never use the memo."""
+    """F1 has no eligible depth."""
     results = {}
     for name in ("P1xP1", "P3", "F1"):
         lat = get_lattice(name)
         results[name] = enumerate_region(lat, anticanonical_region(lat), 2000)
     assert results["P1xP1"].reused > 0 and results["P3"].reused > 0
     assert results["F1"].reused == 0
-    lat = get_lattice("P1xP1")
-    seen = []
-    res = enumerate_region(lat, anticanonical_region(lat), 2000,
-                           callback=lambda c, h: seen.append(c))
-    assert res.reused == 0
-    assert (res.count, res.visited) == (len(seen),
-                                        results["P1xP1"].visited)
 
 
 def test_memo_hits_respect_budget():
@@ -736,6 +704,18 @@ def test_count_box_validation():
         count_box(lat, [[1, 0], [0, -1]], [1, 1], [2, 2], [10, 10])
 
 
+def test_count_box_rejects_bad_basis_before_enumerating(monkeypatch):
+    """<omega, L_2^*> = -2 for L = [[1, 0], [0, -1]] on P1xP1: the dual
+    basis check fails before any enumeration starts."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("enumerated a box with a bad basis")
+
+    monkeypatch.setattr(counting, "enumerate_region", refuse)
+    lat = get_lattice("P1xP1")
+    with pytest.raises(DegenerateInputError, match="interior"):
+        count_box(lat, [[1, 0], [0, -1]], [1, 1], [2, 2], [10, 10])
+
+
 def test_nu_neg_cone_values():
     lat = get_lattice("P1xP1")
     assert nu_neg_cone(lat, [[1, 0], [0, 1]]) == Fraction(1, 4)
@@ -813,17 +793,17 @@ def test_cone_box_below_one_is_empty():
 
 def test_cone_box_budget_is_per_call():
     """The region and its boxes share one budget: each enumeration fits
-    alone, their sum does not."""
+    alone, their sum does not, and the call reports the sum."""
     lat = get_lattice("P1xP1")
     l_rows, b_vec = [[1, 0], [0, 1]], (20, 20)
     out = count_cone_box(lat, l_rows, b_vec)
     assert out["redraws"] == 0
     decomp = out["decomposition"]
-    visited = [out["visited"]] + [
-        enumerate_region(lat, counting._box_region(decomp, b_vec, n_vec),
-                         1).visited
+    visited = [count_cone_box(lat, l_rows, b_vec,
+                              histogram=False)["visited"]] + [
+        enumerate_region(lat, decomp.region(b_vec, n_vec), 1).visited
         for n_vec in product(*(range(1, k + 2) for k in out["kept"]))]
-    assert sum(visited) > max(visited)
+    assert out["visited"] == sum(visited) > max(visited)
     with pytest.raises(BudgetError):
         count_cone_box(lat, l_rows, b_vec, budget=max(visited))
     again = count_cone_box(lat, l_rows, b_vec, budget=sum(visited))
@@ -863,15 +843,17 @@ def test_hyperbola_sandwich_f1():
 
 
 def _fraction_tables(lat, l_rows, b_max):
-    """Rounded-height tables with every fingerprint built from Fractions,
-    once per distinct height vector."""
+    """Rounded-height tables with every fingerprint built from Fraction
+    powers of the basis heights, once per distinct height vector, over the
+    brute-force points."""
     cons = []
     for row, b in zip(l_rows, b_max):
         cons += [(row, b, 0), ([-x for x in row], 1, 0)]
+    weight = sign_class_count(lat)
     floor_d, ceil_d = {}, {}
     cells = {}
-
-    def cb(coords, hvals):
+    for _, mh in _naive_points(lat, Region(cons), 1):
+        hvals = mh.values
         if hvals not in cells:
             vals = []
             for row in l_rows:
@@ -883,10 +865,8 @@ def _fraction_tables(lat, l_rows, b_max):
                 tuple(v.numerator // v.denominator for v in vals),
                 tuple(-(-v.numerator // v.denominator) for v in vals))
         kf, kc = cells[hvals]
-        floor_d[kf] = floor_d.get(kf, 0) + 1
-        ceil_d[kc] = ceil_d.get(kc, 0) + 1
-
-    enumerate_region(lat, Region(cons), 1, callback=cb)
+        floor_d[kf] = floor_d.get(kf, 0) + weight
+        ceil_d[kc] = ceil_d.get(kc, 0) + weight
     return floor_d, ceil_d
 
 
@@ -896,7 +876,7 @@ def _fraction_tables(lat, l_rows, b_max):
     ("F1", [[1, 0], [0, 1]], [7, 16])])
 def test_tabulate_f_matches_fraction_fingerprints(name, l_rows, b_max):
     """Integer fingerprints give the tables the Fraction ones give; on F1
-    the basis class (0, 1) is not nef, so its hvals are Fractions."""
+    the basis class (0, 1) is not nef, so its heights are Fractions."""
     lat = get_lattice(name)
     floor_t, ceil_t = tabulate_f(lat, l_rows, b_max)
     floor_d, ceil_d = _fraction_tables(lat, l_rows, b_max)
@@ -938,16 +918,21 @@ def test_tabulate_f_reports_its_enumeration():
 
 
 def test_table_limit_is_checked_at_leaves():
-    """The guard stops the walk: the callback has not seen every point."""
+    """The guard stops the walk: F1 reuses no subtree, so only a leaf can
+    pass the limit, and with a budget one short of the whole run the
+    guard still fires before the budget does."""
     lat = get_lattice("F1")
     region = Region([((1, 0), 7, 0), ((-1, 0), 1, 0),
                      ((0, 1), 16, 0), ((0, -1), 1, 0)])
-    full = enumerate_region(lat, region, 1)
-    seen = []
+    rows = [[1, 0], [0, 1]]
+    full = enumerate_region(lat, region, 1, fingerprints=rows)
+    assert len(full.floor) > 5 and full.reused == 0
+    with pytest.raises(BudgetError):
+        enumerate_region(lat, region, 1, fingerprints=rows,
+                         budget=full.visited - 1)
     with pytest.raises(DegenerateInputError):
-        enumerate_region(lat, region, 1, callback=lambda c, h: seen.append(c),
-                         fingerprints=[[1, 0], [0, 1]], table_limit=5)
-    assert 0 < len(seen) < full.count
+        enumerate_region(lat, region, 1, fingerprints=rows, table_limit=5,
+                         budget=full.visited - 1)
     with pytest.raises(DegenerateInputError):
         tabulate_f(lat, [[1, 0], [0, 1]], [7, 16], table_limit=5)
 

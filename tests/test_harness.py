@@ -7,8 +7,8 @@ from math import pi
 
 import pytest
 
-from toricount import cli, verify
-from toricount.errors import DegenerateInputError
+from toricount import cli, counting, verify
+from toricount.errors import BudgetError, DegenerateInputError
 from toricount.verify import (Experiment, emit_report, fit_leading,
                               rows_to_csv, rows_to_gnuplot, rows_to_json,
                               run_experiment)
@@ -395,6 +395,48 @@ def test_cli_budget_is_global_across_workers(tmp_path, capsys, workers):
     assert cli.main(args + ["--budget", "10002"]) == 0
     visited = json.loads(capsys.readouterr().out)["visited"]
     assert visited == 10000 + int(workers)
+
+
+def test_verify_budget_is_per_run(capsys):
+    """Every count of a run shares its budget: each grid point fits alone,
+    the two together do not, and the CLI exits 3."""
+    lat = get_lattice("P1xP1")
+    grid = [100, 1000]
+    visited = [sum(counting.count_anticanonical(lat, b, mode=mode)["visited"]
+                   for mode in ("direct", "inclusion_exclusion"))
+               for b in grid]
+    budget = max(visited)
+
+    def run(grid, budget):
+        return run_experiment(Experiment(lat, "anticanonical", grid,
+                                         tau=TAU_PP, budget=budget))
+
+    for b in grid:
+        run([b], budget)
+    with pytest.raises(BudgetError):
+        run(grid, budget)
+    assert run(grid, sum(visited))[0][-1]["count"] == 10372
+    args = ["verify", "P1xP1", "--theorem", "anticanonical", "--grid",
+            "100,1000", "--tau", "1", "--format", "csv"]
+    assert cli.main(args + ["--budget", str(budget)]) == 3
+    assert cli.main(args + ["--budget", str(sum(visited))]) == 0
+
+
+def test_hyperbola_budget_covers_tables_and_grid():
+    """The tables and every direct count draw on one budget, which the run
+    uses up exactly."""
+    lat = get_lattice("P1xP1")
+    exp = Experiment(lat, "hyperbola", [100, 400], tau=TAU_PP)
+    _, summary = run_experiment(exp)
+    region = counting.Region([(lat.anticanonical, 1, 1)],
+                             facets=[[1, 0], [0, 1]])
+    total = summary["tabulation"]["visited"] + sum(
+        counting.enumerate_region(lat, region, b).visited for b in exp.grid)
+    exp.budget = total
+    run_experiment(exp)
+    exp.budget = total - 1
+    with pytest.raises(BudgetError):
+        run_experiment(exp)
 
 
 def test_cli_exit_code_bad_cone_index(capsys):
