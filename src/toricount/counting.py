@@ -22,9 +22,18 @@ group its least threshold ceil(c / prefix monomial); per group of cones with
 the same remaining rays outside them, the gcd of their prefix complement
 products.  Equal signatures have equal subtrees (the proof is in
 enumerate_region), so a per-call memo maps each signature to its (count,
-visited).  On P1xP1 every (x0, x1) with the same max(x0, x1) shares one.
-A depth where some nef group has a single nonconstant prefix monomial is
-skipped, since its signatures would not repeat; F1 has no other depth.
+visited).  A depth where some nef group has a single nonconstant prefix
+monomial is skipped, since its signatures would not repeat; F1 has no other
+depth.
+
+Children with equal signatures are also counted together.  Along the
+children m of a prefix the quota and threshold parts of the signature are
+monotone step functions, so they are constant on runs of m that end at exact
+integer roots; where every cone group holds the prefix's own ray, the gcd
+part depends on m only through gcd(m, L) for an integer L of the prefix.
+Each run and gcd class then costs one Moebius count and one memo lookup:
+on P1xP1 the (x0, x1) loop takes one step per run of equal
+floor(B / max(x0, x1)^2), the grouping by max-norm of the hyperbola method.
 
 The rounded-height tables of tabulate_f are tallied on the same path.  The
 leaf then walks the last coordinate and adds each point to its floor and
@@ -326,6 +335,20 @@ def _compile_constraints(lattice, region, B):
     return nef, anti, mixed
 
 
+def _blockable(cones, groups, ray):
+    """Per group of cones, the cones that hold `ray`, or None when some
+    group has none: that group's gcd then carries the new coordinate m
+    itself, so the children of the depth `ray` cannot be classed by
+    gcd(m, L) (enumerate_region)."""
+    out = []
+    for grp in groups:
+        held = [s for s in grp if ray in cones[s]]
+        if not held:
+            return None
+        out.append(held)
+    return out
+
+
 def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
     """Index lists of the subtree signature of enumerate_region, per
     eligible depth d.
@@ -337,14 +360,18 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
     set of remaining rays outside them; (4) for a tally, the distinct
     prefix vectors w[:d] of the max-monomial lists `lists`, and per list
     the groups of its reps with the same remaining vector, zero included,
-    as indices into those prefix vectors.  A zero prefix vector gives the
-    monomial 1, which never exceeds the others, so it is left out, and a
-    group of nothing else is constant and left out whole.  Groups (1), (3)
-    and (4) come as itemgetters that always return a tuple: repeating the
-    first index changes neither a min, a max nor a gcd.  Depth d in 1..n-2
-    is eligible unless some group of (1) or (4) has a single nonconstant
-    prefix monomial y^v: its part of the key then takes a new value on
-    nearly every prefix, so lookups there would miss.
+    as indices into those prefix vectors; (5) without a tally, when the
+    children of depth d - 1 are counted by runs (_blockable), per group of
+    (1) its pairs (index, w[d-1]) with w[d-1] > 0, per group of (3) its
+    cones that hold ray d - 1, and all cones that hold it; else None.  A
+    zero prefix vector gives the monomial 1, which never exceeds the
+    others, so it is left out, and a group of nothing else is constant and
+    left out whole.  Groups (1), (3) and (4), and the cones of (5), come as
+    itemgetters that always return a tuple: repeating the first index
+    changes neither a min, a max nor a gcd.  Depth d in 1..n-2 is eligible
+    unless some group of (1) or (4) has a single nonconstant prefix
+    monomial y^v: its part of the key then takes a new value on nearly
+    every prefix, so lookups there would miss.
     """
     def getters(groups):
         return [itemgetter(*grp, grp[0]) for grp in groups]
@@ -380,8 +407,15 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
         for s, cone in enumerate(cones):
             rest = tuple(lam for lam in range(d, n) if lam not in cone)
             outside.setdefault(rest, []).append(s)
+        held = None if lists else _blockable(cones, outside.values(), d - 1)
+        runs = None
+        if held is not None:
+            moving = [[(i, pair_reps[i][d - 1]) for i in grp
+                       if pair_reps[i][d - 1]] for grp in nef]
+            holders = [s for s, cone in enumerate(cones) if d - 1 in cone]
+            runs = (moving, getters(held), itemgetter(*holders, holders[0]))
         program[d] = (getters(nef), anti, getters(outside.values()),
-                      (heads, getters(tally)))
+                      (heads, getters(tally)), runs)
     return program
 
 
@@ -464,6 +498,34 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     bookkeeping are chosen once per call, so a count without a tally does
     no tally work at any node.
 
+    Runs.  Without a tally, a depth d whose child depth d + 1 is eligible
+    does not walk its children m one by one when every group of part (c)
+    at d + 1 has a cone that holds ray d (_blockable; decided once per
+    call).  It takes maximal runs [a, e] of m with equal parts (a) and (b):
+    floor(q / m^w) >= v iff m <= iroot(floor(q / v), w), so a group's least
+    quota v holds up to the least such root over its pairs with w_d > 0;
+    ceil(c / M) = t iff M (t - 1) < c <= M t, and M = max P_w m^{w_d} is
+    nondecreasing, so a threshold t >= 2 holds while every P_w m^{w_d} <=
+    floor((c - 1) / (t - 1)), and the mark while every P_w m^{w_d} <= c - 1.
+    Both parts are monotone, so a run's values never come back and runs
+    have distinct signatures.  Within a run the children with equal
+    D = gcd(m, L) have equal signatures, where, with base_s the prefix
+    complement products, A is the gcd of base_s over the cones that hold
+    ray d, and L the lcm over the groups of (c) of h, the gcd of base_s
+    over the group's cones that hold ray d.  Proof: a group's part (c) is
+    gcd(h, m k), k the gcd of base_s over its other cones; at each prime p
+    its exponent min(v_p(h), v_p(m) + v_p(k)) depends on m only through
+    min(v_p(m), v_p(h)), that is through gcd(m, h) = gcd(D, h), since
+    h | L.  The descent's coprimality test asks gcd(A, m K) = 1, K the gcd
+    over the other cones, where gcd(A, K) = 1 already (the prefix passed
+    it): it holds iff gcd(D, A) = 1, since A | L.  So each D | L coprime
+    to A is one class, of N_D = sum_{f | rad(L/D)} mu(f) (floor(e / Df) -
+    floor((a - 1) / Df)) children, and adds N_D times the memo entry of
+    its signature; on a miss its least child is descended first.  Classes
+    are taken in order of their least child, so the descents, and the memo
+    each of them finds, are those of the per-child walk, and count,
+    visited and reused do not change.
+
     `first_range=(lo, hi)` restricts the first coordinate for data-parallel
     partitioning.  `visited` counts descent nodes plus full leaf widths,
     reused subtrees included, so it does not depend on the memo or the
@@ -524,6 +586,9 @@ def enumerate_region(lattice, region, B, fingerprints=None,
                                   [side for pair in mono for side in pair]
                                   if tally else ())
                if closed else {})
+    # the depths whose children are counted by runs, with the signature
+    # program of their child depth
+    by_runs = {d - 1: spec for d, spec in program.items() if spec[4]}
     memo = {}
     # the floor and ceiling tables of the subtrees being stored, innermost
     # last, under the whole call's
@@ -649,7 +714,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     def signature(depth, comp, quotas):
         """The memo key of the subtree below the prefix mags[:depth], given
         that prefix's complement products and nef quotas."""
-        nef, anti, coprime, _ = program[depth]
+        nef, anti, coprime, _, _ = program[depth]
         key = [depth]
         for get in nef:
             key.append(min(get(quotas)))
@@ -690,6 +755,105 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         leaf = leaf_count if closed else leaf_walk
         key_of, lookup, store = signature, memo.get, memo.__setitem__
 
+    def run_end(depth, a, hi, spec, prefs):
+        """The last m <= hi with the parts (a) and (b) of the child
+        signature at depth + 1 equal to those of the child a."""
+        quotas, col = quota[-1], wcol[depth]
+        newq = [q // a ** w if w else q for q, w in zip(quotas, col)]
+        end = hi
+        # floor(q / m^w) >= v iff m <= iroot(floor(q / v), w)
+        for get, moving in zip(spec[0], spec[4][0]):
+            v = min(get(newq))
+            for i, w in moving:
+                r = linalg.iroot(quotas[i] // v, w)
+                if r < end:
+                    end = r
+        # ceil(c / M) = t iff M (t - 1) < c <= M t, and P m^w < c iff
+        # m <= iroot(floor((c - 1) / P), w)
+        for (c, reps, groups), pref in zip(spec[1], prefs):
+            grown = [p * a ** w[depth] for p, w in zip(pref, reps)]
+            if max(grown) >= c:
+                continue
+            limits = [(c - 1, range(len(reps)))]
+            for grp in groups:
+                t = -(-c // max(grown[i] for i in grp))
+                limits.append(((c - 1) // (t - 1), grp))
+            for x, idx in limits:
+                for i in idx:
+                    w = reps[i][depth]
+                    if w:
+                        r = linalg.iroot(x // pref[i], w)
+                        if r < end:
+                            end = r
+        return end
+
+    def walk_runs(depth, lo, hi, spec):
+        """The children m in [lo, hi] of a blockable depth, one step per
+        run of equal parts (a) and (b) and class D = gcd(m, L) in it."""
+        nonlocal visited, count, reused
+        quotas, base, col = quota[-1], comp_prod[-1], wcol[depth]
+        _, holders, held = spec[4]
+        ell = 1
+        for get in holders:
+            ell = lcm(ell, gcd(*get(base)))
+        coprime_to = gcd(*held(base))
+        primes = {p for lam in range(depth) for p in primes_of(mags[lam])
+                  if ell % p == 0}
+        divs = [1]  # the D | L coprime to A
+        for p in primes:
+            if coprime_to % p:
+                k, ext = p, []
+                while ell % k == 0:
+                    ext += [d * k for d in divs]
+                    k *= p
+                divs += ext
+        # per class D the signed D f, f | rad(L / D), so that
+        # #{m in [a, e] : gcd(m, L) = D} = sum mu (e // Df - (a - 1) // Df)
+        classes = []
+        for d in divs:
+            terms = [(d, 1)]
+            for p in primes:
+                if ell // d % p == 0:
+                    terms += [(k * p, -mu) for k, mu in terms]
+            classes.append((d, terms))
+        prefs = [[prefix(w, depth) for w in reps] for _, reps, _ in spec[1]]
+        a = lo
+        while a <= hi:
+            end = run_end(depth, a, hi, spec, prefs)
+            found = []  # (least m of the class, its number of children)
+            for d, terms in classes:
+                if d <= end:
+                    times = sum(mu * (end // k - (a - 1) // k)
+                                for k, mu in terms)
+                    if times:
+                        m = -(-a // d) * d
+                        while gcd(m, ell) != d:
+                            m += d
+                        found.append((m, times))
+            found.sort()
+            for m, times in found:
+                mags[depth] = m
+                newcomp = [base[s] * m if comp_has[s][depth] else base[s]
+                           for s in range(ncones)]
+                newq = [q // m ** w if w else q for q, w in zip(quotas, col)]
+                sig = signature(depth + 1, newcomp, newq)
+                hit = memo.get(sig)
+                if hit is None:
+                    start = count, visited
+                    comp_prod.append(newcomp)
+                    quota.append(newq)
+                    descend(depth + 1)
+                    comp_prod.pop()
+                    quota.pop()
+                    hit = memo[sig] = (count - start[0], visited - start[1])
+                    times -= 1
+                count += times * hit[0]
+                visited += times * hit[1]
+                reused += times
+                if visited > budget:
+                    raise BudgetError(over)
+            a = end + 1
+
     def descend(depth):
         nonlocal visited, count, reused
         quotas = quota[-1]
@@ -709,6 +873,9 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         visited += 1
         if visited > budget:
             raise BudgetError(over)
+        if depth in by_runs:
+            walk_runs(depth, lo, hi, by_runs[depth])
+            return
         base = comp_prod[-1]
         col = wcol[depth]
         for m in range(lo, hi + 1):
@@ -886,21 +1053,20 @@ def count_box(lattice, l_rows, lows, highs, b_vec, tau=None,
                          [hi * b for hi, b in zip(highs, b_vec)])
     res = enumerate_region(lattice, region, 1, budget=budget)
 
-    nu = Fraction(1, 1) / d
-    exact = True
-    nu_f = 1.0 / float(d)
+    # nu(D(a,b)) = prod_i (hi_i^c_i - lo_i^c_i) / (c_i |det L|): exact when
+    # every c_i is an integer, a float otherwise
+    exact = all(ci.denominator == 1 for ci in c)
+    nu = Fraction(1) / d if exact else 1.0 / float(d)
     for ci, lo, hi in zip(c, lows, highs):
         if ci.denominator == 1:
-            nu *= (hi ** int(ci) - lo ** int(ci)) / ci
-            nu_f *= float((hi ** int(ci) - lo ** int(ci)) / ci)
+            factor = (hi ** int(ci) - lo ** int(ci)) / ci
+            nu *= factor if exact else float(factor)
         else:
-            exact = False
-            nu_f *= (float(hi) ** float(ci) - float(lo) ** float(ci)) / float(ci)
-    nu_out = nu if exact else nu_f
-    out = {"count": res.count, "nu": nu_out, "exponents": c,
+            nu *= (float(hi) ** float(ci) - float(lo) ** float(ci)) / float(ci)
+    out = {"count": res.count, "nu": nu, "exponents": c,
            "B": b_vec, "visited": res.visited}
     if tau is not None:
-        pred = float(nu_out) * tau
+        pred = float(nu) * tau
         for ci, b in zip(c, b_vec):
             pred *= float(b) ** float(ci)
         out["prediction"] = pred

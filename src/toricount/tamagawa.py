@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import DegenerateInputError
 from .heights import _evaluator
+from .linalg import iroot
 
 DEFAULT_SAMPLES = 10 ** 7
 _STRATA = 64
@@ -38,16 +39,22 @@ def is_prime(n):
     return True
 
 
-def primes_up_to(n):
-    """Sieve of Eratosthenes."""
-    if n < 2:
-        return []
+def _sieve(n):
+    """Sieve of Eratosthenes for n >= 1: a boolean array of length n + 1,
+    True at the primes."""
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, int(n ** 0.5) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    return [int(p) for p in np.flatnonzero(sieve)]
+    return sieve
+
+
+def primes_up_to(n):
+    """The primes <= n, in increasing order."""
+    if n < 2:
+        return []
+    return np.flatnonzero(_sieve(n)).tolist()
 
 
 def _all_faces(fan):
@@ -109,20 +116,27 @@ def euler_product(fan, p_max):
 
     With E = V T and V <= value / (1 - g):
     |E - value| <= V (exp(t) - 1 + g) <= value (expm1(t) + g) / (1 - g).
+
+    The loop stops before the first p with S 2^54 < p^j0.  From there on
+    |Q(1/p) - 1| <= S / p^j0 < 2^-54, half the spacing of the doubles just
+    below 1, so every later factor rounds to exactly 1.0 and multiplying by
+    it is exact: value is the same double as over all p <= p_max, and the
+    bound above, which counts pi(p_max) factors, still holds.
     """
     if p_max < 100:
         raise DegenerateInputError("p_max must be at least 100")
     q = euler_polynomial(fan)
     j0 = next(j for j, c in enumerate(q) if j and c)  # Q(1) = 0, so exists
-    primes = primes_up_to(p_max)
+    s = sum(map(abs, q[1:]))
+    sieve = _sieve(p_max)
     value = 1.0
-    for p in primes:
+    for p in np.flatnonzero(sieve[:iroot(s << 54, j0) + 1]).tolist():
         num = 0
         for c in q:
             num = num * p + c
         value *= num / p ** fan.n_rays
-    t = sum(map(abs, q[1:])) / ((j0 - 1) * float(p_max) ** (j0 - 1))
-    g = 2 * len(primes) * 2.0 ** -53
+    t = s / ((j0 - 1) * float(p_max) ** (j0 - 1))
+    g = 2 * int(np.count_nonzero(sieve)) * 2.0 ** -53
     g /= 1.0 - g
     bound = value * (expm1(t) + g) / (1.0 - g)
     return {"value": value, "tail_bound": bound, "p_max": p_max,

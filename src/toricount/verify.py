@@ -271,7 +271,8 @@ def run_anticanonical(exp):
 
 
 def _hyperbola_setup(lat, l_rows, b_top, budget):
-    """Tables for the rounded-height sums, floor-complete up to b_top.
+    """Tables for the rounded-height sums, floor-complete up to b_top, with
+    the dual-basis data (alphas, |det L|) they were built from.
 
     alphas solves sum_i alpha_i L_i = omega (_dual_basis_data, which also
     checks that every alpha_i > 0).  A point whose floor fingerprint
@@ -280,7 +281,7 @@ def _hyperbola_setup(lat, l_rows, b_top, budget):
     anticanonical cutoff by 2^{ceil(sum alpha)} keeps every needed point in
     the tabulated set; the ceil table needs no slack.
     """
-    alphas, _, _ = counting._dual_basis_data(lat, l_rows)
+    alphas, det, _ = counting._dual_basis_data(lat, l_rows)
     caps = [linalg.floor_rational_power(Fraction(b_top), x.denominator,
                                         x.numerator) for x in alphas]
     total = sum(alphas)
@@ -290,7 +291,7 @@ def _hyperbola_setup(lat, l_rows, b_top, budget):
                                           [2 * c for c in caps],
                                           extra_constraints=extra,
                                           budget=budget)
-    return alphas, caps, f_floor, f_ceil
+    return alphas, det, caps, f_floor, f_ceil
 
 
 def run_hyperbola(exp):
@@ -300,9 +301,9 @@ def run_hyperbola(exp):
     tau = exp.ensure_tau()
     rho = lat.rank
     l_rows = _basis_rows(exp)
-    alphas, caps, f_floor, f_ceil = _hyperbola_setup(
+    alphas, det, caps, f_floor, f_ceil = _hyperbola_setup(
         lat, l_rows, exp.grid[-1], exp.budget)
-    nu_neg = counting.nu_neg_cone(lat, l_rows)
+    nu_neg = counting._nu_neg(alphas, det)
     lead = float(nu_neg) * tau / _factorial(rho - 1)
     region = counting.Region([(lat.anticanonical, 1, 1)],
                              facets=[[int(x) for x in row] for row in l_rows])

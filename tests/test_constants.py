@@ -1,7 +1,7 @@
 """Local densities, Euler products, and the archimedean density."""
 
 from fractions import Fraction
-from math import log, pi, sqrt
+from math import expm1, log, pi, sqrt
 
 import pytest
 from scipy.special import zeta
@@ -117,6 +117,35 @@ def test_euler_tail_bound_is_proven(name, p_max):
     # not vacuous: sum_{p > P} p^-2 ~ 1/(P log P) costs the bound a log
     assert e["tail_bound"] < 2 * log(p_max) * max(abs(e["value"] - exact),
                                                   1e-11)
+
+
+def _euler_every_prime(fan, p_max):
+    """euler_product's value and tail_bound with the loop run over every
+    prime up to p_max."""
+    q = tamagawa.euler_polynomial(fan)
+    j0 = next(j for j, c in enumerate(q) if j and c)
+    primes = tamagawa.primes_up_to(p_max)
+    value = 1.0
+    for p in primes:
+        num = 0
+        for c in q:
+            num = num * p + c
+        value *= num / p ** fan.n_rays
+    t = sum(map(abs, q[1:])) / ((j0 - 1) * float(p_max) ** (j0 - 1))
+    g = 2 * len(primes) * 2.0 ** -53
+    g /= 1.0 - g
+    return value, value * (expm1(t) + g) / (1.0 - g)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_euler_product_stops_where_factors_round_to_one(name):
+    """Past the first p with S 2^54 < p^j0 every factor rounds to 1.0, so
+    the early stop changes neither the value nor the bound by one bit."""
+    fan = get_lattice(name).fan
+    for p_max in (100, 10 ** 5, 10 ** 6):
+        e = tamagawa.euler_product(fan, p_max)
+        assert (e["value"], e["tail_bound"]) == _euler_every_prime(fan,
+                                                                   p_max)
 
 
 def test_euler_product_enforces_minimum_pmax():

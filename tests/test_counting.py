@@ -1,6 +1,7 @@
 """Exact enumeration, boxes, histograms, and hyperbola sums."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations, product
 from math import gcd
@@ -574,6 +575,153 @@ def test_memo_hits_respect_budget():
         enumerate_region(lat, region, 1000, budget=res.visited - 1)
 
 
+# -- blocked descent --------------------------------------------------------
+
+
+def _blocked_and_per_child(lat, region, B, **kw):
+    """Counts a region twice: as is, where a blockable depth counts its
+    children one run and gcd class at a time, and with counting._blockable
+    switched off, which walks every child.  count, visited and reused
+    agree."""
+    blocked = enumerate_region(lat, region, B, **kw)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_blockable", lambda *a: None)
+        single = enumerate_region(lat, region, B, **kw)
+    assert ((blocked.count, blocked.visited, blocked.reused)
+            == (single.count, single.visited, single.reused))
+    return blocked
+
+
+@pytest.mark.parametrize("name,blocked", [("P1", []), ("P2", []),
+                                          ("P3", [2]), ("P1xP1", [2]),
+                                          ("F1", [])])
+def test_blockable_depths(name, blocked):
+    """Children are counted by runs where every cone group of the child
+    depth has a cone that holds the parent's ray: never at P2 and P3 depth
+    0 (the cone outside all later rays misses ray 0) nor on F1, and never
+    with a tally."""
+    lat = get_lattice(name)
+    nef, anti, _ = counting._compile_constraints(
+        lat, anticanonical_region(lat), 100)
+    pair_reps = [w for _, _, _, reps in nef for w in reps]
+    cones, n = lat.fan.max_cones, lat.fan.n_rays
+    program = counting._signature_program(pair_reps, anti, cones, n)
+    assert sorted(d for d, spec in program.items() if spec[4]) == blocked
+    mono = heights._evaluator(lat).nef_split[2]
+    tallied = counting._signature_program(
+        pair_reps, anti, cones, n, [side for pair in mono for side in pair])
+    assert all(spec[4] is None for spec in tallied.values())
+
+
+@pytest.mark.parametrize("name,B", [("P2", 3000), ("P3", 20000),
+                                    ("P1xP1", 30032), ("F1", 3000)])
+def test_blocked_descent_anticanonical(name, B):
+    lat = get_lattice(name)
+    assert _blocked_and_per_child(lat, anticanonical_region(lat), B).count > 0
+
+
+def test_blocked_descent_inclusion_exclusion_facets():
+    lat = get_lattice("P1xP1")
+    dec = effective_decomposition([list(c) for c in lat.classes],
+                                  list(lat.anticanonical))
+    facet_lists = [dual_cone([list(g) for g in cone], lat.rank)
+                   for cone in dec.cones]
+    for k in range(1, len(facet_lists) + 1):
+        for sub in combinations(facet_lists, k):
+            facets = [f for fl in sub for f in fl]
+            _blocked_and_per_child(
+                lat, anticanonical_region(lat, facets=facets), 5032)
+
+
+def test_blocked_descent_cone_boxes():
+    lat = get_lattice("P1xP1")
+    decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
+    b_vec = (20, 20)
+    regions = [decomp.region(b_vec, n_vec) for n_vec in
+               product(*(range(1, k + 2) for k in decomp.kept(b_vec)))]
+    assert len(regions) == 24
+    total = sum(_blocked_and_per_child(lat, r, 1).count for r in regions)
+    assert total == 260100
+
+
+@pytest.mark.parametrize("name,B,low", [("P2", 20000, 7001),
+                                        ("P1xP1", 3000, 1001),
+                                        ("P1xP1", 30000, 2900),
+                                        ("P3", 3000, 999),
+                                        ("P3", 50000, 4001)])
+def test_blocked_descent_annulus(name, B, low):
+    """low <= H_{omega^-1} <= B: the anti-nef threshold and its mark end
+    runs as well as the nef quotas."""
+    lat = get_lattice(name)
+    anti = [-x for x in lat.anticanonical]
+    region = Region([(lat.anticanonical, B, 0), (anti, Fraction(1, low), 0)])
+    assert _blocked_and_per_child(lat, region, 1).count > 0
+
+
+def test_blocked_descent_anti_nef_threshold():
+    cap, c = 37, 1000
+    lat = get_lattice("P1xP1")
+    region = Region([((1, 0), cap, 0), ((0, 1), cap, 0),
+                     ((-1, -1), Fraction(1, c), 0)])
+    assert _blocked_and_per_child(lat, region, 1).reused > 0
+
+
+def test_blocked_descent_gcd_classes():
+    """P3 below x0 = 6: the x1 in [1, 12] fall into the classes
+    gcd(x1, 6) = 1, 2, 3, 6, each one subtree, so 12 - 4 of them reuse
+    one; other x0 give other divisor lattices."""
+    lat = get_lattice("P3")
+    region = anticanonical_region(lat)
+    res = _blocked_and_per_child(lat, region, 12 ** 4, first_range=(6, 6))
+    assert res.reused == 12 - 4
+    for x0 in (1, 12, 24, 30):
+        _blocked_and_per_child(lat, region, 30 ** 4, first_range=(x0, x0))
+
+
+def test_blocked_descent_nested_depths():
+    """On P4 depths 1 and 2 both count their children by runs, the second
+    inside the subtrees the first descends.  Its torus points of
+    anticanonical height <= N^5 number (1/2) sum_d mu(d) (2 floor(N/d))^5."""
+    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+            [-1, -1, -1, -1]]
+    lat = fans.class_lattice(fans.make_fan(
+        4, rays, list(combinations(range(5), 4)), name="P4"))
+    region = anticanonical_region(lat)
+    nef, anti, _ = counting._compile_constraints(lat, region, 100)
+    program = counting._signature_program(
+        [w for _, _, _, reps in nef for w in reps], anti,
+        lat.fan.max_cones, lat.fan.n_rays)
+    assert sorted(d for d, spec in program.items() if spec[4]) == [2, 3]
+    mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
+    res = _blocked_and_per_child(lat, region, 8 ** 5)
+    assert res.count == sum(m * (2 * (8 // d)) ** 5
+                            for d, m in mu.items()) // 2 == 507376
+    assert res.reused > 0
+    _blocked_and_per_child(lat, region, 12 ** 5, first_range=(6, 6))
+
+
+def test_blocked_descent_respects_budget():
+    lat = get_lattice("P1xP1")
+    region = anticanonical_region(lat)
+    res = enumerate_region(lat, region, 30032)
+    assert enumerate_region(lat, region, 30032,
+                            budget=res.visited).count == res.count
+    with pytest.raises(BudgetError):
+        enumerate_region(lat, region, 30032, budget=res.visited - 1)
+
+
+def test_p1xp1_at_a_million():
+    """The closed form of bench/reference.py, sum_k a(k) A(N / k), gives
+    20879748; visited and reused are those of the per-child loop."""
+    lat = get_lattice("P1xP1")
+    start = time.perf_counter()
+    res = enumerate_region(lat, anticanonical_region(lat), 10 ** 6)
+    elapsed = time.perf_counter() - start
+    assert (res.count, res.visited, res.reused) == (20879748, 8509144,
+                                                    608196)
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
 # -- direct vs inclusion-exclusion -------------------------------------------
 
 
@@ -681,6 +829,20 @@ def test_count_box_frozen():
     assert out["nu"] == Fraction(9, 4)
     assert list(out["exponents"]) == [2, 2]
     assert out["ratio"] == pytest.approx(160000 / (2.25 * 10 ** 4))
+
+
+def test_count_box_nu_exact_or_float():
+    """nu(D(a,b)) is an exact Fraction when every c_i is an integer, and a
+    float otherwise: L = diag(3, 1) on P1xP1 gives c = (2/3, 2)."""
+    lat = get_lattice("P1xP1")
+    out = count_box(lat, [[1, 0], [0, 1]], [1, 1], [2, 3], [4, 5])
+    assert out["nu"] == Fraction(3 * 8, 2 * 2) and type(out["nu"]) is Fraction
+    out = count_box(lat, [[3, 0], [0, 1]], [1, 1], [2, 3], [4, 5])
+    assert list(out["exponents"]) == [Fraction(2, 3), 2]
+    assert type(out["nu"]) is float
+    assert out["nu"] == 1.1748021039363987
+    assert out["nu"] == (1.0 / 3.0 * ((2.0 ** (2 / 3) - 1.0) / (2 / 3))
+                         * float(Fraction(3 ** 2 - 1, 2)))
 
 
 def test_count_box_is_product_on_p1xp1():

@@ -7,7 +7,7 @@ from math import pi
 
 import pytest
 
-from toricount import cli, counting, verify
+from toricount import cli, counting, linalg, verify
 from toricount.errors import BudgetError, DegenerateInputError
 from toricount.verify import (Experiment, emit_report, fit_leading,
                               rows_to_csv, rows_to_gnuplot, rows_to_json,
@@ -164,6 +164,25 @@ def test_run_hyperbola_p1xp1():
     assert summary["tabulation"]["reused"] > 0
     for r in rows:
         assert r["sum_ceil"] == r["count"] == r["sum_floor"]
+
+
+def test_run_hyperbola_solves_dual_basis_once(monkeypatch):
+    """The tables' set-up solves L's dual basis, and nu(-Lambda) comes
+    from that same solve: one linalg.inverse per warm run."""
+    exp = Experiment(get_lattice("P1xP1"), "hyperbola", [100, 400],
+                     tau=TAU_PP, params={"l_rows": [[1, -1], [0, 1]]})
+    run_experiment(exp)  # compiles the vertex programs
+    calls = []
+    inverse = linalg.inverse
+
+    def counted(a):
+        calls.append(1)
+        return inverse(a)
+
+    monkeypatch.setattr(linalg, "inverse", counted)
+    _, summary = run_experiment(exp)
+    assert summary["nu_neg"] == "1/8"
+    assert len(calls) == 1
 
 
 def test_run_intersections_p1xp1():
