@@ -15,7 +15,7 @@ decides the nef ones exactly, and the last coordinate is counted in closed
 form by Moebius inversion over an interval (enumerate_region).
 
 Prefixes that leave the same subtree are counted once.  On the closed path
-each prefix of depth 1..n-2 has an integer signature: per group of nef
+each prefix of depth 1..n-1 has an integer signature: per group of nef
 monomials with the same remaining exponents, the least quota floor(bound /
 prefix monomial); per anti-nef constraint, whether it already holds, or per
 group its least threshold ceil(c / prefix monomial); per group of cones with
@@ -24,7 +24,8 @@ products.  Equal signatures have equal subtrees (the proof is in
 enumerate_region), so a per-call memo maps each signature to its (count,
 visited).  A depth where some nef group has a single nonconstant prefix
 monomial is skipped, since its signatures would not repeat; F1 has no other
-depth.
+depth.  The leaf depth n-1, whose subtree is one closed-form count, is keyed
+only where its parent walks long runs (P2 and P3, not P1xP1 or F1).
 
 Children with equal signatures are also counted together.  Along the
 children m of a prefix the quota and threshold parts of the signature are
@@ -368,10 +369,17 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
     others, so it is left out, and a group of nothing else is constant and
     left out whole.  Groups (1), (3) and (4), and the cones of (5), come as
     itemgetters that always return a tuple: repeating the first index
-    changes neither a min, a max nor a gcd.  Depth d in 1..n-2 is eligible
+    changes neither a min, a max nor a gcd.  Depth d in 1..n-1 is eligible
     unless some group of (1) or (4) has a single nonconstant prefix
     monomial y^v: its part of the key then takes a new value on nearly
-    every prefix, so lookups there would miss.
+    every prefix, so lookups there would miss.  A hit at the leaf depth
+    n-1 saves only one closed-form Moebius sum, so it is keyed only where
+    its parent's runs are long: without a tally, when every group of (3)
+    has a cone that holds ray n-2 (else a group's gcd carries the parent's
+    coordinate, as y0 does on P1xP1), and when no pair of (1) has
+    w[n-2] > 0 (else the quotas move with the parent's coordinate, as on
+    F1, and runs are about one child long).  This test is written out
+    rather than left to _blockable, which decides runs, not eligibility.
     """
     def getters(groups):
         return [itemgetter(*grp, grp[0]) for grp in groups]
@@ -388,10 +396,20 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
                    and any(vecs[grp[0]][:d]) for grp in groups)
 
     program = {}
-    for d in range(1, n - 1):
+    for d in range(1, n):
         nef = by_rest(pair_reps, d)
         if single(pair_reps, nef, d):
             continue
+        outside = {}
+        for s, cone in enumerate(cones):
+            rest = tuple(lam for lam in range(d, n) if lam not in cone)
+            outside.setdefault(rest, []).append(s)
+        if d == n - 1:  # the leaf: keyed only below long runs
+            unheld = any(all(d - 1 not in cones[s] for s in grp)
+                         for grp in outside.values())
+            moving = any(pair_reps[i][d - 1] > 0 for grp in nef for i in grp)
+            if lists or unheld or moving:
+                continue
         heads = sorted({w[:d] for reps in lists for w in reps if any(w[:d])})
         tally = []
         for reps in lists:
@@ -403,10 +421,6 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
         if any(len(grp) == 1 for grp in tally):
             continue
         anti = [(c, reps, by_rest(reps, d)) for _, _, c, reps in anti_cons]
-        outside = {}
-        for s, cone in enumerate(cones):
-            rest = tuple(lam for lam in range(d, n) if lam not in cone)
-            outside.setdefault(rest, []).append(s)
         held = None if lists else _blockable(cones, outside.values(), d - 1)
         runs = None
         if held is not None:
@@ -451,10 +465,12 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     coordinate_bounds.
 
     Subtree memo.  On the closed path (no mixed constraint) the count and
-    `visited` of the subtree below a prefix at depth d, 1 <= d <= n-2, are
+    `visited` of the subtree below a prefix at depth d, 1 <= d <= n-1, are
     stored under its signature, and a later prefix with the same signature
-    adds them without descending (`reused` counts those hits).  With the remaining vector of a monomial its exponents from
-    position d on, the signature is d together with
+    adds them without descending (`reused` counts those hits); at the leaf
+    depth n-1 the subtree is the leaf itself.  With the remaining vector of
+    a monomial its exponents from position d on, the signature is d
+    together with
       (a) per group of nef pairs with the same nonzero remaining vector v,
           the least quota Q;
       (b) per anti-nef constraint, a mark that some prefix monomial P_w
@@ -486,9 +502,13 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     X_w depends on w only through its group g, so it equals
     max_g (max_{w in g} P_w) X_g: equal keys give equal max-monomials, so
     equal H_{e_j} and equal fingerprints, point for point.  A group whose
-    prefix monomials are all 1 is constant and left out of the key.  The
-    bounds, the weight, the rows L_i and the budget are fixed for the call,
-    and depth 0, where first_range acts, is never stored.  So equal
+    prefix monomials are all 1 is constant and left out of the key.  At
+    the leaf depth n-1 the subtree is one interval count: part (a) and
+    bounds[n-1] give its cap, and its width, the visited it adds; part (b)
+    gives the lower end of leaf_start; and the group T = {} of part (c) is
+    G0, whose primes are all the Moebius sum reads.  The bounds, the
+    weight, the rows L_i and the budget are fixed for the call, and depth
+    0, where first_range acts, is never stored.  So equal
     signatures have equal subtrees, node for node, and with a tally equal
     floor and ceiling sub-tables.  A depth is used only when
     _signature_program finds it eligible, decided once per call.  With a
@@ -889,8 +909,6 @@ def enumerate_region(lattice, region, B, fingerprints=None,
             if g != 1:
                 continue
             newq = [q // m ** w if w else q for q, w in zip(quotas, col)]
-            if 0 in newq:
-                continue
             mags[depth] = m
             sig = None
             if depth + 1 in program:

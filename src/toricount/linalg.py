@@ -7,7 +7,7 @@ asymptotics.
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
 
 def mat_copy(a):
@@ -466,18 +466,26 @@ def nullspace(a):
 def iroot(x, k):
     """Floor of the k-th root of a nonnegative integer, exactly.
 
-    Integer Newton iteration from an overestimate; converges monotonically.
+    Square roots are math.isqrt.  Below 2^52 the radicand is an exact double
+    and the float root is within one of the answer; above, integer Newton
+    iteration from an overestimate converges monotonically.  Either start
+    is then corrected step by step to the exact floor.
     """
     if x < 0:
         raise ValueError("negative radicand")
     if x in (0, 1) or k == 1:
         return x
-    r = 1 << ((x.bit_length() + k - 1) // k)  # 2^ceil(bits/k) >= x^(1/k)
-    while True:
-        nr = ((k - 1) * r + x // r ** (k - 1)) // k
-        if nr >= r:
-            break
-        r = nr
+    if k == 2:
+        return isqrt(x)
+    if x < 1 << 52:
+        r = int(x ** (1.0 / k))
+    else:
+        r = 1 << ((x.bit_length() + k - 1) // k)  # 2^ceil(bits/k) >= root
+        while True:
+            nr = ((k - 1) * r + x // r ** (k - 1)) // k
+            if nr >= r:
+                break
+            r = nr
     while r ** k > x:
         r -= 1
     while (r + 1) ** k <= x:

@@ -481,13 +481,16 @@ def test_visited_is_pinned():
 # -- subtree memo --------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name,depths", [("P1", []), ("P2", [1]),
-                                         ("P3", [1, 2]), ("P1xP1", [2]),
+@pytest.mark.parametrize("name,depths", [("P1", []), ("P2", [1, 2]),
+                                         ("P3", [1, 2, 3]), ("P1xP1", [2]),
                                          ("F1", [])])
 def test_signature_depths(name, depths):
-    """Memo depths lie in 1..n-2, never at depth 0, where first_range acts;
+    """Memo depths lie in 1..n-1, never at depth 0, where first_range acts;
     a depth with a nef group of one nonconstant prefix monomial (F1 at
-    both depths, P1xP1 at depth 1) is skipped."""
+    depths 1 and 2, P1xP1 at depth 1) is skipped.  The leaf depth n-1 is
+    keyed only where its parent's runs are long: P1xP1's leaf key would
+    carry y0 (no cone group at depth 3 holds ray 2), and F1's leaf quotas
+    move with its parent's coordinate."""
     lat = get_lattice(name)
     nef, anti, _ = counting._compile_constraints(
         lat, anticanonical_region(lat), 100)
@@ -526,13 +529,15 @@ def test_memo_matches_streaming_walk(name, B):
 
 def test_memo_keeps_prefix_gcd():
     """P3 prefixes (6, x1) have gcd 1, 2, 3 or 6: the subtree below depends
-    on it, and prefixes with equal gcd share one."""
+    on it, and prefixes with equal gcd share one.  Below the four (6, x1)
+    descended, the 48 leaves (6, x1, x2) fall into the classes
+    gcd(6, x1, x2) = 1, 2, 3, 6, so 48 - 4 more reuse one."""
     lat = get_lattice("P3")
     B = 12 ** 4
     assert coordinate_bounds(lat, anticanonical_region(lat), B)[1] == 12
     res = _both_leaf_paths(lat, anticanonical_region(lat), B,
                            first_range=(6, 6))
-    assert res.reused == 12 - 4
+    assert res.reused == (12 - 4) + (48 - 4)
 
 
 def test_memo_keeps_anti_nef_threshold():
@@ -592,14 +597,14 @@ def _blocked_and_per_child(lat, region, B, **kw):
     return blocked
 
 
-@pytest.mark.parametrize("name,blocked", [("P1", []), ("P2", []),
-                                          ("P3", [2]), ("P1xP1", [2]),
+@pytest.mark.parametrize("name,blocked", [("P1", []), ("P2", [2]),
+                                          ("P3", [2, 3]), ("P1xP1", [2]),
                                           ("F1", [])])
 def test_blockable_depths(name, blocked):
     """Children are counted by runs where every cone group of the child
     depth has a cone that holds the parent's ray: never at P2 and P3 depth
     0 (the cone outside all later rays misses ray 0) nor on F1, and never
-    with a tally."""
+    with a tally.  On P2 and P3 the parent of the leaf walks runs too."""
     lat = get_lattice(name)
     nef, anti, _ = counting._compile_constraints(
         lat, anticanonical_region(lat), 100)
@@ -669,18 +674,20 @@ def test_blocked_descent_anti_nef_threshold():
 def test_blocked_descent_gcd_classes():
     """P3 below x0 = 6: the x1 in [1, 12] fall into the classes
     gcd(x1, 6) = 1, 2, 3, 6, each one subtree, so 12 - 4 of them reuse
-    one; other x0 give other divisor lattices."""
+    one, and the 48 leaves below the four descended fall into the classes
+    gcd(6, x1, x2), so 48 - 4 more do; other x0 give other divisor
+    lattices."""
     lat = get_lattice("P3")
     region = anticanonical_region(lat)
     res = _blocked_and_per_child(lat, region, 12 ** 4, first_range=(6, 6))
-    assert res.reused == 12 - 4
+    assert res.reused == (12 - 4) + (48 - 4)
     for x0 in (1, 12, 24, 30):
         _blocked_and_per_child(lat, region, 30 ** 4, first_range=(x0, x0))
 
 
 def test_blocked_descent_nested_depths():
-    """On P4 depths 1 and 2 both count their children by runs, the second
-    inside the subtrees the first descends.  Its torus points of
+    """On P4 depths 1, 2 and 3 all count their children by runs, each
+    inside the subtrees the one before descends.  Its torus points of
     anticanonical height <= N^5 number (1/2) sum_d mu(d) (2 floor(N/d))^5."""
     rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
             [-1, -1, -1, -1]]
@@ -691,7 +698,7 @@ def test_blocked_descent_nested_depths():
     program = counting._signature_program(
         [w for _, _, _, reps in nef for w in reps], anti,
         lat.fan.max_cones, lat.fan.n_rays)
-    assert sorted(d for d, spec in program.items() if spec[4]) == [2, 3]
+    assert sorted(d for d, spec in program.items() if spec[4]) == [2, 3, 4]
     mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
     res = _blocked_and_per_child(lat, region, 8 ** 5)
     assert res.count == sum(m * (2 * (8 // d)) ** 5
@@ -720,6 +727,92 @@ def test_p1xp1_at_a_million():
     assert (res.count, res.visited, res.reused) == (20879748, 8509144,
                                                     608196)
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+# -- leaf memo ----------------------------------------------------------------
+
+
+def _p1xp2():
+    rays = [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)]
+    cones = [(x,) + pair for x in (0, 1) for pair in ((2, 3), (3, 4), (2, 4))]
+    return fans.class_lattice(fans.make_fan(3, rays, cones, name="P1xP2"))
+
+
+def _with_and_without_leaf_key(lat, region, B, **kw):
+    """Counts a region twice: with the leaf depth n-1 in the signature
+    program, by runs and child by child (_blocked_and_per_child), and with
+    the leaf depth dropped from the program.  count and visited agree; the
+    leaf key only adds hits."""
+    keyed = _blocked_and_per_child(lat, region, B, **kw)
+    signature_program = counting._signature_program
+
+    def leafless(*args):
+        program = signature_program(*args)
+        program.pop(lat.fan.n_rays - 1, None)
+        return program
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_signature_program", leafless)
+        plain = enumerate_region(lat, region, B, **kw)
+    assert (keyed.count, keyed.visited) == (plain.count, plain.visited)
+    assert keyed.reused >= plain.reused
+    return keyed, plain
+
+
+@pytest.mark.parametrize("name,B", [("P2", 20000), ("P3", 50000),
+                                    ("P1xP2", 6000)])
+def test_leaf_key_matches_leafless_program(name, B):
+    """On the anticanonical region, on annuli low <= H_{omega^-1} <= B,
+    whose anti-nef lower end is part (b) of the leaf key, and on the
+    ranges of a first-coordinate partition."""
+    lat = _p1xp2() if name == "P1xP2" else get_lattice(name)
+    full = anticanonical_region(lat)
+    keyed, plain = _with_and_without_leaf_key(lat, full, B)
+    assert keyed.count > 0 and keyed.reused > plain.reused
+    anti = [-x for x in lat.anticanonical]
+    for low in (B // 8, B // 3, B // 2):
+        region = Region([(lat.anticanonical, B, 0),
+                         (anti, Fraction(1, low), 0)])
+        assert _with_and_without_leaf_key(lat, region, 1)[0].count > 0
+    parts = partition_first_coordinate(lat, full, B, 3)
+    assert sum(_with_and_without_leaf_key(lat, full, B, first_range=r)[0]
+               .count for r in parts) == keyed.count
+
+
+def test_leaf_memo_respects_budget():
+    lat = get_lattice("P2")
+    region = anticanonical_region(lat)
+    res = enumerate_region(lat, region, 300000)
+    assert res.reused > 0
+    assert enumerate_region(lat, region, 300000,
+                            budget=res.visited).count == res.count
+    with pytest.raises(BudgetError):
+        enumerate_region(lat, region, 300000, budget=res.visited - 1)
+
+
+@pytest.mark.parametrize("name,B,want", [
+    ("P2", 10 ** 9, (3328184548, 1000001001, 999000)),
+    ("P3", 10 ** 10, (73713849720, 9971320909, 199080))])
+def test_leaf_memo_at_scale(name, B, want):
+    """The closed form (1/2) sum_d mu(d) (2 floor(N/d))^n, N = B^(1/n), of
+    bench/reference.py.  visited is that of the per-child loop.  The 1000^2
+    leaves (x0, x1) of P2 fall into the 1000 classes gcd(x0, x1), so all but
+    1000 of them reuse a stored leaf."""
+    lat = get_lattice(name)
+    n = lat.fan.n_rays
+    big = linalg.iroot(B, n)
+    mu = [0, 1] + [1] * (big - 1)
+    for p in range(2, big + 1):
+        if all(p % q for q in range(2, p)):
+            for k in range(p, big + 1, p):
+                mu[k] *= 0 if k % (p * p) == 0 else -1
+    assert sum(mu[d] * (2 * (big // d)) ** n
+               for d in range(1, big + 1)) // 2 == want[0]
+    start = time.perf_counter()
+    res = enumerate_region(lat, anticanonical_region(lat), B)
+    elapsed = time.perf_counter() - start
+    assert (res.count, res.visited, res.reused) == want
+    assert elapsed < 1.0, f"{elapsed:.2f} s"
 
 
 # -- direct vs inclusion-exclusion -------------------------------------------

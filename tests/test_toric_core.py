@@ -273,6 +273,38 @@ def test_iroot_boundaries():
                 assert linalg.iroot(n ** k + 1, k) == n
 
 
+def _newton_iroot(x, k):
+    """Integer Newton iteration alone, the reference for linalg.iroot."""
+    if x in (0, 1) or k == 1:
+        return x
+    r = 1 << ((x.bit_length() + k - 1) // k)
+    while True:
+        nr = ((k - 1) * r + x // r ** (k - 1)) // k
+        if nr >= r:
+            break
+        r = nr
+    while r ** k > x:
+        r -= 1
+    while (r + 1) ** k <= x:
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("k", range(1, 7))
+def test_iroot_matches_newton(k):
+    """Around r^k for r on both sides of 2^(52/k), where the float seed
+    gives way to Newton, and of 2^(64/k)."""
+    rs = {1, 2, 3}
+    for bits in (52, 64):
+        edge = round(2 ** (bits / k))
+        rs.update(range(max(1, edge - 3), edge + 4))
+    rng = random.Random(k)
+    rs.update(rng.randrange(1, 2 ** (80 // k)) for _ in range(200))
+    for r in sorted(rs):
+        for x in (r ** k - 1, r ** k, r ** k + 1):
+            assert linalg.iroot(x, k) == _newton_iroot(x, k), (x, k)
+
+
 def test_floor_rational_power():
     assert linalg.floor_rational_power(Fraction(1000), 1, 2) == 31
     assert linalg.floor_rational_power(Fraction(1000), 1, 3) == 10
