@@ -13,8 +13,7 @@ from .errors import (BudgetError, CoprimalityError, DegenerateInputError,
                      ToricountError, ValidationError)
 from .fans import (Fan, ClassLattice, builtin_fan, class_lattice, load_fan,
                    make_fan, parse_fan, resolve_fan, validate_fan)
-from .heights import (MultiHeight, TorsorPoint, canonicalize, local_height,
-                      multi_height, select_cone)
+from .heights import MultiHeight, TorsorPoint, canonicalize, multi_height
 from .cones import (alpha_constant, c_p_constant, dual_cone,
                     effective_decomposition, hyperbola_polytope,
                     nu_simplicial)
@@ -35,8 +34,7 @@ __all__ = [
     "SingularConeError", "TorsionError", "ToricountError", "ValidationError",
     "Fan", "ClassLattice", "builtin_fan", "class_lattice", "load_fan",
     "make_fan", "parse_fan", "resolve_fan", "validate_fan",
-    "MultiHeight", "TorsorPoint", "canonicalize", "local_height",
-    "multi_height", "select_cone",
+    "MultiHeight", "TorsorPoint", "canonicalize", "multi_height",
     "alpha_constant", "c_p_constant", "dual_cone", "effective_decomposition",
     "hyperbola_polytope", "nu_simplicial",
     "Region", "anticanonical_region", "coordinate_bounds",

@@ -315,31 +315,43 @@ def hermite_row_form(a):
     return h, u, u_inv
 
 
-def frac_matrix(a):
-    return [[Fraction(x) for x in row] for row in a]
+def _eliminate(a, width):
+    """Exact Gauss-Jordan elimination on the first `width` columns of a.
 
-
-def rank(a):
-    """Rank of a rational matrix (exact Gaussian elimination)."""
-    m = frac_matrix(a)
+    Rows may carry further (augmented) columns, which ride along.  Returns
+    (m, pivots, det): m is the reduced matrix over Fraction, its first
+    len(pivots) rows have a 1 in column pivots[i] and zeros above and below,
+    and det is the product of the pivots with the sign of the row swaps,
+    which is the determinant of a square a of full rank.
+    """
+    m = [[Fraction(x) for x in row] for row in a]
     n = len(m)
-    cols = len(m[0]) if n else 0
-    r = 0
-    for c in range(cols):
+    pivots = []
+    det = Fraction(1)
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
         piv = next((i for i in range(r, n) if m[i][c]), None)
         if piv is None:
             continue
-        m[r], m[piv] = m[piv], m[r]
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            det = -det
+        det *= m[r][c]
         inv = 1 / m[r][c]
         m[r] = [x * inv for x in m[r]]
         for i in range(n):
             if i != r and m[i][c]:
                 f = m[i][c]
                 m[i] = [x - f * y for x, y in zip(m[i], m[r])]
-        r += 1
-        if r == n:
-            break
-    return r
+        pivots.append(c)
+    return m, pivots, det
+
+
+def rank(a):
+    """Rank of a rational matrix."""
+    return len(_eliminate(a, len(a[0]) if a else 0)[1])
 
 
 def solve_exact(a, b):
@@ -348,73 +360,30 @@ def solve_exact(a, b):
     a is n x m (n equations), b length n.  For underdetermined systems an
     arbitrary solution (free variables set to zero) is returned.
     """
-    n = len(a)
-    m = len(a[0]) if n else 0
-    aug = [[Fraction(x) for x in row] + [Fraction(b[i])] for i, row in enumerate(a)]
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if aug[i][m]:
-            return None
+    m = len(a[0]) if a else 0
+    aug, pivots, _ = _eliminate([list(row) + [y] for row, y in zip(a, b)], m)
+    if any(row[m] for row in aug[len(pivots):]):
+        return None
     x = [Fraction(0)] * m
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][m]
+    for row, c in zip(aug, pivots):
+        x[c] = row[m]
     return x
 
 
 def det(a):
     """Exact determinant of a square rational matrix."""
-    m = frac_matrix(a)
-    n = len(m)
-    sign = 1
-    result = Fraction(1)
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        result *= m[c][c]
-        inv = 1 / m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c]:
-                f = m[i][c] * inv
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return sign * result
+    _, pivots, d = _eliminate(a, len(a))
+    return d if len(pivots) == len(a) else Fraction(0)
 
 
 def inverse(a):
-    """Exact inverse of a square rational matrix."""
+    """Exact inverse of a square rational matrix; ValueError if singular."""
     n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-         for i, row in enumerate(a)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        m[c], m[piv] = m[piv], m[c]
-        inv = 1 / m[c][c]
-        m[c] = [x * inv for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c]:
-                f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
+    m, pivots, _ = _eliminate(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
+        n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
     return [row[n:] for row in m]
 
 
@@ -434,31 +403,14 @@ def integer_inverse(a):
 
 def nullspace(a):
     """Basis of the rational right nullspace {x : a x = 0}."""
-    n = len(a)
-    m = len(a[0]) if n else 0
-    mat = frac_matrix(a)
-    pivots = []
-    r = 0
-    for c in range(m):
-        piv = next((i for i in range(r, n) if mat[i][c]), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = 1 / mat[r][c]
-        mat[r] = [x * inv for x in mat[r]]
-        for i in range(n):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [x - f * y for x, y in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(m) if c not in pivots]
+    m = len(a[0]) if a else 0
+    mat, pivots, _ = _eliminate(a, m)
     basis = []
-    for fc in free:
+    for fc in (c for c in range(m) if c not in pivots):
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            v[pc] = -mat[i][fc]
+        for row, pc in zip(mat, pivots):
+            v[pc] = -row[fc]
         basis.append(v)
     return basis
 

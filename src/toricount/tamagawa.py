@@ -17,7 +17,6 @@ from math import comb, exp, expm1, log, sqrt
 import numpy as np
 
 from .errors import DegenerateInputError
-from .heights import _evaluator
 from .linalg import iroot
 
 DEFAULT_SAMPLES = 10 ** 7
@@ -177,7 +176,6 @@ def archimedean_density(lattice, box, samples=DEFAULT_SAMPLES, seed=0):
     the box, which the harness tests on several boxes.  Returns a dict with
     value, stderr, hits, samples.
     """
-    ev = _evaluator(lattice)
     fan = lattice.fan
     n, d, rho = fan.n_rays, fan.dim, lattice.rank
     lows, highs = _compile_membership(lattice, box)
@@ -196,12 +194,15 @@ def archimedean_density(lattice, box, samples=DEFAULT_SAMPLES, seed=0):
     caps = np.array(caps)
 
     rays = np.array(fan.rays, dtype=float)                # (n, d)
+    units = [[int(i == j) for j in range(rho)] for i in range(rho)]
     cone_inv = []
     w_mats = []
     for s_idx, cone in enumerate(fan.max_cones):
         basis = np.array([fan.rays[i] for i in cone], dtype=float)
         cone_inv.append(np.linalg.inv(basis))             # coords = x @ inv
-        w_mats.append(np.array(ev.w_tables[s_idx], dtype=float).T)  # (n, rho)
+        # the divisors of the basis classes that vanish on the cone
+        w_mats.append(np.array([lattice.class_representative(s_idx, e)
+                                for e in units], dtype=float).T)  # (n, rho)
 
     rng = np.random.default_rng(seed)
     strata = min(_STRATA, max(1, samples // 1024))

@@ -5,16 +5,34 @@ import pytest
 
 from toricount import fans
 from toricount.errors import CoprimalityError
-from toricount.heights import canonicalize
+from toricount.heights import _evaluator, canonicalize
 
 BUILTIN_NAMES = ["P1", "P2", "P1xP1", "F1", "P3"]
+
+# smooth projective fans outside the builtins, by name: (rays, max cones)
+OFF_BUILTIN_FANS = {
+    "F2": ([(1, 0), (0, 1), (-1, 2), (0, -1)],
+           [(0, 1), (1, 2), (2, 3), (0, 3)]),
+    # P2 blown up in two torus-fixed points: 5 rays, rho = 3
+    "BlP2": ([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
+             [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
+    "P1xP2": ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)],
+              [(0, 2, 3), (0, 3, 4), (0, 2, 4), (1, 2, 3), (1, 3, 4),
+               (1, 2, 4)]),
+}
 
 _cache = {}
 
 
 def get_lattice(name):
+    """Class lattice of a builtin fan or of one of OFF_BUILTIN_FANS."""
     if name not in _cache:
-        _cache[name] = fans.class_lattice(fans.builtin_fan(name))
+        if name in OFF_BUILTIN_FANS:
+            rays, cones = OFF_BUILTIN_FANS[name]
+            fan = fans.make_fan(len(rays[0]), rays, cones, name=name)
+        else:
+            fan = fans.builtin_fan(name)
+        _cache[name] = fans.class_lattice(fan)
     return _cache[name]
 
 
@@ -37,6 +55,20 @@ def random_points(lattice, count, seed=0, mag=50):
         except CoprimalityError:
             continue
     return out
+
+
+def sign_orbit(lattice, coords):
+    """All 2^rho sign variants identified with the given point."""
+    masks = [0]
+    for r in _evaluator(lattice)._sign_rows:
+        masks += [m ^ r for m in masks]
+    return {tuple(-y if m >> lam & 1 else y for lam, y in enumerate(coords))
+            for m in masks}
+
+
+def is_canonical(lattice, coords):
+    """Positive on every pivot of the sign rows."""
+    return all(coords[p] > 0 for p in _evaluator(lattice)._sign_pivots)
 
 
 def default_boxes(rho):

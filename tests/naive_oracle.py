@@ -15,9 +15,15 @@ And it keeps the numeric route to the section-limit constant c_P that
 cones.c_p_constant replaced with the exact face volume: the volumes of the
 sections of the hyperbola polytope at sum t = (1 - delta) a, extrapolated
 linearly to delta = 0, as c_p_sections.
+
+The heights it filters by come from PlaceHeights, the multi-height as a
+product of local heights over the places, with tropicalization, cone
+selection per place and factorization: none of the nef-split arithmetic
+that the package's HeightEvaluator.multi_height and the enumerator share.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, product
 from math import exp, gcd, lcm, log
 
@@ -28,7 +34,169 @@ from toricount import linalg
 from toricount.cones import _face_volume, dual_cone
 from toricount.counting import Region
 from toricount.errors import DegenerateInputError
-from toricount.heights import multi_height
+from toricount.heights import MultiHeight
+
+INF_PLACE = "inf"
+
+
+# -- multi-heights place by place -------------------------------------------
+
+def _factorize(n, _cache={}):
+    """Prime factorization of a positive integer as a dict p -> exponent."""
+    if n in _cache:
+        return _cache[n]
+    orig = n
+    out = {}
+    for p in (2, 3, 5):
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    f = 7
+    # wheel over 2,3,5 residues
+    incr = (4, 2, 4, 2, 4, 6, 2, 6)
+    i = 0
+    while f * f <= n:
+        if n % f == 0:
+            out[f] = out.get(f, 0) + 1
+            n //= f
+        else:
+            f += incr[i]
+            i = (i + 1) & 7
+    if n > 1:
+        out[n] = out.get(n, 0) + 1
+    if orig < (1 << 22) and len(_cache) < (1 << 20):
+        _cache[orig] = out
+    return out
+
+
+def _valuation(y, p):
+    """ord_p of a nonzero integer."""
+    e, y = 0, abs(y)
+    while y % p == 0:
+        e += 1
+        y //= p
+    return e
+
+
+def _ratio(ay, expo):
+    """prod ay^e as (numerator, denominator) over positive integers ay."""
+    num = den = 1
+    for y, e in zip(ay, expo):
+        if e > 0:
+            num *= y ** e
+        elif e < 0:
+            den *= y ** (-e)
+    return num, den
+
+
+class PlaceHeights:
+    """Exact local heights and multi-heights of torsor points, place by place.
+
+    At a place v the point tropicalizes to u_v; the maximal cone holding
+    -u_v picks the divisor of each class whose monomial gives the local
+    height.  Only the archimedean place and the primes dividing some
+    coordinate contribute to a product over places.
+    """
+
+    def __init__(self, lattice):
+        self.lattice = lattice
+        fan = self.fan = lattice.fan
+        n, d, rho = fan.n_rays, fan.dim, lattice.rank
+        self.d = d
+        cones = range(len(fan.max_cones))
+        basis = [[int(i == j) for j in range(rho)] for i in range(rho)]
+        # w_tables[s][i] is the divisor of class e_i vanishing on cone s
+        self.w_tables = [[lattice.class_representative(s, e) for e in basis]
+                         for s in cones]
+        # coeff_exp[s][j][lam] with v_lam = sum_j coeff * (basis ray j of s)
+        vt = [list(col) for col in zip(*fan.ray_matrix())]  # d x n
+        self.coeff_exp = [
+            [[sum(m[j][t] * vt[t][lam] for t in range(d)) for lam in range(n)]
+             for j in range(d)]
+            for m in (lattice._ray_inv_t[s] for s in cones)]
+
+    def tropicalize(self, point, place):
+        coords = getattr(point, "coords", point)
+        rays = self.fan.rays
+        if place == INF_PLACE:
+            return [sum(log(abs(y)) * v[j] for y, v in zip(coords, rays))
+                    for j in range(self.d)]
+        return [-sum(_valuation(y, place) * v[j] for y, v in zip(coords, rays))
+                for j in range(self.d)]
+
+    def select_cone_integer(self, u):
+        """Smallest-index maximal cone containing the integer vector u."""
+        for s in range(len(self.fan.max_cones)):
+            if all(x >= 0 for x in self.lattice.cone_coefficients(s, u)):
+                return s
+        raise DegenerateInputError(f"no maximal cone contains {tuple(u)}")
+
+    def select_cone_arch(self, ay):
+        """Smallest-index cone containing -u_inf, by exact products.
+
+        The j-th basis coefficient of -u_inf in cone s has the sign of
+        1 - prod |y_lam|^{coeff_exp[s][j][lam]}; compare integer products.
+        """
+        for s, rows in enumerate(self.coeff_exp):
+            if all(num <= den for num, den in (_ratio(ay, r) for r in rows)):
+                return s
+        raise DegenerateInputError("no maximal cone contains -u_inf")
+
+    def local_height(self, point, place, a):
+        """|chi^{m_sigma}(t)|_place for the divisor a, an exact rational.
+
+        sigma is the maximal cone containing the NEGATED tropicalization, so
+        that for nef a the local factor is the largest monomial value
+        max_m |chi^m|_v over the vertices m_sigma of the divisor polytope and
+        the product over places is the usual max-metric height.
+        """
+        coords = getattr(point, "coords", point)
+        if place == INF_PLACE:
+            s = self.select_cone_arch([abs(y) for y in coords])
+        else:
+            u = self.tropicalize(coords, place)
+            s = self.select_cone_integer([-x for x in u])
+        w = self.lattice.cone_representative(s, list(a))
+        expo = [wi - ai for ai, wi in zip(a, w)]
+        if place == INF_PLACE:
+            return Fraction(*_ratio([abs(y) for y in coords], expo))
+        v = sum(e * _valuation(y, place) for y, e in zip(coords, expo) if e)
+        return Fraction(place) ** (-v)
+
+    def multi_height(self, point):
+        """Exact H_{e_i} for all basis classes, product over all places.
+
+        Representative-free form: H_c = prod_v prod_lam |y_lam|_v^{w(sigma_v,
+        c)_lam} with sigma_v the cone containing -u_v (chi^{a-w} has constant
+        sign, so the divisor term prod_v |y^a|_v = 1 drops out); only the
+        archimedean place and primes dividing some y_lam contribute.
+        """
+        ay = [abs(y) for y in getattr(point, "coords", point)]
+        s = self.select_cone_arch(ay)
+        vals = [Fraction(*_ratio(ay, w)) for w in self.w_tables[s]]
+        ords = {}
+        for lam, y in enumerate(ay):
+            if y > 1:
+                for p, e in _factorize(y).items():
+                    ords.setdefault(p, [0] * len(ay))[lam] = e
+        for p in sorted(ords):
+            ov = ords[p]
+            # -u_p = sum_lam ord_p(y_lam) v_lam; |y_lam|_p^{w_lam} = p^{-w.ov}
+            nu = [sum(o * v[j] for o, v in zip(ov, self.fan.rays))
+                  for j in range(self.d)]
+            for i, w in enumerate(self.w_tables[self.select_cone_integer(nu)]):
+                e = sum(wl * ol for wl, ol in zip(w, ov))
+                if e:
+                    vals[i] *= Fraction(p) ** (-e)
+        return MultiHeight(values=tuple(vals))
+
+
+@lru_cache(maxsize=None)
+def place_heights(lattice):
+    return PlaceHeights(lattice)
+
+
+# -- brute-force counts ------------------------------------------------------
 
 
 def _lp_log_caps(lattice, region, B, groups):
@@ -132,6 +300,7 @@ def _naive_points(lattice, region, B):
     # slack of 1e-3 in log space keeps LP rounding on the safe side
     groups = [grp for k in range(2, n + 1) for grp in combinations(range(n), k)]
     log_caps = _lp_log_caps(lattice, region, B, groups)
+    heights = place_heights(lattice)
 
     for first in range(1, caps[0] + 1):
         grids = np.meshgrid(np.array([first], dtype=np.int64),
@@ -153,7 +322,7 @@ def _naive_points(lattice, region, B):
             keep &= logs[:, list(grp)].sum(axis=1) <= cap + 1e-3
         for row in survivors[keep]:
             mags = tuple(int(x) for x in row)
-            mh = multi_height(lattice, mags)
+            mh = heights.multi_height(mags)
             if region.contains(mh.values, B):
                 yield mags, mh
 
@@ -169,7 +338,7 @@ def naive_tables(lattice, l_rows, b_max, extra_constraints=()):
 
     Over {1 <= H_{L_i} <= b_max_i} and the extra constraints, each point
     adds to the cells (floor H_{L_i})_i and (ceil H_{L_i})_i, with every
-    H_{L_i} taken from the place-by-place multi_height.
+    H_{L_i} taken from PlaceHeights.multi_height.
     """
     cons = []
     for row, b in zip(l_rows, b_max):

@@ -9,11 +9,11 @@ from scipy.special import zeta
 import importlib
 
 from toricount.errors import DegenerateInputError
-from toricount.fans import class_lattice, make_fan
 
 tamagawa = importlib.import_module("toricount.tamagawa")
 
-from conftest import BUILTIN_NAMES, default_boxes, get_lattice
+from conftest import (BUILTIN_NAMES, OFF_BUILTIN_FANS, default_boxes,
+                      get_lattice)
 
 
 def test_is_prime():
@@ -271,26 +271,13 @@ def test_tamagawa_samples_nothing(monkeypatch):
         assert tamagawa.tamagawa(lat, samples=1000, seed=7) == rep
 
 
-_OFF_BUILTIN_FANS = {
-    "F2": ([(1, 0), (0, 1), (-1, 2), (0, -1)],
-           [(0, 1), (1, 2), (2, 3), (0, 3)]),
-    # P2 blown up in two torus-fixed points: 5 rays, rho = 3
-    "BlP2": ([(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1)],
-             [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)]),
-    "P1xP2": ([(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 1), (0, -1, -1)],
-              [(0, 2, 3), (0, 3, 4), (0, 2, 4), (1, 2, 3), (1, 3, 4),
-               (1, 2, 4)]),
-}
-
-
-@pytest.mark.parametrize("name", list(_OFF_BUILTIN_FANS))
+@pytest.mark.parametrize("name", list(OFF_BUILTIN_FANS))
 def test_omega_inf_closed_form_matches_monte_carlo(name):
     """The closed form 2^n |Sigma_max| against the sampled volume ratio on
     fans outside the builtins."""
-    rays, max_cones = _OFF_BUILTIN_FANS[name]
-    lat = class_lattice(make_fan(len(rays[0]), rays, max_cones, name=name))
+    lat = get_lattice(name)
     w = tamagawa.tamagawa(lat, p_max=100)["omega_inf"]["value"]
-    assert w == 2 ** len(rays) * len(max_cones)
+    assert w == 2 ** lat.fan.n_rays * len(lat.fan.max_cones)
     out = tamagawa.archimedean_density(lat, default_boxes(lat.rank)[0],
                                        samples=200000, seed=4)
     assert abs(out["value"] - w) < 4 * out["stderr"]

@@ -304,8 +304,8 @@ def test_oracle_equivalence_general_region():
 
 
 def test_f1_counts_without_multi_height(monkeypatch):
-    """F1's basis class (0,1) is not nef; its heights come from the nef
-    split, never from the place-by-place evaluator."""
+    """F1's basis class (0,1) is not nef; the enumerator reads its heights
+    off the nef split's monomials, never through a per-point multi_height."""
     def refuse(self, point):
         raise AssertionError("multi_height called by the enumerator")
 

@@ -1,16 +1,22 @@
-"""Torsor coordinates, canonical forms, and exact multi-heights."""
+"""Torsor coordinates, canonical forms, and exact multi-heights.
+
+The package's multi-height is checked for its invariants and against the
+place-by-place heights of naive_oracle.PlaceHeights, which also carry the
+product formula and the local heights.
+"""
 
 from fractions import Fraction
-from math import gcd, log
+from math import log, prod
 
 import pytest
 
 from toricount import heights
 from toricount.counting import anticanonical_region
 from toricount.errors import CoprimalityError, DegenerateInputError
-from toricount.heights import INF_PLACE, MultiHeight, TorsorPoint
 
-from conftest import BUILTIN_NAMES, get_lattice, random_points
+from conftest import (BUILTIN_NAMES, OFF_BUILTIN_FANS, get_lattice,
+                      is_canonical, random_points, sign_orbit)
+from naive_oracle import INF_PLACE, place_heights
 
 
 def divisor_class(lat, a):
@@ -76,13 +82,12 @@ def test_coprimality_is_per_cone():
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_sign_orbit_structure(name):
     lat = get_lattice(name)
-    ev = heights._evaluator(lat)
     for pt in random_points(lat, 25, seed=3):
-        orbit = ev.sign_orbit(pt.coords)
+        orbit = sign_orbit(lat, pt.coords)
         assert len(orbit) == 2 ** lat.rank
         assert all(tuple(abs(x) for x in m) ==
                    tuple(abs(x) for x in pt.coords) for m in orbit)
-        canon = [m for m in orbit if ev.is_canonical(m)]
+        canon = [m for m in orbit if is_canonical(lat, m)]
         assert canon == [pt.coords]
         for m in orbit:
             assert heights.canonicalize(lat, m).coords == pt.coords
@@ -115,7 +120,8 @@ def test_projective_space_max_metric(name):
 def test_p1_local_heights():
     lat = get_lattice("P1")
     a = (1, 0)  # the divisor D_0, class H
-    locs = [heights.local_height(lat, (3, 2), p, a) for p in (2, 3, INF_PLACE)]
+    oracle = place_heights(lat)
+    locs = [oracle.local_height((3, 2), p, a) for p in (2, 3, INF_PLACE)]
     assert sorted(locs) == [1, 1, 3]
     total = Fraction(1)
     for v in locs:
@@ -128,6 +134,7 @@ def test_product_formula(name):
     """Product of local heights over all relevant places equals H_[a]."""
     lat = get_lattice(name)
     n = lat.fan.n_rays
+    oracle = place_heights(lat)
     for pt in random_points(lat, 12, seed=23, mag=30):
         mh = heights.multi_height(lat, pt)
         places = support_primes(pt.coords) + [INF_PLACE]
@@ -135,13 +142,14 @@ def test_product_formula(name):
             a = tuple(1 if i == lam else 0 for i in range(n))
             total = Fraction(1)
             for v in places:
-                total *= heights.local_height(lat, pt, v, a)
+                total *= oracle.local_height(pt, v, a)
             assert total == mh.of_class(divisor_class(lat, a))
 
 
 def test_principal_divisor_height_is_one():
     lat = get_lattice("F1")
     rays = lat.fan.rays
+    oracle = place_heights(lat)
     for pt in random_points(lat, 10, seed=29, mag=20):
         for j in range(lat.fan.dim):
             a = tuple(v[j] for v in rays)  # div(chi^{e_j}), class zero
@@ -149,7 +157,7 @@ def test_principal_divisor_height_is_one():
             places = support_primes(pt.coords) + [INF_PLACE]
             total = Fraction(1)
             for v in places:
-                total *= heights.local_height(lat, pt, v, a)
+                total *= oracle.local_height(pt, v, a)
             assert total == 1
 
 
@@ -182,10 +190,9 @@ def test_height_multiplicative_in_class(name):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_representative_independence(name):
     lat = get_lattice(name)
-    ev = heights._evaluator(lat)
     for pt in random_points(lat, 10, seed=13):
         base = heights.multi_height(lat, pt).values
-        for m in ev.sign_orbit(pt.coords):
+        for m in sign_orbit(lat, pt.coords):
             assert heights.multi_height(lat, m).values == base
 
 
@@ -203,10 +210,37 @@ def test_max_monomial_matches_height_for_nef(name):
         assert [x - y for x, y in zip(ai, bi)] == e
         assert lat.is_nef(ai) and lat.is_nef(bi)
     nef += a + b
+    cones = range(len(lat.fan.max_cones))
     for pt in random_points(lat, 40, seed=17):
-        mh = ev.multi_height(pt)
+        mh = place_heights(lat).multi_height(pt)
+        ay = [abs(y) for y in pt.coords]
         for c in nef:
-            assert ev.max_monomial_height(pt, c) == mh.of_class(c)
+            top = max(prod(y ** e for y, e in
+                           zip(ay, lat.class_representative(s, c)))
+                      for s in cones)
+            assert top == mh.of_class(c)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + list(OFF_BUILTIN_FANS))
+def test_multi_height_matches_place_by_place(name):
+    """The nef-split heights equal the product over places, on canonical
+    points and on every sign variant of them."""
+    lat = get_lattice(name)
+    oracle = place_heights(lat)
+    for pt in random_points(lat, 30, seed=19):
+        for m in sign_orbit(lat, pt.coords):
+            assert heights.multi_height(lat, m) == oracle.multi_height(m)
+
+
+@pytest.mark.parametrize("coords,error", [
+    ((3, 5, 2), DegenerateInputError),
+    ((0, 1, 2, 3), DegenerateInputError),
+    ((2, 2, 3, 3), CoprimalityError),
+    ((3.5, 5, 2, 7), DegenerateInputError)],
+    ids=["short", "zero", "not_coprime", "not_integer"])
+def test_multi_height_validates_its_input(coords, error):
+    with pytest.raises(error):
+        heights.multi_height(get_lattice("P1xP1"), coords)
 
 
 def test_multi_height_accepts_raw_tuple_and_point():
@@ -221,27 +255,16 @@ def test_multi_height_accepts_raw_tuple_and_point():
 
 
 def test_tropicalize_p1():
-    lat = get_lattice("P1")
-    assert heights.tropicalize(lat, (12, 5), 2) == [-2]
-    assert heights.tropicalize(lat, (12, 5), 5) == [1]
-    u = heights.tropicalize(lat, (12, 5), INF_PLACE)
+    oracle = place_heights(get_lattice("P1"))
+    assert oracle.tropicalize((12, 5), 2) == [-2]
+    assert oracle.tropicalize((12, 5), 5) == [1]
+    u = oracle.tropicalize((12, 5), INF_PLACE)
     assert abs(u[0] - log(Fraction(12, 5))) < 1e-12
 
 
-def test_select_cone_walls_counted():
-    lat = get_lattice("P1xP1")
-    ev = heights._evaluator(lat)
-    before = ev.wall_events
-    s = heights.select_cone(lat, (0, 0))
-    assert 0 <= s < len(lat.fan.max_cones)
-    assert ev.wall_events > before
-
-
 def test_select_cone_interior():
-    lat = get_lattice("P1")
-    s_pos = heights.select_cone(lat, (5,))
-    s_neg = heights.select_cone(lat, (-5,))
-    assert s_pos != s_neg
+    oracle = place_heights(get_lattice("P1"))
+    assert oracle.select_cone_integer([5]) != oracle.select_cone_integer([-5])
 
 
 # -- region membership ------------------------------------------------------

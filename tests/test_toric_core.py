@@ -3,9 +3,12 @@
 import json
 import random
 from fractions import Fraction
+from itertools import permutations
+from math import prod
 
 import pytest
 
+import toricount
 from toricount import fans, linalg
 from toricount.errors import (IncompleteFanError, MalformedFanError,
                               TorsionError)
@@ -258,6 +261,50 @@ def test_solve_exact_singular_returns_none():
     assert linalg.solve_exact(a, [Fraction(1), Fraction(3)]) is None
 
 
+def _leibniz(a):
+    n = len(a)
+    return sum((-1) ** sum(p[i] > p[j] for i in range(n)
+                           for j in range(i + 1, n))
+               * prod(a[i][p[i]] for i in range(n))
+               for p in permutations(range(n)))
+
+
+def test_elimination_properties():
+    """rank, nullspace, det, inverse and solve_exact on seeded random
+    integer matrices, singular ones and inconsistent systems included;
+    consistency is decided independently, by the integer left kernel."""
+    rng = random.Random(41)
+    seen = set()
+    for _ in range(300):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        a = _random_int_matrix(rng, n, m, -3, 3)
+        if n > 1 and rng.random() < 0.3:
+            a[-1] = [2 * x for x in a[0]]
+        null = linalg.nullspace(a)
+        assert linalg.rank(a) + len(null) == m
+        assert all(linalg.mat_vec(a, x) == [0] * n for x in null)
+        b = [rng.randint(-3, 3) for _ in range(n)]
+        if rng.random() < 0.5:
+            b = linalg.mat_vec(a, [rng.randint(-2, 2) for _ in range(m)])
+        x = linalg.solve_exact(a, b)
+        kernel, _ = linalg.left_kernel_basis(a)
+        consistent = all(linalg.vec_dot(w, b) == 0 for w in kernel)
+        assert (x is not None) == consistent
+        assert x is None or linalg.mat_vec(a, x) == b
+        seen.add(("consistent", consistent))
+        if n == m:
+            d = linalg.det(a)
+            assert d == _leibniz(a)
+            seen.add(("singular", d == 0))
+            if d:
+                assert linalg.mat_mul(linalg.inverse(a), a) == \
+                    linalg.identity(n)
+            else:
+                with pytest.raises(ValueError):
+                    linalg.inverse(a)
+    assert len(seen) == 4
+
+
 def test_integer_inverse_unimodular():
     a = [[1, 2], [1, 3]]
     inv = linalg.integer_inverse(a)
@@ -317,3 +364,7 @@ def test_floor_rational_power():
 def test_primitive_vector():
     assert linalg.primitive_vector([4, -6]) == [2, -3]
     assert linalg.primitive_vector([Fraction(1, 2), Fraction(3, 2)]) == [1, 3]
+
+
+def test_public_names_resolve():
+    assert [n for n in toricount.__all__ if not hasattr(toricount, n)] == []
