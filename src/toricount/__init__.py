@@ -20,8 +20,7 @@ from .cones import (alpha_constant, c_p_constant, dual_cone,
 from .counting import (Region, anticanonical_region, coordinate_bounds,
                        count_anticanonical, count_box, count_cone_box,
                        count_translated_polyhedron, enumerate_region,
-                       hyperbola_sum, nu_neg_cone, region_from_json,
-                       tabulate_f)
+                       hyperbola_sum, region_from_json, tabulate_f)
 from .tamagawa import (archimedean_density, euler_product, local_density,
                        tamagawa)
 from .verify import Experiment, emit_report, run_experiment
@@ -40,7 +39,7 @@ __all__ = [
     "Region", "anticanonical_region", "coordinate_bounds",
     "count_anticanonical", "count_box", "count_cone_box",
     "count_translated_polyhedron", "enumerate_region", "hyperbola_sum",
-    "nu_neg_cone", "region_from_json", "tabulate_f",
+    "region_from_json", "tabulate_f",
     "archimedean_density", "euler_product", "local_density", "tamagawa",
     "Experiment", "emit_report", "run_experiment",
     "__version__",

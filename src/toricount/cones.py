@@ -10,6 +10,7 @@ primitive integer generators for reproducible output.
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from . import linalg
 from .errors import DegenerateInputError
@@ -340,10 +341,7 @@ def effective_decomposition(classes, omega, order="lex"):
             cones.append([tuple(linalg.primitive_vector(list(verts[i]))) for i in s])
             simplices.append(tuple(verts[i] for i in s))
     nus = [nu_simplicial(c, omega) for c in cones]
-    fact = 1
-    for i in range(1, rho):
-        fact *= i
-    alpha = sum(nus, Fraction(0)) / fact
+    alpha = sum(nus, Fraction(0)) / factorial(rho - 1)
     return Decomposition(ambient_dim=rho, cones=cones, simplices=simplices,
                          nus=nus, alpha=alpha)
 
@@ -442,10 +440,8 @@ def section_measure(simplex, u):
     base = simplex[0]
     mat = [[a - b for a, b in zip(v, base)] for v in simplex[1:]]
     mat.append(list(u))
-    fact = 1
-    for i in range(1, k):
-        fact *= i
-    return abs(linalg.det(mat)) / (fact * Fraction(linalg.vec_dot(u, u)))
+    return abs(linalg.det(mat)) / (factorial(k - 1)
+                                   * Fraction(linalg.vec_dot(u, u)))
 
 
 def _face_volume(face_vertices, s):

@@ -59,13 +59,14 @@ from operator import itemgetter
 import random
 
 from . import linalg
-from .cones import dual_cone, effective_decomposition
+from .cones import dual_cone, effective_decomposition, nu_simplicial
 from .errors import BudgetError, DegenerateInputError
 from .heights import _evaluator
 from .tamagawa import nu_of_box
 
 DEFAULT_BUDGET = 10 ** 10
 MAX_REDRAWS = 20  # wall draws count_cone_box tries before it gives up
+TABLE_LIMIT = 20_000_000  # floor-table cells a tally may hold
 
 
 @dataclass(frozen=True)
@@ -434,8 +435,7 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
 
 
 def enumerate_region(lattice, region, B, fingerprints=None,
-                     budget=DEFAULT_BUDGET, first_range=None,
-                     table_limit=None):
+                     budget=DEFAULT_BUDGET, first_range=None):
     """Count canonical torsor points with multi-height in the region.
 
     Deterministic lexicographic walk over coordinate magnitudes with exact
@@ -551,7 +551,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     reused subtrees included, so it does not depend on the memo or the
     tally.  Raises BudgetError past `budget` candidates, DegenerateInputError
     when a tally's floor table (the whole one or a subtree's, whose cells
-    all reach the whole one) passes `table_limit` cells, checked after each
+    all reach the whole one) passes TABLE_LIMIT cells, checked after each
     leaf and each merge, and DegenerateInputError for a fan with no ample
     class (a complete fan that is not projective).
     """
@@ -694,7 +694,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
                 for side in zip(*mono)]
 
     def guard(table):
-        if table_limit is not None and len(table) > table_limit:
+        if len(table) > TABLE_LIMIT:
             raise DegenerateInputError("f table exceeds the memory guard")
 
     def merge(sub):
@@ -982,20 +982,6 @@ def _check_subcone(lattice, gens):
                     "cone is not contained in the dual effective cone")
 
 
-def _nu_neg(c, d):
-    """nu(-Lambda) from the (c, det) of _dual_basis_data."""
-    out = Fraction(1, 1) / d
-    for x in c:
-        out /= x
-    return out
-
-
-def nu_neg_cone(lattice, l_rows):
-    """nu(-Lambda) = 1/(|det L| * prod <omega, L_i^*>), exact."""
-    c, d, _ = _dual_basis_data(lattice, l_rows)
-    return _nu_neg(c, d)
-
-
 # -- translated polyhedra and boxes -----------------------------------------
 
 def _box_region(l_rows, lows, highs, slopes=None, extra=()):
@@ -1094,10 +1080,6 @@ def count_box(lattice, l_rows, lows, highs, b_vec, tau=None,
 
 # -- box decompositions ------------------------------------------------------
 
-class WallCollisionError(Exception):
-    """A point's height landed exactly on an internal box wall."""
-
-
 @dataclass(frozen=True)
 class BoxDecomposition:
     """Geometric box walls: box n_i holds H_{L_i} in [B r^{-n_i}, B r^{-(n_i-1)}).
@@ -1130,30 +1112,6 @@ class BoxDecomposition:
         walls = [(Fraction(b) * r ** -n, Fraction(b) * r ** (1 - n))
                  for b, r, n in zip(b_vec, self.ratios, n_vec)]
         return _box_region(self.l_rows, *zip(*walls))
-
-    def walls(self, b, i, n_max):
-        """Wall values B r_i^{-k} for k = 0..n_max."""
-        out = [Fraction(b)]
-        for _ in range(n_max):
-            out.append(out[-1] / self.ratios[i])
-        return out
-
-    def locate(self, h_l, b_vec):
-        """Box index of a height vector; raises on an internal wall hit."""
-        idx = []
-        for h, b, r in zip(h_l, b_vec, self.ratios):
-            x = Fraction(h)
-            b = Fraction(b)
-            if x > b or x <= 0:
-                raise DegenerateInputError(f"height {h} outside (0, {b}]")
-            n = 0
-            while x <= b:
-                if x == b and n > 0:
-                    raise WallCollisionError(str(h))
-                n += 1
-                x *= r
-            idx.append(n)
-        return tuple(idx)
 
 
 def build_box_decomposition(lattice, l_rows, seed=0, ratios=None):
@@ -1199,10 +1157,10 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
     `budget` bounds the candidates visited over the whole call, the region,
     every box and every redraw, and `visited` reports their sum.
     """
-    c, d, gens = _dual_basis_data(lattice, l_rows)
+    c, _, gens = _dual_basis_data(lattice, l_rows)
     _check_subcone(lattice, gens)
     b_vec = tuple(Fraction(x) for x in b_vec)
-    nu_neg = _nu_neg(c, d)
+    nu_neg = nu_simplicial(gens, lattice.anticanonical)
     res = enumerate_region(lattice, _box_region(l_rows, [1] * len(b_vec),
                                                 b_vec), 1, budget=budget)
     spent = res.visited
@@ -1301,7 +1259,7 @@ class FTable:
 
 
 def tabulate_f(lattice, l_rows, b_max, extra_constraints=(),
-               budget=DEFAULT_BUDGET, table_limit=20_000_000):
+               budget=DEFAULT_BUDGET):
     """One enumeration pass filling both rounded-height tables over
     {h in Lambda, H_{L_i} <= Bmax_i}.
 
@@ -1310,7 +1268,7 @@ def tabulate_f(lattice, l_rows, b_max, extra_constraints=(),
     coordinate and add each point to its two cells, and on the closed path
     a subtree whose signature repeats merges its stored sub-tables instead
     of being walked again.  DegenerateInputError is raised while the
-    enumeration runs, as soon as a floor table passes table_limit cells.
+    enumeration runs, as soon as a floor table passes TABLE_LIMIT cells.
 
     extra_constraints (Region constraint triples) restrict the tabulated
     domain further, e.g. to an anticanonical sublevel set; the caller must
@@ -1320,7 +1278,7 @@ def tabulate_f(lattice, l_rows, b_max, extra_constraints=(),
     region = _box_region(l_rows, [1] * len(b_max), b_max,
                          extra=extra_constraints)
     res = enumerate_region(lattice, region, 1, fingerprints=l_rows,
-                           budget=budget, table_limit=table_limit)
+                           budget=budget)
     l_t = tuple(tuple(r) for r in l_rows)
     return tuple(FTable(variant, l_t, tuple(b_max), data, res.visited,
                         res.reused)

@@ -6,9 +6,8 @@ unimodular), completeness and non-overlap (exactly, by facet pairing and
 one generic point), and primitivity.
 
 ClassLattice packages the divisor class machinery: the projection
-Z^rays -> Pic = Z^rho obtained from the cokernel of the ray matrix, the ray
-divisor classes, the anticanonical class, and per-cone divisor
-representatives.
+Z^rays -> Pic = Z^rho read off one unimodular maximal cone, the ray divisor
+classes, the anticanonical class, and per-cone divisor representatives.
 """
 
 import json
@@ -270,72 +269,76 @@ def resolve_fan(name_or_path):
     return load_fan(name_or_path)
 
 
+def _no_unimodular_cone(fan):
+    """The error for an unvalidated fan none of whose maximal cones is
+    unimodular, read off the gcd of the maximal minors of the rays."""
+    g = linalg.vec_gcd(linalg.det([list(fan.rays[i]) for i in c])
+                       for c in combinations(range(fan.n_rays), fan.dim))
+    if g == 0:
+        return IncompleteFanError("rays do not span the ambient space")
+    if g != 1:
+        return TorsionError(f"divisor class group has torsion (the maximal "
+                            f"minors of the rays have gcd {g})")
+    return SingularConeError("no maximal cone is unimodular")
+
+
 class ClassLattice:
     """Divisor class data of a smooth complete fan.
 
     projection: rho x n integer matrix whose kernel is exactly the lattice of
-    principal divisors (the column span of the ray matrix).  Canonicalized by
-    Hermite row reduction so reported class vectors are reproducible.
+    principal divisors, the image of M in 0 -> M -> Z^rays -> Pic -> 0
+    (Cox-Little-Schenck, Thm 4.1.3).  Its rows are read off one unimodular
+    maximal cone sigma: each ray lam outside sigma is v_lam = sum_{i in
+    sigma} c_i v_i with integers c = v_lam B_sigma^-1, and the n - d rows
+    e_lam - sum_i c_i e_i are a basis of the integer left kernel of the ray
+    matrix.  Hermite row reduction, canonical for a fixed row span, then
+    makes the class vectors independent of the cone chosen.
+
+    Unvalidated fans raise IncompleteFanError when the rays do not span,
+    TorsionError when the class group has torsion, and SingularConeError when
+    some maximal cone is not unimodular.
     """
 
     def __init__(self, fan):
         self.fan = fan
         n, d = fan.n_rays, fan.dim
-        v = fan.ray_matrix()
-        kernel, divisors = linalg.left_kernel_basis(v)
-        if len(divisors) != d:
-            raise IncompleteFanError("rays do not span the ambient space")
-        if any(dv != 1 for dv in divisors):
-            raise TorsionError(
-                f"divisor class group has torsion (elementary divisors {divisors})"
-            )
+        sigma = next((c for c in fan.max_cones
+                      if abs(linalg.det([list(fan.rays[i]) for i in c])) == 1),
+                     None)
+        if sigma is None:
+            raise _no_unimodular_cone(fan)
+        b_inv_t = linalg.transpose(
+            linalg.integer_inverse([list(fan.rays[i]) for i in sigma]))
+        kernel = []
+        for lam in range(n):
+            if lam not in sigma:
+                row = [int(j == lam) for j in range(n)]
+                for i, c in zip(sigma, linalg.mat_vec(b_inv_t, fan.rays[lam])):
+                    row[i] = -c
+                kernel.append(row)
         self.rank = n - d
         h, _, _ = linalg.hermite_row_form(kernel)
         self.projection = h
         self.classes = tuple(tuple(h[i][lam] for i in range(self.rank)) for lam in range(n))
         self.anticanonical = tuple(sum(row) for row in h)
 
-        # integer section: projection @ section = identity on Z^rho
-        s, dd, t, s_inv, t_inv = linalg.smith_normal_form(h)
-        if any(dd[i][i] != 1 for i in range(self.rank)):
-            raise TorsionError("projection is not surjective")  # unreachable for valid fans
-        sec = linalg.mat_mul([row[: self.rank] for row in t_inv], s_inv)
-        self.section = sec
-
-        # per maximal cone: inverse of the ray basis (for m_sigma solves and
-        # membership) and inverse of the projection on complement coordinates
-        # (for class representatives)
-        self._ray_inv = []
-        self._ray_inv_t = []
+        # per maximal cone: inverse of the projection on the complement
+        # coordinates (for class representatives); it is integral exactly
+        # when the cone is unimodular
         self._comp = []
         self._comp_inv = []
         for cone in fan.max_cones:
-            vs = [list(fan.rays[i]) for i in cone]
-            self._ray_inv.append(linalg.integer_inverse(vs))
-            self._ray_inv_t.append(linalg.integer_inverse(linalg.transpose(vs)))
-            in_cone = set(cone)
-            comp = [lam for lam in range(n) if lam not in in_cone]
+            comp = [lam for lam in range(n) if lam not in cone]
             pc = [[h[i][lam] for lam in comp] for i in range(self.rank)]
+            try:
+                self._comp_inv.append(linalg.integer_inverse(pc))
+            except ValueError:
+                raise SingularConeError(
+                    f"maximal cone {cone} is not unimodular") from None
             self._comp.append(comp)
-            self._comp_inv.append(linalg.integer_inverse(pc))
 
     def class_of_divisor(self, a):
         return tuple(linalg.mat_vec(self.projection, list(a)))
-
-    def divisor_of_class(self, c):
-        return tuple(linalg.mat_vec(self.section, list(c)))
-
-    def m_vector(self, sigma, a):
-        """The unique m with <m, v_lam> = -a_lam for all rays of cone sigma."""
-        cone = self.fan.max_cones[sigma]
-        rhs = [-a[i] for i in cone]
-        return linalg.mat_vec(self._ray_inv[sigma], rhs)
-
-    def cone_representative(self, sigma, a):
-        """a + div(chi^{m_sigma}); vanishes on sigma's rays, same class."""
-        m = self.m_vector(sigma, a)
-        v = self.fan.ray_matrix()
-        return tuple(a[lam] + linalg.vec_dot(v[lam], m) for lam in range(self.fan.n_rays))
 
     def class_representative(self, sigma, c):
         """The unique divisor of class c supported off cone sigma's rays."""
@@ -344,10 +347,6 @@ class ClassLattice:
         for j, lam in enumerate(self._comp[sigma]):
             w[lam] = x[j]
         return tuple(w)
-
-    def cone_coefficients(self, sigma, u):
-        """Coefficients of u in the ray basis of maximal cone sigma."""
-        return linalg.mat_vec(self._ray_inv_t[sigma], list(u))
 
     def is_nef(self, c):
         return all(

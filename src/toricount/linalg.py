@@ -3,7 +3,10 @@
 Everything here works on plain Python ints and fractions.Fraction so results
 stay exact at any size.  Matrices are lists of lists (row major).  Sizes in
 this package are tiny (ambient dimension at most 8), so clarity wins over
-asymptotics.
+asymptotics.  One exact Gauss-Jordan elimination serves rank, solve_exact,
+det, inverse and nullspace; the row Hermite form canonicalises the class
+lattice's projection; iroot and floor_rational_power turn exact bounds into
+integer coordinate caps.
 """
 
 from fractions import Fraction
@@ -16,21 +19,6 @@ def mat_copy(a):
 
 def identity(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    n, k, m = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                oi = out[i]
-                for j in range(m):
-                    oi[j] += x * bt[j]
-    return out
 
 
 def mat_vec(a, v):
@@ -70,187 +58,6 @@ def primitive_vector(v):
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
     return [x // g for x in ints]
-
-
-def _exgcd(a, b):
-    """Return (g, x, y) with a*x + b*y = g = gcd(a, b), g >= 0."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        old_r, old_s, old_t = -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
-def smith_normal_form(a):
-    """Smith normal form over the integers.
-
-    Returns (s, d, t, s_inv, t_inv) with  d = s_inv * a * t_inv  diagonal,
-    s, t unimodular (so a = s * d * t), positive diagonal entries first and
-    each dividing the next.  All five are plain integer matrices.
-    """
-    n = len(a)
-    m = len(a[0]) if n else 0
-    d = mat_copy(a)
-    s = identity(n)
-    s_inv = identity(n)
-    t = identity(m)
-    t_inv = identity(m)
-
-    def swap_rows(i, j):
-        if i == j:
-            return
-        d[i], d[j] = d[j], d[i]
-        s_inv[i], s_inv[j] = s_inv[j], s_inv[i]
-        for r in range(n):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-
-    def swap_cols(i, j):
-        if i == j:
-            return
-        for r in range(n):
-            d[r][i], d[r][j] = d[r][j], d[r][i]
-        for r in range(m):
-            t_inv[r][i], t_inv[r][j] = t_inv[r][j], t_inv[r][i]
-        t[i], t[j] = t[j], t[i]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        s_inv[i] = [-x for x in s_inv[i]]
-        for r in range(n):
-            s[r][i] = -s[r][i]
-
-    def add_row(dst, src, c):
-        # row dst += c * row src
-        if not c:
-            return
-        d[dst] = [x + c * y for x, y in zip(d[dst], d[src])]
-        s_inv[dst] = [x + c * y for x, y in zip(s_inv[dst], s_inv[src])]
-        for r in range(n):
-            s[r][src] -= c * s[r][dst]
-
-    def add_col(dst, src, c):
-        if not c:
-            return
-        for r in range(n):
-            d[r][dst] += c * d[r][src]
-        for r in range(m):
-            t_inv[r][dst] += c * t_inv[r][src]
-        t[src] = [x - c * y for x, y in zip(t[src], t[dst])]
-
-    def bezout_rows(k, i):
-        # mix rows k, i so d[k][k] = gcd and d[i][k] = 0 (det 1 block)
-        ak, ai = d[k][k], d[i][k]
-        g, x, y = _exgcd(ak, ai)
-        p, q = -(ai // g), ak // g
-        for col in range(m):
-            dk, di = d[k][col], d[i][col]
-            d[k][col] = x * dk + y * di
-            d[i][col] = p * dk + q * di
-        for col in range(n):
-            vk, vi = s_inv[k][col], s_inv[i][col]
-            s_inv[k][col] = x * vk + y * vi
-            s_inv[i][col] = p * vk + q * vi
-            wk, wi = s[col][k], s[col][i]
-            s[col][k] = q * wk - p * wi
-            s[col][i] = -y * wk + x * wi
-
-    def bezout_cols(k, j):
-        ak, aj = d[k][k], d[k][j]
-        g, x, y = _exgcd(ak, aj)
-        p, q = -(aj // g), ak // g
-        for row in range(n):
-            dk, dj = d[row][k], d[row][j]
-            d[row][k] = x * dk + y * dj
-            d[row][j] = p * dk + q * dj
-        for row in range(m):
-            vk, vj = t_inv[row][k], t_inv[row][j]
-            t_inv[row][k] = x * vk + y * vj
-            t_inv[row][j] = p * vk + q * vj
-            wk, wj = t[k][row], t[j][row]
-            t[k][row] = q * wk - p * wj
-            t[j][row] = -y * wk + x * wj
-
-    def clear_at(k):
-        # zero column k below and row k right of the pivot; terminates
-        # because bezout ops strictly shrink |d[k][k]| and plain
-        # subtractions (used whenever the pivot divides) cause no fill-in
-        if d[k][k] < 0:
-            negate_row(k)
-        while True:
-            dirty = False
-            for i in range(k + 1, n):
-                if d[i][k]:
-                    if d[i][k] % d[k][k] == 0:
-                        add_row(i, k, -(d[i][k] // d[k][k]))
-                    else:
-                        bezout_rows(k, i)
-                        dirty = True
-                        if d[k][k] < 0:
-                            negate_row(k)
-            for j in range(k + 1, m):
-                if d[k][j]:
-                    if d[k][j] % d[k][k] == 0:
-                        add_col(j, k, -(d[k][j] // d[k][k]))
-                    else:
-                        bezout_cols(k, j)
-                        dirty = True
-                        if d[k][k] < 0:
-                            negate_row(k)
-            if not dirty:
-                return
-
-    rank_limit = min(n, m)
-    nd = 0
-    for k in range(rank_limit):
-        pivot = None
-        for i in range(k, n):
-            for j in range(k, m):
-                if d[i][j]:
-                    pivot = (i, j)
-                    break
-            if pivot:
-                break
-        if pivot is None:
-            break
-        swap_rows(k, pivot[0])
-        swap_cols(k, pivot[1])
-        clear_at(k)
-        nd = k + 1
-
-    # enforce the divisibility chain d[0][0] | d[1][1] | ...
-    changed = True
-    while changed:
-        changed = False
-        for k in range(nd - 1):
-            if d[k + 1][k + 1] % d[k][k] != 0:
-                add_col(k, k + 1, 1)
-                clear_at(k)
-                changed = True
-    return s, d, t, s_inv, t_inv
-
-
-def left_kernel_basis(a):
-    """Basis (rows) of {w integer : w * a = 0} for an integer matrix a.
-
-    Also returns the elementary divisors (absolute values of the nonzero
-    diagonal of the Smith form), which callers use to detect torsion.
-    """
-    n = len(a)
-    m = len(a[0]) if n else 0
-    s, d, t, s_inv, t_inv = smith_normal_form(a)
-    divisors = []
-    for k in range(min(n, m)):
-        if d[k][k]:
-            divisors.append(abs(d[k][k]))
-    r = len(divisors)
-    basis = [s_inv[i][:] for i in range(r, n)]
-    return basis, divisors
 
 
 def hermite_row_form(a):

@@ -49,13 +49,6 @@ def _sieve(n):
     return sieve
 
 
-def primes_up_to(n):
-    """The primes <= n, in increasing order."""
-    if n < 2:
-        return []
-    return np.flatnonzero(_sieve(n)).tolist()
-
-
 def _all_faces(fan):
     """Every cone of the fan as a frozenset of ray indices (zero cone = {})."""
     faces = {frozenset()}

@@ -12,7 +12,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import log
+from math import factorial, log
 
 from . import counting, linalg
 from .cones import dual_cone, effective_decomposition, nu_simplicial
@@ -63,13 +63,6 @@ def _ratio(count, prediction):
     if prediction:
         return count / prediction
     return float("nan") if count else 1.0
-
-
-def _factorial(k):
-    out = 1
-    for i in range(2, k + 1):
-        out *= i
-    return out
 
 
 def _basis_rows(exp):
@@ -216,7 +209,7 @@ def run_per_cone(exp):
         nu_neg = nu_simplicial([list(g) for g in gens],
                                [Fraction(x) for x in lat.anticanonical])
     region = counting.anticanonical_region(lat, cone_generators=gens)
-    lead = float(nu_neg) * tau / _factorial(rho - 1)
+    lead = float(nu_neg) * tau / factorial(rho - 1)
     rows, counts = [], []
     spent = 0
     for b in exp.grid:
@@ -272,7 +265,7 @@ def run_anticanonical(exp):
 
 def _hyperbola_setup(lat, l_rows, b_top, budget):
     """Tables for the rounded-height sums, floor-complete up to b_top, with
-    the dual-basis data (alphas, |det L|) they were built from.
+    the dual-basis data (alphas, dual generators) they were built from.
 
     alphas solves sum_i alpha_i L_i = omega (_dual_basis_data, which also
     checks that every alpha_i > 0).  A point whose floor fingerprint
@@ -281,7 +274,7 @@ def _hyperbola_setup(lat, l_rows, b_top, budget):
     anticanonical cutoff by 2^{ceil(sum alpha)} keeps every needed point in
     the tabulated set; the ceil table needs no slack.
     """
-    alphas, det, _ = counting._dual_basis_data(lat, l_rows)
+    alphas, _, gens = counting._dual_basis_data(lat, l_rows)
     caps = [linalg.floor_rational_power(Fraction(b_top), x.denominator,
                                         x.numerator) for x in alphas]
     total = sum(alphas)
@@ -291,7 +284,7 @@ def _hyperbola_setup(lat, l_rows, b_top, budget):
                                           [2 * c for c in caps],
                                           extra_constraints=extra,
                                           budget=budget)
-    return alphas, det, caps, f_floor, f_ceil
+    return alphas, gens, caps, f_floor, f_ceil
 
 
 def run_hyperbola(exp):
@@ -301,10 +294,10 @@ def run_hyperbola(exp):
     tau = exp.ensure_tau()
     rho = lat.rank
     l_rows = _basis_rows(exp)
-    alphas, det, caps, f_floor, f_ceil = _hyperbola_setup(
+    alphas, gens, caps, f_floor, f_ceil = _hyperbola_setup(
         lat, l_rows, exp.grid[-1], exp.budget)
-    nu_neg = counting._nu_neg(alphas, det)
-    lead = float(nu_neg) * tau / _factorial(rho - 1)
+    nu_neg = nu_simplicial(gens, lat.anticanonical)
+    lead = float(nu_neg) * tau / factorial(rho - 1)
     region = counting.Region([(lat.anticanonical, 1, 1)],
                              facets=[[int(x) for x in row] for row in l_rows])
     rows, sandwich_ok = [], True

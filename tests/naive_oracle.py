@@ -108,12 +108,33 @@ class PlaceHeights:
         # w_tables[s][i] is the divisor of class e_i vanishing on cone s
         self.w_tables = [[lattice.class_representative(s, e) for e in basis]
                          for s in cones]
+        # per maximal cone: inverse of its ray basis (for m_sigma solves) and
+        # of its transpose (for coefficients in that basis)
+        bases = [[list(fan.rays[i]) for i in c] for c in fan.max_cones]
+        self._ray_inv = [linalg.integer_inverse(b) for b in bases]
+        self._ray_inv_t = [linalg.integer_inverse(linalg.transpose(b))
+                           for b in bases]
         # coeff_exp[s][j][lam] with v_lam = sum_j coeff * (basis ray j of s)
         vt = [list(col) for col in zip(*fan.ray_matrix())]  # d x n
         self.coeff_exp = [
             [[sum(m[j][t] * vt[t][lam] for t in range(d)) for lam in range(n)]
              for j in range(d)]
-            for m in (lattice._ray_inv_t[s] for s in cones)]
+            for m in self._ray_inv_t]
+
+    def m_vector(self, sigma, a):
+        """The unique m with <m, v_lam> = -a_lam for all rays of cone sigma."""
+        rhs = [-a[i] for i in self.fan.max_cones[sigma]]
+        return linalg.mat_vec(self._ray_inv[sigma], rhs)
+
+    def cone_representative(self, sigma, a):
+        """a + div(chi^{m_sigma}); vanishes on sigma's rays, same class."""
+        m = self.m_vector(sigma, a)
+        return tuple(a[lam] + linalg.vec_dot(v, m)
+                     for lam, v in enumerate(self.fan.rays))
+
+    def cone_coefficients(self, sigma, u):
+        """Coefficients of u in the ray basis of maximal cone sigma."""
+        return linalg.mat_vec(self._ray_inv_t[sigma], list(u))
 
     def tropicalize(self, point, place):
         coords = getattr(point, "coords", point)
@@ -127,7 +148,7 @@ class PlaceHeights:
     def select_cone_integer(self, u):
         """Smallest-index maximal cone containing the integer vector u."""
         for s in range(len(self.fan.max_cones)):
-            if all(x >= 0 for x in self.lattice.cone_coefficients(s, u)):
+            if all(x >= 0 for x in self.cone_coefficients(s, u)):
                 return s
         raise DegenerateInputError(f"no maximal cone contains {tuple(u)}")
 
@@ -156,7 +177,7 @@ class PlaceHeights:
         else:
             u = self.tropicalize(coords, place)
             s = self.select_cone_integer([-x for x in u])
-        w = self.lattice.cone_representative(s, list(a))
+        w = self.cone_representative(s, list(a))
         expo = [wi - ai for ai, wi in zip(a, w)]
         if place == INF_PLACE:
             return Fraction(*_ratio([abs(y) for y in coords], expo))

@@ -10,12 +10,13 @@ from types import SimpleNamespace
 import pytest
 
 from toricount import counting, fans, heights, linalg
-from toricount.cones import dual_cone, effective_decomposition
+from toricount.cones import (dual_cone, effective_decomposition,
+                             nu_simplicial)
 from toricount.counting import (
-    DEFAULT_BUDGET, FTable, Region, WallCollisionError, anticanonical_region,
+    DEFAULT_BUDGET, FTable, Region, anticanonical_region,
     build_box_decomposition, coordinate_bounds, count_anticanonical,
     count_box, count_cone_box, count_translated_polyhedron,
-    enumerate_region, hyperbola_sum, nu_neg_cone, partition_first_coordinate,
+    enumerate_region, hyperbola_sum, partition_first_coordinate,
     region_from_json, tabulate_f)
 from toricount.errors import BudgetError, CoprimalityError, DegenerateInputError
 
@@ -972,11 +973,19 @@ def test_count_box_rejects_bad_basis_before_enumerating(monkeypatch):
 
 
 def test_nu_neg_cone_values():
+    """nu(-Lambda) of the cone dual to the L_i, from the generators that
+    _dual_basis_data solves for; a basis with the anticanonical class
+    outside its cone is refused there."""
     lat = get_lattice("P1xP1")
-    assert nu_neg_cone(lat, [[1, 0], [0, 1]]) == Fraction(1, 4)
-    assert nu_neg_cone(lat, [[1, -1], [0, 1]]) == Fraction(1, 8)
+    omega = lat.anticanonical
+
+    def nu_neg(l_rows):
+        return nu_simplicial(counting._dual_basis_data(lat, l_rows)[2], omega)
+
+    assert nu_neg([[1, 0], [0, 1]]) == Fraction(1, 4)
+    assert nu_neg([[1, -1], [0, 1]]) == Fraction(1, 8)
     with pytest.raises(DegenerateInputError):
-        nu_neg_cone(lat, [[1, -1], [0, -1]])
+        nu_neg([[1, -1], [0, -1]])
 
 
 # -- box decompositions and histograms ----------------------------------------
@@ -986,16 +995,6 @@ def test_box_decomposition_walls_and_locate():
     lat = get_lattice("P1")
     decomp = build_box_decomposition(lat, [[1]], ratios=[Fraction(2)])
     assert decomp.kept((8,)) == (4,)
-    assert decomp.walls(8, 0, 3) == [8, 4, 2, 1]
-    assert decomp.locate((8,), (8,)) == (1,)     # outer wall is closed
-    assert decomp.locate((5,), (8,)) == (1,)
-    assert decomp.locate((3,), (8,)) == (2,)
-    with pytest.raises(WallCollisionError):
-        decomp.locate((4,), (8,))                # internal wall hit
-    with pytest.raises(WallCollisionError):
-        decomp.locate((1,), (8,))                # 1 = 8 r^-3 is a wall too
-    with pytest.raises(DegenerateInputError):
-        decomp.locate((9,), (8,))
 
 
 def test_box_decomposition_validation():
@@ -1172,7 +1171,7 @@ def test_tabulate_f_reports_its_enumeration():
     assert sum(floor_t.data.values()) == 2333572
 
 
-def test_table_limit_is_checked_at_leaves():
+def test_table_limit_is_checked_at_leaves(monkeypatch):
     """The guard stops the walk: F1 reuses no subtree, so only a leaf can
     pass the limit, and with a budget one short of the whole run the
     guard still fires before the budget does."""
@@ -1185,14 +1184,15 @@ def test_table_limit_is_checked_at_leaves():
     with pytest.raises(BudgetError):
         enumerate_region(lat, region, 1, fingerprints=rows,
                          budget=full.visited - 1)
+    monkeypatch.setattr(counting, "TABLE_LIMIT", 5)
     with pytest.raises(DegenerateInputError):
-        enumerate_region(lat, region, 1, fingerprints=rows, table_limit=5,
+        enumerate_region(lat, region, 1, fingerprints=rows,
                          budget=full.visited - 1)
     with pytest.raises(DegenerateInputError):
-        tabulate_f(lat, [[1, 0], [0, 1]], [7, 16], table_limit=5)
+        tabulate_f(lat, [[1, 0], [0, 1]], [7, 16])
 
 
-def test_table_limit_is_checked_at_merges():
+def test_table_limit_is_checked_at_merges(monkeypatch):
     """On P1xP1 under H_{e_2} <= 3 each stored subtree has at most three
     cells, so only a merge can pass the limit of 5.  It raises during the
     run: with a budget one short of the whole run, the guard still fires
@@ -1203,11 +1203,12 @@ def test_table_limit_is_checked_at_merges():
     with pytest.raises(BudgetError):
         tabulate_f(lat, [[1, 0], [0, 1]], [44, 3],
                    budget=floor_t.visited - 1)
+    monkeypatch.setattr(counting, "TABLE_LIMIT", 5)
     with pytest.raises(DegenerateInputError):
-        tabulate_f(lat, [[1, 0], [0, 1]], [44, 3], table_limit=5,
+        tabulate_f(lat, [[1, 0], [0, 1]], [44, 3],
                    budget=floor_t.visited - 1)
-    again, _ = tabulate_f(lat, [[1, 0], [0, 1]], [44, 3],
-                          table_limit=len(floor_t.data))
+    monkeypatch.setattr(counting, "TABLE_LIMIT", len(floor_t.data))
+    again, _ = tabulate_f(lat, [[1, 0], [0, 1]], [44, 3])
     assert again.data == floor_t.data
 
 
