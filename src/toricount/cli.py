@@ -114,7 +114,7 @@ def _count_range(packed):
     lattice, region, b, lo, hi, budget = packed
     res = counting.enumerate_region(lattice, region, b, budget=budget,
                                     first_range=(lo, hi))
-    return res.count, res.visited
+    return res.count, res.visited, res.order
 
 
 def cmd_count(args):
@@ -135,16 +135,17 @@ def cmd_count(args):
             parts = list(pool.map(_count_range, jobs))
         count = sum(p[0] for p in parts)
         visited = sum(p[1] for p in parts)
+        order = parts[0][2]
         # each worker only checks its own range against the budget
         if visited > args.budget:
             raise BudgetError(f"enumeration visited {visited} candidates "
                               f"across workers, more than {args.budget}")
     else:
         res = counting.enumerate_region(lat, region, b, budget=args.budget)
-        count, visited = res.count, res.visited
+        count, visited, order = res.count, res.visited, res.order
     elapsed = time.perf_counter() - t0
     payload = {"B": str(b), "count": count, "prediction": None,
-               "ratio": None, "visited": visited}
+               "ratio": None, "visited": visited, "order": list(order)}
     print(f"timing_s={elapsed:.3f}", file=sys.stderr)
     _emit(payload, args, "count")
     return 0

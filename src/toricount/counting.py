@@ -4,7 +4,10 @@ Regions are multiplicative with rational data, so every membership test is a
 comparison of exact rationals and every count is a reproducible integer.  The
 enumerator walks coordinate magnitudes in lexicographic order with per-cone
 pruning; each surviving magnitude tuple is counted with multiplicity
-2^(n - rho), the number of canonical sign patterns on it.
+2^(n - rho), the number of canonical sign patterns on it.  It descends the
+rays in an order chosen once per region shape (_descent_order): a count
+does not depend on how the rays are labelled, but which depths can use the
+memo and the runs below does.
 
 Heights stay in integers.  On a canonical point the height of a nef class is
 the largest of its per-cone monomials, so each basis class is split once per
@@ -23,9 +26,11 @@ the same remaining rays outside them, the gcd of their prefix complement
 products.  Equal signatures have equal subtrees (the proof is in
 enumerate_region), so a per-call memo maps each signature to its (count,
 visited).  A depth where some nef group has a single nonconstant prefix
-monomial is skipped, since its signatures would not repeat; F1 has no other
-depth.  The leaf depth n-1, whose subtree is one closed-form count, is keyed
-only where its parent walks long runs (P2 and P3, not P1xP1 or F1).
+monomial is skipped, since its signatures would not repeat; F1 in its
+builtin order has no other depth, and the order chosen for it, (y0, y2, y1,
+y3), keys depth 2.  The leaf depth n-1, whose subtree is one closed-form
+count, is keyed only where its parent walks long runs (P2 and P3, not
+P1xP1 or F1 in any order).
 
 Children with equal signatures are also counted together.  Along the
 children m of a prefix the quota and threshold parts of the signature are
@@ -53,7 +58,7 @@ B) and cached; the many box regions of one cone box share one program.
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import itemgetter
 import random
@@ -207,6 +212,12 @@ def _vertex_program(classes, cls_rows, s_vals, facets):
     integer exponent vectors over those bases of its feasibility tests (the
     vertex satisfies row i iff prod base^e <= 1) and, per ray class, the
     pair (e, d) with <[D_lam], vertex> = sum_b (e_b / d) log base_b.
+
+    It also returns the vertices of the limit shape, the region divided by
+    log B as B grows with every gamma fixed: a vertex is one when every
+    test's B-exponent is <= 0, and it is given by its pairings with the ray
+    classes, the B-parts e_B / d, scaled by one common denominator to
+    integers.  _descent_order reads its prefix sums off them.
     """
     rho, k = len(classes[0]), len(cls_rows)
     rows = []
@@ -220,7 +231,7 @@ def _vertex_program(classes, cls_rows, s_vals, facets):
         raise DegenerateInputError(
             "region is unbounded over the dual effective cone")
 
-    program = []
+    program, limit = [], set()
     for idx in combinations(range(len(rows)), rho):
         try:
             inv = linalg.inverse([rows[i][0] for i in idx])
@@ -239,9 +250,25 @@ def _vertex_program(classes, cls_rows, s_vals, facets):
                 e, _ = _cleared([a - c for a, c in zip(pairing(q), rhs)])
                 if any(e):
                     tests.append(e)
-        program.append((tuple(tests),
-                        tuple(_cleared(pairing(c)) for c in classes)))
-    return tuple(program)
+        objs = tuple(_cleared(pairing(c)) for c in classes)
+        program.append((tuple(tests), objs))
+        if all(e[-1] <= 0 for e in tests):
+            limit.add(tuple(Fraction(e[-1], d) for e, d in objs))
+    den = 1
+    for x in (x for v in limit for x in v):
+        den = lcm(den, x.denominator)
+    return tuple(program), tuple(sorted(tuple(int(x * den) for x in v)
+                                        for v in limit))
+
+
+@lru_cache(maxsize=16)
+def _shape_program(lattice, region):
+    """_vertex_program of the region's shape, also cached per lattice and
+    region object: coordinate_bounds and _descent_order both ask for it in
+    one enumeration, and its shape key hashes Fractions, slowly."""
+    cons = region.constraints
+    return _vertex_program(lattice.classes, tuple(c.cls for c in cons),
+                           tuple(c.s for c in cons), region.facets)
 
 
 def coordinate_bounds(lattice, region, B):
@@ -263,10 +290,8 @@ def coordinate_bounds(lattice, region, B):
     B = Fraction(B)
     if B <= 0:
         raise DegenerateInputError("B must be a positive rational")
-    cons = region.constraints
-    program = _vertex_program(lattice.classes, tuple(c.cls for c in cons),
-                              tuple(c.s for c in cons), region.facets)
-    bases = [c.gamma for c in cons] + [B]
+    program, _ = _shape_program(lattice, region)
+    bases = [c.gamma for c in region.constraints] + [B]
     num = [b.numerator for b in bases]
     den = [b.denominator for b in bases]
     best = None
@@ -299,6 +324,7 @@ class EnumerationResult:
     reused: int = 0  # subtrees taken from the signature memo
     floor: dict = None  # with fingerprints: floor fingerprint -> count
     ceil: dict = None   # with fingerprints: ceiling fingerprint -> count
+    order: tuple = None  # the rays in descent order (_descent_order)
 
 
 def _compile_constraints(lattice, region, B):
@@ -434,6 +460,75 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
     return program
 
 
+@lru_cache(maxsize=256)
+def _descent_order(n, cones, pair_reps, lists, limit, closed):
+    """The ray order enumerate_region descends in, for one region shape:
+    order[i] is the ray at depth i.
+
+    A count does not depend on how the rays are labelled, but the memo
+    and the runs do, so each candidate order is scored on the fan
+    relabelled by it.  With a closed region the score reads, from the
+    _signature_program of that fan, which depths walk their children by
+    runs and which are eligible, the shallower the better: a run or a memo
+    hit at depth d saves a subtree of height n - d.  Ties then go to the
+    fewest nodes, read off the limit vertices of _vertex_program: per depth
+    k from n - 1 down to 1, the largest prefix sum sum_{i<k} log y_order[i]
+    over them, the exponent of B in the number of nodes at depth k, and the
+    number of vertices that reach it, which grows the power of log B.  The
+    caller's order wins what is left, so symmetric fans keep it.  All n!
+    orders are scored up to n = 6; beyond, the caller's order and its
+    transpositions.
+    """
+    scores = {}
+
+    def score(order):
+        moved = itemgetter(*order)
+        depth_of = {lam: i for i, lam in enumerate(order)}
+        relabelled = (frozenset(map(moved, pair_reps)),
+                      frozenset(frozenset(map(depth_of.get, c))
+                                for c in cones),
+                      frozenset(frozenset(map(moved, side))
+                                for side in lists),
+                      frozenset(map(moved, limit)))
+        # orders that a symmetry of the fan maps onto each other relabel
+        # it alike, and score alike
+        if relabelled not in scores:
+            reps, cone_sets, tally, vertices = relabelled
+            program = (_signature_program(list(reps), (), list(cone_sets), n,
+                                          [list(side) for side in tally])
+                       if closed else {})
+            runs = [d + 1 not in program or program[d + 1][4] is None
+                    for d in range(n - 1)]
+            eligible = [d not in program for d in range(1, n)]
+            nodes = []
+            for k in range(n - 1, 0, -1):
+                sums = [sum(v[:k]) for v in vertices]
+                top = max(sums, default=0)
+                nodes.append((top, sums.count(top)))
+            scores[relabelled] = runs, eligible, nodes
+        return scores[relabelled]
+
+    if n <= 6:
+        candidates = permutations(range(n))
+    else:
+        def swapped(i, j):
+            order = list(range(n))
+            order[i], order[j] = j, i
+            return tuple(order)
+        candidates = [tuple(range(n))] + [swapped(i, j) for i, j in
+                                          combinations(range(n), 2)]
+    return min(candidates, key=score)
+
+
+def _order_of(lattice, region, nef_cons, lists, closed):
+    """_descent_order for the region's compiled constraints, in the
+    caller's labels."""
+    fan = lattice.fan
+    return _descent_order(fan.n_rays, fan.max_cones,
+                          tuple(w for *_, reps in nef_cons for w in reps),
+                          lists, _shape_program(lattice, region)[1], closed)
+
+
 def enumerate_region(lattice, region, B, fingerprints=None,
                      budget=DEFAULT_BUDGET, first_range=None):
     """Count canonical torsor points with multi-height in the region.
@@ -546,14 +641,26 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     each of them finds, are those of the per-child walk, and count,
     visited and reused do not change.
 
-    `first_range=(lo, hi)` restricts the first coordinate for data-parallel
-    partitioning.  `visited` counts descent nodes plus full leaf widths,
-    reused subtrees included, so it does not depend on the memo or the
-    tally.  Raises BudgetError past `budget` candidates, DegenerateInputError
-    when a tally's floor table (the whole one or a subtree's, whose cells
-    all reach the whole one) passes TABLE_LIMIT cells, checked after each
-    leaf and each merge, and DegenerateInputError for a fan with no ample
-    class (a complete fan that is not projective).
+    Order.  The descent runs on the fan relabelled by the order that
+    _descent_order picks for the region's shape, once per call: depth i
+    holds the ray order[i], and the bounds, the per-cone representatives of
+    the nef and anti-nef constraints, the max-monomial lists of nef_split
+    and the cones are permuted to match.  Relabelling the rays permutes the
+    coordinates of the torsor points and changes no height, so everything
+    above holds of the relabelled fan as written.  The count, the tally
+    (its fingerprints are heights of classes, not of rays) and `reused` are
+    reported as they are; `order` gives the order.
+
+    `first_range=(lo, hi)` restricts the first coordinate descended, that
+    of ray order[0], for data-parallel partitioning
+    (partition_first_coordinate).  `visited` counts descent nodes plus full
+    leaf widths, reused subtrees included, so it does not depend on the
+    memo or the tally, only on the order.  Raises BudgetError past `budget`
+    candidates, DegenerateInputError when a tally's floor table (the whole
+    one or a subtree's, whose cells all reach the whole one) passes
+    TABLE_LIMIT cells, checked after each leaf and each merge, and
+    DegenerateInputError for a fan with no ample class (a complete fan that
+    is not projective).
     """
     ev = _evaluator(lattice)
     _, _, mono = ev.nef_split
@@ -562,18 +669,31 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     tally = fingerprints is not None
     rows = [[int(x) for x in row] for row in fingerprints or ()]
     bounds = coordinate_bounds(lattice, region, B)
+    order = tuple(range(n))
 
     def empty():
         return EnumerationResult(count=0, visited=0,
                                  floor={} if tally else None,
-                                 ceil={} if tally else None)
+                                 ceil={} if tally else None, order=order)
 
     if any(m == 0 for m in bounds):
         return empty()
 
     nef_cons, anti_cons, mixed_cons = _compile_constraints(lattice, region, B)
     closed = not mixed_cons
+    lists = tuple(side for pair in mono for side in pair) if tally else ()
+    order = _order_of(lattice, region, nef_cons, lists, closed)
     cones = [set(c) for c in fan.max_cones]
+    if order != tuple(range(n)):  # relabel: depth i holds the ray order[i]
+        moved = itemgetter(*order)
+        bounds = moved(bounds)
+        nef_cons = [(*con, [moved(w) for w in reps])
+                    for *con, reps in nef_cons]
+        anti_cons = [(*con, [moved(w) for w in reps])
+                     for *con, reps in anti_cons]
+        mono = [[[moved(w) for w in side] for side in pair] for pair in mono]
+        depth_of = {lam: i for i, lam in enumerate(order)}
+        cones = [{depth_of[lam] for lam in c} for c in fan.max_cones]
     ncones = len(cones)
     comp_has = [[lam not in cones[s] for lam in range(n)]
                 for s in range(ncones)]
@@ -933,16 +1053,19 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     descend(0)
     floor_t, ceil_t = tables[0] if tally else (None, None)
     return EnumerationResult(count=count, visited=visited, reused=reused,
-                             floor=floor_t, ceil=ceil_t)
+                             floor=floor_t, ceil=ceil_t, order=order)
 
 
 def partition_first_coordinate(lattice, region, B, parts):
-    """Split the first coordinate range into contiguous worker ranges."""
+    """Split the range of the first coordinate that enumerate_region
+    descends, the first ray of its order without a tally, into contiguous
+    worker ranges for first_range."""
     bounds = coordinate_bounds(lattice, region, B)
-    m0 = bounds[0] if bounds else 0
     parts = max(1, int(parts))
-    if m0 == 0:
+    if not any(bounds):
         return [(1, 0)]
+    nef_cons, _, mixed_cons = _compile_constraints(lattice, region, B)
+    m0 = bounds[_order_of(lattice, region, nef_cons, (), not mixed_cons)[0]]
     step = (m0 + parts - 1) // parts
     return [(lo, min(m0, lo + step - 1)) for lo in range(1, m0 + 1, step)]
 

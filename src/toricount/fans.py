@@ -317,7 +317,7 @@ class ClassLattice:
                     row[i] = -c
                 kernel.append(row)
         self.rank = n - d
-        h, _, _ = linalg.hermite_row_form(kernel)
+        h = linalg.hermite_row_form(kernel)
         self.projection = h
         self.classes = tuple(tuple(h[i][lam] for i in range(self.rank)) for lam in range(n))
         self.anticanonical = tuple(sum(row) for row in h)

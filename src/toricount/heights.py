@@ -106,7 +106,8 @@ class HeightEvaluator:
              for row, k in zip(basis, shifts)]
         b = [[k * x for x in ample] for k in shifts]
         cones = range(len(self.fan.max_cones))
-        mono = [tuple(sorted({lat.class_representative(s, c) for s in cones})
+        mono = [tuple(tuple(sorted({lat.class_representative(s, c)
+                                    for s in cones}))
                       for c in (ai, bi))
                 for ai, bi in zip(a, b)]
         return a, b, mono

@@ -13,14 +13,6 @@ from fractions import Fraction
 from math import gcd, isqrt
 
 
-def mat_copy(a):
-    return [row[:] for row in a]
-
-
-def identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def mat_vec(a, v):
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
@@ -61,38 +53,20 @@ def primitive_vector(v):
 
 
 def hermite_row_form(a):
-    """Row Hermite normal form with transform.
+    """Row Hermite normal form h of an integer matrix a, by unimodular row
+    operations, so h spans the same row lattice.
 
-    Returns (h, u, u_inv) with h = u * a, u unimodular.  Pivots are positive,
-    entries above a pivot are reduced into [0, pivot).  Rows of zeros sink to
-    the bottom.  Canonical for a fixed row span.
+    Pivots are positive, entries above a pivot are reduced into [0, pivot).
+    Rows of zeros sink to the bottom.  Canonical for a fixed row span.
     """
     n = len(a)
     m = len(a[0]) if n else 0
-    h = mat_copy(a)
-    u = identity(n)
-    u_inv = identity(n)
-
-    def swap(i, j):
-        h[i], h[j] = h[j], h[i]
-        u[i], u[j] = u[j], u[i]
-        for row in range(n):
-            u_inv[row][i], u_inv[row][j] = u_inv[row][j], u_inv[row][i]
+    h = [row[:] for row in a]
 
     def addrow(dst, src, c):
-        # row dst += c * row src ; inverse transform column update
-        if not c:
-            return
-        h[dst] = [x + c * y for x, y in zip(h[dst], h[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-        for row in range(n):
-            u_inv[row][src] -= c * u_inv[row][dst]
-
-    def negate(i):
-        h[i] = [-x for x in h[i]]
-        u[i] = [-x for x in u[i]]
-        for row in range(n):
-            u_inv[row][i] = -u_inv[row][i]
+        # row dst += c * row src
+        if c:
+            h[dst] = [x + c * y for x, y in zip(h[dst], h[src])]
 
     pivot_row = 0
     for col in range(m):
@@ -108,10 +82,9 @@ def hermite_row_form(a):
                 addrow(i, i0, -q)
             rows = [i for i in range(pivot_row, n) if h[i][col]]
         i0 = rows[0]
-        if i0 != pivot_row:
-            swap(i0, pivot_row)
+        h[i0], h[pivot_row] = h[pivot_row], h[i0]
         if h[pivot_row][col] < 0:
-            negate(pivot_row)
+            h[pivot_row] = [-x for x in h[pivot_row]]
         p = h[pivot_row][col]
         for i in range(pivot_row):
             q = h[i][col] // p  # floor division: reduce into [0, p)
@@ -119,7 +92,7 @@ def hermite_row_form(a):
         pivot_row += 1
         if pivot_row == n:
             break
-    return h, u, u_inv
+    return h
 
 
 def _eliminate(a, width):

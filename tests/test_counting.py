@@ -3,7 +3,7 @@
 import random
 import time
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 from math import gcd
 from types import SimpleNamespace
 
@@ -379,14 +379,24 @@ def test_partition_empty_region():
     assert partition_first_coordinate(lat, region, 1, 3) == [(1, 0)]
 
 
+def _forced(order):
+    """A stand-in for counting._descent_order that picks `order` for every
+    region shape.  Tests that switch off part of the signature program
+    force the order too, so that both runs descend alike and the real
+    chooser's cache never sees the patched program."""
+    return lambda *args: tuple(order)
+
+
 def _both_leaf_paths(lat, region, B, **kw):
     """Counts a region twice: as is, where the last coordinate is counted
     in closed form when no constraint has mixed sign, and as a tally of the
     basis heights with the signature memo switched off, which walks it
-    value by value, adds every point to a cell and never reuses a subtree."""
+    value by value, adds every point to a cell and never reuses a subtree.
+    Both descend in the order chosen for the first."""
     plain = enumerate_region(lat, region, B, **kw)
     rows = [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_descent_order", _forced(plain.order))
         mp.setattr(counting, "_signature_program", lambda *a, **k: {})
         walked = enumerate_region(lat, region, B, fingerprints=rows, **kw)
     assert plain.count == walked.count == sum(walked.floor.values())
@@ -487,11 +497,11 @@ def test_visited_is_pinned():
                                          ("F1", [])])
 def test_signature_depths(name, depths):
     """Memo depths lie in 1..n-1, never at depth 0, where first_range acts;
-    a depth with a nef group of one nonconstant prefix monomial (F1 at
-    depths 1 and 2, P1xP1 at depth 1) is skipped.  The leaf depth n-1 is
-    keyed only where its parent's runs are long: P1xP1's leaf key would
-    carry y0 (no cone group at depth 3 holds ray 2), and F1's leaf quotas
-    move with its parent's coordinate."""
+    a depth with a nef group of one nonconstant prefix monomial (F1 in its
+    builtin order at depths 1 and 2, P1xP1 at depth 1) is skipped.  The
+    leaf depth n-1 is keyed only where its parent's runs are long: P1xP1's
+    leaf key would carry y0 (no cone group at depth 3 holds ray 2), and
+    F1's leaf quotas move with its parent's coordinate."""
     lat = get_lattice(name)
     nef, anti, _ = counting._compile_constraints(
         lat, anticanonical_region(lat), 100)
@@ -559,14 +569,20 @@ def test_memo_keeps_anti_nef_threshold():
     assert res.reused > 0
 
 
-def test_memo_reuse_by_fan():
-    """F1 has no eligible depth."""
+def test_memo_reuse_by_fan(monkeypatch):
+    """F1 in its builtin order has no eligible depth; the order chosen for
+    it, (y0, y2, y1, y3), has depth 2 and walks runs at depth 1."""
     results = {}
     for name in ("P1xP1", "P3", "F1"):
         lat = get_lattice(name)
         results[name] = enumerate_region(lat, anticanonical_region(lat), 2000)
     assert results["P1xP1"].reused > 0 and results["P3"].reused > 0
-    assert results["F1"].reused == 0
+    assert results["F1"].order == (0, 2, 1, 3) and results["F1"].reused > 0
+    monkeypatch.setattr(counting, "_descent_order", _forced(range(4)))
+    lat = get_lattice("F1")
+    builtin = enumerate_region(lat, anticanonical_region(lat), 2000)
+    assert builtin.count == results["F1"].count
+    assert builtin.reused == 0
 
 
 def test_memo_hits_respect_budget():
@@ -587,10 +603,11 @@ def test_memo_hits_respect_budget():
 def _blocked_and_per_child(lat, region, B, **kw):
     """Counts a region twice: as is, where a blockable depth counts its
     children one run and gcd class at a time, and with counting._blockable
-    switched off, which walks every child.  count, visited and reused
-    agree."""
+    switched off, which walks every child, in the order chosen for the
+    first.  count, visited and reused agree."""
     blocked = enumerate_region(lat, region, B, **kw)
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_descent_order", _forced(blocked.order))
         mp.setattr(counting, "_blockable", lambda *a: None)
         single = enumerate_region(lat, region, B, **kw)
     assert ((blocked.count, blocked.visited, blocked.reused)
@@ -604,8 +621,9 @@ def _blocked_and_per_child(lat, region, B, **kw):
 def test_blockable_depths(name, blocked):
     """Children are counted by runs where every cone group of the child
     depth has a cone that holds the parent's ray: never at P2 and P3 depth
-    0 (the cone outside all later rays misses ray 0) nor on F1, and never
-    with a tally.  On P2 and P3 the parent of the leaf walks runs too."""
+    0 (the cone outside all later rays misses ray 0) nor on F1 in its
+    builtin order, and never with a tally.  On P2 and P3 the parent of the
+    leaf walks runs too."""
     lat = get_lattice(name)
     nef, anti, _ = counting._compile_constraints(
         lat, anticanonical_region(lat), 100)
@@ -753,6 +771,7 @@ def _with_and_without_leaf_key(lat, region, B, **kw):
         return program
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_descent_order", _forced(keyed.order))
         mp.setattr(counting, "_signature_program", leafless)
         plain = enumerate_region(lat, region, B, **kw)
     assert (keyed.count, keyed.visited) == (plain.count, plain.visited)
@@ -762,11 +781,15 @@ def _with_and_without_leaf_key(lat, region, B, **kw):
 
 @pytest.mark.parametrize("name,B", [("P2", 20000), ("P3", 50000),
                                     ("P1xP2", 6000)])
-def test_leaf_key_matches_leafless_program(name, B):
+def test_leaf_key_matches_leafless_program(monkeypatch, name, B):
     """On the anticanonical region, on annuli low <= H_{omega^-1} <= B,
     whose anti-nef lower end is part (b) of the leaf key, and on the
-    ranges of a first-coordinate partition."""
+    ranges of a first-coordinate partition, all in the fans' own order:
+    the order chosen for P1xP2 puts the P2 rays first and does not key
+    its leaf."""
     lat = _p1xp2() if name == "P1xP2" else get_lattice(name)
+    monkeypatch.setattr(counting, "_descent_order",
+                        _forced(range(lat.fan.n_rays)))
     full = anticanonical_region(lat)
     keyed, plain = _with_and_without_leaf_key(lat, full, B)
     assert keyed.count > 0 and keyed.reused > plain.reused
@@ -814,6 +837,161 @@ def test_leaf_memo_at_scale(name, B, want):
     elapsed = time.perf_counter() - start
     assert (res.count, res.visited, res.reused) == want
     assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+
+# -- descent order -------------------------------------------------------------
+
+
+def _relabelled(name, perm):
+    """The fan `name` with its ray lam renamed perm[lam]."""
+    base = get_lattice(name).fan
+    rays = [None] * base.n_rays
+    for old, new in enumerate(perm):
+        rays[new] = base.rays[old]
+    cones = [sorted(perm[lam] for lam in c) for c in base.max_cones]
+    return fans.class_lattice(fans.make_fan(base.dim, rays, cones))
+
+
+@pytest.mark.parametrize("name,B", [("F1", 300), ("P1xP1", 300),
+                                    ("BlP2", 200)])
+def test_every_order_counts_alike(monkeypatch, name, B):
+    """Every order of the rays, forced through the chooser, counts what
+    naive_count counts: on the anticanonical region, and on an annulus
+    B/3 <= H_{omega^-1} <= B, whose anti-nef representatives the
+    relabelling moves too."""
+    lat = get_lattice(name)
+    anti = [-x for x in lat.anticanonical]
+    cases = [(anticanonical_region(lat), B),
+             (Region([(lat.anticanonical, B, 0),
+                      (anti, Fraction(3, B), 0)]), 1)]
+    want = [naive_count(lat, region, b) for region, b in cases]
+    assert all(want)
+    for order in permutations(range(lat.fan.n_rays)):
+        monkeypatch.setattr(counting, "_descent_order", _forced(order))
+        got = [enumerate_region(lat, region, b) for region, b in cases]
+        assert [res.count for res in got] == want
+        assert all(res.order == order for res in got)
+
+
+@pytest.mark.parametrize("name,b_max", [("F1", [4, 6]), ("P1xP1", [8, 8])])
+def test_every_order_tallies_alike(monkeypatch, name, b_max):
+    """A tally walks the max-monomials of nef_split, which the relabelling
+    moves with the rays: every order gives the brute-force tables."""
+    lat = get_lattice(name)
+    want = naive_tables(lat, [[1, 0], [0, 1]], b_max)
+    assert want[0]
+    for order in permutations(range(4)):
+        monkeypatch.setattr(counting, "_descent_order", _forced(order))
+        floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], b_max)
+        assert (floor_t.data, ceil_t.data) == want
+
+
+def test_chooser_keeps_the_order_of_symmetric_fans():
+    """Ties keep the caller's order: P2, P3 and the builtin P1xP1 descend
+    as labelled, on the anticanonical region and, for P1xP1, on the box,
+    table and cone-box regions of the hyperbola pipeline."""
+    for name in ("P2", "P3", "P1xP1"):
+        lat = get_lattice(name)
+        res = enumerate_region(lat, anticanonical_region(lat), 100)
+        assert res.order == tuple(range(lat.fan.n_rays))
+    lat = get_lattice("P1xP1")
+    rows = [[1, 0], [0, 1]]
+    boxes = [counting._box_region(rows, [1, 1], [20, 20]),
+             counting._box_region(
+                 rows, [1, 1], [20, 20],
+                 extra=[(list(lat.anticanonical), 16 * 10 ** 2, 0)]),
+             build_box_decomposition(lat, rows, seed=7).region((20, 20),
+                                                               (2, 3))]
+    for region in boxes:
+        for tally in (None, rows):
+            res = enumerate_region(lat, region, 1, fingerprints=tally)
+            assert res.order == (0, 1, 2, 3)
+
+
+def test_chooser_on_relabelled_fans():
+    """Whatever the labels: F1 never descends y3 at depth 2 and reuses
+    subtrees, and P1xP1 descends the two rays of one factor first."""
+    for perm in permutations(range(4)):
+        f1 = _relabelled("F1", perm)
+        res = enumerate_region(f1, anticanonical_region(f1), 2000)
+        assert res.order[2] != perm[3] and res.reused > 0
+        pp = _relabelled("P1xP1", perm)
+        res = enumerate_region(pp, anticanonical_region(pp), 2000)
+        assert set(res.order[:2]) in ({perm[0], perm[1]}, {perm[2], perm[3]})
+
+
+def test_chooser_past_six_rays_scores_transpositions(monkeypatch):
+    """On a seven-ray surface the chooser scores the caller's order and its
+    21 transpositions, not 5040 orders, and the order it picks counts what
+    the caller's order counts."""
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1)]
+    lat = fans.class_lattice(fans.make_fan(
+        2, rays, [(i, (i + 1) % 7) for i in range(7)]))
+    region = anticanonical_region(lat)
+    scored = []
+    program = counting._signature_program
+
+    def counted(*args):
+        scored.append(1)
+        return program(*args)
+
+    monkeypatch.setattr(counting, "_signature_program", counted)
+    counting._descent_order.cache_clear()
+    res = enumerate_region(lat, region, 3000)
+    assert 0 < len(scored) <= 1 + 1 + 21  # the scores, then the descent
+    assert sum(a != b for a, b in zip(res.order, range(7))) in (0, 2)
+    monkeypatch.setattr(counting, "_descent_order", _forced(range(7)))
+    assert enumerate_region(lat, region, 3000).count == res.count > 0
+
+
+def test_partition_splits_the_first_ray_of_the_order():
+    """first_range acts on the first ray descended, here ray 1 of a
+    relabelled F1, whose cap is not ray 0's."""
+    lat = _relabelled("F1", (2, 0, 1, 3))
+    region = anticanonical_region(lat)
+    B = 10 ** 4
+    full = enumerate_region(lat, region, B)
+    bounds = coordinate_bounds(lat, region, B)
+    first = full.order[0]
+    assert first != 0 and bounds[first] < bounds[0]
+    ranges = partition_first_coordinate(lat, region, B, 3)
+    assert ranges[0][0] == 1 and ranges[-1][1] == bounds[first]
+    assert sum(enumerate_region(lat, region, B, first_range=r).count
+               for r in ranges) == full.count == 102316
+
+
+def test_f1_at_10_to_the_8():
+    """The closed form of bench/reference.py gives 1941255932.  The order
+    chosen for F1 takes 1.4 s on a shared 2-core VM, against 6.5 s for its
+    builtin order."""
+    lat = get_lattice("F1")
+    start = time.perf_counter()
+    res = enumerate_region(lat, anticanonical_region(lat), 10 ** 8)
+    elapsed = time.perf_counter() - start
+    assert res.order == (0, 2, 1, 3)
+    assert (res.count, res.visited) == (1941255932, 752184842)
+    assert elapsed < 6.0, f"{elapsed:.2f} s"
+
+
+def test_interleaved_p1xp1_at_a_million():
+    """P1xP1 with its rays listed (1,0), (0,1), (-1,0), (0,-1) counts
+    20879748 like the builtin fan.  Descended one factor first, it visits
+    and reuses what the builtin order does, and runs within 2x of it
+    (best of two runs each); in its own order it reuses nothing."""
+    inter = _relabelled("P1xP1", (0, 2, 1, 3))
+    assert inter.fan.rays == ((1, 0), (0, 1), (-1, 0), (0, -1))
+    builtin = get_lattice("P1xP1")
+    runs = {}
+    for lat in (builtin, inter) * 2:
+        start = time.perf_counter()
+        res = enumerate_region(lat, anticanonical_region(lat), 10 ** 6)
+        elapsed = time.perf_counter() - start
+        runs[lat] = min(runs.get(lat, (elapsed,))[0], elapsed), res
+    assert runs[inter][1].order == (0, 2, 1, 3)
+    for _, res in runs.values():
+        assert (res.count, res.visited, res.reused) == (20879748, 8509144,
+                                                        608196)
+    assert runs[inter][0] < 2 * runs[builtin][0], runs
 
 
 # -- direct vs inclusion-exclusion -------------------------------------------
@@ -1172,9 +1350,10 @@ def test_tabulate_f_reports_its_enumeration():
 
 
 def test_table_limit_is_checked_at_leaves(monkeypatch):
-    """The guard stops the walk: F1 reuses no subtree, so only a leaf can
-    pass the limit, and with a budget one short of the whole run the
-    guard still fires before the budget does."""
+    """The guard stops the walk: F1 in its builtin order reuses no
+    subtree, so only a leaf can pass the limit, and with a budget one short
+    of the whole run the guard still fires before the budget does."""
+    monkeypatch.setattr(counting, "_descent_order", _forced(range(4)))
     lat = get_lattice("F1")
     region = Region([((1, 0), 7, 0), ((-1, 0), 1, 0),
                      ((0, 1), 16, 0), ((0, -1), 1, 0)])

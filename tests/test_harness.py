@@ -326,6 +326,31 @@ def test_cli_count_workers_agree(tmp_path, capsys):
     assert payload["count"] == 12174
 
 
+@pytest.mark.parametrize("rays,cones,klass,want", [
+    ([[1, 0], [0, 1], [-1, 1], [0, -1]], [[0, 1], [1, 2], [2, 3], [0, 3]],
+     [3, 2], 102316),
+    ([[1, 0], [0, 1], [-1, 0], [0, -1]], [[0, 1], [1, 2], [2, 3], [0, 3]],
+     [2, 2], 143748)])
+def test_cli_count_workers_follow_the_order(tmp_path, capsys, rays, cones,
+                                            klass, want):
+    """F1 and P1xP1 with interleaved rays descend in a chosen order, and
+    the workers split the range of its first ray: 1, 2 and 3 workers count
+    what one process counts, the closed forms of bench/reference.py, and
+    the report carries the order."""
+    fan = tmp_path / "fan.json"
+    fan.write_text(json.dumps({"dim": 2, "rays": rays, "max_cones": cones}))
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps(
+        {"constraints": [{"class": klass, "s": 1}]}))
+    reports = []
+    for workers in ("1", "2", "3"):
+        assert cli.main(["count", str(fan), "--region", str(region),
+                         "--B", "10000", "--workers", workers]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert [r["count"] for r in reports] == [want] * 3
+    assert [r["order"] for r in reports] == [[0, 2, 1, 3]] * 3
+
+
 def test_cli_verify_csv_stdout(capsys):
     rc = cli.main(["verify", "P1", "--theorem", "anticanonical",
                    "--grid", "10,100", "--tau", "2.4317", "--format", "csv"])

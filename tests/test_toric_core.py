@@ -4,7 +4,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import prod
+from math import gcd, prod
 
 import pytest
 
@@ -276,14 +276,42 @@ def _random_int_matrix(rng, n, m, lo=-9, hi=9):
     return [[rng.randint(lo, hi) for _ in range(m)] for _ in range(n)]
 
 
+def _identity(n):
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _minor_gcd(a, k):
+    """The gcd of the k x k minors of a."""
+    return gcd(*(_leibniz([[a[r][c] for c in cs] for r in rs])
+                 for rs in combinations(range(len(a)), k)
+                 for cs in combinations(range(len(a[0])), k)))
+
+
 def test_hermite_row_form_properties():
+    """h is in row Hermite form, with its r = rank(a) nonzero rows first,
+    and spans the row lattice of a.  Every row of a reduces to zero against
+    the pivots of h, so a's lattice lies in h's; both have rank r, and the
+    index of the one in the other is the ratio of their gcds of r x r
+    minors, which are equal, so the lattices are."""
     rng = random.Random(23)
-    for _ in range(25):
-        a = _random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4))
-        h, u, u_inv = linalg.hermite_row_form(a)
-        assert mat_mul(u, a) == h
-        assert mat_mul(u, u_inv) == linalg.identity(len(a))
-        assert abs(linalg.det(u)) == 1
+    for _ in range(60):
+        a = _random_int_matrix(rng, rng.randint(1, 4), rng.randint(1, 4),
+                               -4, 4)
+        if len(a) > 1 and rng.random() < 0.3:
+            a[-1] = [x - 2 * y for x, y in zip(a[0], a[1])]
+        h = linalg.hermite_row_form(a)
+        r = _minor_rank(a)
+        assert len(h) == len(a) and not any(any(row) for row in h[r:])
+        assert _is_hermite(h[:r])
+        for row in a:
+            for base in h[:r]:
+                piv = next(j for j, x in enumerate(base) if x)
+                assert row[piv] % base[piv] == 0
+                q = row[piv] // base[piv]
+                row = [x - q * y for x, y in zip(row, base)]
+            assert not any(row)
+        if r:
+            assert _minor_gcd(h[:r], r) == _minor_gcd(a, r)
 
 
 def test_solve_and_inverse_exact():
@@ -298,7 +326,7 @@ def test_solve_and_inverse_exact():
         x = linalg.solve_exact(a, b)
         assert [linalg.vec_dot(row, x) for row in a] == b
         inv = linalg.inverse(a)
-        assert mat_mul(a, inv) == linalg.identity(n)
+        assert mat_mul(a, inv) == _identity(n)
 
 
 def test_solve_exact_singular_returns_none():
@@ -354,7 +382,7 @@ def test_elimination_properties():
             seen.add(("singular", d == 0))
             if d:
                 assert mat_mul(linalg.inverse(a), a) == \
-                    linalg.identity(n)
+                    _identity(n)
             else:
                 with pytest.raises(ValueError):
                     linalg.inverse(a)
@@ -364,7 +392,7 @@ def test_elimination_properties():
 def test_integer_inverse_unimodular():
     a = [[1, 2], [1, 3]]
     inv = linalg.integer_inverse(a)
-    assert mat_mul(a, inv) == linalg.identity(2)
+    assert mat_mul(a, inv) == _identity(2)
 
 
 def test_iroot_boundaries():
