@@ -13,9 +13,10 @@ Heights stay in integers.  On a canonical point the height of a nef class is
 the largest of its per-cone monomials, so each basis class is split once per
 lattice into nef classes, e_i = a_i - b_i, and H_{e_i} is a ratio of two such
 maxima.  Every constraint, region facets included, is compiled once per
-(region, B) to integer exponents and an integer bound fraction; the descent
-decides the nef ones exactly, and the last coordinate is counted in closed
-form by Moebius inversion over an interval (enumerate_region).
+region shape to integer exponents, and per call to an integer bound
+fraction; the descent decides the nef ones exactly, and the last coordinate
+is counted in closed form by Moebius inversion over an interval
+(enumerate_region).
 
 Prefixes that leave the same subtree are counted once.  On the closed path
 each prefix of depth 1..n-1 has an integer signature: per group of nef
@@ -48,13 +49,15 @@ max-monomials that make up the basis heights, the largest prefix monomial,
 so equal signatures give equal fingerprints, and a stored subtree keeps
 its two sub-tables, which a hit merges into the caller's.
 
-The per-coordinate caps of the descent come from the vertices of the
-region's log-polytope (coordinate_bounds).  Their solve depends only on the
-region's shape, not on its scales gamma or on B, so it is compiled once per
-shape into integer exponent vectors over the bases (gamma_1, ..., gamma_k,
-B) and cached; the many box regions of one cone box share one program.
+A region's shape is all of it but its scales gamma, and what depends on
+the shape alone is compiled once per shape (_compiled_shape): the split of
+the constraints, the vertex solve of the per-coordinate caps
+(coordinate_bounds), the order and the signature program.  A call only
+evaluates the caps, quotas, thresholds and mixed bounds at its gamma and
+B, as integer fractions; the box regions of a cone box share one shape.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -88,7 +91,8 @@ class Region:
 
     The cone restriction is membership of h in a rational cone of the dual
     Picard space, stored through its facet functionals: h is inside when
-    prod_i H_{e_i}^{f_i} >= 1 for every facet vector f.
+    prod_i H_{e_i}^{f_i} >= 1 for every facet vector f.  `shape` is all of
+    it but the scales gamma: the key of _compiled_shape.
     """
 
     def __init__(self, constraints, facets=(), cone_generators=None):
@@ -110,12 +114,9 @@ class Region:
             if gens:
                 dim = len(gens[0])
                 facets += [tuple(f) for f in dual_cone(gens, dim)]
-        seen, uniq = set(), []
-        for f in facets:
-            if f not in seen:
-                seen.add(f)
-                uniq.append(f)
-        self.facets = tuple(uniq)
+        self.facets = tuple(dict.fromkeys(facets))
+        self.shape = (tuple(c.cls for c in cons), tuple(c.s for c in cons),
+                      self.facets)
 
     def contains(self, hvals, B):
         """Exact membership of a vector of basis heights at parameter B.
@@ -200,7 +201,6 @@ def _cleared(vec):
     return tuple(int(x * d) for x in vec), d
 
 
-@lru_cache(maxsize=256)
 def _vertex_program(classes, cls_rows, s_vals, facets):
     """The vertex solve of coordinate_bounds for one region shape.
 
@@ -261,16 +261,6 @@ def _vertex_program(classes, cls_rows, s_vals, facets):
                                         for v in limit))
 
 
-@lru_cache(maxsize=16)
-def _shape_program(lattice, region):
-    """_vertex_program of the region's shape, also cached per lattice and
-    region object: coordinate_bounds and _descent_order both ask for it in
-    one enumeration, and its shape key hashes Fractions, slowly."""
-    cons = region.constraints
-    return _vertex_program(lattice.classes, tuple(c.cls for c in cons),
-                           tuple(c.s for c in cons), region.facets)
-
-
 def coordinate_bounds(lattice, region, B):
     """Per-ray integer bounds M_lam with |y_lam| <= M_lam on the region.
 
@@ -279,23 +269,30 @@ def coordinate_bounds(lattice, region, B):
     an unbounded region; an empty region yields all zeros.
 
     The vertex solve depends only on the region's shape (exponent rows, their
-    B-exponents s, facets, ray classes), so it is compiled once per shape by
-    _vertex_program and cached; gamma and B enter only as the bases of its
+    B-exponents s, facets, ray classes), so _compiled_shape compiles it once
+    per shape (_vertex_program); gamma and B enter only as the bases of its
     integer exponent vectors.  A call then decides each test prod base^e <= 1
     by cross-multiplying numerators and denominators (_sides), compares two
     objectives e1/d1 and e2/d2 as the sign of e1 d2 - e2 d1 the same way,
     and floors exp of the best by linalg.floor_rational_power: every step is
     an exact integer comparison, so the bounds equal the rational sup's.
     """
+    return _evaluated(_compiled_shape(lattice, region.shape, False),
+                      region, B)[0]
+
+
+def _evaluated(shape, region, B):
+    """The coordinate bounds of the region at B in the caller's labels, and
+    the numerators and denominators of the bases (gamma_1, ..., gamma_k, B)
+    they were evaluated at."""
     B = Fraction(B)
     if B <= 0:
         raise DegenerateInputError("B must be a positive rational")
-    program, _ = _shape_program(lattice, region)
     bases = [c.gamma for c in region.constraints] + [B]
     num = [b.numerator for b in bases]
     den = [b.denominator for b in bases]
     best = None
-    for tests, objs in program:
+    for tests, objs in shape.vertex_program:
         if any(lhs > rhs for lhs, rhs in (_sides(e, 1, 1, num, den)
                                           for e in tests)):
             continue
@@ -310,9 +307,9 @@ def coordinate_bounds(lattice, region, B):
                 if lhs > rhs:
                     best[lam] = (e1, d1)
     if best is None:
-        return [0] * lattice.fan.n_rays
+        return [0] * len(shape.order), num, den
     return [linalg.floor_rational_power(Fraction(*_sides(e, 1, 1, num, den)),
-                                        1, d) for e, d in best]
+                                        1, d) for e, d in best], num, den
 
 
 # -- enumeration -----------------------------------------------------------
@@ -327,39 +324,37 @@ class EnumerationResult:
     order: tuple = None  # the rays in descent order (_descent_order)
 
 
-def _compile_constraints(lattice, region, B):
-    """Integer constraints (E ints, bound num, bound den, reps), split into
-    (nef, anti-nef, mixed) lists.
+def _compile_constraints(lattice, shape):
+    """The shape half of the region's constraints, split into (nef,
+    anti-nef, mixed) lists.
 
-    Every region constraint has its exponents cleared to integers, and every
-    facet f joins as the constraint H^{-f} <= 1.  On canonical points a nef
+    Every region constraint prod H^q <= gamma B^s has its exponents cleared
+    to integers, e = d q, and every facet f joins as the constraint
+    H^{-f} <= 1.  The bound (gamma B^s)^d is prod base^v over the bases
+    (gamma_1, ..., gamma_k, B) of coordinate_bounds, v = d at its gamma and
+    d s at B, so a call evaluates it as the fraction _sides(v, 1, 1, ...),
+    the only part that depends on gamma and B.  On canonical points a nef
     class has an integer height and an anti-nef class the reciprocal of
-    one, so their bounds round to floor(bound) and 1/c, c = ceil(1/bound),
-    without changing the point set.  reps lists the per-cone representatives
-    of E (nef) or the distinct ones of -E (anti-nef), and is None (mixed).
+    one, so their bounds round to the quota floor(bound) and the threshold
+    c = ceil(1/bound) without changing the point set.  Entries are (v,
+    reps), reps the per-cone representatives of e (nef) or the distinct
+    ones of -e (anti-nef), and (v, e) (mixed).
     """
-    B = Fraction(B)
-    raw = []
-    for con in region.constraints:
-        den = 1
-        for x in con.cls:
-            den = lcm(den, Fraction(x).denominator)
-        den = lcm(den, con.s.denominator)
-        raw.append(([int(Fraction(x) * den) for x in con.cls],
-                    con.gamma ** den * B ** int(con.s * den)))
-    raw += [([-x for x in f], Fraction(1)) for f in region.facets]
+    cls_rows, s_vals, facets = shape
+    k = len(cls_rows)
     nef, anti, mixed = [], [], []
-    for e, bound in raw:
+    for i, row in enumerate([tuple(q) + (s,) for q, s in zip(cls_rows, s_vals)]
+                            + [tuple(-x for x in f) + (0,) for f in facets]):
+        (*e, ds), d = _cleared(row)
+        v = tuple(d if b == i else 0 for b in range(k)) + (ds,)
         reps = [lattice.class_representative(s, e)
                 for s in range(len(lattice.fan.max_cones))]
         if all(x >= 0 for w in reps for x in w):
-            nef.append((e, bound.numerator // bound.denominator, 1, reps))
+            nef.append((v, reps))
         elif all(x <= 0 for w in reps for x in w):
-            inv = 1 / bound
-            anti.append((e, 1, -((-inv.numerator) // inv.denominator),
-                         sorted({tuple(-x for x in w) for w in reps})))
+            anti.append((v, sorted({tuple(-x for x in w) for w in reps})))
         else:
-            mixed.append((e, bound.numerator, bound.denominator, None))
+            mixed.append((v, e))
     return nef, anti, mixed
 
 
@@ -377,15 +372,16 @@ def _blockable(cones, groups, ray):
     return out
 
 
-def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
+def _signature_program(pair_reps, anti_reps, cones, n, lists=()):
     """Index lists of the subtree signature of enumerate_region, per
     eligible depth d.
 
     At depth d it holds (1) the (nef constraint, cone) pairs, as indices
     into pair_reps, grouped by their remaining exponent vector w[d:], with
-    all-zero vectors left out; (2) per anti-nef constraint (c, reps), the
-    indices of its reps grouped the same way; (3) the cones grouped by the
-    set of remaining rays outside them; (4) for a tally, the distinct
+    all-zero vectors left out; (2) per anti-nef constraint, its reps and
+    their indices grouped the same way (a call reads its threshold c);
+    (3) the cones grouped by the set of remaining rays outside them; (4)
+    for a tally, the distinct
     prefix vectors w[:d] of the max-monomial lists `lists`, and per list
     the groups of its reps with the same remaining vector, zero included,
     as indices into those prefix vectors; (5) without a tally, when the
@@ -447,7 +443,7 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
                     tally.append(sorted(idx))
         if any(len(grp) == 1 for grp in tally):
             continue
-        anti = [(c, reps, by_rest(reps, d)) for _, _, c, reps in anti_cons]
+        anti = [(reps, by_rest(reps, d)) for reps in anti_reps]
         held = None if lists else _blockable(cones, outside.values(), d - 1)
         runs = None
         if held is not None:
@@ -460,7 +456,6 @@ def _signature_program(pair_reps, anti_cons, cones, n, lists=()):
     return program
 
 
-@lru_cache(maxsize=256)
 def _descent_order(n, cones, pair_reps, lists, limit, closed):
     """The ray order enumerate_region descends in, for one region shape:
     order[i] is the ray at depth i.
@@ -520,13 +515,41 @@ def _descent_order(n, cones, pair_reps, lists, limit, closed):
     return min(candidates, key=score)
 
 
-def _order_of(lattice, region, nef_cons, lists, closed):
-    """_descent_order for the region's compiled constraints, in the
-    caller's labels."""
-    fan = lattice.fan
-    return _descent_order(fan.n_rays, fan.max_cones,
-                          tuple(w for *_, reps in nef_cons for w in reps),
-                          lists, _shape_program(lattice, region)[1], closed)
+_Shape = namedtuple("_Shape", "vertex_program order nef anti mixed mono "
+                    "outside wcol program by_runs")
+
+
+@lru_cache(maxsize=256)
+def _compiled_shape(lattice, shape, tally):
+    """What enumerate_region needs of a region that neither gamma nor B
+    moves, per lattice, Region.shape and tally flag: the vertex program,
+    the constraints (_compile_constraints), the order (_descent_order) and,
+    relabelled by it (depth i holds the ray order[i]), the representatives,
+    the max-monomial lists (read by a tally or a mixed constraint), per
+    depth the cones whose complement holds its ray and the pair exponents,
+    and the _signature_program with the depths whose children walk runs.
+    Every call of the shape shares the entry, so none may change it."""
+    fan, n = lattice.fan, lattice.fan.n_rays
+    vertex_program, limit = _vertex_program(lattice.classes, *shape)
+    nef, anti, mixed = _compile_constraints(lattice, shape)
+    mono = _evaluator(lattice).nef_split[2] if tally or mixed else ()
+    lists = tuple(side for pair in mono for side in pair) if tally else ()
+    order = _descent_order(n, fan.max_cones,
+                           tuple(w for _, reps in nef for w in reps),
+                           lists, limit, not mixed)
+    moved = itemgetter(*order)
+    nef = [(v, [moved(w) for w in reps]) for v, reps in nef]
+    anti = [(v, [moved(w) for w in reps]) for v, reps in anti]
+    mono = [[[moved(w) for w in side] for side in pair] for pair in mono]
+    cones = [{order.index(lam) for lam in c} for c in fan.max_cones]
+    pair_reps = [w for _, reps in nef for w in reps]
+    program = {} if mixed else _signature_program(
+        pair_reps, [reps for _, reps in anti], cones, n,
+        [side for pair in mono for side in pair] if tally else ())
+    return _Shape(vertex_program, order, nef, anti, mixed, mono,
+                  [[lam not in c for c in cones] for lam in range(n)],
+                  [[w[d] for w in pair_reps] for d in range(n)], program,
+                  {d - 1: spec for d, spec in program.items() if spec[4]})
 
 
 def enumerate_region(lattice, region, B, fingerprints=None,
@@ -606,7 +629,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     0, where first_range acts, is never stored.  So equal
     signatures have equal subtrees, node for node, and with a tally equal
     floor and ceiling sub-tables.  A depth is used only when
-    _signature_program finds it eligible, decided once per call.  With a
+    _signature_program finds it eligible, decided once per shape.  With a
     tally a stored entry also keeps the subtree's two sub-tables: a miss
     opens fresh ones for its leaves, storing merges them into the parent's,
     and a hit merges the stored ones.  The key, the leaf and this
@@ -616,7 +639,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     Runs.  Without a tally, a depth d whose child depth d + 1 is eligible
     does not walk its children m one by one when every group of part (c)
     at d + 1 has a cone that holds ray d (_blockable; decided once per
-    call).  It takes maximal runs [a, e] of m with equal parts (a) and (b):
+    shape).  It takes maximal runs [a, e] of m with equal parts (a) and (b):
     floor(q / m^w) >= v iff m <= iroot(floor(q / v), w), so a group's least
     quota v holds up to the least such root over its pairs with w_d > 0;
     ceil(c / M) = t iff M (t - 1) < c <= M t, and M = max P_w m^{w_d} is
@@ -642,14 +665,13 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     visited and reused do not change.
 
     Order.  The descent runs on the fan relabelled by the order that
-    _descent_order picks for the region's shape, once per call: depth i
-    holds the ray order[i], and the bounds, the per-cone representatives of
-    the nef and anti-nef constraints, the max-monomial lists of nef_split
-    and the cones are permuted to match.  Relabelling the rays permutes the
-    coordinates of the torsor points and changes no height, so everything
-    above holds of the relabelled fan as written.  The count, the tally
-    (its fingerprints are heights of classes, not of rays) and `reused` are
-    reported as they are; `order` gives the order.
+    _descent_order picks for the region's shape: depth i holds the ray
+    order[i], and the bounds, the representatives of the constraints, the
+    max-monomial lists and the cones are permuted to match.  Relabelling
+    the rays permutes the coordinates of the torsor points and changes no
+    height, so everything above holds of the relabelled fan as written.
+    The count, the tally (its fingerprints are heights of classes, not of
+    rays) and `reused` are reported as they are; `order` gives the order.
 
     `first_range=(lo, hi)` restricts the first coordinate descended, that
     of ray order[0], for data-parallel partitioning
@@ -662,14 +684,13 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     DegenerateInputError for a fan with no ample class (a complete fan that
     is not projective).
     """
-    ev = _evaluator(lattice)
-    _, _, mono = ev.nef_split
-    fan = lattice.fan
-    n, rho = fan.n_rays, lattice.rank
+    _evaluator(lattice).nef_split  # raises for a fan that is not projective
+    n, rho = lattice.fan.n_rays, lattice.rank
     tally = fingerprints is not None
     rows = [[int(x) for x in row] for row in fingerprints or ()]
-    bounds = coordinate_bounds(lattice, region, B)
-    order = tuple(range(n))
+    (_, order, nef_cons, anti_cons, mixed_cons, mono, outside, wcol, program,
+     by_runs) = shape = _compiled_shape(lattice, region.shape, tally)
+    bounds, *bases = _evaluated(shape, region, B)
 
     def empty():
         return EnumerationResult(count=0, visited=0,
@@ -678,25 +699,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
 
     if any(m == 0 for m in bounds):
         return empty()
-
-    nef_cons, anti_cons, mixed_cons = _compile_constraints(lattice, region, B)
-    closed = not mixed_cons
-    lists = tuple(side for pair in mono for side in pair) if tally else ()
-    order = _order_of(lattice, region, nef_cons, lists, closed)
-    cones = [set(c) for c in fan.max_cones]
-    if order != tuple(range(n)):  # relabel: depth i holds the ray order[i]
-        moved = itemgetter(*order)
-        bounds = moved(bounds)
-        nef_cons = [(*con, [moved(w) for w in reps])
-                    for *con, reps in nef_cons]
-        anti_cons = [(*con, [moved(w) for w in reps])
-                     for *con, reps in anti_cons]
-        mono = [[[moved(w) for w in side] for side in pair] for pair in mono]
-        depth_of = {lam: i for i, lam in enumerate(order)}
-        cones = [{depth_of[lam] for lam in c} for c in fan.max_cones]
-    ncones = len(cones)
-    comp_has = [[lam not in cones[s] for lam in range(n)]
-                for s in range(ncones)]
+    bounds = [bounds[lam] for lam in order]
     weight = 1 << (n - rho)
 
     if not nef_cons:
@@ -713,22 +716,20 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     reused = 0
     over = f"enumeration visited more than {budget} candidates"
 
-    # per (nef constraint, cone) pair: its exponent vector and its quota
-    # floor(bound / prefix monomial); a prefix fits iff every quota is >= 1
-    pair_reps = [w for _, _, _, reps in nef_cons for w in reps]
-    wcol = [[w[depth] for w in pair_reps] for depth in range(n)]
-    quota = [[bn // bd for _, bn, bd, reps in nef_cons for _ in reps]]
+    # at this gamma and B: per (nef constraint, cone) pair the quota
+    # floor(bound / prefix monomial), a prefix fitting iff every quota is
+    # >= 1; per anti-nef constraint c; per mixed one its bound bn / bd
+    quota = [[]]
+    for v, reps in nef_cons:
+        bn, bd = _sides(v, 1, 1, *bases)
+        quota[0] += [bn // bd] * len(reps)
     if 0 in quota[0]:
         return empty()
+    thresholds = [-(-bd // bn) for bn, bd in (_sides(v, 1, 1, *bases)
+                                              for v, _ in anti_cons)]
+    mixed_cons = [(e, *_sides(v, 1, 1, *bases)) for v, e in mixed_cons]
     # per-cone running complement products
-    comp_prod = [[1] * ncones]
-    program = (_signature_program(pair_reps, anti_cons, cones, n,
-                                  [side for pair in mono for side in pair]
-                                  if tally else ())
-               if closed else {})
-    # the depths whose children are counted by runs, with the signature
-    # program of their child depth
-    by_runs = {d - 1: spec for d, spec in program.items() if spec[4]}
+    comp_prod = [[1] * len(lattice.fan.max_cones)]
     memo = {}
     # the floor and ceiling tables of the subtrees being stored, innermost
     # last, under the whole call's
@@ -775,7 +776,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         are coprime (the descent checked them), so m keeps them coprime iff
         gcd(m, G0) = 1, G0 their gcd over the cones that hold the last ray.
         """
-        for _, _, c, reps in anti_cons:
+        for c, (_, reps) in zip(thresholds, anti_cons):
             ends = []
             for w in reps:
                 pref = prefix(w, depth)
@@ -788,8 +789,8 @@ def enumerate_region(lattice, region, B, fingerprints=None,
             else:  # with no ends, no cone's monomial ever reaches c
                 lo = max(lo, min(ends, default=hi + 1))
         g0 = 0
-        for s, b in enumerate(comp_prod[-1]):
-            if not comp_has[s][depth]:
+        for b, out in zip(comp_prod[-1], outside[depth]):
+            if not out:
                 g0 = gcd(g0, b)
         return lo, g0
 
@@ -837,7 +838,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
                         for side in terms)
             if any(lhs > rhs for lhs, rhs in (
                     _sides(e, bn, bd, num, den)
-                    for e, bn, bd, _ in mixed_cons)):
+                    for e, bn, bd in mixed_cons)):
                 continue
             count += weight
             if tally:
@@ -858,7 +859,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         key = [depth]
         for get in nef:
             key.append(min(get(quotas)))
-        for c, reps, groups in anti:
+        for c, (reps, groups) in zip(thresholds, anti):
             pref = [prefix(w, depth) for w in reps]
             key.append(None if max(pref) >= c else
                        tuple(-(-c // max(pref[i] for i in grp))
@@ -892,7 +893,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         leaf, key_of = leaf_walk, tally_signature
         lookup, store = tally_lookup, tally_store
     else:
-        leaf = leaf_count if closed else leaf_walk
+        leaf = leaf_walk if mixed_cons else leaf_count
         key_of, lookup, store = signature, memo.get, memo.__setitem__
 
     def run_end(depth, a, hi, spec, prefs):
@@ -910,7 +911,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
                     end = r
         # ceil(c / M) = t iff M (t - 1) < c <= M t, and P m^w < c iff
         # m <= iroot(floor((c - 1) / P), w)
-        for (c, reps, groups), pref in zip(spec[1], prefs):
+        for c, (reps, groups), pref in zip(thresholds, spec[1], prefs):
             grown = [p * a ** w[depth] for p, w in zip(pref, reps)]
             if max(grown) >= c:
                 continue
@@ -956,7 +957,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
                 if ell // d % p == 0:
                     terms += [(k * p, -mu) for k, mu in terms]
             classes.append((d, terms))
-        prefs = [[prefix(w, depth) for w in reps] for _, reps, _ in spec[1]]
+        prefs = [[prefix(w, depth) for w in reps] for reps, _ in spec[1]]
         a = lo
         while a <= hi:
             end = run_end(depth, a, hi, spec, prefs)
@@ -973,8 +974,8 @@ def enumerate_region(lattice, region, B, fingerprints=None,
             found.sort()
             for m, times in found:
                 mags[depth] = m
-                newcomp = [base[s] * m if comp_has[s][depth] else base[s]
-                           for s in range(ncones)]
+                newcomp = [b * m if out else b
+                           for b, out in zip(base, outside[depth])]
                 newq = [q // m ** w if w else q for q, w in zip(quotas, col)]
                 sig = signature(depth + 1, newcomp, newq)
                 hit = memo.get(sig)
@@ -1019,8 +1020,8 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         base = comp_prod[-1]
         col = wcol[depth]
         for m in range(lo, hi + 1):
-            newcomp = [base[s] * m if comp_has[s][depth] else base[s]
-                       for s in range(ncones)]
+            newcomp = [b * m if out else b
+                       for b, out in zip(base, outside[depth])]
             g = 0
             for v in newcomp:
                 g = gcd(g, v)
@@ -1064,8 +1065,7 @@ def partition_first_coordinate(lattice, region, B, parts):
     parts = max(1, int(parts))
     if not any(bounds):
         return [(1, 0)]
-    nef_cons, _, mixed_cons = _compile_constraints(lattice, region, B)
-    m0 = bounds[_order_of(lattice, region, nef_cons, (), not mixed_cons)[0]]
+    m0 = bounds[_compiled_shape(lattice, region.shape, False).order[0]]
     step = (m0 + parts - 1) // parts
     return [(lo, min(m0, lo + step - 1)) for lo in range(1, m0 + 1, step)]
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from toricount import fans
+from toricount import counting, fans
 from toricount.errors import CoprimalityError
 from toricount.heights import _evaluator, canonicalize
 
@@ -34,6 +34,16 @@ def get_lattice(name):
             fan = fans.builtin_fan(name)
         _cache[name] = fans.class_lattice(fan)
     return _cache[name]
+
+
+@pytest.fixture(autouse=True)
+def cold_shape_cache():
+    """Every test starts and ends on a cold counting._compiled_shape cache,
+    after its monkeypatches are undone, so no shape compiled under a
+    test's stand-ins serves another test."""
+    counting._compiled_shape.cache_clear()
+    yield
+    counting._compiled_shape.cache_clear()
 
 
 @pytest.fixture

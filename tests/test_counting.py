@@ -2,6 +2,7 @@
 
 import random
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
 from math import gcd
@@ -230,7 +231,7 @@ def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
     monkeypatch.setattr(linalg, "inverse", counted)
     region = Region([((1, 0), 20, 0), ((-1, 0), 1, 0),
                      ((0, 1), 20, 0), ((0, -1), 1, 0)])
-    counting._vertex_program.cache_clear()
+    counting._compiled_shape.cache_clear()
     coordinate_bounds(lat, region, 1)
     one_compile = len(calls)
     assert one_compile > 0
@@ -244,7 +245,7 @@ def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
 
     warm = cone_box()          # no compile: only the one dual-basis solve
     assert warm == 1
-    counting._vertex_program.cache_clear()
+    counting._compiled_shape.cache_clear()
     assert cone_box() == one_compile + warm
 
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
@@ -379,12 +380,31 @@ def test_partition_empty_region():
     assert partition_first_coordinate(lat, region, 1, 3) == [(1, 0)]
 
 
-def _forced(order):
-    """A stand-in for counting._descent_order that picks `order` for every
-    region shape.  Tests that switch off part of the signature program
-    force the order too, so that both runs descend alike and the real
-    chooser's cache never sees the patched program."""
-    return lambda *args: tuple(order)
+@contextmanager
+def _forced(order, **patches):
+    """counting with every region shape descending in `order` and with the
+    stand-ins `patches` (attribute name -> value) in place.  Tests that
+    switch off part of the signature program force the order too, so that
+    both runs descend alike.  A shape compiled before the patch would
+    bypass it, and one compiled under it must not outlive it, so the shape
+    cache is cleared on the way in and on the way out.  Yields
+    enumerate_region, which inside the context (for counting's own callers
+    too) asserts that every result reports `order`."""
+    order = tuple(order)
+
+    def checked(*args, **kw):
+        res = enumerate_region(*args, **kw)
+        assert res.order == order
+        return res
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_descent_order", lambda *args: order)
+        mp.setattr(counting, "enumerate_region", checked)
+        for name, value in patches.items():
+            mp.setattr(counting, name, value)
+        counting._compiled_shape.cache_clear()
+        yield checked
+    counting._compiled_shape.cache_clear()
 
 
 def _both_leaf_paths(lat, region, B, **kw):
@@ -395,10 +415,8 @@ def _both_leaf_paths(lat, region, B, **kw):
     Both descend in the order chosen for the first."""
     plain = enumerate_region(lat, region, B, **kw)
     rows = [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_descent_order", _forced(plain.order))
-        mp.setattr(counting, "_signature_program", lambda *a, **k: {})
-        walked = enumerate_region(lat, region, B, fingerprints=rows, **kw)
+    with _forced(plain.order, _signature_program=lambda *a: {}) as run:
+        walked = run(lat, region, B, fingerprints=rows, **kw)
     assert plain.count == walked.count == sum(walked.floor.values())
     assert plain.visited == walked.visited
     assert walked.reused == 0
@@ -492,6 +510,17 @@ def test_visited_is_pinned():
 # -- subtree memo --------------------------------------------------------------
 
 
+def _own_program(lat, region, tally=False):
+    """_signature_program of the region's shape in the fan's own labels,
+    with the max-monomial lists of a tally or without."""
+    nef, anti, _ = counting._compile_constraints(lat, region.shape)
+    mono = heights._evaluator(lat).nef_split[2] if tally else ()
+    return counting._signature_program(
+        [w for _, reps in nef for w in reps], [reps for _, reps in anti],
+        lat.fan.max_cones, lat.fan.n_rays,
+        [side for pair in mono for side in pair])
+
+
 @pytest.mark.parametrize("name,depths", [("P1", []), ("P2", [1, 2]),
                                          ("P3", [1, 2, 3]), ("P1xP1", [2]),
                                          ("F1", [])])
@@ -503,12 +532,7 @@ def test_signature_depths(name, depths):
     leaf key would carry y0 (no cone group at depth 3 holds ray 2), and
     F1's leaf quotas move with its parent's coordinate."""
     lat = get_lattice(name)
-    nef, anti, _ = counting._compile_constraints(
-        lat, anticanonical_region(lat), 100)
-    pair_reps = [w for _, _, _, reps in nef for w in reps]
-    program = counting._signature_program(pair_reps, anti,
-                                          lat.fan.max_cones, lat.fan.n_rays)
-    assert sorted(program) == depths
+    assert sorted(_own_program(lat, anticanonical_region(lat))) == depths
 
 
 @pytest.mark.parametrize("name,depths", [("P1", []), ("P2", []),
@@ -519,13 +543,7 @@ def test_signature_depths_with_tally(name, depths):
     max-monomial list; at depth 1 of P2 and P3 that is y_0 alone, which
     never repeats, so the depth is skipped."""
     lat = get_lattice(name)
-    nef, anti, _ = counting._compile_constraints(
-        lat, anticanonical_region(lat), 100)
-    pair_reps = [w for _, _, _, reps in nef for w in reps]
-    mono = heights._evaluator(lat).nef_split[2]
-    program = counting._signature_program(
-        pair_reps, anti, lat.fan.max_cones, lat.fan.n_rays,
-        [side for pair in mono for side in pair])
+    program = _own_program(lat, anticanonical_region(lat), tally=True)
     assert sorted(program) == depths
 
 
@@ -569,7 +587,7 @@ def test_memo_keeps_anti_nef_threshold():
     assert res.reused > 0
 
 
-def test_memo_reuse_by_fan(monkeypatch):
+def test_memo_reuse_by_fan():
     """F1 in its builtin order has no eligible depth; the order chosen for
     it, (y0, y2, y1, y3), has depth 2 and walks runs at depth 1."""
     results = {}
@@ -578,9 +596,9 @@ def test_memo_reuse_by_fan(monkeypatch):
         results[name] = enumerate_region(lat, anticanonical_region(lat), 2000)
     assert results["P1xP1"].reused > 0 and results["P3"].reused > 0
     assert results["F1"].order == (0, 2, 1, 3) and results["F1"].reused > 0
-    monkeypatch.setattr(counting, "_descent_order", _forced(range(4)))
     lat = get_lattice("F1")
-    builtin = enumerate_region(lat, anticanonical_region(lat), 2000)
+    with _forced(range(4)) as run:
+        builtin = run(lat, anticanonical_region(lat), 2000)
     assert builtin.count == results["F1"].count
     assert builtin.reused == 0
 
@@ -606,10 +624,8 @@ def _blocked_and_per_child(lat, region, B, **kw):
     switched off, which walks every child, in the order chosen for the
     first.  count, visited and reused agree."""
     blocked = enumerate_region(lat, region, B, **kw)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_descent_order", _forced(blocked.order))
-        mp.setattr(counting, "_blockable", lambda *a: None)
-        single = enumerate_region(lat, region, B, **kw)
+    with _forced(blocked.order, _blockable=lambda *a: None) as run:
+        single = run(lat, region, B, **kw)
     assert ((blocked.count, blocked.visited, blocked.reused)
             == (single.count, single.visited, single.reused))
     return blocked
@@ -625,15 +641,9 @@ def test_blockable_depths(name, blocked):
     builtin order, and never with a tally.  On P2 and P3 the parent of the
     leaf walks runs too."""
     lat = get_lattice(name)
-    nef, anti, _ = counting._compile_constraints(
-        lat, anticanonical_region(lat), 100)
-    pair_reps = [w for _, _, _, reps in nef for w in reps]
-    cones, n = lat.fan.max_cones, lat.fan.n_rays
-    program = counting._signature_program(pair_reps, anti, cones, n)
+    program = _own_program(lat, anticanonical_region(lat))
     assert sorted(d for d, spec in program.items() if spec[4]) == blocked
-    mono = heights._evaluator(lat).nef_split[2]
-    tallied = counting._signature_program(
-        pair_reps, anti, cones, n, [side for pair in mono for side in pair])
+    tallied = _own_program(lat, anticanonical_region(lat), tally=True)
     assert all(spec[4] is None for spec in tallied.values())
 
 
@@ -713,10 +723,7 @@ def test_blocked_descent_nested_depths():
     lat = fans.class_lattice(fans.make_fan(
         4, rays, list(combinations(range(5), 4)), name="P4"))
     region = anticanonical_region(lat)
-    nef, anti, _ = counting._compile_constraints(lat, region, 100)
-    program = counting._signature_program(
-        [w for _, _, _, reps in nef for w in reps], anti,
-        lat.fan.max_cones, lat.fan.n_rays)
+    program = _own_program(lat, region)
     assert sorted(d for d, spec in program.items() if spec[4]) == [2, 3, 4]
     mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
     res = _blocked_and_per_child(lat, region, 8 ** 5)
@@ -770,10 +777,8 @@ def _with_and_without_leaf_key(lat, region, B, **kw):
         program.pop(lat.fan.n_rays - 1, None)
         return program
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(counting, "_descent_order", _forced(keyed.order))
-        mp.setattr(counting, "_signature_program", leafless)
-        plain = enumerate_region(lat, region, B, **kw)
+    with _forced(keyed.order, _signature_program=leafless) as run:
+        plain = run(lat, region, B, **kw)
     assert (keyed.count, keyed.visited) == (plain.count, plain.visited)
     assert keyed.reused >= plain.reused
     return keyed, plain
@@ -781,26 +786,25 @@ def _with_and_without_leaf_key(lat, region, B, **kw):
 
 @pytest.mark.parametrize("name,B", [("P2", 20000), ("P3", 50000),
                                     ("P1xP2", 6000)])
-def test_leaf_key_matches_leafless_program(monkeypatch, name, B):
+def test_leaf_key_matches_leafless_program(name, B):
     """On the anticanonical region, on annuli low <= H_{omega^-1} <= B,
     whose anti-nef lower end is part (b) of the leaf key, and on the
     ranges of a first-coordinate partition, all in the fans' own order:
     the order chosen for P1xP2 puts the P2 rays first and does not key
     its leaf."""
     lat = _p1xp2() if name == "P1xP2" else get_lattice(name)
-    monkeypatch.setattr(counting, "_descent_order",
-                        _forced(range(lat.fan.n_rays)))
-    full = anticanonical_region(lat)
-    keyed, plain = _with_and_without_leaf_key(lat, full, B)
-    assert keyed.count > 0 and keyed.reused > plain.reused
-    anti = [-x for x in lat.anticanonical]
-    for low in (B // 8, B // 3, B // 2):
-        region = Region([(lat.anticanonical, B, 0),
-                         (anti, Fraction(1, low), 0)])
-        assert _with_and_without_leaf_key(lat, region, 1)[0].count > 0
-    parts = partition_first_coordinate(lat, full, B, 3)
-    assert sum(_with_and_without_leaf_key(lat, full, B, first_range=r)[0]
-               .count for r in parts) == keyed.count
+    with _forced(range(lat.fan.n_rays)):
+        full = anticanonical_region(lat)
+        keyed, plain = _with_and_without_leaf_key(lat, full, B)
+        assert keyed.count > 0 and keyed.reused > plain.reused
+        anti = [-x for x in lat.anticanonical]
+        for low in (B // 8, B // 3, B // 2):
+            region = Region([(lat.anticanonical, B, 0),
+                             (anti, Fraction(1, low), 0)])
+            assert _with_and_without_leaf_key(lat, region, 1)[0].count > 0
+        parts = partition_first_coordinate(lat, full, B, 3)
+        assert sum(_with_and_without_leaf_key(lat, full, B, first_range=r)[0]
+                   .count for r in parts) == keyed.count
 
 
 def test_leaf_memo_respects_budget():
@@ -854,7 +858,7 @@ def _relabelled(name, perm):
 
 @pytest.mark.parametrize("name,B", [("F1", 300), ("P1xP1", 300),
                                     ("BlP2", 200)])
-def test_every_order_counts_alike(monkeypatch, name, B):
+def test_every_order_counts_alike(name, B):
     """Every order of the rays, forced through the chooser, counts what
     naive_count counts: on the anticanonical region, and on an annulus
     B/3 <= H_{omega^-1} <= B, whose anti-nef representatives the
@@ -867,22 +871,20 @@ def test_every_order_counts_alike(monkeypatch, name, B):
     want = [naive_count(lat, region, b) for region, b in cases]
     assert all(want)
     for order in permutations(range(lat.fan.n_rays)):
-        monkeypatch.setattr(counting, "_descent_order", _forced(order))
-        got = [enumerate_region(lat, region, b) for region, b in cases]
-        assert [res.count for res in got] == want
-        assert all(res.order == order for res in got)
+        with _forced(order) as run:
+            assert [run(lat, region, b).count for region, b in cases] == want
 
 
 @pytest.mark.parametrize("name,b_max", [("F1", [4, 6]), ("P1xP1", [8, 8])])
-def test_every_order_tallies_alike(monkeypatch, name, b_max):
+def test_every_order_tallies_alike(name, b_max):
     """A tally walks the max-monomials of nef_split, which the relabelling
     moves with the rays: every order gives the brute-force tables."""
     lat = get_lattice(name)
     want = naive_tables(lat, [[1, 0], [0, 1]], b_max)
     assert want[0]
     for order in permutations(range(4)):
-        monkeypatch.setattr(counting, "_descent_order", _forced(order))
-        floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], b_max)
+        with _forced(order):
+            floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], b_max)
         assert (floor_t.data, ceil_t.data) == want
 
 
@@ -936,12 +938,12 @@ def test_chooser_past_six_rays_scores_transpositions(monkeypatch):
         return program(*args)
 
     monkeypatch.setattr(counting, "_signature_program", counted)
-    counting._descent_order.cache_clear()
+    counting._compiled_shape.cache_clear()
     res = enumerate_region(lat, region, 3000)
     assert 0 < len(scored) <= 1 + 1 + 21  # the scores, then the descent
     assert sum(a != b for a, b in zip(res.order, range(7))) in (0, 2)
-    monkeypatch.setattr(counting, "_descent_order", _forced(range(7)))
-    assert enumerate_region(lat, region, 3000).count == res.count > 0
+    with _forced(range(7)) as run:
+        assert run(lat, region, 3000).count == res.count > 0
 
 
 def test_partition_splits_the_first_ray_of_the_order():
@@ -958,6 +960,102 @@ def test_partition_splits_the_first_ray_of_the_order():
     assert ranges[0][0] == 1 and ranges[-1][1] == bounds[first]
     assert sum(enumerate_region(lat, region, B, first_range=r).count
                for r in ranges) == full.count == 102316
+
+
+# -- compiled shapes -----------------------------------------------------------
+
+
+def _outcome(res):
+    return res.count, res.visited, res.reused, res.order, res.floor, res.ceil
+
+
+def _one_shape(kind):
+    """A lattice and (region, B) pairs of one region shape at several gamma
+    and B."""
+    if kind == "annulus":  # anti-nef lower end: B / k <= H_{omega^-1} <= B
+        lat = get_lattice("F1")
+        anti = [-x for x in lat.anticanonical]
+        return lat, [(Region([(lat.anticanonical, 1, 1), (anti, k, -1)]), B)
+                     for B, k in ((120, 3), (200, 4), (300, 5))]
+    if kind == "mixed":  # H_{(0,1)} is not nef on F1
+        lat = get_lattice("F1")
+        return lat, [(Region([((1, 0), g, 0), ((0, 1), 1, 1)]), B)
+                     for g, B in ((2, 12), (3, 14), (4, 10))]
+    lat = get_lattice("P1xP1")  # box lower walls: regions of a cone box
+    decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
+    return lat, [(decomp.region((8, 8), n_vec), 1)
+                 for n_vec in ((2, 1), (2, 2), (3, 1), (1, 2))]
+
+
+@pytest.mark.parametrize("kind", ["annulus", "mixed", "box"])
+def test_shape_cache_keeps_no_call_data(kind):
+    """One shape counted at several gamma and B, each on a cold shape cache
+    and then all on the entry compiled for the last of them: count,
+    visited, reused and order agree, and the counts are naive_count's."""
+    lat, regions = _one_shape(kind)
+    cold = []
+    for region, B in regions:
+        counting._compiled_shape.cache_clear()
+        cold.append(_outcome(enumerate_region(lat, region, B)))
+    compiled = counting._compiled_shape.cache_info().misses
+    warm = [_outcome(enumerate_region(lat, region, B))
+            for region, B in regions]
+    assert counting._compiled_shape.cache_info().misses == compiled
+    assert warm == cold
+    assert [res[0] for res in cold] == [naive_count(lat, region, B)
+                                        for region, B in regions]
+    assert all(res[0] for res in cold)
+
+
+@pytest.mark.parametrize("name", ["P1xP1", "F1"])
+def test_shape_cache_keys_the_tally(name):
+    """A tally and a plain count of one shape, in either order on a shared
+    cache, each give what a call on a cold cache gives."""
+    lat = get_lattice(name)
+    rows = [[1, 0], [0, 1]]
+    region = counting._box_region(rows, [2, 1], [6, 8])
+    for first, second in ((None, rows), (rows, None)):
+        counting._compiled_shape.cache_clear()
+        shared = [enumerate_region(lat, region, 1, fingerprints=tally)
+                  for tally in (first, second)]
+        for res, tally in zip(shared, (first, second)):
+            counting._compiled_shape.cache_clear()
+            fresh = enumerate_region(lat, region, 1, fingerprints=tally)
+            assert _outcome(res) == _outcome(fresh) and fresh.count > 0
+
+
+def test_enumerations_compile_each_shape_once(monkeypatch):
+    """The 1 + 24 enumerations of a cone box share one shape, so the
+    per-cone representatives and the signature program are computed for
+    the first of them only."""
+    lat = get_lattice("P1xP1")
+    rep = fans.ClassLattice.class_representative
+    program, enumerate_ = counting._signature_program, enumerate_region
+    calls, now = [], [0, 0]
+
+    def counted_rep(self, *args):
+        now[0] += 1
+        return rep(self, *args)
+
+    def counted_program(*args):
+        now[1] += 1
+        return program(*args)
+
+    def per_call(*args, **kw):
+        now[:] = [0, 0]
+        res = enumerate_(*args, **kw)
+        calls.append(tuple(now))
+        return res
+
+    monkeypatch.setattr(fans.ClassLattice, "class_representative",
+                        counted_rep)
+    monkeypatch.setattr(counting, "_signature_program", counted_program)
+    monkeypatch.setattr(counting, "enumerate_region", per_call)
+    counting._compiled_shape.cache_clear()
+    out = count_cone_box(lat, [[1, 0], [0, 1]], (20, 20), seed=7)
+    assert out["count"] == out["histogram_total"] == 260100
+    assert len(calls) == 25
+    assert all(calls[0]) and not any(map(any, calls[1:]))
 
 
 def test_f1_at_10_to_the_8():
@@ -1353,22 +1451,20 @@ def test_table_limit_is_checked_at_leaves(monkeypatch):
     """The guard stops the walk: F1 in its builtin order reuses no
     subtree, so only a leaf can pass the limit, and with a budget one short
     of the whole run the guard still fires before the budget does."""
-    monkeypatch.setattr(counting, "_descent_order", _forced(range(4)))
     lat = get_lattice("F1")
     region = Region([((1, 0), 7, 0), ((-1, 0), 1, 0),
                      ((0, 1), 16, 0), ((0, -1), 1, 0)])
     rows = [[1, 0], [0, 1]]
-    full = enumerate_region(lat, region, 1, fingerprints=rows)
-    assert len(full.floor) > 5 and full.reused == 0
-    with pytest.raises(BudgetError):
-        enumerate_region(lat, region, 1, fingerprints=rows,
-                         budget=full.visited - 1)
-    monkeypatch.setattr(counting, "TABLE_LIMIT", 5)
-    with pytest.raises(DegenerateInputError):
-        enumerate_region(lat, region, 1, fingerprints=rows,
-                         budget=full.visited - 1)
-    with pytest.raises(DegenerateInputError):
-        tabulate_f(lat, [[1, 0], [0, 1]], [7, 16])
+    with _forced(range(4)) as run:
+        full = run(lat, region, 1, fingerprints=rows)
+        assert len(full.floor) > 5 and full.reused == 0
+        with pytest.raises(BudgetError):
+            run(lat, region, 1, fingerprints=rows, budget=full.visited - 1)
+        monkeypatch.setattr(counting, "TABLE_LIMIT", 5)
+        with pytest.raises(DegenerateInputError):
+            run(lat, region, 1, fingerprints=rows, budget=full.visited - 1)
+        with pytest.raises(DegenerateInputError):
+            tabulate_f(lat, [[1, 0], [0, 1]], [7, 16])
 
 
 def test_table_limit_is_checked_at_merges(monkeypatch):
