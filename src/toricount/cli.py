@@ -16,9 +16,8 @@ from fractions import Fraction
 from . import counting, verify
 from .cones import (c_p_constant, constants_block, dual_cone,
                     effective_decomposition, hyperbola_polytope)
-from .errors import BudgetError, DegenerateInputError, MalformedFanError, \
-    ValidationError
-from .fans import class_lattice, resolve_fan, validate_fan
+from .errors import BudgetError, DegenerateInputError, ValidationError
+from .fans import class_lattice, resolve_fan
 from .tamagawa import tamagawa
 
 
@@ -34,11 +33,7 @@ def _grid(text):
 
 
 def _load(name_or_path):
-    fan = resolve_fan(name_or_path)
-    diag = validate_fan(fan)
-    if not diag.ok:
-        raise MalformedFanError("; ".join(diag.problems))
-    return class_lattice(fan)
+    return class_lattice(resolve_fan(name_or_path))
 
 
 def _emit(payload, args, stem):

@@ -15,7 +15,9 @@ lattice into nef classes, e_i = a_i - b_i, and H_{e_i} is a ratio of two such
 maxima.  Every constraint, region facets included, is compiled once per
 region shape to integer exponents, and per call to an integer bound
 fraction; the descent decides the nef ones exactly, and the last coordinate
-is counted in closed form by Moebius inversion over an interval
+is counted in closed form by Moebius inversion over an interval, or over
+the pieces of it that the constraints of mixed sign leave: each of them
+fails on at most one gap of the interval per term of its left side
 (enumerate_region).
 
 Prefixes that leave the same subtree are counted once.  On the closed path
@@ -552,6 +554,50 @@ def _compiled_shape(lattice, shape, tally):
                   {d - 1: spec for d, spec in program.items() if spec[4]})
 
 
+def _leaf_pieces(lo, hi, mixed, terms):
+    """[lo, hi] less the m that fail a mixed constraint (e, bn, bd), as
+    disjoint intervals in increasing order, at the leaf_terms `terms`; the
+    rule and its proof are in enumerate_region."""
+    def times(poly, half):  # max-plus: exponent of m -> largest coefficient
+        out = {}
+        for a, c in poly.items():
+            for p, w in half:
+                if out.get(a + w, 0) < c * p:
+                    out[a + w] = c * p
+        return out
+
+    gaps = []
+    for e, bn, bd in mixed:
+        lhs, rhs = {0: bd}, {0: bn}
+        for num, den, x in zip(*terms, e):
+            if x < 0:
+                num, den, x = den, num, -x
+            for _ in range(x):
+                lhs, rhs = times(lhs, num), times(rhs, den)
+        for a, la in lhs.items():
+            below, above = 0, hi + 1  # m <= below or m >= above passes
+            for b, rb in rhs.items():
+                if a > b:
+                    below = max(below, linalg.iroot(rb // la, a - b))
+                elif a < b:
+                    q = -(-la // rb)
+                    r = linalg.iroot(q, b - a)
+                    above = min(above, r + (r ** (b - a) < q))
+                elif la <= rb:
+                    break
+            else:
+                if below + 1 < above:
+                    gaps.append((below + 1, above - 1))
+    pieces = []
+    for start, end in sorted(gaps):
+        if lo < start:
+            pieces.append((lo, start - 1))
+        lo = max(lo, end + 1)
+    if lo <= hi:
+        pieces.append((lo, hi))
+    return pieces
+
+
 def enumerate_region(lattice, region, B, fingerprints=None,
                      budget=DEFAULT_BUDGET, first_range=None):
     """Count canonical torsor points with multi-height in the region.
@@ -576,11 +622,31 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     over the cones holding the last ray.  Those m are counted as
     sum_{d | rad G0} mu(d) (floor(cap/d) - floor((lo-1)/d)), the Moebius
     treatment of torsor coprimality (Salberger, Asterisque 251; de la
-    Breteche, J. Number Theory 87).  Only a tally or a constraint of mixed
-    sign makes the leaf walk the m of [lo, cap] one by one; it then tests
-    gcd(m, G0) and the mixed constraints alone, since the interval already
-    decides the rest.  The descent's per-coordinate caps come from
-    coordinate_bounds.
+    Breteche, J. Number Theory 87).  The descent's per-coordinate caps come
+    from coordinate_bounds.
+
+    Mixed constraints.  The descent does not test a constraint of mixed
+    sign; the leaf cuts [lo, cap] into pieces instead (_leaf_pieces).
+    With the prefix fixed, every max-monomial of nef_split is a maximum
+    max_w P_w m^{w_last} of terms in m, so a mixed constraint,
+    cross-multiplied as in _sides, compares two products of such maxima,
+    times bd and bn.  All terms are positive, so a product of maxima is the
+    maximum of the products: multiplied out as a max-plus product, keeping
+    the largest coefficient per exponent of m, it reads max_a L_a m^a <=
+    max_b R_b m^b.  That holds iff every a has some b with L_a m^a <= R_b
+    m^b.  For a = b that test does not depend on m.  For a > b it holds
+    iff m^{a-b} <= R_b / L_a, and m^{a-b} is an integer, so iff m <=
+    iroot(floor(R_b / L_a), a - b); for a < b iff m^{b-a} >= ceil(L_a /
+    R_b), that is from the ceiling root of ceil(L_a / R_b) of order b - a
+    on.  So the m that fail term a are those above every root of the first
+    kind and below every root of the second: one gap, and none when some
+    a = b test holds.  The admissible m are [lo, cap] less the union of
+    these gaps over every term and every mixed constraint, a union of
+    disjoint pieces once overlapping gaps are merged, and each piece is
+    counted by the Moebius sum above, whose G0 does not depend on m.  The
+    anti-nef lower end of leaf_start is the case a = 0 with L_0 = c, kept
+    as its own code.  A tally walks the m of each piece and tests
+    gcd(m, G0) alone.
 
     Subtree memo.  On the closed path (no mixed constraint) the count and
     `visited` of the subtree below a prefix at depth d, 1 <= d <= n-1, are
@@ -772,7 +838,8 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         """The least admissible last coordinate from lo, and G0.
 
         An anti-nef constraint max_s pref_s m^{w_s} >= c holds exactly from
-        min_s ceil((c/pref_s)^{1/w_s}) on.  The prefix complement products
+        min_s ceil((c/pref_s)^{1/w_s}) on: the rule of _leaf_pieces for a
+        left side c m^0 of one term a = 0.  The prefix complement products
         are coprime (the descent checked them), so m keeps them coprime iff
         gcd(m, G0) = 1, G0 their gcd over the cones that hold the last ray.
         """
@@ -795,7 +862,8 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         return lo, g0
 
     def leaf_count(lo, hi, depth):
-        """Admissible last coordinates in [lo, hi], in closed form."""
+        """Admissible last coordinates in [lo, hi], in closed form: one
+        Moebius sum over the interval, or over each of its _leaf_pieces."""
         nonlocal count
         lo, g0 = leaf_start(lo, hi, depth)
         if hi < lo:
@@ -804,8 +872,13 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         for p in {p for lam in range(depth) for p in primes_of(mags[lam])
                   if g0 % p == 0}:
             divs += [(d * p, -mu) for d, mu in divs if d * p <= hi]
-        count += weight * sum(mu * (hi // d - (lo - 1) // d)
-                              for d, mu in divs)
+        if mixed_cons:
+            count += weight * sum(
+                mu * (b // d - (a - 1) // d) for a, b in _leaf_pieces(
+                    lo, hi, mixed_cons, leaf_terms(depth)) for d, mu in divs)
+        else:
+            count += weight * sum(mu * (hi // d - (lo - 1) // d)
+                                  for d, mu in divs)
 
     def leaf_terms(depth):
         """Numerator and denominator halves of the split: per basis class,
@@ -825,23 +898,20 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         guard(tables[-1][0])
 
     def leaf_walk(lo, hi, depth):
-        """The last coordinates in [lo, hi] one by one, for a tally or a
-        mixed constraint."""
+        """The tally's leaf: the last coordinates of [lo, hi], or of its
+        _leaf_pieces, one by one."""
         nonlocal count
         lo, g0 = leaf_start(lo, hi, depth)
         terms = leaf_terms(depth)
         floor_t, ceil_t = tables[-1]
-        for m in range(lo, hi + 1):
-            if gcd(m, g0) != 1:
-                continue
-            num, den = ([max(p * m ** w for p, w in half) for half in side]
-                        for side in terms)
-            if any(lhs > rhs for lhs, rhs in (
-                    _sides(e, bn, bd, num, den)
-                    for e, bn, bd in mixed_cons)):
-                continue
-            count += weight
-            if tally:
+        for a, b in (_leaf_pieces(lo, hi, mixed_cons, terms) if mixed_cons
+                     else ((lo, hi),)):
+            for m in range(a, b + 1):
+                if gcd(m, g0) != 1:
+                    continue
+                num, den = ([max(p * m ** w for p, w in half)
+                             for half in side] for side in terms)
+                count += weight
                 yf, yc = [], []
                 for row in rows:
                     lhs, rhs = _sides(row, 1, 1, num, den)
@@ -893,8 +963,8 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         leaf, key_of = leaf_walk, tally_signature
         lookup, store = tally_lookup, tally_store
     else:
-        leaf = leaf_walk if mixed_cons else leaf_count
-        key_of, lookup, store = signature, memo.get, memo.__setitem__
+        leaf, key_of = leaf_count, signature
+        lookup, store = memo.get, memo.__setitem__
 
     def run_end(depth, a, hi, spec, prefs):
         """The last m <= hi with the parts (a) and (b) of the child

@@ -409,10 +409,12 @@ def _forced(order, **patches):
 
 def _both_leaf_paths(lat, region, B, **kw):
     """Counts a region twice: as is, where the last coordinate is counted
-    in closed form when no constraint has mixed sign, and as a tally of the
-    basis heights with the signature memo switched off, which walks it
-    value by value, adds every point to a cell and never reuses a subtree.
-    Both descend in the order chosen for the first."""
+    in closed form, and as a tally of the basis heights with the signature
+    memo switched off, which walks it value by value, adds every point to a
+    cell and never reuses a subtree.  Both descend in the order chosen for
+    the first.  On a region with a mixed-sign constraint both paths read
+    the same _leaf_pieces, so there naive_count is their independent
+    check."""
     plain = enumerate_region(lat, region, B, **kw)
     rows = [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]
     with _forced(plain.order, _signature_program=lambda *a: {}) as run:
@@ -434,6 +436,97 @@ def test_closed_form_leaf_mixed_region():
     lat = get_lattice("F1")
     region = Region([((1, 0), 4, 0), ((0, 1), 1, 1)])
     assert _both_leaf_paths(lat, region, 30).count == 72924
+
+
+def _f1_box():
+    """1 <= H_(1,0) <= 10, 1 <= H_(0,1) <= 31 on F1: the class (0,1) is
+    not nef, so both of its bounds have mixed sign."""
+    return get_lattice("F1"), counting._box_region([[1, 0], [0, 1]], [1, 1],
+                                                   [10, 31])
+
+
+def test_mixed_leaf_f1_box():
+    lat, box = _f1_box()
+    _, _, mixed = counting._compile_constraints(lat, box.shape)
+    assert [e for _, e in mixed] == [[0, 1], [0, -1]]
+    res = enumerate_region(lat, box, 1)
+    assert (res.count, res.visited) == (1040804, 605751)
+
+
+def test_mixed_leaf_tests_no_candidate(monkeypatch):
+    """The mixed constraints are cut into pieces in closed form at each
+    leaf: _sides evaluates the bounds and caps of the call, never one of
+    the box's 605,751 candidates, nor one of its leaves."""
+    sides, calls = counting._sides, [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return sides(*args)
+
+    monkeypatch.setattr(counting, "_sides", counted)
+    lat, box = _f1_box()
+    assert enumerate_region(lat, box, 1).count == 1040804
+    assert 0 < calls[0] < 1000
+
+
+def test_leaf_pieces_match_the_walk():
+    """_leaf_pieces on seeded random maxima of monomials in m, against the
+    per-candidate test: every m of [1, 60] cross-multiplied through
+    _sides.  Terms of the left side that fail on nested gaps, and roots
+    and ceiling roots that land exactly on an integer, occur among them."""
+    rng = random.Random(3)
+
+    def half():
+        return [(rng.randint(1, 40), rng.randint(0, 3))
+                for _ in range(rng.randint(1, 3))]
+
+    for _ in range(400):
+        terms = [[half(), half()] for _ in range(2)]
+        mixed = [([rng.randint(-2, 2), rng.randint(-2, 2)],
+                  rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
+                 for _ in range(rng.randint(1, 2))]
+        lo, hi = rng.randint(1, 20), 60
+        pieces = counting._leaf_pieces(lo, hi, mixed, terms)
+        got = [m for a, b in pieces for m in range(a, b + 1)]
+        want = []
+        for m in range(lo, hi + 1):
+            num, den = ([max(p * m ** w for p, w in lst) for lst in side]
+                        for side in terms)
+            if all(lhs <= rhs for lhs, rhs in (
+                    counting._sides(e, bn, bd, num, den)
+                    for e, bn, bd in mixed)):
+                want.append(m)
+        assert got == want
+        assert all(b + 1 < c for (_, b), (c, _) in zip(pieces, pieces[1:]))
+
+
+@pytest.mark.parametrize("name,cls,gamma", [("F1", (0, 2), 30),
+                                            ("F1", (-1, 2), 3),
+                                            ("F2", (0, 2), 40),
+                                            ("F2", (-1, 2), 5)])
+def test_mixed_leaf_products_of_maxima(name, cls, gamma):
+    """A mixed constraint with an exponent 2, or over both basis classes,
+    multiplies maxima of monomials at the leaf; under an anticanonical
+    bound its pieces give naive_count's count."""
+    lat = get_lattice(name)
+    region = Region([(lat.anticanonical, 1, 1), (cls, gamma, 0)])
+    _, _, mixed = counting._compile_constraints(lat, region.shape)
+    assert [tuple(e) for _, e in mixed] == [cls]
+    assert _both_leaf_paths(lat, region, 300).count == naive_count(
+        lat, region, 300) > 0
+
+
+@pytest.mark.parametrize("name,top", [("F1", 24), ("F2", 15)])
+def test_mixed_leaf_random_boxes(name, top):
+    """Seeded boxes lo_i <= H_(L_i) <= hi_i with rational walls on the
+    basis of F1 and F2, whose second class is not nef."""
+    lat = get_lattice(name)
+    rng = random.Random(7)
+    for _ in range(6):
+        highs = [Fraction(rng.randint(4, top), 3) for _ in range(2)]
+        lows = [h / Fraction(rng.randint(4, 30), 3) for h in highs]
+        box = counting._box_region([[1, 0], [0, 1]], lows, highs)
+        assert enumerate_region(lat, box, 1).count == naive_count(lat, box, 1)
 
 
 def test_closed_form_leaf_cone_boxes():

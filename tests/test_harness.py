@@ -396,6 +396,17 @@ def test_cli_exit_code_bad_fan(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_exit_code_singular_fan(tmp_path, capsys):
+    """P(1,1,2): the cone of the rays (1,0) and (-1,-2) is not unimodular,
+    and loading the fan file says so."""
+    path = tmp_path / "p112.json"
+    path.write_text(json.dumps({"dim": 2, "rays": [[1, 0], [0, 1], [-1, -2]],
+                                "max_cones": [[0, 1], [1, 2], [0, 2]]}))
+    rc = cli.main(["analyze", str(path)])
+    assert rc == 2
+    assert "singular" in capsys.readouterr().err
+
+
 def test_cli_exit_code_missing_region(capsys):
     rc = cli.main(["count", "P1", "--region", "/nonexistent/r.json",
                    "--B", "10"])
