@@ -31,10 +31,12 @@ def box_demo(lat, tau):
 
 
 def sandwich_demo(lat, B=400):
-    caps = [2 * int(B ** 0.5)] * 2
-    slack = [(list(lat.anticanonical), 16 * B, 0)]
+    # both rows are nef, so their heights are integers and the floor cells
+    # the sum reads need no slack: the caps B^(1/2) and H_omega <= B
+    caps = [int(B ** 0.5)] * 2
+    cutoff = [(list(lat.anticanonical), B, 0)]
     floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], caps,
-                                 extra_constraints=slack)
+                                 extra_constraints=cutoff)
     lo = hyperbola_sum(ceil_t, [[2, 2]], B)
     hi = hyperbola_sum(floor_t, [[2, 2]], B)
     from toricount import count_anticanonical

@@ -63,7 +63,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from math import gcd, lcm
 from operator import itemgetter
 import random
@@ -676,13 +676,14 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     on every leaf.  Otherwise P_w X >= c iff X >= ceil(c / P_w), and the
     leaf's lower end uses ceil(c / (P_w X')) = ceil(ceil(c / P_w) / X');
     within a group the least threshold decides, and a zero remaining vector
-    with P_w < c can never reach c.  (c) The descent's gcd tests and the
-    leaf's G0 ask, for each prime p, whether p divides base_s R_s for every
-    cone s of some set, base_s the prefix complement product and R_s the
-    product of the new coordinates outside s.  R_s depends on s only
-    through T_s, so p divides all of them iff, for every group, p divides
-    g_T or a new coordinate in T; the Moebius sum reads only the primes of
-    G0.  (d) Below the prefix a list's max-monomial is max_w P_w X_w, and
+    with P_w < c can never reach c; a call drops the constraints with
+    c = 1, which every point meets, from its key and its leaf.  (c) The
+    descent's gcd tests and the leaf's G0 ask, for each prime p, whether p
+    divides base_s R_s for every cone s of some set, base_s the prefix
+    complement product and R_s the product of the new coordinates outside
+    s.  R_s depends on s only through T_s, so p divides all of them iff,
+    for every group, p divides g_T or a new coordinate in T; the Moebius
+    sum reads only the primes of G0.  (d) Below the prefix a list's max-monomial is max_w P_w X_w, and
     X_w depends on w only through its group g, so it equals
     max_g (max_{w in g} P_w) X_g: equal keys give equal max-monomials, so
     equal H_{e_j} and equal fingerprints, point for point.  A group whose
@@ -793,6 +794,13 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         return empty()
     thresholds = [-(-bd // bn) for bn, bd in (_sides(v, 1, 1, *bases)
                                               for v, _ in anti_cons)]
+    if 1 in thresholds:  # every point meets c = 1: drop it for this call
+        kept = [c != 1 for c in thresholds]
+        anti_cons = list(compress(anti_cons, kept))
+        thresholds = list(compress(thresholds, kept))
+        program = {d: (nef, list(compress(anti, kept)), *rest)
+                   for d, (nef, anti, *rest) in program.items()}
+        by_runs = {d - 1: spec for d, spec in program.items() if spec[4]}
     mixed_cons = [(e, *_sides(v, 1, 1, *bases)) for v, e in mixed_cons]
     # per-cone running complement products
     comp_prod = [[1] * len(lattice.fan.max_cones)]
@@ -1300,11 +1308,23 @@ class BoxDecomposition:
             out.append(n)
         return tuple(out)
 
+    def walls(self, b_vec, kept):
+        """Per axis i and box n = 1..kept_i + 1, the two Constraints of
+        B r^{-n} <= H_{L_i} <= B r^{-(n-1)}, each wall one division from
+        the last."""
+        out = []
+        for row, b, r, k in zip(self.l_rows, b_vec, self.ratios, kept):
+            highs = [Fraction(b)]
+            for _ in range(k + 1):
+                highs.append(highs[-1] / r)
+            out.append([_box_region([row], [lo], [hi]).constraints
+                        for hi, lo in zip(highs, highs[1:])])
+        return out
+
     def region(self, b_vec, n_vec):
         """Closed region for box D_{n,B}: B r^{-n_i} <= H_{L_i} <= B r^{-(n_i-1)}."""
-        walls = [(Fraction(b) * r ** -n, Fraction(b) * r ** (1 - n))
-                 for b, r, n in zip(b_vec, self.ratios, n_vec)]
-        return _box_region(self.l_rows, *zip(*walls))
+        return Region([c for pairs, n in zip(self.walls(b_vec, n_vec), n_vec)
+                       for c in pairs[n - 1]])
 
 
 def build_box_decomposition(lattice, l_rows, seed=0, ratios=None):
@@ -1379,12 +1399,14 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         else:
             decomp = _drawn_decomposition(l_rows, seed + attempt)
         kept = decomp.kept(b_vec)
+        walls = decomp.walls(b_vec, kept)
         hist = {}
         beyond = []
         total = 0
         for n_vec in product(*(range(1, k + 2) for k in kept)):
-            box = enumerate_region(lattice, decomp.region(b_vec, n_vec), 1,
-                                   budget=budget - spent)
+            region = Region([c for pairs, n in zip(walls, n_vec)
+                             for c in pairs[n - 1]])
+            box = enumerate_region(lattice, region, 1, budget=budget - spent)
             spent += box.visited
             cnt = box.count
             if any(n > k for n, k in zip(n_vec, kept)):

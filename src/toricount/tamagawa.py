@@ -121,18 +121,19 @@ def euler_product(fan, p_max):
     j0 = next(j for j, c in enumerate(q) if j and c)  # Q(1) = 0, so exists
     s = sum(map(abs, q[1:]))
     sieve = _sieve(p_max)
+    n = fan.n_rays
     value = 1.0
     for p in np.flatnonzero(sieve[:iroot(s << 54, j0) + 1]).tolist():
         num = 0
         for c in q:
             num = num * p + c
-        value *= num / p ** fan.n_rays
+        value *= num / p ** n
     t = s / ((j0 - 1) * float(p_max) ** (j0 - 1))
     g = 2 * int(np.count_nonzero(sieve)) * 2.0 ** -53
     g /= 1.0 - g
     bound = value * (expm1(t) + g) / (1.0 - g)
     return {"value": value, "tail_bound": bound, "p_max": p_max,
-            "rho": fan.n_rays - fan.dim}
+            "rho": n - fan.dim}
 
 
 def _compile_membership(lattice, box):

@@ -268,20 +268,24 @@ def _hyperbola_setup(lat, l_rows, b_top, budget):
     the dual-basis data (alphas, dual generators) they were built from.
 
     alphas solves sum_i alpha_i L_i = omega (_dual_basis_data, which also
-    checks that every alpha_i > 0).  A point whose floor fingerprint
-    is queried satisfies H_i < y_i + 1 <= 2 y_i and H_omega < 2^{sum alpha}
-    prod y^alpha, so doubling the per-coordinate caps and relaxing the
-    anticanonical cutoff by 2^{ceil(sum alpha)} keeps every needed point in
-    the tabulated set; the ceil table needs no slack.
+    checks that every alpha_i > 0).  A queried floor cell y has every
+    y_i >= 1 and prod y^alpha <= b_top, so y_i <= cap_i.  On canonical
+    points a nef row has an integer height, H_i = y_i <= cap_i; any other
+    row has H_i < y_i + 1 <= cap_i + 1 and y_i + 1 <= 2 y_i.  So H_omega =
+    prod H^alpha < 2^{sum alpha_i over the rows that are not nef} b_top,
+    and the caps cap_i, plus one on those rows, with the anticanonical
+    cutoff relaxed by 2^{ceil of that sum}, keep every needed point in the
+    tabulated set; the ceil table needs no slack.
     """
     alphas, _, gens = counting._dual_basis_data(lat, l_rows)
     caps = [linalg.floor_rational_power(Fraction(b_top), x.denominator,
                                         x.numerator) for x in alphas]
-    total = sum(alphas)
+    loose = [not lat.is_nef(row) for row in l_rows]
+    total = sum(a for a, x in zip(alphas, loose) if x)
     slack = Fraction(2) ** (-((-total.numerator) // total.denominator))
     extra = [(list(lat.anticanonical), slack * Fraction(b_top), 0)]
     f_floor, f_ceil = counting.tabulate_f(lat, l_rows,
-                                          [2 * c for c in caps],
+                                          [c + x for c, x in zip(caps, loose)],
                                           extra_constraints=extra,
                                           budget=budget)
     return alphas, gens, caps, f_floor, f_ceil

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from toricount import counting, fans, heights, linalg
+from toricount import counting, fans, heights, linalg, verify
 from toricount.cones import (dual_cone, effective_decomposition,
                              nu_simplicial)
 from toricount.counting import (
@@ -1100,6 +1100,48 @@ def test_shape_cache_keeps_no_call_data(kind):
     assert all(res[0] for res in cold)
 
 
+@pytest.mark.parametrize("name,B,want", [
+    ("P1xP1", 5000, (65444, 26552, 2956, (0, 1, 2, 3))),
+    ("P2", 10 ** 6, (3330772, 1000101, 9900, (0, 1, 2)))])
+def test_nef_facets_change_no_count(name, B, want):
+    """The facets of the inclusion-exclusion terms are nef here, so each is
+    an anti-nef constraint with threshold c = 1, which every point meets:
+    with and without them, count, visited, reused and order are the
+    values of the enumerator that still carried such constraints."""
+    lat = get_lattice(name)
+    dec = effective_decomposition([list(c) for c in lat.classes],
+                                  list(lat.anticanonical))
+    facets = [f for cone in dec.cones for f in dual_cone(cone, lat.rank)]
+    assert facets and all(lat.is_nef(f) for f in facets)
+    for region in (anticanonical_region(lat),
+                   anticanonical_region(lat, facets=facets)):
+        assert _outcome(enumerate_region(lat, region, B))[:4] == want
+
+
+def test_lower_walls_at_one_are_dropped_per_call():
+    """Box lower walls at 1 have threshold c = 1 and change nothing; a
+    later call of the same shape with walls at 3 and 2 on its warm entry
+    still applies them, and the entry keeps both anti-nef constraints in
+    its list and in every depth of its program."""
+    lat = get_lattice("P1xP1")
+    rows = [[1, 0], [0, 1]]
+    upper = Region([((1, 0), 12, 0), ((0, 1), 9, 0)])
+    ones = counting._box_region(rows, [1, 1], [12, 9])
+    walls = counting._box_region(rows, [3, 2], [12, 9])
+    assert ones.shape == walls.shape
+    counting._compiled_shape.cache_clear()
+    cold = _outcome(enumerate_region(lat, walls, 1))
+    counting._compiled_shape.cache_clear()
+    plain = _outcome(enumerate_region(lat, upper, 1))
+    assert _outcome(enumerate_region(lat, ones, 1))[:4] == plain[:4]
+    assert _outcome(enumerate_region(lat, walls, 1)) == cold
+    assert plain[0] == naive_count(lat, upper, 1) > cold[0]
+    assert cold[0] == naive_count(lat, walls, 1) > 0
+    shape = counting._compiled_shape(lat, ones.shape, False)
+    assert len(shape.anti) == 2 and shape.program
+    assert all(len(spec[1]) == 2 for spec in shape.program.values())
+
+
 @pytest.mark.parametrize("name", ["P1xP1", "F1"])
 def test_shape_cache_keys_the_tally(name):
     """A tally and a plain count of one shape, in either order on a shared
@@ -1463,6 +1505,51 @@ def test_hyperbola_sandwich_f1():
         s_floor = hyperbola_sum(floor_t, [[3, 2]], B)
         s_ceil = hyperbola_sum(ceil_t, [[3, 2]], B)
         assert s_ceil <= direct <= s_floor
+
+
+def test_hyperbola_floor_needs_slack_on_non_nef_rows():
+    """A floor table of F1 with no slack on its row (0, 1), which is not
+    nef, misses cells the sum at 10^3 reads: its sum_floor is 7,996, not
+    the 9,188 of run_hyperbola.  The wrong sum still brackets the count
+    from above, so only a pinned value catches it."""
+    lat = get_lattice("F1")
+    rows = [[1, 0], [0, 1]]
+    B = 1000
+    direct = enumerate_region(lat, anticanonical_region(lat), B).count
+    cutoff = [(list(lat.anticanonical), B, 0)]
+    floor_t, ceil_t = tabulate_f(lat, rows, [10, 31],
+                                 extra_constraints=cutoff)
+    short = hyperbola_sum(floor_t, [[3, 2]], B)
+    assert hyperbola_sum(ceil_t, [[3, 2]], B) == 7356 <= direct == short
+    _, _, _, floor_t, _ = verify._hyperbola_setup(lat, rows, B, DEFAULT_BUDGET)
+    assert floor_t.caps == (10, 32)
+    assert hyperbola_sum(floor_t, [[3, 2]], B) == 9188 > short == 7996
+
+
+def test_hyperbola_tables_with_a_non_nef_row_match_naive():
+    """P1xP1 with rows (1, -1), (0, 1): the first is not nef.  The tables
+    of run_hyperbola equal the brute-force ones over their own domain, and
+    their sums equal those of brute-force tables over the domain with
+    every cap doubled and H_omega <= 2^{ceil(sum alpha)} B."""
+    lat = get_lattice("P1xP1")
+    rows = [[1, -1], [0, 1]]
+    b_top = 100
+    alphas, _, caps, floor_t, ceil_t = verify._hyperbola_setup(
+        lat, rows, b_top, DEFAULT_BUDGET)
+    assert [lat.is_nef(row) for row in rows] == [False, True]
+    assert alphas == [2, 4] and caps == [10, 3] and floor_t.caps == (11, 3)
+    assert (floor_t.data, ceil_t.data) == naive_tables(
+        lat, rows, floor_t.caps, [(lat.anticanonical, 4 * b_top, 0)])
+    wide = naive_tables(lat, rows, [20, 6],
+                        [(lat.anticanonical, 64 * b_top, 0)])
+    sums = []
+    for B in (10, 37, 99, 100):
+        got = [hyperbola_sum(t, [alphas], B) for t in (floor_t, ceil_t)]
+        assert got == [hyperbola_sum(FTable(v, (), (20, 6), data), [alphas],
+                                     B)
+                       for v, data in zip(("floor", "ceil"), wide)]
+        sums.append(tuple(got))
+    assert sums == [(28, 28), (140, 108), (620, 364), (652, 396)]
 
 
 def _fraction_tables(lat, l_rows, b_max):

@@ -145,7 +145,7 @@ def test_run_hyperbola_p1():
     exp = Experiment(get_lattice("P1"), "hyperbola", [100, 1000], tau=TAU_P1)
     rows, summary = run_experiment(exp)
     assert summary["caps"] == [31]
-    assert summary["table_sizes"] == [62, 62]
+    assert summary["table_sizes"] == [31, 31]
     assert summary["sandwich_ok_all"]
     assert summary["alphas"] == ["2"]
     assert [r["count"] for r in rows] == [126, 1230]
@@ -160,10 +160,24 @@ def test_run_hyperbola_p1xp1():
     assert [r["count"] for r in rows] == [836, 3908]
     assert summary["sandwich_ok_all"]
     # the tables' enumeration: visited as before the memo, subtrees reused
-    assert summary["tabulation"]["visited"] == 24884
+    assert summary["tabulation"]["visited"] == 1636
     assert summary["tabulation"]["reused"] > 0
     for r in rows:
         assert r["sum_ceil"] == r["count"] == r["sum_floor"]
+
+
+def test_run_hyperbola_f1():
+    """F1's basis class (0, 1) is not nef, so the sums differ from the
+    count, and only its row of the floor table gets slack."""
+    exp = Experiment(get_lattice("F1"), "hyperbola", [1000, 10000], tau=1.0)
+    rows, summary = run_experiment(exp)
+    assert summary["alphas"] == ["3", "2"] and summary["caps"] == [21, 100]
+    assert [(r["sum_ceil"], r["count"], r["sum_floor"]) for r in rows] == [
+        (7356, 7996, 9188), (94940, 102316, 114772)]
+    assert summary["sandwich_ok_all"]
+    # a count gate on the tabulated domain: 1,280,917 with every cap
+    # doubled and H_omega <= 32 B
+    assert summary["tabulation"]["visited"] == 132764
 
 
 def test_run_hyperbola_solves_dual_basis_once(monkeypatch):
