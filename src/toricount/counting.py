@@ -40,8 +40,8 @@ children m of a prefix the quota and threshold parts of the signature are
 monotone step functions, so they are constant on runs of m that end at exact
 integer roots; where every cone group holds the prefix's own ray, the gcd
 part depends on m only through gcd(m, L) for an integer L of the prefix.
-Each run and gcd class then costs one Moebius count and one memo lookup:
-on P1xP1 the (x0, x1) loop takes one step per run of equal
+Each run and gcd class then costs one memo lookup and, past one child, one
+Moebius count: on P1xP1 the (x0, x1) loop takes one step per run of equal
 floor(B / max(x0, x1)^2), the grouping by max-norm of the hyperbola method.
 
 The rounded-height tables of tabulate_f are tallied on the same path.  The
@@ -527,9 +527,10 @@ def _compiled_shape(lattice, shape, tally):
     moves, per lattice, Region.shape and tally flag: the vertex program,
     the constraints (_compile_constraints), the order (_descent_order) and,
     relabelled by it (depth i holds the ray order[i]), the representatives,
-    the max-monomial lists (read by a tally or a mixed constraint), per
-    depth the cones whose complement holds its ray and the pair exponents,
-    and the _signature_program with the depths whose children walk runs.
+    the max-monomial lists of the classes a tally or a mixed constraint
+    reads (empty for the others), per depth the cones whose complement
+    holds its ray and the pair exponents, and the _signature_program with
+    the depths whose children walk runs.
     Every call of the shape shares the entry, so none may change it."""
     fan, n = lattice.fan, lattice.fan.n_rays
     vertex_program, limit = _vertex_program(lattice.classes, *shape)
@@ -542,7 +543,9 @@ def _compiled_shape(lattice, shape, tally):
     moved = itemgetter(*order)
     nef = [(v, [moved(w) for w in reps]) for v, reps in nef]
     anti = [(v, [moved(w) for w in reps]) for v, reps in anti]
-    mono = [[[moved(w) for w in side] for side in pair] for pair in mono]
+    mono = [[[moved(w) for w in side] for side in pair]
+            if tally or any(e[j] for _, e in mixed) else ([], [])
+            for j, pair in enumerate(mono)]
     cones = [{order.index(lam) for lam in c} for c in fan.max_cones]
     pair_reps = [w for _, reps in nef for w in reps]
     program = {} if mixed else _signature_program(
@@ -703,33 +706,36 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     bookkeeping are chosen once per call, so a count without a tally does
     no tally work at any node.
 
-    Runs.  Without a tally, a depth d whose child depth d + 1 is eligible
-    does not walk its children m one by one when every group of part (c)
-    at d + 1 has a cone that holds ray d (_blockable; decided once per
-    shape).  It takes maximal runs [a, e] of m with equal parts (a) and (b):
-    floor(q / m^w) >= v iff m <= iroot(floor(q / v), w), so a group's least
-    quota v holds up to the least such root over its pairs with w_d > 0;
-    ceil(c / M) = t iff M (t - 1) < c <= M t, and M = max P_w m^{w_d} is
-    nondecreasing, so a threshold t >= 2 holds while every P_w m^{w_d} <=
-    floor((c - 1) / (t - 1)), and the mark while every P_w m^{w_d} <= c - 1.
-    Both parts are monotone, so a run's values never come back and runs
-    have distinct signatures.  Within a run the children with equal
-    D = gcd(m, L) have equal signatures, where, with base_s the prefix
-    complement products, A is the gcd of base_s over the cones that hold
-    ray d, and L the lcm over the groups of (c) of h, the gcd of base_s
-    over the group's cones that hold ray d.  Proof: a group's part (c) is
-    gcd(h, m k), k the gcd of base_s over its other cones; at each prime p
-    its exponent min(v_p(h), v_p(m) + v_p(k)) depends on m only through
-    min(v_p(m), v_p(h)), that is through gcd(m, h) = gcd(D, h), since
-    h | L.  The descent's coprimality test asks gcd(A, m K) = 1, K the gcd
-    over the other cones, where gcd(A, K) = 1 already (the prefix passed
-    it): it holds iff gcd(D, A) = 1, since A | L.  So each D | L coprime
+    Runs.  Without a tally, a depth d whose child depth d + 1 is eligible does
+    not walk its children m one by one when every group of part (c) at d + 1
+    has a cone that holds ray d (_blockable; decided once per shape).  It
+    takes maximal runs [a, e] of m with equal parts (a) and (b), keyed from
+    the run's own bounds: floor(q / m^w) >= v iff m <= iroot(floor(q / v),
+    w), so a group's least quota v at a, the least of its least parent quota
+    and floor(q / a^w) <= q over its pairs with w_d > 0, holds up to the
+    least such root over those pairs; ceil(c / M) = t iff M (t - 1) < c <=
+    M t, and M = max P_w m^{w_d} is nondecreasing, so a threshold t >= 2 holds
+    while every P_w m^{w_d} <= floor((c - 1) / (t - 1)), and the mark while
+    every P_w m^{w_d} <= c - 1.  Both parts are monotone, so a run's values
+    never come back and runs have distinct signatures.  Within a run the
+    children with equal D = gcd(m, L) have equal signatures, where, with
+    base_s the prefix complement products, A is the gcd of base_s over the
+    cones that hold ray d, and L the lcm over the groups of (c) of h, the gcd
+    of base_s over the group's cones that hold ray d.  Proof: a group's part
+    (c) is gcd(h, m k), k the gcd of base_s over its other cones; at each
+    prime p its exponent min(v_p(h), v_p(m) + v_p(k)) depends on m only
+    through min(v_p(m), v_p(h)), that is through gcd(m, h) = gcd(D, h), since
+    h | L, so it is gcd(h, D k), the part (c) of the child D, keyed once per
+    walk and class.  The descent's coprimality test asks gcd(A, m K) = 1, K
+    the gcd over the other cones, where gcd(A, K) = 1 already (the prefix
+    passed it): it holds iff gcd(D, A) = 1, as A | L.  So each D | L coprime
     to A is one class, of N_D = sum_{f | rad(L/D)} mu(f) (floor(e / Df) -
-    floor((a - 1) / Df)) children, and adds N_D times the memo entry of
-    its signature; on a miss its least child is descended first.  Classes
-    are taken in order of their least child, so the descents, and the memo
-    each of them finds, are those of the per-child walk, and count,
-    visited and reused do not change.
+    floor((a - 1) / Df)) children, and adds N_D times the memo entry of its
+    signature; a miss builds the products and quotas of its least child and
+    descends it first.  A run of one child a takes no class sums: it is the
+    class gcd(a, L), kept iff gcd(a, A) = 1.  Classes are taken in order of
+    their least child, so the descents, and the memo each of them finds, are
+    those of the per-child walk, and count, visited and reused do not change.
 
     Order.  The descent runs on the fan relabelled by the order that
     _descent_order picks for the region's shape: depth i holds the ray
@@ -863,11 +869,8 @@ def enumerate_region(lattice, region, B, fingerprints=None,
                     ends.append(r + (r ** w[depth] < q))
             else:  # with no ends, no cone's monomial ever reaches c
                 lo = max(lo, min(ends, default=hi + 1))
-        g0 = 0
-        for b, out in zip(comp_prod[-1], outside[depth]):
-            if not out:
-                g0 = gcd(g0, b)
-        return lo, g0
+        return lo, gcd(*(b for b, out in zip(comp_prod[-1], outside[depth])
+                         if not out))
 
     def leaf_count(lo, hi, depth):
         """Admissible last coordinates in [lo, hi], in closed form: one
@@ -974,47 +977,13 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         leaf, key_of = leaf_count, signature
         lookup, store = memo.get, memo.__setitem__
 
-    def run_end(depth, a, hi, spec, prefs):
-        """The last m <= hi with the parts (a) and (b) of the child
-        signature at depth + 1 equal to those of the child a."""
-        quotas, col = quota[-1], wcol[depth]
-        newq = [q // a ** w if w else q for q, w in zip(quotas, col)]
-        end = hi
-        # floor(q / m^w) >= v iff m <= iroot(floor(q / v), w)
-        for get, moving in zip(spec[0], spec[4][0]):
-            v = min(get(newq))
-            for i, w in moving:
-                r = linalg.iroot(quotas[i] // v, w)
-                if r < end:
-                    end = r
-        # ceil(c / M) = t iff M (t - 1) < c <= M t, and P m^w < c iff
-        # m <= iroot(floor((c - 1) / P), w)
-        for c, (reps, groups), pref in zip(thresholds, spec[1], prefs):
-            grown = [p * a ** w[depth] for p, w in zip(pref, reps)]
-            if max(grown) >= c:
-                continue
-            limits = [(c - 1, range(len(reps)))]
-            for grp in groups:
-                t = -(-c // max(grown[i] for i in grp))
-                limits.append(((c - 1) // (t - 1), grp))
-            for x, idx in limits:
-                for i in idx:
-                    w = reps[i][depth]
-                    if w:
-                        r = linalg.iroot(x // pref[i], w)
-                        if r < end:
-                            end = r
-        return end
-
     def walk_runs(depth, lo, hi, spec):
         """The children m in [lo, hi] of a blockable depth, one step per
         run of equal parts (a) and (b) and class D = gcd(m, L) in it."""
         nonlocal visited, count, reused
         quotas, base, col = quota[-1], comp_prod[-1], wcol[depth]
-        _, holders, held = spec[4]
-        ell = 1
-        for get in holders:
-            ell = lcm(ell, gcd(*get(base)))
+        nef, anti, coprime, _, (moving, holders, held) = spec
+        ell = lcm(*(gcd(*get(base)) for get in holders))
         coprime_to = gcd(*held(base))
         primes = {p for lam in range(depth) for p in primes_of(mags[lam])
                   if ell % p == 0}
@@ -1027,40 +996,78 @@ def enumerate_region(lattice, region, B, fingerprints=None,
                     k *= p
                 divs += ext
         # per class D the signed D f, f | rad(L / D), so that
-        # #{m in [a, e] : gcd(m, L) = D} = sum mu (e // Df - (a - 1) // Df)
-        classes = []
+        # #{m in [a, e] : gcd(m, L) = D} = sum mu (e // Df - (a - 1) // Df),
+        # and part (c) of its children, that of the child D
+        classes = {}
         for d in divs:
             terms = [(d, 1)]
             for p in primes:
                 if ell // d % p == 0:
                     terms += [(k * p, -mu) for k, mu in terms]
-            classes.append((d, terms))
-        prefs = [[prefix(w, depth) for w in reps] for reps, _ in spec[1]]
+            comp = [b * d if out else b
+                    for b, out in zip(base, outside[depth])]
+            classes[d] = terms, tuple(gcd(*get(comp)) for get in coprime)
+        fixed = [(min(get(quotas)), [(quotas[i], w) for i, w in pairs])
+                 for get, pairs in zip(nef, moving)]
+        prefs = [[prefix(w, depth) for w in reps] for reps, _ in anti]
         a = lo
         while a <= hi:
-            end = run_end(depth, a, hi, spec, prefs)
-            found = []  # (least m of the class, its number of children)
-            for d, terms in classes:
-                if d <= end:
-                    times = sum(mu * (end // k - (a - 1) // k)
-                                for k, mu in terms)
-                    if times:
-                        m = -(-a // d) * d
-                        while gcd(m, ell) != d:
-                            m += d
-                        found.append((m, times))
-            found.sort()
-            for m, times in found:
-                mags[depth] = m
-                newcomp = [b * m if out else b
-                           for b, out in zip(base, outside[depth])]
-                newq = [q // m ** w if w else q for q, w in zip(quotas, col)]
-                sig = signature(depth + 1, newcomp, newq)
+            # parts (a) and (b) of the child a, and the last m <= hi that
+            # keeps them: floor(q / m^w) >= v iff m <= iroot(floor(q / v), w)
+            end, key = hi, [depth + 1]
+            for v, pairs in fixed:
+                for q, w in pairs:
+                    if q // a ** w < v:
+                        v = q // a ** w
+                for q, w in pairs:
+                    r = linalg.iroot(q // v, w)
+                    if r < end:
+                        end = r
+                key.append(v)
+            # ceil(c / M) = t iff M (t - 1) < c <= M t, and P m^w < c iff
+            # m <= iroot(floor((c - 1) / P), w)
+            for c, (reps, groups), pref in zip(thresholds, anti, prefs):
+                grown = [p * a ** w[depth] for p, w in zip(pref, reps)]
+                if max(grown) >= c:
+                    key.append(None)
+                    continue
+                ts = tuple(-(-c // max(grown[i] for i in grp))
+                           for grp in groups)
+                key.append(ts)
+                limits = [(c - 1, range(len(reps)))] + [
+                    ((c - 1) // (t - 1), grp) for t, grp in zip(ts, groups)]
+                for x, idx in limits:
+                    for i in idx:
+                        if reps[i][depth]:
+                            end = min(end, linalg.iroot(x // pref[i],
+                                                        reps[i][depth]))
+            key = tuple(key)
+            if end == a:  # one child: no class sums
+                found = ([(a, 1, classes[gcd(a, ell)][1])]
+                         if gcd(a, coprime_to) == 1 else [])
+            else:
+                found = []  # (least m of the class, its children, part (c))
+                for d, (terms, part_c) in classes.items():
+                    if d <= end:
+                        times = 0
+                        for k, mu in terms:
+                            times += mu * (end // k - (a - 1) // k)
+                        if times:
+                            m = -(-a // d) * d
+                            while gcd(m, ell) != d:
+                                m += d
+                            found.append((m, times, part_c))
+                found.sort()
+            for m, times, part_c in found:
+                sig = key + part_c
                 hit = memo.get(sig)
                 if hit is None:
                     start = count, visited
-                    comp_prod.append(newcomp)
-                    quota.append(newq)
+                    mags[depth] = m
+                    comp_prod.append([b * m if out else b
+                                      for b, out in zip(base, outside[depth])])
+                    quota.append([q // m ** w if w else q
+                                  for q, w in zip(quotas, col)])
                     descend(depth + 1)
                     comp_prod.pop()
                     quota.pop()
@@ -1296,26 +1303,19 @@ class BoxDecomposition:
     ratios: tuple
 
     def kept(self, b_vec):
-        """Largest box index per axis not excluded by the emptiness bound:
-        boxes with r^{n-1} > B have their upper wall below every height."""
-        out = []
-        for b, r in zip(b_vec, self.ratios):
-            b = Fraction(b)
-            n, x = 1, Fraction(1)
-            while x * r <= b:
-                x *= r
-                n += 1
-            out.append(n)
-        return tuple(out)
+        """Largest box index per axis not excluded by the emptiness bound."""
+        return tuple(len(pairs) - 1 for pairs in self.walls(b_vec))
 
-    def walls(self, b_vec, kept):
-        """Per axis i and box n = 1..kept_i + 1, the two Constraints of
-        B r^{-n} <= H_{L_i} <= B r^{-(n-1)}, each wall one division from
-        the last."""
+    def walls(self, b_vec, kept=None):
+        """Per axis i and box n = 1..k + 1, the two Constraints of B r^{-n}
+        <= H_{L_i} <= B r^{-(n-1)}, each wall one division from the last; k
+        is kept[i], by default the least j >= 1 with B r^{-j} < 1, that is
+        r^j > B, past which boxes have their upper wall below every height."""
         out = []
-        for row, b, r, k in zip(self.l_rows, b_vec, self.ratios, kept):
+        for i, (row, b, r) in enumerate(zip(self.l_rows, b_vec, self.ratios)):
             highs = [Fraction(b)]
-            for _ in range(k + 1):
+            while (len(highs) < kept[i] + 2 if kept else
+                   len(highs) < 3 or highs[-2] >= 1):
                 highs.append(highs[-1] / r)
             out.append([_box_region([row], [lo], [hi]).constraints
                         for hi, lo in zip(highs, highs[1:])])
@@ -1398,8 +1398,8 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
             decomp = decomposition
         else:
             decomp = _drawn_decomposition(l_rows, seed + attempt)
-        kept = decomp.kept(b_vec)
-        walls = decomp.walls(b_vec, kept)
+        walls = decomp.walls(b_vec)
+        kept = tuple(len(pairs) - 1 for pairs in walls)
         hist = {}
         beyond = []
         total = 0

@@ -807,6 +807,19 @@ def test_blocked_descent_gcd_classes():
         _blocked_and_per_child(lat, region, 30 ** 4, first_range=(x0, x0))
 
 
+@pytest.mark.parametrize("name,B", [("P2", 1000), ("P3", 500),
+                                    ("P1xP2", 300)])
+def test_blocked_descent_classes_differ_in_part_c(name, B):
+    """On P2, P3 and P1xP2 (in the order chosen for it, P2 rays first)
+    some runs hold children of several classes D = gcd(m, L) whose
+    subtrees differ in part (c), which each class keys from the child D:
+    the count is that of the per-child loop and of naive_count."""
+    lat = get_lattice(name)
+    region = anticanonical_region(lat)
+    res = _blocked_and_per_child(lat, region, B)
+    assert res.count == naive_count(lat, region, B)
+
+
 def test_blocked_descent_nested_depths():
     """On P4 depths 1, 2 and 3 all count their children by runs, each
     inside the subtrees the one before descends.  Its torus points of
@@ -845,6 +858,19 @@ def test_p1xp1_at_a_million():
     elapsed = time.perf_counter() - start
     assert (res.count, res.visited, res.reused) == (20879748, 8509144,
                                                     608196)
+    assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+def test_p1xp1_at_ten_million():
+    """The closed form of bench/reference.py at 10^7.  Of the 105,799 runs
+    at depth 1, 45,656 cover one child, which is counted with no class
+    sums."""
+    lat = get_lattice("P1xP1")
+    start = time.perf_counter()
+    res = enumerate_region(lat, anticanonical_region(lat), 10 ** 7)
+    elapsed = time.perf_counter() - start
+    assert (res.count, res.visited, res.reused) == (242924644, 99024948,
+                                                    6078045)
     assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
