@@ -1,15 +1,14 @@
 """Exact rational cone and polytope geometry.
 
-Dual cones by incremental double description, exact LP membership, placing
-triangulations, the measure nu on simplicial cones, the effective-cone
-constant alpha, the hyperbola-method polytope with its top face, and the
-section-limit constant c_P.  All arithmetic over Fraction; cones carry
-primitive integer generators for reproducible output.
+Dual cones by incremental double description, placing triangulations, the
+measure nu on simplicial cones, the effective-cone constant alpha, the
+hyperbola-method polytope with its top face, and the section-limit constant
+c_P.  All arithmetic over Fraction; cones carry primitive integer
+generators for reproducible output.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import factorial
 
 from . import linalg
@@ -40,94 +39,33 @@ def _norm_gens(gens):
     return out
 
 
-def nonneg_combination(gens, x):
-    """Exact LP feasibility: lambda >= 0 with sum lambda_j gens[j] = x.
-
-    Returns the coefficient list or None.  Phase-1 simplex with Bland's rule
-    over Fraction entries; sizes here are tiny.
-    """
-    k = len(x)
-    nv = len(gens)
-    if nv == 0:
-        return [] if all(v == 0 for v in x) else None
-    tab = []
-    for i in range(k):
-        row = [Fraction(g[i]) for g in gens]
-        rhs = Fraction(x[i])
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-        art = [Fraction(1 if j == i else 0) for j in range(k)]
-        tab.append(row + art + [rhs])
-    basis = [nv + i for i in range(k)]
-    total = nv + k
-    while True:
-        art_rows = [i for i in range(k) if basis[i] >= nv]
-        obj_val = sum(tab[i][total] for i in art_rows)
-        if obj_val == 0:
-            break
-        enter = None
-        for j in range(nv):  # Bland: smallest improving non-artificial column
-            if j in basis:
-                continue
-            if sum(tab[i][j] for i in art_rows) > 0:
-                enter = j
-                break
-        if enter is None:
-            return None
-        leave = None
-        best = None
-        for i in range(k):
-            if tab[i][enter] > 0:
-                ratio = tab[i][total] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
-                    leave = i
-        if leave is None:
-            return None  # unbounded cannot happen in phase 1; defensive
-        piv = tab[leave][enter]
-        tab[leave] = [v / piv for v in tab[leave]]
-        for i in range(k):
-            if i != leave and tab[i][enter]:
-                f = tab[i][enter]
-                tab[i] = [a - f * b for a, b in zip(tab[i], tab[leave])]
-        basis[leave] = enter
-    lam = [Fraction(0)] * nv
-    for i in range(k):
-        if basis[i] < nv:
-            lam[basis[i]] = tab[i][total]
-    return lam
-
-
-def cone_contains(gens, x):
-    return nonneg_combination(gens, list(x)) is not None
-
-
-def extremal_rays(gens):
-    """Minimal generating set of cone(gens): drop rays inside the rest."""
-    rays = _norm_gens(gens)
-    out = list(rays)
-    i = 0
-    while i < len(out):
-        others = out[:i] + out[i + 1:]
-        if others and cone_contains(others, out[i]):
-            out.pop(i)
-        else:
-            i += 1
-    return out
-
-
 def dual_cone(gens, ambient_dim):
     """Generators of {phi : <phi, g> >= 0 for all g}.
 
-    Incremental double description keeping a (lines, rays) pair; lineality
-    directions are returned as +/- generator pairs.  Output rays are
-    primitive, minimal, lex sorted.
+    Output rays are primitive, minimal, lex sorted; lineality directions
+    are returned as +/- generator pairs (_double_description).
     """
     _check_dim(ambient_dim)
-    lines = [[1 if i == j else 0 for j in range(ambient_dim)] for i in range(ambient_dim)]
+    return _double_description(gens, ambient_dim)
+
+
+def _double_description(gens, d):
+    """dual_cone in ambient dimension d, by incremental double description.
+
+    It keeps a (lines, rays) pair of the cone cut out by the generators
+    processed so far.  The lines span the orthogonal complement of those
+    generators, so the cone has lineality dimension len(lines), and a ray r
+    is extremal exactly when the processed generators that vanish on r have
+    rank d - len(lines) - 1: the algebraic test of extremality (K. Fukuda
+    and A. Prodon, "Double description method revisited", 1996).  A step
+    whose generator meets a line takes that line for a ray and keeps every
+    ray extremal; any other step keeps its candidate rays by that test.
+    """
+    lines = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     rays = []
+    done = []
     for g in _norm_gens(gens):
+        done.append(g)
         vals_l = [linalg.vec_dot(l, g) for l in lines]
         pivot = next((i for i, v in enumerate(vals_l) if v != 0), None)
         if pivot is not None:
@@ -151,8 +89,6 @@ def dual_cone(gens, ambient_dim):
             rays = _norm_gens(new_rays)
         else:
             vals = [linalg.vec_dot(r, g) for r in rays]
-            pos = [r for r, v in zip(rays, vals) if v > 0]
-            zero = [r for r, v in zip(rays, vals) if v == 0]
             neg = [(r, v) for r, v in zip(rays, vals) if v < 0]
             if not neg:
                 continue
@@ -160,18 +96,11 @@ def dual_cone(gens, ambient_dim):
             for p, vp in [(r, v) for r, v in zip(rays, vals) if v > 0]:
                 for n, vn in neg:
                     combos.append([vp * a - vn * b for a, b in zip(n, p)])
-            rays = _norm_gens(pos + zero + combos)
-            # prune to extremal rays modulo the current lineality
-            aug = [list(l) for l in lines] + [[-x for x in l] for l in lines]
-            out = list(rays)
-            i = 0
-            while i < len(out):
-                others = out[:i] + out[i + 1:] + aug
-                if others and cone_contains(others, out[i]):
-                    out.pop(i)
-                else:
-                    i += 1
-            rays = out
+            keep = [r for r, v in zip(rays, vals) if v >= 0]
+            need = d - len(lines) - 1
+            rays = [r for r in _norm_gens(keep + combos)
+                    if linalg.rank([h for h in done
+                                    if linalg.vec_dot(r, h) == 0]) == need]
     result = [list(r) for r in rays]
     for l in lines:
         result.append(list(l))
@@ -203,9 +132,10 @@ def nu_simplicial(gens, omega):
 
 
 def cross_section_polytope(dual_gens, omega):
-    """Vertices r/<omega,r> of the slice of cone(dual_gens) at <omega,.> = 1."""
+    """Vertices r/<omega,r> of the slice of cone(dual_gens) at <omega,.> = 1,
+    dual_gens minimal, as dual_cone returns them."""
     verts = []
-    for r in extremal_rays(dual_gens):
+    for r in dual_gens:
         pairing = linalg.vec_dot(list(omega), list(r))
         if pairing <= 0:
             raise DegenerateInputError(
@@ -325,8 +255,7 @@ def effective_decomposition(classes, omega, order="lex"):
     """
     rho = len(omega)
     _check_dim(rho)
-    dual = dual_cone(classes, rho)
-    rays = extremal_rays(dual)
+    rays = dual_cone(classes, rho)
     if len(rays) < rho or linalg.rank([list(r) for r in rays]) < rho:
         raise DegenerateInputError("dual effective cone is not full dimensional")
     verts = cross_section_polytope(rays, omega)
@@ -385,27 +314,14 @@ def hyperbola_polytope(alphas, weights):
                 f"polytope unbounded: variable t_{i} appears in no constraint"
             )
 
-    # inequality system: -t_i <= 0 and sum_i (alpha[k][i]/omega_i) t_i <= 1
-    ineqs = []
-    for i in range(s):
-        row = [Fraction(0)] * s
-        row[i] = Fraction(-1)
-        ineqs.append((row, Fraction(0)))
-    for row in rows:
-        ineqs.append(([a / w for a, w in zip(row, weights)], Fraction(1)))
-
-    verts = set()
-    for subset in combinations(range(len(ineqs)), s):
-        mat = [ineqs[i][0] for i in subset]
-        rhs = [ineqs[i][1] for i in subset]
-        if linalg.rank(mat) < s:
-            continue
-        sol = linalg.solve_exact(mat, rhs)
-        if sol is None:
-            continue
-        if all(linalg.vec_dot(r, sol) <= b for r, b in ineqs):
-            verts.add(tuple(sol))
-    verts = sorted(verts)
+    # vertices: the rays (t, 1) of the homogenised cone of (t, lam) with
+    # lam >= 0 and lam - sum_i (alpha[k][i]/omega_i) t_i >= 0, t >= 0; P is
+    # bounded, so every ray but 0 has lam > 0
+    unit = [[int(i == j) for j in range(s + 1)] for i in range(s + 1)]
+    gens = unit + [[-a / w for a, w in zip(row, weights)] + [1]
+                   for row in rows]
+    verts = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1])
+                   for r in _double_description(gens, s + 1) if r[-1] > 0)
     if not verts:
         raise DegenerateInputError("empty polytope")
 

@@ -374,17 +374,20 @@ def _blockable(cones, groups, ray):
     return out
 
 
-def _signature_program(pair_reps, anti_reps, cones, n, lists=()):
+def _signature_program(pair_reps, anti_reps, cones, n, lists=(), owners=()):
     """Index lists of the subtree signature of enumerate_region, per
     eligible depth d.
 
     At depth d it holds (1) the (nef constraint, cone) pairs, as indices
     into pair_reps, grouped by their remaining exponent vector w[d:], with
-    all-zero vectors left out; (2) per anti-nef constraint, its reps and
-    their indices grouped the same way (a call reads its threshold c);
-    (3) the cones grouped by the set of remaining rays outside them; (4)
-    for a tally, the distinct
-    prefix vectors w[:d] of the max-monomial lists `lists`, and per list
+    all-zero vectors left out, and one group kept of those that hold the
+    same set of (constraint, prefix vector w[:d]) pairs, owners[i] the
+    constraint of pair i (with no owners, every group is kept): they
+    always hold the same least quota and the same moving pairs; (2) per
+    anti-nef constraint, its reps and their indices grouped the same way
+    (a call reads its threshold c); (3) the cones grouped by the set of
+    remaining rays outside them; (4) for a tally, the distinct prefix
+    vectors w[:d] of the max-monomial lists `lists`, and per list
     the groups of its reps with the same remaining vector, zero included,
     as indices into those prefix vectors; (5) without a tally, when the
     children of depth d - 1 are counted by runs (_blockable), per group of
@@ -423,6 +426,12 @@ def _signature_program(pair_reps, anti_reps, cones, n, lists=()):
     program = {}
     for d in range(1, n):
         nef = by_rest(pair_reps, d)
+        if owners:
+            kept = {}
+            for grp in nef:
+                kept.setdefault(frozenset((owners[i], pair_reps[i][:d])
+                                          for i in grp), grp)
+            nef = list(kept.values())
         if single(pair_reps, nef, d):
             continue
         outside = {}
@@ -524,15 +533,22 @@ _Shape = namedtuple("_Shape", "vertex_program order nef anti mixed mono "
 @lru_cache(maxsize=256)
 def _compiled_shape(lattice, shape, tally):
     """What enumerate_region needs of a region that neither gamma nor B
-    moves, per lattice, Region.shape and tally flag: the vertex program,
-    the constraints (_compile_constraints), the order (_descent_order) and,
-    relabelled by it (depth i holds the ray order[i]), the representatives,
-    the max-monomial lists of the classes a tally or a mixed constraint
-    reads (empty for the others), per depth the cones whose complement
-    holds its ray and the pair exponents, and the _signature_program with
-    the depths whose children walk runs.
+    moves, per lattice, Region.shape and tally flag.  A facet f that pairs
+    >= 0 with the whole dual effective cone is an effective class, which
+    every point of the effective-dual region meets (H^f >= 1, as
+    _vertex_program assumes), so it is dropped first.  The entry holds the
+    vertex program, the constraints (_compile_constraints), the order
+    (_descent_order) and, relabelled by it (depth i holds the ray
+    order[i]), the representatives, the max-monomial lists of the classes a
+    tally or a mixed constraint reads (empty for the others), per depth the
+    cones whose complement holds its ray and the pair exponents, and the
+    _signature_program with the depths whose children walk runs.
     Every call of the shape shares the entry, so none may change it."""
     fan, n = lattice.fan, lattice.fan.n_rays
+    if shape[2]:
+        eff_dual = dual_cone([list(c) for c in lattice.classes], lattice.rank)
+        shape = shape[:2] + (tuple(f for f in shape[2] if any(
+            linalg.vec_dot(f, g) < 0 for g in eff_dual)),)
     vertex_program, limit = _vertex_program(lattice.classes, *shape)
     nef, anti, mixed = _compile_constraints(lattice, shape)
     mono = _evaluator(lattice).nef_split[2] if tally or mixed else ()
@@ -550,7 +566,8 @@ def _compiled_shape(lattice, shape, tally):
     pair_reps = [w for _, reps in nef for w in reps]
     program = {} if mixed else _signature_program(
         pair_reps, [reps for _, reps in anti], cones, n,
-        [side for pair in mono for side in pair] if tally else ())
+        [side for pair in mono for side in pair] if tally else (),
+        [j for j, (_, reps) in enumerate(nef) for _ in reps])
     return _Shape(vertex_program, order, nef, anti, mixed, mono,
                   [[lam not in c for c in cones] for lam in range(n)],
                   [[w[d] for w in pair_reps] for d in range(n)], program,

@@ -14,7 +14,12 @@ vertex is rebuilt from Fractions on every call, with no compiled program.
 And it keeps the numeric route to the section-limit constant c_P that
 cones.c_p_constant replaced with the exact face volume: the volumes of the
 sections of the hyperbola polytope at sum t = (1 - delta) a, extrapolated
-linearly to delta = 0, as c_p_sections.
+linearly to delta = 0, as c_p_sections.  Their vertices, and those of the
+polytope itself, come from every square subsystem of its inequalities
+(polytope_vertices), the reference for the vertices that
+cones.hyperbola_polytope reads off a dual cone; the extreme rays of a dual
+cone come from the kernels of subsets of its generators
+(naive_extreme_rays), the reference for cones.dual_cone.
 
 The heights it filters by come from PlaceHeights, the multi-height as a
 product of local heights over the places, with tropicalization, cone
@@ -520,10 +525,30 @@ def coordinate_bounds_exactlog(lattice, region, B):
     return bounds
 
 
-def _delta_section_vertices(poly, delta):
-    """Vertices of P intersected with {sum t = (1-delta) a}."""
+def naive_extreme_rays(gens, d):
+    """Extreme rays of {phi : <phi, g> >= 0 for all g}, the reference for
+    cones.dual_cone when the generators span Q^d, d >= 2: the kernel line
+    of every subset of d - 1 generators of rank d - 1, with the sign that
+    pairs >= 0 with every generator, when one does.  Primitive, lex
+    sorted."""
+    rays = set()
+    for sub in combinations([list(g) for g in gens], d - 1):
+        kernel = linalg.nullspace(sub)
+        if len(kernel) != 1:  # rank below d - 1
+            continue
+        k = kernel[0]
+        pairings = [linalg.vec_dot(k, g) for g in gens]
+        for sign in (1, -1):
+            if all(sign * x >= 0 for x in pairings):
+                rays.add(tuple(linalg.primitive_vector([sign * x for x in k])))
+    return sorted(rays)
+
+
+def polytope_vertices(poly, level=None):
+    """Vertices of the hyperbola polytope P, or of its section at sum t =
+    level: every square subsystem of its inequalities (and the section's
+    equation) that has one solution, kept when the solution lies in P."""
     s = poly.nvars
-    level = (1 - Fraction(delta)) * poly.a
     ineqs = []
     for i in range(s):
         row = [Fraction(0)] * s
@@ -531,11 +556,11 @@ def _delta_section_vertices(poly, delta):
         ineqs.append((row, Fraction(0)))
     for row in poly.alphas:
         ineqs.append(([a / w for a, w in zip(row, poly.weights)], Fraction(1)))
-    eq = ([Fraction(1)] * s, level)
+    eqs = [] if level is None else [([Fraction(1)] * s, level)]
     verts = set()
-    for subset in combinations(range(len(ineqs)), s - 1):
-        mat = [ineqs[i][0] for i in subset] + [eq[0]]
-        rhs = [ineqs[i][1] for i in subset] + [eq[1]]
+    for subset in combinations(range(len(ineqs)), s - len(eqs)):
+        mat = [ineqs[i][0] for i in subset] + [q for q, _ in eqs]
+        rhs = [ineqs[i][1] for i in subset] + [b for _, b in eqs]
         if linalg.rank(mat) < s:
             continue
         sol = linalg.solve_exact(mat, rhs)
@@ -554,7 +579,7 @@ def c_p_sections(poly, deltas=(Fraction(1, 10), Fraction(1, 100),
     s = poly.nvars
     sections = []
     for d in deltas:
-        verts = _delta_section_vertices(poly, d)
+        verts = polytope_vertices(poly, (1 - Fraction(d)) * poly.a)
         if s == 1:
             vol = Fraction(1) if verts else Fraction(0)
         else:

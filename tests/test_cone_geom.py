@@ -10,7 +10,7 @@ import pytest
 from toricount import cones
 from toricount.errors import DegenerateInputError
 from conftest import BUILTIN_NAMES, get_lattice
-from naive_oracle import c_p_sections
+from naive_oracle import c_p_sections, naive_extreme_rays, polytope_vertices
 
 
 def test_dual_cone_quadrant():
@@ -21,6 +21,14 @@ def test_dual_cone_quadrant():
 def test_dual_cone_halfplane_pair():
     gens = cones.dual_cone([[1, 0], [1, 1]], 2)
     assert sorted(tuple(g) for g in gens) == [(0, 1), (1, -1)]
+
+
+def _in_simplicial(gens, x):
+    """x lies in the cone of linearly independent gens: its exact
+    coordinates in them are all >= 0."""
+    coords = cones.linalg.solve_exact(
+        cones.linalg.transpose([list(g) for g in gens]), list(x))
+    return coords is not None and all(c >= 0 for c in coords)
 
 
 def test_dual_cone_involution():
@@ -34,20 +42,48 @@ def test_dual_cone_involution():
                 gens.append(v)
         dual = cones.dual_cone(gens, dim)
         back = cones.dual_cone([list(g) for g in dual], dim)
-        orig = {tuple(cones.linalg.primitive_vector(g)) for g in gens}
-        again = {tuple(cones.linalg.primitive_vector(list(g))) for g in back}
-        for g in again:
-            assert cones.cone_contains([list(x) for x in orig], list(g))
-        for g in orig:
-            assert cones.cone_contains([list(x) for x in again], list(g))
+        assert len(dual) == len(back) == dim
+        for g in back:
+            assert _in_simplicial(gens, g)
+        for g in gens:
+            assert _in_simplicial(back, g)
 
 
-def test_cone_contains_and_extremal_rays():
+def test_double_dual_gives_extremal_rays():
+    """The dual of the dual is the cone again, by its extremal rays: the
+    redundant generator (1, 1) goes."""
     gens = [[1, 0], [1, 1], [0, 1]]
-    assert cones.cone_contains(gens, [5, 3])
-    assert not cones.cone_contains(gens, [-1, 0])
-    rays = cones.extremal_rays(gens)
-    assert sorted(tuple(r) for r in rays) == [(0, 1), (1, 0)]
+    assert cones.dual_cone(cones.dual_cone(gens, 2), 2) == [(0, 1), (1, 0)]
+
+
+def _seeded_generators(rng, dim):
+    """At least dim + 0..3 generators, spanning Q^dim, with zero,
+    repeated, rescaled and redundant (sums of others) ones among them."""
+    gens, size = [], dim + rng.randint(0, 3)
+    while len(gens) < size or cones.linalg.rank(gens) < dim:
+        kind = rng.random()
+        if kind < 0.1:
+            gens.append([0] * dim)
+        elif kind < 0.3 and gens:
+            a, b = rng.choice(gens), rng.choice(gens)
+            c = rng.randint(1, 3)
+            gens.append([c * x + y for x, y in zip(a, b)])
+        elif kind < 0.4 and gens:
+            gens.append([rng.randint(1, 2) * x for x in rng.choice(gens)])
+        else:
+            gens.append([rng.randint(-3, 3) for _ in range(dim)])
+    return gens
+
+
+def test_dual_cone_matches_extreme_ray_oracle():
+    """dual_cone keeps a double-description ray by the rank of the
+    generators vanishing on it; the oracle takes the kernel of every
+    rank-(d - 1) subset of generators instead."""
+    rng = random.Random(29)
+    for _ in range(200):
+        dim = rng.randint(2, 5)
+        gens = _seeded_generators(rng, dim)
+        assert cones.dual_cone(gens, dim) == naive_extreme_rays(gens, dim)
 
 
 def test_nu_simplicial_values():
@@ -108,7 +144,7 @@ def _covers(dec, dual_gens, samples, seed=20240801):
         for g in gens:
             c = Fraction(rng.randint(0, 12), rng.randint(1, 7))
             point = [a + c * b for a, b in zip(point, g)]
-        if not any(cones.cone_contains(c, point) for c in dec.cones):
+        if not any(_in_simplicial(c, point) for c in dec.cones):
             return False
     return True
 
@@ -194,6 +230,24 @@ def test_cp_rejects_degenerate_face():
         cones.c_p_constant(poly)
 
 
+def test_hyperbola_polytope_vertices_match_oracle():
+    """The vertices read off the homogenised dual cone are those of every
+    square subsystem of the inequalities that lands in P."""
+    rng = random.Random(108)
+    checked = 0
+    while checked < 60:
+        s = rng.randint(1, 4)
+        rows = [[rng.randint(0, 4) for _ in range(s)]
+                for _ in range(rng.randint(1, 4))]
+        try:
+            poly = cones.hyperbola_polytope(
+                rows, [rng.randint(1, 4) for _ in range(s)])
+        except DegenerateInputError:
+            continue
+        assert poly.vertices == polytope_vertices(poly)
+        checked += 1
+
+
 def test_hyperbola_polytope_validation():
     with pytest.raises(DegenerateInputError):
         cones.hyperbola_polytope([[1, 0]], [1, 1])
@@ -201,6 +255,8 @@ def test_hyperbola_polytope_validation():
         cones.hyperbola_polytope([[1, -1], [0, 1]], [1, 1])
     with pytest.raises(DegenerateInputError):
         cones.hyperbola_polytope([[1]], [0])
+    with pytest.raises(DegenerateInputError, match="coordinate hyperplane"):
+        cones.hyperbola_polytope([[1, 2]], [1, 1])
 
 
 def test_triangulate_square():

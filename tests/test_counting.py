@@ -1144,6 +1144,64 @@ def test_nef_facets_change_no_count(name, B, want):
         assert _outcome(enumerate_region(lat, region, B))[:4] == want
 
 
+def test_effective_facets_are_dropped():
+    """F1's inclusion-exclusion term has the facets (0, 1) and (1, 0).
+    Both are effective classes, which every point of the effective-dual
+    region meets, so the shape drops them before it is compiled; (0, 1) is
+    not nef and would be a mixed constraint, with no memo and no runs.  So
+    the term counts as the direct count does.  A facet that is not
+    effective, (1, -1) on P1xP1, stays a mixed constraint."""
+    lat = get_lattice("F1")
+    dec = effective_decomposition([list(c) for c in lat.classes],
+                                  list(lat.anticanonical))
+    (cone,) = dec.cones
+    facets = dual_cone(cone, lat.rank)
+    assert facets == [(0, 1), (1, 0)] and not lat.is_nef((0, 1))
+    region = anticanonical_region(lat, facets=facets)
+    shape = counting._compiled_shape(lat, region.shape, False)
+    assert not shape.mixed and not shape.anti and shape.program
+    got = _outcome(enumerate_region(lat, region, 5000))
+    assert got[:3] == (48252, 17541, 174)
+    assert got == _outcome(enumerate_region(lat, anticanonical_region(lat),
+                                            5000))
+    lat = get_lattice("P1xP1")
+    region = anticanonical_region(lat, facets=[(1, 0), (1, -1)])
+    shape = counting._compiled_shape(lat, region.shape, False)
+    assert [e for _, e in shape.mixed] == [[-1, 1]] and not shape.anti
+    assert enumerate_region(lat, region, 300).count == naive_count(
+        lat, region, 300) > 0
+
+
+def test_nef_groups_with_equal_pairs_are_one():
+    """At depth 2 of P1xP1 the -K pairs with remaining vectors (0, 2) and
+    (2, 0) hold the same prefix vectors (0, 2) and (2, 0) of the same
+    constraint, so the same quotas: the program keeps one of the two
+    groups, and count, visited and reused are those of both."""
+    lat = get_lattice("P1xP1")
+    region = anticanonical_region(lat)
+    shape = counting._compiled_shape(lat, region.shape, False)
+    nef, _, _, _, (moving, _, _) = shape.program[2]
+    assert len(nef) == len(moving) == 1
+    program = counting._signature_program
+
+    def apart(pair_reps, anti_reps, cones, n, lists=(), owners=()):
+        return program(pair_reps, anti_reps, cones, n, lists)
+
+    with _forced(shape.order, _signature_program=apart) as run:
+        split = counting._compiled_shape(lat, region.shape, False)
+        assert len(split.program[2][0]) == 2
+        both = _outcome(run(lat, region, 30000))
+    assert _outcome(enumerate_region(lat, region, 30000)) == both
+    assert both[:3] == (470244, 191138, 18330)
+    # H_(1,1) <= 30 and H_(1,3) <= 90: the groups of the two constraints
+    # hold the same prefix vectors, but not the same quotas
+    region = Region([((1, 1), 30, 0), ((1, 3), 90, 0)])
+    with _forced((0, 1, 2, 3)) as run:
+        assert run(lat, region, 1).count == naive_count(lat, region, 1) == 3012
+        shape = counting._compiled_shape(lat, region.shape, False)
+        assert len(shape.program[2][0]) == 2
+
+
 def test_lower_walls_at_one_are_dropped_per_call():
     """Box lower walls at 1 have threshold c = 1 and change nothing; a
     later call of the same shape with walls at 3 and 2 on its warm entry
