@@ -1,8 +1,10 @@
 """Two exact bookkeeping devices behind the counts.
 
 First, the box decomposition: points of P1xP1 with both partial heights
-bounded are split into geometric boxes; boxes past the emptiness bound
-must be exactly empty and the dropped nu mass obeys a power tail.
+bounded are split into half-open geometric boxes, each counted as a
+difference of the corner counts N(c) = #{1 <= H_{L_i} <= c_i}; corners at
+the wall below 1 must count exactly 0 and the dropped nu mass obeys a
+power tail.
 
 Second, the rounded-height tables: floor and ceiling fingerprints give
 sums that bracket the exact anticanonical count; with integer heights
@@ -18,8 +20,8 @@ def box_demo(lat, tau):
     print(f"count at B=(20,20): {rep['count']}, "
           f"prediction {rep['prediction']:.0f}, ratio {rep['ratio']:.4f}")
     print(f"wall ratios {[str(r) for r in rep['ratios']]}, "
-          f"kept {rep['kept']} boxes, redraws {rep['redraws']}")
-    print(f"beyond the emptiness bound all empty: {rep['empty_boxes_ok']}")
+          f"kept {rep['kept']} boxes")
+    print(f"corners at the wall below 1 all count 0: {rep['empty_boxes_ok']}")
     print(f"histogram total {rep['histogram_total']} == count: "
           f"{rep['histogram_total'] == rep['count']}")
     t = rep["tail"]

@@ -59,7 +59,8 @@ def _double_description(gens, d):
     rank d - len(lines) - 1: the algebraic test of extremality (K. Fukuda
     and A. Prodon, "Double description method revisited", 1996).  A step
     whose generator meets a line takes that line for a ray and keeps every
-    ray extremal; any other step keeps its candidate rays by that test.
+    ray extremal.  Any other step keeps the rays with <r, g> >= 0, extremal
+    in the smaller cone too, and a fresh combination by that test.
     """
     lines = [[1 if i == j else 0 for j in range(d)] for i in range(d)]
     rays = []
@@ -98,9 +99,10 @@ def _double_description(gens, d):
                     combos.append([vp * a - vn * b for a, b in zip(n, p)])
             keep = [r for r, v in zip(rays, vals) if v >= 0]
             need = d - len(lines) - 1
-            rays = [r for r in _norm_gens(keep + combos)
-                    if linalg.rank([h for h in done
-                                    if linalg.vec_dot(r, h) == 0]) == need]
+            rays = _norm_gens(keep + [
+                r for r in _norm_gens(combos) if r not in keep
+                and linalg.rank([h for h in done
+                                 if linalg.vec_dot(r, h) == 0]) == need])
     result = [list(r) for r in rays]
     for l in lines:
         result.append(list(l))
@@ -316,20 +318,13 @@ def hyperbola_polytope(alphas, weights):
 
     # vertices: the rays (t, 1) of the homogenised cone of (t, lam) with
     # lam >= 0 and lam - sum_i (alpha[k][i]/omega_i) t_i >= 0, t >= 0; P is
-    # bounded, so every ray but 0 has lam > 0
+    # bounded and full-dimensional (t = 0 and small eps e_i lie in it), so
+    # every ray but 0 has lam > 0 and there are vertices
     unit = [[int(i == j) for j in range(s + 1)] for i in range(s + 1)]
     gens = unit + [[-a / w for a, w in zip(row, weights)] + [1]
                    for row in rows]
     verts = sorted(tuple(Fraction(x, r[-1]) for x in r[:-1])
                    for r in _double_description(gens, s + 1) if r[-1] > 0)
-    if not verts:
-        raise DegenerateInputError("empty polytope")
-
-    # hypothesis: P is not contained in a hyperplane (full dimensional)
-    base = verts[0]
-    edge = [[a - b for a, b in zip(v, base)] for v in verts[1:]]
-    if linalg.rank(edge) < s:
-        raise DegenerateInputError("polytope is contained in a hyperplane")
 
     a_val = max(sum(v) for v in verts)
     face = [v for v in verts if sum(v) == a_val]

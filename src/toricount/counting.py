@@ -75,7 +75,6 @@ from .heights import _evaluator
 from .tamagawa import nu_of_box
 
 DEFAULT_BUDGET = 10 ** 10
-MAX_REDRAWS = 20  # wall draws count_cone_box tries before it gives up
 TABLE_LIMIT = 20_000_000  # floor-table cells a tally may hold
 
 
@@ -1307,13 +1306,14 @@ def count_box(lattice, l_rows, lows, highs, b_vec, tau=None,
 
 @dataclass(frozen=True)
 class BoxDecomposition:
-    """Geometric box walls: box n_i holds H_{L_i} in [B r^{-n_i}, B r^{-(n_i-1)}).
+    """Geometric box walls: box n_i holds H_{L_i} in (B r^{-n_i}, B r^{-(n_i-1)}].
 
     The wall ratios r_i = e^{beta_i} are random large-denominator rationals
-    greater than 1, so wall values stay rational and a height sitting exactly
-    on a wall is detectable by exact comparison.  Walls are half-open with
-    the outermost (value B_i, box 1) closed.  The decomposition itself does
-    not depend on the B_i.
+    greater than 1, so wall values stay rational.  The boxes are half-open,
+    so they partition the region {1 <= H_{L_i} <= B_i} whatever heights sit
+    on a wall, and each box count is a finite difference of the corner
+    counts N(c) = #{1 <= H_{L_i} <= c_i} (count_cone_box).  The
+    decomposition itself does not depend on the B_i.
     """
 
     l_rows: tuple
@@ -1321,35 +1321,34 @@ class BoxDecomposition:
 
     def kept(self, b_vec):
         """Largest box index per axis not excluded by the emptiness bound."""
-        return tuple(len(pairs) - 1 for pairs in self.walls(b_vec))
+        return tuple(len(w) - 1 for w in self.walls(b_vec))
 
-    def walls(self, b_vec, kept=None):
-        """Per axis i and box n = 1..k + 1, the two Constraints of B r^{-n}
-        <= H_{L_i} <= B r^{-(n-1)}, each wall one division from the last; k
-        is kept[i], by default the least j >= 1 with B r^{-j} < 1, that is
-        r^j > B, past which boxes have their upper wall below every height."""
+    def walls(self, b_vec):
+        """Per axis the wall values w_0 = B_i > w_1 > ... > w_k, each one
+        division by r_i from the last; w_k is the first wall below 1 (k >= 1),
+        and the boxes below it have their upper wall below every height."""
         out = []
-        for i, (row, b, r) in enumerate(zip(self.l_rows, b_vec, self.ratios)):
-            highs = [Fraction(b)]
-            while (len(highs) < kept[i] + 2 if kept else
-                   len(highs) < 3 or highs[-2] >= 1):
-                highs.append(highs[-1] / r)
-            out.append([_box_region([row], [lo], [hi]).constraints
-                        for hi, lo in zip(highs, highs[1:])])
+        for b, r in zip(b_vec, self.ratios):
+            w = [Fraction(b)]
+            while len(w) < 2 or w[-1] >= 1:
+                w.append(w[-1] / r)
+            out.append(w)
         return out
 
     def region(self, b_vec, n_vec):
         """Closed region for box D_{n,B}: B r^{-n_i} <= H_{L_i} <= B r^{-(n_i-1)}."""
-        return Region([c for pairs, n in zip(self.walls(b_vec, n_vec), n_vec)
-                       for c in pairs[n - 1]])
+        highs = [Fraction(b) / r ** (n - 1)
+                 for b, r, n in zip(b_vec, self.ratios, n_vec)]
+        return _box_region(self.l_rows, [h / r for h, r in
+                                         zip(highs, self.ratios)], highs)
 
 
 def build_box_decomposition(lattice, l_rows, seed=0, ratios=None):
     """Seeded wall ratios r_i > 1 with ~2^28 denominators.
 
-    `ratios` overrides the draw (for collision-injection tests).  The L_i
-    must be a basis with the anticanonical class interior to their span's
-    positive orthant, the standing assumption of the box machinery.
+    `ratios` overrides the draw (for walls on integer heights in tests).
+    The L_i must be a basis with the anticanonical class interior to their
+    span's positive orthant, the standing assumption of the box machinery.
     """
     _dual_basis_data(lattice, l_rows)
     if ratios is None:
@@ -1376,26 +1375,37 @@ def _drawn_decomposition(l_rows, seed):
 
 def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
                    budget=DEFAULT_BUDGET, histogram=True, decomposition=None):
-    """Count {h in Lambda, H_{L_i} <= B_i} with per-box histogram, emptiness
-    verification, and the nu-tail inequality report.
+    """Count {h in Lambda, 1 <= H_{L_i} <= B_i} with per-box histogram,
+    emptiness verification, and the nu-tail inequality report.
 
     Lambda is the cone dual to cone(L_1..L_rho); it must sit inside the dual
-    effective cone.  The histogram comes from one closed enumeration per box;
-    a point sitting exactly on an internal wall is then counted twice, so a
-    histogram total exceeding the region count is an exact wall-collision
-    detector and triggers a redraw of the walls, at most MAX_REDRAWS times.
-    `budget` bounds the candidates visited over the whole call, the region,
-    every box and every redraw, and `visited` reports their sum.
+    effective cone.  N(c) = #{h in Lambda, 1 <= H_{L_i} <= c_i} is enumerated
+    once at each corner c of the grid of walls w_0 = B_i > ... > w_k
+    (BoxDecomposition.walls; `decomposition` replaces the seeded draw).  The
+    half-open box n, (w_n, w_{n-1}] on each axis, counts the sum over eps in
+    {0,1}^rho of (-1)^{|eps|} N(w_{n-1+eps}); N(w_0) is the count, and each
+    corner at a wall w_k < 1 must count 0 (`empty_boxes_ok`).  Without the
+    histogram only N(w_0) is enumerated.  `budget` bounds the candidates
+    visited over the whole call; `visited` is the sum over the corners.
     """
     c, _, gens = _dual_basis_data(lattice, l_rows)
     _check_subcone(lattice, gens)
     b_vec = tuple(Fraction(x) for x in b_vec)
+    rho = len(b_vec)
     nu_neg = nu_simplicial(gens, lattice.anticanonical)
-    res = enumerate_region(lattice, _box_region(l_rows, [1] * len(b_vec),
-                                                b_vec), 1, budget=budget)
-    spent = res.visited
+    decomp = decomposition or _drawn_decomposition(l_rows, seed)
+    walls = decomp.walls(b_vec) if histogram else [[b] for b in b_vec]
+    corners = {}
+    spent = 0
+    for j_vec in product(*(range(len(w)) for w in walls)):
+        corner = [w[j] for w, j in zip(walls, j_vec)]
+        res = enumerate_region(lattice, _box_region(l_rows, [1] * rho, corner),
+                               1, budget=budget - spent)
+        spent += res.visited
+        corners[j_vec] = res.count
+    count = corners[(0,) * rho]
     out = {
-        "count": res.count,
+        "count": count,
         "nu_neg": nu_neg,
         "exponents": c,
         "visited": spent,
@@ -1405,42 +1415,20 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         for ci, b in zip(c, b_vec):
             pred *= float(b) ** float(ci)
         out["prediction"] = pred
-        out["ratio"] = res.count / pred if pred else float("nan")
+        out["ratio"] = count / pred if pred else float("nan")
     if not histogram:
         return out
 
-    attempt = 0
-    while True:
-        if decomposition is not None and attempt == 0:
-            decomp = decomposition
-        else:
-            decomp = _drawn_decomposition(l_rows, seed + attempt)
-        walls = decomp.walls(b_vec)
-        kept = tuple(len(pairs) - 1 for pairs in walls)
-        hist = {}
-        beyond = []
-        total = 0
-        for n_vec in product(*(range(1, k + 2) for k in kept)):
-            region = Region([c for pairs, n in zip(walls, n_vec)
-                             for c in pairs[n - 1]])
-            box = enumerate_region(lattice, region, 1, budget=budget - spent)
-            spent += box.visited
-            cnt = box.count
-            if any(n > k for n, k in zip(n_vec, kept)):
-                beyond.append((n_vec, cnt))
-            else:
-                if cnt:
-                    hist[n_vec] = cnt
-                total += cnt
-        beyond_ok = all(cnt == 0 for _, cnt in beyond)
-        if total == res.count and beyond_ok:
-            break
-        # a height sat exactly on an internal wall (double count) or leaked
-        # past the emptiness bound; both demand fresh walls
-        attempt += 1
-        if attempt >= MAX_REDRAWS:
-            raise DegenerateInputError(
-                "box walls kept colliding with point heights")
+    kept = tuple(len(w) - 1 for w in walls)
+    hist = {}
+    for n_vec in product(*(range(1, k + 1) for k in kept)):
+        cnt = sum((-1) ** sum(eps)
+                  * corners[tuple(n - 1 + e for n, e in zip(n_vec, eps))]
+                  for eps in product((0, 1), repeat=rho))
+        if cnt:
+            hist[n_vec] = cnt
+    empty_ok = all(cnt == 0 for j_vec, cnt in corners.items()
+                   if any(j == k for j, k in zip(j_vec, kept)))
 
     # exact tail sum of nu over the dropped boxes, against the proof bound
     g = [float(r) ** -float(ci) for r, ci in zip(decomp.ratios, c)]
@@ -1457,10 +1445,8 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
         "histogram": hist,
         "ratios": decomp.ratios,
         "kept": kept,
-        "redraws": attempt,
-        "visited": spent,
-        "empty_boxes_ok": beyond_ok,
-        "histogram_total": total,
+        "empty_boxes_ok": empty_ok,
+        "histogram_total": sum(hist.values()),
         "tail": {"sum": tail, "bound_c": cbound, "d": dexp,
                  "min_B": minb, "ok": tail <= tail_bound},
         "decomposition": decomp,

@@ -179,8 +179,7 @@ def run_cone_box(exp):
                            "empty_boxes_ok": r["empty_boxes_ok"],
                            "histogram_total_ok":
                                r["histogram_total"] == r["count"],
-                           "tail_ok": r["tail"]["ok"],
-                           "redraws": r["redraws"]})
+                           "tail_ok": r["tail"]["ok"]})
     summary = {"theorem": "cone_box", "tau": tau, "checks": checks,
                "all_checks_ok": all(c["empty_boxes_ok"]
                                     and c["histogram_total_ok"]

@@ -359,6 +359,14 @@ def naive_count(lattice, region, B):
     return weight * sum(1 for _ in _naive_points(lattice, region, B))
 
 
+def _unit_box(l_rows, b_max, extra_constraints=()):
+    """{1 <= H_{L_i} <= b_max_i} and the extra constraints, as a Region."""
+    cons = []
+    for row, b in zip(l_rows, b_max):
+        cons += [(row, b, 0), ([-x for x in row], 1, 0)]
+    return Region(cons + list(extra_constraints))
+
+
 def naive_tables(lattice, l_rows, b_max, extra_constraints=()):
     """The floor and ceiling tables of counting.tabulate_f, by brute force.
 
@@ -366,10 +374,7 @@ def naive_tables(lattice, l_rows, b_max, extra_constraints=()):
     adds to the cells (floor H_{L_i})_i and (ceil H_{L_i})_i, with every
     H_{L_i} taken from PlaceHeights.multi_height.
     """
-    cons = []
-    for row, b in zip(l_rows, b_max):
-        cons += [(row, b, 0), ([-x for x in row], 1, 0)]
-    region = Region(cons + list(extra_constraints))
+    region = _unit_box(l_rows, b_max, extra_constraints)
     weight = sign_class_count(lattice)
     floor_d, ceil_d = {}, {}
     for _, mh in _naive_points(lattice, region, 1):
@@ -379,6 +384,27 @@ def naive_tables(lattice, l_rows, b_max, extra_constraints=()):
         floor_d[kf] = floor_d.get(kf, 0) + weight
         ceil_d[kc] = ceil_d.get(kc, 0) + weight
     return floor_d, ceil_d
+
+
+def naive_box_histogram(lattice, l_rows, b_vec, ratios):
+    """The histogram of counting.count_cone_box, by brute force.
+
+    Each point of {1 <= H_{L_i} <= B_i} goes to the box n whose walls hold
+    B_i r_i^{-n_i} < H_{L_i} <= B_i r_i^{-(n_i - 1)} on every axis, with
+    every H_{L_i} taken from PlaceHeights.multi_height.
+    """
+    weight = sign_class_count(lattice)
+    hist = {}
+    for _, mh in _naive_points(lattice, _unit_box(l_rows, b_vec), 1):
+        n_vec = []
+        for row, b, r in zip(l_rows, b_vec, ratios):
+            h, low, n = mh.of_class(row), Fraction(b) / r, 1
+            while h <= low:
+                low /= r
+                n += 1
+            n_vec.append(n)
+        hist[tuple(n_vec)] = hist.get(tuple(n_vec), 0) + weight
+    return hist
 
 
 def naive_anticanonical_count(lattice, B):

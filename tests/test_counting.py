@@ -23,7 +23,8 @@ from toricount.errors import BudgetError, CoprimalityError, DegenerateInputError
 
 from conftest import BUILTIN_NAMES, get_lattice
 from naive_oracle import (ExactLog, _naive_points, coordinate_bounds_exactlog,
-                          naive_count, naive_tables, sign_class_count)
+                          naive_box_histogram, naive_count, naive_tables,
+                          sign_class_count)
 
 
 # -- exact logarithmic arithmetic -------------------------------------------
@@ -217,8 +218,8 @@ def test_coordinate_bounds_pinned_oracle_cases():
 
 
 def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
-    """The 1 + 24 enumerations of a cone box share one constraint shape, so
-    the vertex solve (its inverse calls) runs once for all of them; only
+    """The 24 corner enumerations of a cone box share one constraint shape,
+    so the vertex solve (its inverse calls) runs once for all of them; only
     gamma differs, and each box still gets its own exact bounds."""
     lat = get_lattice("P1xP1")
     calls = []
@@ -240,7 +241,7 @@ def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
         calls.clear()
         out = count_cone_box(lat, [[1, 0], [0, 1]], (20, 20), seed=7)
         assert out["count"] == out["histogram_total"] == 260100
-        assert out["kept"] == (5, 3)      # 6 * 4 box regions
+        assert out["kept"] == (5, 3)      # 6 * 4 corners
         return len(calls)
 
     warm = cone_box()          # no compile: only the one dual-basis solve
@@ -1244,7 +1245,7 @@ def test_shape_cache_keys_the_tally(name):
 
 
 def test_enumerations_compile_each_shape_once(monkeypatch):
-    """The 1 + 24 enumerations of a cone box share one shape, so the
+    """The 24 corner enumerations of a cone box share one shape, so the
     per-cone representatives and the signature program are computed for
     the first of them only."""
     lat = get_lattice("P1xP1")
@@ -1273,7 +1274,7 @@ def test_enumerations_compile_each_shape_once(monkeypatch):
     counting._compiled_shape.cache_clear()
     out = count_cone_box(lat, [[1, 0], [0, 1]], (20, 20), seed=7)
     assert out["count"] == out["histogram_total"] == 260100
-    assert len(calls) == 25
+    assert len(calls) == 24
     assert all(calls[0]) and not any(map(any, calls[1:]))
 
 
@@ -1510,7 +1511,6 @@ def test_cone_box_histogram_consistency():
     assert out["count"] == 260100
     assert out["histogram_total"] == out["count"]
     assert out["empty_boxes_ok"]
-    assert out["redraws"] == 0
     assert out["tail"]["ok"]
     assert out["nu_neg"] == Fraction(1, 4)
     assert sum(out["histogram"].values()) == out["count"]
@@ -1519,15 +1519,21 @@ def test_cone_box_histogram_consistency():
     assert all(len(n) == 2 and n <= kept for n in out["histogram"])
 
 
-def test_cone_box_wall_collision_redraw():
-    lat = get_lattice("P1xP1")
-    bad = build_box_decomposition(lat, [[1, 0], [0, 1]],
-                                  ratios=[Fraction(20, 7), Fraction(19, 6)])
-    out = count_cone_box(lat, [[1, 0], [0, 1]], (20, 20), seed=0,
-                         decomposition=bad)
-    assert out["redraws"] >= 1
-    assert out["count"] == 260100
-    assert out["histogram_total"] == out["count"]
+@pytest.mark.parametrize("name,b_vec,ratios,total", [
+    ("P1xP1", (20, 20), (Fraction(20, 7), Fraction(19, 6)), 260100),
+    ("F1", (6, 6), (Fraction(2), Fraction(2)), 8876)])
+def test_cone_box_histogram_on_walls_at_heights(name, b_vec, ratios, total):
+    """Walls that equal point heights: the wall 20 / (20/7) = 7 on P1xP1,
+    and on F1 the walls 3 and 3/2 of the row (0, 1), which is not nef and
+    has heights 3/2.  Half-open boxes put each such point in one box."""
+    lat = get_lattice(name)
+    rows = [[1, 0], [0, 1]]
+    decomp = build_box_decomposition(lat, rows, ratios=ratios)
+    out = count_cone_box(lat, rows, b_vec, decomposition=decomp)
+    assert out["ratios"] == ratios
+    assert out["histogram"] == naive_box_histogram(lat, rows, b_vec, ratios)
+    assert out["count"] == out["histogram_total"] == total
+    assert out["empty_boxes_ok"]
 
 
 def test_cone_box_below_one_is_empty():
@@ -1541,17 +1547,15 @@ def test_cone_box_below_one_is_empty():
 
 
 def test_cone_box_budget_is_per_call():
-    """The region and its boxes share one budget: each enumeration fits
-    alone, their sum does not, and the call reports the sum."""
+    """The corners of the wall grid share one budget: each enumeration
+    fits alone, their sum does not, and the call reports the sum."""
     lat = get_lattice("P1xP1")
     l_rows, b_vec = [[1, 0], [0, 1]], (20, 20)
     out = count_cone_box(lat, l_rows, b_vec)
-    assert out["redraws"] == 0
-    decomp = out["decomposition"]
-    visited = [count_cone_box(lat, l_rows, b_vec,
-                              histogram=False)["visited"]] + [
-        enumerate_region(lat, decomp.region(b_vec, n_vec), 1).visited
-        for n_vec in product(*(range(1, k + 2) for k in out["kept"]))]
+    visited = [
+        enumerate_region(lat, counting._box_region(l_rows, [1, 1], corner),
+                         1).visited
+        for corner in product(*out["decomposition"].walls(b_vec))]
     assert out["visited"] == sum(visited) > max(visited)
     with pytest.raises(BudgetError):
         count_cone_box(lat, l_rows, b_vec, budget=max(visited))
