@@ -310,6 +310,40 @@ def sign_class_count(lattice):
     return total
 
 
+def _membership(region, B):
+    """The region's exact membership test at B, on a vector of basis heights.
+
+    Each constraint prod H^q <= gamma B^s is cleared once to integer
+    exponents e = d q and the bound (gamma B^s)^d = bn / bd, and each
+    (integer) facet f becomes the test H^{-f} <= 1; a point is then decided
+    by cross-multiplying the numerators and denominators of its heights.
+    """
+    B = Fraction(B)
+    tests = []
+    for con in region.constraints:
+        d = lcm(con.s.denominator, *(x.denominator for x in con.cls))
+        bound = con.gamma ** d * B ** int(con.s * d)
+        tests.append(([int(x * d) for x in con.cls],
+                      bound.numerator, bound.denominator))
+    tests += [([-x for x in f], 1, 1) for f in region.facets]
+
+    def contains(hvals):
+        for e, bn, bd in tests:
+            lhs, rhs = bd, bn
+            for h, x in zip(hvals, e):
+                if x > 0:
+                    lhs *= h.numerator ** x
+                    rhs *= h.denominator ** x
+                elif x < 0:
+                    lhs *= h.denominator ** -x
+                    rhs *= h.numerator ** -x
+            if lhs > rhs:
+                return False
+        return True
+
+    return contains
+
+
 def _naive_points(lattice, region, B):
     """Every magnitude tuple of the region at B, with its multi-height.
 
@@ -327,6 +361,7 @@ def _naive_points(lattice, region, B):
     groups = [grp for k in range(2, n + 1) for grp in combinations(range(n), k)]
     log_caps = _lp_log_caps(lattice, region, B, groups)
     heights = place_heights(lattice)
+    contains = _membership(region, B)
 
     for first in range(1, caps[0] + 1):
         grids = np.meshgrid(np.array([first], dtype=np.int64),
@@ -349,7 +384,7 @@ def _naive_points(lattice, region, B):
         for row in survivors[keep]:
             mags = tuple(int(x) for x in row)
             mh = heights.multi_height(mags)
-            if region.contains(mh.values, B):
+            if contains(mh.values):
                 yield mags, mh
 
 

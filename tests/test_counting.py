@@ -22,9 +22,9 @@ from toricount.counting import (
 from toricount.errors import BudgetError, CoprimalityError, DegenerateInputError
 
 from conftest import BUILTIN_NAMES, get_lattice
-from naive_oracle import (ExactLog, _naive_points, coordinate_bounds_exactlog,
-                          naive_box_histogram, naive_count, naive_tables,
-                          sign_class_count)
+from naive_oracle import (ExactLog, _naive_points, _unit_box,
+                          coordinate_bounds_exactlog, naive_box_histogram,
+                          naive_count, naive_tables, sign_class_count)
 
 
 # -- exact logarithmic arithmetic -------------------------------------------
@@ -83,6 +83,28 @@ def test_region_facets_and_dedupe():
     assert region.facets == ((1, -1), (0, 1))
     assert region.contains((3, 2), 100)
     assert not region.contains((2, 3), 100)   # violates h1 >= h2
+
+
+def test_region_clears_rational_facets():
+    """A rational facet is cleared to an integer vector, not truncated:
+    (1/2, -3/2) is the cone H_1 >= H_2^3, and int() of each entry would
+    have made it (0, -1)."""
+    region = Region([((1, 0), 10, 0)],
+                    facets=[(Fraction(1, 2), Fraction(-3, 2))])
+    assert region.facets == ((1, -3),)
+    assert region.contains((8, 2), 1) and not region.contains((7, 2), 1)
+    assert Region([((1,), 5, 0)], facets=[(2,)]).facets == ((2,),)
+
+
+def test_region_from_json_facet_entries():
+    """JSON facet entries parse like class entries: "p/q" strings are
+    rationals, and floats are refused."""
+    region = region_from_json({"constraints": [{"class": [1, 0]}],
+                               "facets": [["1/2", "-3/2"], [0, 1]]})
+    assert region.facets == ((1, -3), (0, 1))
+    with pytest.raises(DegenerateInputError):
+        region_from_json({"constraints": [{"class": [1, 0]}],
+                          "facets": [[0.5, -1.5]]})
 
 
 def test_region_cone_generators_to_facets():
@@ -230,8 +252,7 @@ def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
         return inverse(a)
 
     monkeypatch.setattr(linalg, "inverse", counted)
-    region = Region([((1, 0), 20, 0), ((-1, 0), 1, 0),
-                     ((0, 1), 20, 0), ((0, -1), 1, 0)])
+    region = counting._box_region([[1, 0], [0, 1]], [1, 1], (20, 20))
     counting._compiled_shape.cache_clear()
     coordinate_bounds(lat, region, 1)
     one_compile = len(calls)
@@ -1204,15 +1225,20 @@ def test_nef_groups_with_equal_pairs_are_one():
 
 
 def test_lower_walls_at_one_are_dropped_per_call():
-    """Box lower walls at 1 have threshold c = 1 and change nothing; a
-    later call of the same shape with walls at 3 and 2 on its warm entry
-    still applies them, and the entry keeps both anti-nef constraints in
-    its list and in every depth of its program."""
+    """Lower-wall constraints (-L_i, 1/lo_i, 0) at lo_i = 1 have threshold
+    c = 1 and change nothing; a later call of the same shape with walls at
+    3 and 2 on its warm entry still applies them, and the entry keeps both
+    anti-nef constraints in its list and in every depth of its program."""
     lat = get_lattice("P1xP1")
     rows = [[1, 0], [0, 1]]
     upper = Region([((1, 0), 12, 0), ((0, 1), 9, 0)])
-    ones = counting._box_region(rows, [1, 1], [12, 9])
-    walls = counting._box_region(rows, [3, 2], [12, 9])
+
+    def explicit(lows):
+        return Region([(row, hi, 0) for row, hi in zip(rows, (12, 9))]
+                      + [([-x for x in row], Fraction(1, lo), 0)
+                         for row, lo in zip(rows, lows)])
+
+    ones, walls = explicit([1, 1]), explicit([3, 2])
     assert ones.shape == walls.shape
     counting._compiled_shape.cache_clear()
     cold = _outcome(enumerate_region(lat, walls, 1))
@@ -1225,6 +1251,78 @@ def test_lower_walls_at_one_are_dropped_per_call():
     shape = counting._compiled_shape(lat, ones.shape, False)
     assert len(shape.anti) == 2 and shape.program
     assert all(len(spec[1]) == 2 for spec in shape.program.values())
+
+
+@pytest.mark.parametrize("name", ["P1xP1", "F1"])
+def test_box_walls_at_one_as_facets_count_alike(name):
+    """A box whose lower walls at 1 are facets counts what the box with
+    lower-wall constraints (the oracle's _unit_box) counts, node for node,
+    at seeded corners, and both equal the brute force at small corners."""
+    lat = get_lattice(name)
+    rows = [[1, 0], [0, 1]]
+    rng = random.Random(21)
+    for top in (40, 40, 40, 6, 6):
+        corner = [Fraction(rng.randrange(2, 2 * top), 2) for _ in rows]
+        facets = counting._box_region(rows, [1, 1], corner)
+        walls = _unit_box(rows, corner)
+        assert facets.facets == ((1, 0), (0, 1))
+        got = _outcome(enumerate_region(lat, facets, 1))
+        assert got == _outcome(enumerate_region(lat, walls, 1))
+        if top == 6:
+            assert got[0] == naive_count(lat, facets, 1) \
+                == naive_count(lat, walls, 1)
+
+
+def test_box_corner_shapes_drop_effective_walls():
+    """The effective walls of a cone-box corner are gone from its compiled
+    shape: on P1xP1 no anti-nef constraint is left and the vertex program
+    has 4 entries of 2 tests, where the lower-wall constraints gave 9 of 4;
+    on F1 the wall on (0, 1), which is not nef, was a second mixed
+    constraint."""
+    rows = [[1, 0], [0, 1]]
+    corner = counting._box_region(rows, [1, 1], (20, 20))
+    walls = _unit_box(rows, (20, 20))
+    lat = get_lattice("P1xP1")
+    shapes = [counting._compiled_shape(lat, region.shape, False)
+              for region in (corner, walls)]
+    assert [len(shape.anti) for shape in shapes] == [0, 2]
+    assert [[len(tests) for tests, _ in shape.vertex_program]
+            for shape in shapes] == [[2] * 4, [4] * 9]
+    lat = get_lattice("F1")
+    shapes = [counting._compiled_shape(lat, region.shape, False)
+              for region in (corner, walls)]
+    assert [len(shape.mixed) for shape in shapes] == [1, 2]
+
+
+def test_box_wall_on_a_row_that_is_not_effective_is_applied():
+    """(1, -1) is not effective on P1xP1, so its wall H_1 >= H_2 cuts
+    points: it stays in the compiled shape, a mixed constraint beside the
+    row's upper wall, and the box counts what the brute force counts,
+    fewer points than the box without that wall."""
+    lat = get_lattice("P1xP1")
+    rows = [[1, 0], [0, 1], [1, -1]]
+    box = counting._box_region(rows, [1, 1, 1], [12, 12, 3])
+    assert box.facets == ((1, 0), (0, 1), (1, -1))
+    shape = counting._compiled_shape(lat, box.shape, False)
+    assert [e for _, e in shape.mixed] == [[1, -1], [-1, 1]]
+    unwalled = Region([(row, hi, 0) for row, hi in zip(rows, [12, 12, 3])])
+    count = enumerate_region(lat, box, 1).count
+    assert count == naive_count(lat, box, 1)
+    assert 0 < count < enumerate_region(lat, unwalled, 1).count
+    assert count == enumerate_region(lat, _unit_box(rows, [12, 12, 3]),
+                                     1).count
+
+
+def test_box_region_clears_rational_rows():
+    """A rational row L_i is a valid box axis: its wall at 1 becomes the
+    cleared facet, and the box counts what the integer row's box does."""
+    lat = get_lattice("F1")
+    half = counting._box_region([[Fraction(1, 2), 0], [0, 1]], [1, 1],
+                                [3, 9])
+    whole = counting._box_region([[1, 0], [0, 1]], [1, 1], [9, 9])
+    assert half.facets == whole.facets == ((1, 0), (0, 1))
+    assert _outcome(enumerate_region(lat, half, 1))[:2] \
+        == _outcome(enumerate_region(lat, whole, 1))[:2]
 
 
 @pytest.mark.parametrize("name", ["P1xP1", "F1"])
