@@ -10,7 +10,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 from . import counting, verify
@@ -105,13 +104,6 @@ def cmd_constants(args):
     return 0
 
 
-def _count_range(packed):
-    lattice, region, b, lo, hi, budget = packed
-    res = counting.enumerate_region(lattice, region, b, budget=budget,
-                                    first_range=(lo, hi))
-    return res.count, res.visited, res.order
-
-
 def cmd_count(args):
     lat = _load(args.fan)
     with open(args.region) as fh:
@@ -122,25 +114,11 @@ def cmd_count(args):
     region = counting.region_from_json(obj)
     b = _frac(args.B)
     t0 = time.perf_counter()
-    if args.workers > 1:
-        ranges = counting.partition_first_coordinate(lat, region, b,
-                                                     args.workers)
-        jobs = [(lat, region, b, lo, hi, args.budget) for lo, hi in ranges]
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            parts = list(pool.map(_count_range, jobs))
-        count = sum(p[0] for p in parts)
-        visited = sum(p[1] for p in parts)
-        order = parts[0][2]
-        # each worker only checks its own range against the budget
-        if visited > args.budget:
-            raise BudgetError(f"enumeration visited {visited} candidates "
-                              f"across workers, more than {args.budget}")
-    else:
-        res = counting.enumerate_region(lat, region, b, budget=args.budget)
-        count, visited, order = res.count, res.visited, res.order
+    res = counting.enumerate_region(lat, region, b, budget=args.budget)
     elapsed = time.perf_counter() - t0
-    payload = {"B": str(b), "count": count, "prediction": None,
-               "ratio": None, "visited": visited, "order": list(order)}
+    payload = {"B": str(b), "count": res.count, "prediction": None,
+               "ratio": None, "visited": res.visited,
+               "order": list(res.order)}
     print(f"timing_s={elapsed:.3f}", file=sys.stderr)
     _emit(payload, args, "count")
     return 0
@@ -236,7 +214,6 @@ def build_parser():
     s.add_argument("--region", required=True, help="region JSON file")
     s.add_argument("--B", required=True, help="height bound, a rational")
     s.add_argument("--budget", type=int, default=counting.DEFAULT_BUDGET)
-    s.add_argument("--workers", type=int, default=1)
     s.set_defaults(fn=cmd_count)
 
     s = subs.add_parser("verify", help="run one counting theorem over a "

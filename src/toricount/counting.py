@@ -67,7 +67,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, compress, permutations, product
+from itertools import combinations, permutations, product
 from math import gcd, lcm
 from operator import itemgetter
 import random
@@ -124,33 +124,6 @@ class Region:
         self.facets = tuple(dict.fromkeys(facets))
         self.shape = (tuple(c.cls for c in cons), tuple(c.s for c in cons),
                       self.facets)
-
-    def contains(self, hvals, B):
-        """Exact membership of a vector of basis heights at parameter B.
-
-        Reference implementation used by tests and dumps; rational exponents
-        are cleared to integers per constraint.
-        """
-        B = Fraction(B)
-        for con in self.constraints:
-            den = con.s.denominator
-            for x in con.cls:
-                den = lcm(den, Fraction(x).denominator)
-            v = Fraction(1)
-            for h, e in zip(hvals, con.cls):
-                e = int(Fraction(e) * den)
-                if e:
-                    v *= Fraction(h) ** e
-            if v > con.gamma ** den * B ** int(con.s * den):
-                return False
-        for f in self.facets:
-            v = Fraction(1)
-            for h, e in zip(hvals, f):
-                if e:
-                    v *= Fraction(h) ** e
-            if v < 1:
-                return False
-        return True
 
 
 def region_from_json(obj):
@@ -709,14 +682,15 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     on every leaf.  Otherwise P_w X >= c iff X >= ceil(c / P_w), and the
     leaf's lower end uses ceil(c / (P_w X')) = ceil(ceil(c / P_w) / X');
     within a group the least threshold decides, and a zero remaining vector
-    with P_w < c can never reach c; a call drops the constraints with
-    c = 1, which every point meets, from its key and its leaf.  (c) The
-    descent's gcd tests and the leaf's G0 ask, for each prime p, whether p
-    divides base_s R_s for every cone s of some set, base_s the prefix
-    complement product and R_s the product of the new coordinates outside
-    s.  R_s depends on s only through T_s, so p divides all of them iff,
-    for every group, p divides g_T or a new coordinate in T; the Moebius
-    sum reads only the primes of G0.  (d) Below the prefix a list's max-monomial is max_w P_w X_w, and
+    with P_w < c can never reach c; at c = 1 every P_w >= 1 reaches c, so
+    the part is the mark on every key and the leaf keeps its lower end.
+    (c) The descent's gcd tests and the leaf's G0 ask, for each prime p,
+    whether p divides base_s R_s for every cone s of some set, base_s the
+    prefix complement product and R_s the product of the new coordinates
+    outside s.  R_s depends on s only through T_s, so p divides all of
+    them iff, for every group, p divides g_T or a new coordinate in T; the
+    Moebius sum reads only the primes of G0.  (d) Below the prefix a
+    list's max-monomial is max_w P_w X_w, and
     X_w depends on w only through its group g, so it equals
     max_g (max_{w in g} P_w) X_g: equal keys give equal max-monomials, so
     equal H_{e_j} and equal fingerprints, point for point.  A group whose
@@ -777,15 +751,14 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     rays) and `reused` are reported as they are; `order` gives the order.
 
     `first_range=(lo, hi)` restricts the first coordinate descended, that
-    of ray order[0], for data-parallel partitioning
-    (partition_first_coordinate).  `visited` counts descent nodes plus full
-    leaf widths, reused subtrees included, so it does not depend on the
-    memo or the tally, only on the order.  Raises BudgetError past `budget`
-    candidates, DegenerateInputError when a tally's floor table (the whole
-    one or a subtree's, whose cells all reach the whole one) passes
-    TABLE_LIMIT cells, checked after each leaf and each merge, and
-    DegenerateInputError for a fan with no ample class (a complete fan that
-    is not projective).
+    of ray order[0], so that tests can pin one prefix or add up slices.
+    `visited` counts descent nodes plus full leaf widths, reused subtrees
+    included, so it does not depend on the memo or the tally, only on the
+    order.  Raises BudgetError past `budget` candidates,
+    DegenerateInputError when a tally's floor table (the whole one or a
+    subtree's, whose cells all reach the whole one) passes TABLE_LIMIT
+    cells, checked after each leaf and each merge, and DegenerateInputError
+    for a fan with no ample class (a complete fan that is not projective).
     """
     _evaluator(lattice).nef_split  # raises for a fan that is not projective
     n, rho = lattice.fan.n_rays, lattice.rank
@@ -830,13 +803,6 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         return empty()
     thresholds = [-(-bd // bn) for bn, bd in (_sides(v, 1, 1, *bases)
                                               for v, _ in anti_cons)]
-    if 1 in thresholds:  # every point meets c = 1: drop it for this call
-        kept = [c != 1 for c in thresholds]
-        anti_cons = list(compress(anti_cons, kept))
-        thresholds = list(compress(thresholds, kept))
-        program = {d: (nef, list(compress(anti, kept)), *rest)
-                   for d, (nef, anti, *rest) in program.items()}
-        by_runs = {d - 1: spec for d, spec in program.items() if spec[4]}
     mixed_cons = [(e, *_sides(v, 1, 1, *bases)) for v, e in mixed_cons]
     # per-cone running complement products
     comp_prod = [[1] * len(lattice.fan.max_cones)]
@@ -1170,19 +1136,6 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     floor_t, ceil_t = tables[0] if tally else (None, None)
     return EnumerationResult(count=count, visited=visited, reused=reused,
                              floor=floor_t, ceil=ceil_t, order=order)
-
-
-def partition_first_coordinate(lattice, region, B, parts):
-    """Split the range of the first coordinate that enumerate_region
-    descends, the first ray of its order without a tally, into contiguous
-    worker ranges for first_range."""
-    bounds = coordinate_bounds(lattice, region, B)
-    parts = max(1, int(parts))
-    if not any(bounds):
-        return [(1, 0)]
-    m0 = bounds[_compiled_shape(lattice, region.shape, False).order[0]]
-    step = (m0 + parts - 1) // parts
-    return [(lo, min(m0, lo + step - 1)) for lo in range(1, m0 + 1, step)]
 
 
 # -- dual-basis data for box machinery --------------------------------------

@@ -36,10 +36,6 @@ class Fan:
     def n_rays(self):
         return len(self.rays)
 
-    def ray_matrix(self):
-        """Rays as rows of an n x d integer matrix."""
-        return [list(r) for r in self.rays]
-
     def to_dict(self):
         d = {
             "dim": self.dim,
@@ -336,9 +332,6 @@ class ClassLattice:
                 raise SingularConeError(
                     f"maximal cone {cone} is not unimodular") from None
             self._comp.append(comp)
-
-    def class_of_divisor(self, a):
-        return tuple(linalg.mat_vec(self.projection, list(a)))
 
     def class_representative(self, sigma, c):
         """The unique divisor of class c supported off cone sigma's rays."""

@@ -120,7 +120,7 @@ class PlaceHeights:
         self._ray_inv_t = [linalg.integer_inverse(linalg.transpose(b))
                            for b in bases]
         # coeff_exp[s][j][lam] with v_lam = sum_j coeff * (basis ray j of s)
-        vt = [list(col) for col in zip(*fan.ray_matrix())]  # d x n
+        vt = [list(col) for col in zip(*fan.rays)]  # d x n
         self.coeff_exp = [
             [[sum(m[j][t] * vt[t][lam] for t in range(d)) for lam in range(n)]
              for j in range(d)]

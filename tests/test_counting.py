@@ -17,12 +17,11 @@ from toricount.counting import (
     DEFAULT_BUDGET, FTable, Region, anticanonical_region,
     build_box_decomposition, coordinate_bounds, count_anticanonical,
     count_box, count_cone_box, count_translated_polyhedron,
-    enumerate_region, hyperbola_sum, partition_first_coordinate,
-    region_from_json, tabulate_f)
+    enumerate_region, hyperbola_sum, region_from_json, tabulate_f)
 from toricount.errors import BudgetError, CoprimalityError, DegenerateInputError
 
 from conftest import BUILTIN_NAMES, get_lattice
-from naive_oracle import (ExactLog, _naive_points, _unit_box,
+from naive_oracle import (ExactLog, _membership, _naive_points, _unit_box,
                           coordinate_bounds_exactlog, naive_box_histogram,
                           naive_count, naive_tables, sign_class_count)
 
@@ -71,18 +70,18 @@ def test_exactlog_scaled_and_fraction_powers():
 def test_region_contains_reference():
     lat = get_lattice("P1")
     region = anticanonical_region(lat)
-    assert region.contains((Fraction(3),), 9)
-    assert not region.contains((Fraction(3),), 8)
+    assert _membership(region, 9)((Fraction(3),))
+    assert not _membership(region, 8)((Fraction(3),))
     half = Region([((Fraction(1, 2),), 1, Fraction(1, 2))])  # H^(1/2) <= B^(1/2)
-    assert half.contains((Fraction(9),), 9)
-    assert not half.contains((Fraction(10),), 9)
+    assert _membership(half, 9)((Fraction(9),))
+    assert not _membership(half, 9)((Fraction(10),))
 
 
 def test_region_facets_and_dedupe():
     region = Region([((1, 1), 1, 1)], facets=[(1, -1), (1, -1), (0, 1)])
     assert region.facets == ((1, -1), (0, 1))
-    assert region.contains((3, 2), 100)
-    assert not region.contains((2, 3), 100)   # violates h1 >= h2
+    assert _membership(region, 100)((3, 2))
+    assert not _membership(region, 100)((2, 3))   # violates h1 >= h2
 
 
 def test_region_clears_rational_facets():
@@ -92,7 +91,8 @@ def test_region_clears_rational_facets():
     region = Region([((1, 0), 10, 0)],
                     facets=[(Fraction(1, 2), Fraction(-3, 2))])
     assert region.facets == ((1, -3),)
-    assert region.contains((8, 2), 1) and not region.contains((7, 2), 1)
+    assert _membership(region, 1)((8, 2))
+    assert not _membership(region, 1)((7, 2))
     assert Region([((1,), 5, 0)], facets=[(2,)]).facets == ((2,),)
 
 
@@ -379,27 +379,29 @@ def test_budget_static_precheck():
     assert "candidate box" in str(exc.value)
 
 
+def _slices(cap, parts):
+    """[1, cap] cut into `parts` contiguous first_range slices of equal
+    width, the last one possibly shorter."""
+    step = -(-cap // parts)
+    return [(lo, min(cap, lo + step - 1)) for lo in range(1, cap + 1, step)]
+
+
 def test_first_range_partition():
     lat = get_lattice("P1xP1")
     region = anticanonical_region(lat)
     B = 1000
     full = enumerate_region(lat, region, B)
     assert full.count == 10372
-    ranges = partition_first_coordinate(lat, region, B, 4)
+    bounds = coordinate_bounds(lat, region, B)
+    ranges = _slices(bounds[full.order[0]], 4)
     assert ranges[0][0] == 1
-    assert ranges[-1][1] == coordinate_bounds(lat, region, B)[0]
+    assert ranges[-1][1] == bounds[0]
     runs = [enumerate_region(lat, region, B, first_range=r) for r in ranges]
     assert sum(r.count for r in runs) == full.count
     # the memo lives for one call, so visited stays additive: each part
     # adds one root node of its own
     assert len(ranges) == 4 and all(r.reused for r in runs)
     assert sum(r.visited for r in runs) == full.visited + len(ranges) - 1
-
-
-def test_partition_empty_region():
-    lat = get_lattice("P1")
-    region = Region([((2,), Fraction(1, 2), 0)])
-    assert partition_first_coordinate(lat, region, 1, 3) == [(1, 0)]
 
 
 @contextmanager
@@ -943,7 +945,7 @@ def test_leaf_key_matches_leafless_program(name, B):
             region = Region([(lat.anticanonical, B, 0),
                              (anti, Fraction(1, low), 0)])
             assert _with_and_without_leaf_key(lat, region, 1)[0].count > 0
-        parts = partition_first_coordinate(lat, full, B, 3)
+        parts = _slices(coordinate_bounds(lat, full, B)[keyed.order[0]], 3)
         assert sum(_with_and_without_leaf_key(lat, full, B, first_range=r)[0]
                    .count for r in parts) == keyed.count
 
@@ -1089,7 +1091,8 @@ def test_chooser_past_six_rays_scores_transpositions(monkeypatch):
 
 def test_partition_splits_the_first_ray_of_the_order():
     """first_range acts on the first ray descended, here ray 1 of a
-    relabelled F1, whose cap is not ray 0's."""
+    relabelled F1, whose cap is not ray 0's: slices of that ray's range
+    add up to the full count."""
     lat = _relabelled("F1", (2, 0, 1, 3))
     region = anticanonical_region(lat)
     B = 10 ** 4
@@ -1097,7 +1100,7 @@ def test_partition_splits_the_first_ray_of_the_order():
     bounds = coordinate_bounds(lat, region, B)
     first = full.order[0]
     assert first != 0 and bounds[first] < bounds[0]
-    ranges = partition_first_coordinate(lat, region, B, 3)
+    ranges = _slices(bounds[first], 3)
     assert ranges[0][0] == 1 and ranges[-1][1] == bounds[first]
     assert sum(enumerate_region(lat, region, B, first_range=r).count
                for r in ranges) == full.count == 102316
@@ -1224,9 +1227,10 @@ def test_nef_groups_with_equal_pairs_are_one():
         assert len(shape.program[2][0]) == 2
 
 
-def test_lower_walls_at_one_are_dropped_per_call():
+def test_lower_walls_at_one_change_nothing():
     """Lower-wall constraints (-L_i, 1/lo_i, 0) at lo_i = 1 have threshold
-    c = 1 and change nothing; a later call of the same shape with walls at
+    c = 1, which every prefix monomial reaches, so they change no count,
+    visited, reused or order; a later call of the same shape with walls at
     3 and 2 on its warm entry still applies them, and the entry keeps both
     anti-nef constraints in its list and in every depth of its program."""
     lat = get_lattice("P1xP1")

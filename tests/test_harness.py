@@ -326,17 +326,10 @@ def test_cli_count_region_file(tmp_path, capsys):
     assert payload["prediction"] is None
     assert payload["ratio"] is None
     assert payload["visited"] >= 63   # magnitude tuples, weight 2 each
-
-
-def test_cli_count_workers_agree(tmp_path, capsys):
-    region = tmp_path / "region.json"
-    region.write_text(json.dumps(
-        {"constraints": [{"class": [2], "s": 1}]}))
-    rc = cli.main(["count", "P1", "--region", str(region), "--B", "10000",
-                   "--workers", "2"])
-    assert rc == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["count"] == 12174
+    # one process counts: there is no worker option
+    with pytest.raises(SystemExit):
+        cli.main(["count", "P1", "--region", str(region), "--B", "100",
+                  "--workers", "2"])
 
 
 @pytest.mark.parametrize("rays,cones,klass,want", [
@@ -346,22 +339,19 @@ def test_cli_count_workers_agree(tmp_path, capsys):
      [2, 2], 143748)])
 def test_cli_count_workers_follow_the_order(tmp_path, capsys, rays, cones,
                                             klass, want):
-    """F1 and P1xP1 with interleaved rays descend in a chosen order, and
-    the workers split the range of its first ray: 1, 2 and 3 workers count
-    what one process counts, the closed forms of bench/reference.py, and
-    the report carries the order."""
+    """F1 and P1xP1 with interleaved rays descend in a chosen order: the
+    count is the closed form of bench/reference.py, and the report carries
+    the order."""
     fan = tmp_path / "fan.json"
     fan.write_text(json.dumps({"dim": 2, "rays": rays, "max_cones": cones}))
     region = tmp_path / "region.json"
     region.write_text(json.dumps(
         {"constraints": [{"class": klass, "s": 1}]}))
-    reports = []
-    for workers in ("1", "2", "3"):
-        assert cli.main(["count", str(fan), "--region", str(region),
-                         "--B", "10000", "--workers", workers]) == 0
-        reports.append(json.loads(capsys.readouterr().out))
-    assert [r["count"] for r in reports] == [want] * 3
-    assert [r["order"] for r in reports] == [[0, 2, 1, 3]] * 3
+    assert cli.main(["count", str(fan), "--region", str(region),
+                     "--B", "10000"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["count"] == want
+    assert report["order"] == [0, 2, 1, 3]
 
 
 def test_cli_verify_csv_stdout(capsys):
@@ -449,20 +439,19 @@ def test_cli_exit_code_budget(tmp_path, capsys):
     assert rc == 3
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_cli_budget_is_global_across_workers(tmp_path, capsys, workers):
-    """10000 leaf candidates plus one root node per worker: each of two
-    workers stays under 6000, but the run does not."""
+def test_cli_count_meets_its_budget(tmp_path, capsys):
+    """10000 leaf candidates plus one root node: a budget of 6000 stops the
+    run with exit 3, and 10002 lets it finish."""
     region = tmp_path / "region.json"
     region.write_text(json.dumps(
         {"constraints": [{"class": [2], "s": 1}]}))
-    args = ["count", "P1", "--region", str(region), "--B", "10000",
-            "--workers", workers]
+    args = ["count", "P1", "--region", str(region), "--B", "10000"]
     assert cli.main(args + ["--budget", "6000"]) == 3
     assert "6000" in capsys.readouterr().err
     assert cli.main(args + ["--budget", "10002"]) == 0
-    visited = json.loads(capsys.readouterr().out)["visited"]
-    assert visited == 10000 + int(workers)
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["visited"] == 10001
+    assert payload["count"] == 12174
 
 
 def test_verify_budget_is_per_run(capsys):
