@@ -4,7 +4,8 @@ Everything here works on plain Python ints and fractions.Fraction so results
 stay exact at any size.  Matrices are lists of lists (row major).  Sizes in
 this package are tiny (ambient dimension at most 8), so clarity wins over
 asymptotics.  One exact Gauss-Jordan elimination serves rank, solve_exact,
-det, inverse and nullspace; the row Hermite form canonicalises the class
+det, inverse and nullspace, and a fraction-free one inverts integer
+matrices in integers; the row Hermite form canonicalises the class
 lattice's projection; iroot and floor_rational_power turn exact bounds into
 integer coordinate caps.
 """
@@ -167,18 +168,41 @@ def inverse(a):
     return [row[n:] for row in m]
 
 
+def fraction_free_inverse(a):
+    """(d, m) with inverse(a) == m / d, all integers, for a square integer
+    matrix a; None when a is singular.
+
+    One fraction-free Gauss-Jordan elimination of [a | I] (Bareiss, Math.
+    Comp. 22, 1968): each step cross-multiplies the other rows by the pivot
+    and divides exactly by the previous pivot, so the left block ends as
+    d I, d = det(a) up to the sign of the row swaps.
+    """
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)]
+         for i, row in enumerate(a)]
+    prev = 1
+    for c in range(n):
+        piv = next((i for i in range(c, n) if m[i][c]), None)
+        if piv is None:
+            return None
+        m[c], m[piv] = m[piv], m[c]
+        top = m[c]
+        p = top[c]
+        for i in range(n):
+            f = m[i][c]
+            if i != c:
+                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+    return prev, [row[n:] for row in m]
+
+
 def integer_inverse(a):
     """Inverse of a unimodular integer matrix, as integers."""
-    inv = inverse(a)
-    out = []
-    for row in inv:
-        irow = []
-        for x in row:
-            if x.denominator != 1:
-                raise ValueError("matrix is not unimodular")
-            irow.append(int(x))
-        out.append(irow)
-    return out
+    solved = fraction_free_inverse(a)
+    if solved is None or abs(solved[0]) != 1:
+        raise ValueError("matrix is not unimodular")
+    d, m = solved
+    return [[d * x for x in row] for row in m]
 
 
 def nullspace(a):

@@ -10,6 +10,9 @@ the production pruning.
 It also keeps the symbolic-logarithm vertex solve (ExactLog) that
 counting.coordinate_bounds replaced, as coordinate_bounds_exactlog: every
 vertex is rebuilt from Fractions on every call, with no compiled program.
+The compiled program itself has its Fraction reference too: the vertex
+program solved by Fraction inverses, as vertex_program_fractions, against
+the fraction-free elimination of counting._vertex_program.
 
 And it keeps the numeric route to the section-limit constant c_P that
 cones.c_p_constant replaced with the exact face volume: the volumes of the
@@ -584,6 +587,62 @@ def coordinate_bounds_exactlog(lattice, region, B):
                 best = val
         bounds.append(max(0, best.exp_floor()))
     return bounds
+
+
+def _cleared(vec):
+    """(integer vector, d) with vec == integer vector / d, d > 0 least."""
+    d = 1
+    for x in vec:
+        d = lcm(d, x.denominator)
+    return tuple(int(x * d) for x in vec), d
+
+
+def vertex_program_fractions(classes, cls_rows, s_vals, facets):
+    """The vertex program of counting._vertex_program, the reference for
+    it: every rho-subset of rows inverted over Fraction by linalg.inverse,
+    its vertex, tests and objectives formed in Fractions and each cleared
+    to the least positive denominator.  Returns the same (program, limit)
+    tuples."""
+    rho, k = len(classes[0]), len(cls_rows)
+    rows = []
+    for i, (q, s) in enumerate(zip(cls_rows, s_vals)):
+        rows.append(([Fraction(x) for x in q],
+                     [Fraction(int(b == i)) for b in range(k)] + [s]))
+    zero = [Fraction(0)] * (k + 1)
+    for q in list(dict.fromkeys(classes)) + list(facets):
+        rows.append(([Fraction(-x) for x in q], zero))
+    if dual_cone([[-x for x in q] for q, _ in rows], rho):
+        raise DegenerateInputError(
+            "region is unbounded over the dual effective cone")
+
+    program, limit = [], set()
+    for idx in combinations(range(len(rows)), rho):
+        try:
+            inv = linalg.inverse([rows[i][0] for i in idx])
+        except ValueError:  # singular subset: no vertex
+            continue
+        vert = [[sum(inv[j][t] * rows[i][1][b] for t, i in enumerate(idx))
+                 for b in range(k + 1)] for j in range(rho)]
+
+        def pairing(q):
+            return [sum(q[j] * vert[j][b] for j in range(rho) if q[j])
+                    for b in range(k + 1)]
+
+        tests = []
+        for i, (q, rhs) in enumerate(rows):
+            if i not in idx:
+                e, _ = _cleared([a - c for a, c in zip(pairing(q), rhs)])
+                if any(e):
+                    tests.append(e)
+        objs = tuple(_cleared(pairing(c)) for c in classes)
+        program.append((tuple(tests), objs))
+        if all(e[-1] <= 0 for e in tests):
+            limit.add(tuple(Fraction(e[-1], d) for e, d in objs))
+    den = 1
+    for x in (x for v in limit for x in v):
+        den = lcm(den, x.denominator)
+    return tuple(program), tuple(sorted(tuple(int(x * den) for x in v)
+                                        for v in limit))
 
 
 def naive_extreme_rays(gens, d):

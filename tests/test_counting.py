@@ -20,10 +20,11 @@ from toricount.counting import (
     enumerate_region, hyperbola_sum, region_from_json, tabulate_f)
 from toricount.errors import BudgetError, CoprimalityError, DegenerateInputError
 
-from conftest import BUILTIN_NAMES, get_lattice
+from conftest import BUILTIN_NAMES, OFF_BUILTIN_FANS, get_lattice
 from naive_oracle import (ExactLog, _membership, _naive_points, _unit_box,
                           coordinate_bounds_exactlog, naive_box_histogram,
-                          naive_count, naive_tables, sign_class_count)
+                          naive_count, naive_tables, sign_class_count,
+                          vertex_program_fractions)
 
 
 # -- exact logarithmic arithmetic -------------------------------------------
@@ -221,6 +222,36 @@ def test_coordinate_bounds_match_exactlog_oracle(name):
     assert kinds == {"error", "bounded", "empty"}
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES + list(OFF_BUILTIN_FANS))
+def test_vertex_program_matches_fraction_oracle(name):
+    """The fraction-free vertex program gives the very (program, limit)
+    tuples of the Fraction solve, or the same error, on the anticanonical,
+    cone-box corner, lower-wall box and tally shapes, and on a builtin fan
+    also on the seeded regions of test_coordinate_bounds_match_exactlog_oracle,
+    whose rows and slopes lie in (1/2)Z."""
+    lat = get_lattice(name)
+    rows = [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]
+    ones, caps = [1] * lat.rank, [20] * lat.rank
+    regions = [anticanonical_region(lat),
+               counting._box_region(rows, ones, caps),
+               _unit_box(rows, caps),
+               counting._box_region(rows, ones, caps,
+                                    extra=[(lat.anticanonical, 32, 1)])]
+    if name in BUILTIN_NAMES:
+        rng = random.Random(f"bounds-{name}")
+        regions += [_random_region(rng, lat)[0] for _ in range(60)]
+
+    def program(fn, shape):
+        try:
+            return fn(lat.classes, *shape)
+        except DegenerateInputError as exc:
+            return str(exc)
+
+    for region in regions:
+        assert program(counting._vertex_program, region.shape) \
+            == program(vertex_program_fractions, region.shape), region.shape
+
+
 def test_coordinate_bounds_pinned_oracle_cases():
     f1 = get_lattice("F1")
     half = Fraction(1, 2)
@@ -241,22 +272,21 @@ def test_coordinate_bounds_pinned_oracle_cases():
 
 def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
     """The 24 corner enumerations of a cone box share one constraint shape,
-    so the vertex solve (its inverse calls) runs once for all of them; only
+    so the vertex solve (_vertex_program) runs once for all of them; only
     gamma differs, and each box still gets its own exact bounds."""
     lat = get_lattice("P1xP1")
     calls = []
-    inverse = linalg.inverse
+    vertex_program = counting._vertex_program
 
-    def counted(a):
+    def counted(*shape):
         calls.append(1)
-        return inverse(a)
+        return vertex_program(*shape)
 
-    monkeypatch.setattr(linalg, "inverse", counted)
+    monkeypatch.setattr(counting, "_vertex_program", counted)
     region = counting._box_region([[1, 0], [0, 1]], [1, 1], (20, 20))
     counting._compiled_shape.cache_clear()
     coordinate_bounds(lat, region, 1)
-    one_compile = len(calls)
-    assert one_compile > 0
+    assert len(calls) == 1
 
     def cone_box():
         calls.clear()
@@ -265,10 +295,9 @@ def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
         assert out["kept"] == (5, 3)      # 6 * 4 corners
         return len(calls)
 
-    warm = cone_box()          # no compile: only the one dual-basis solve
-    assert warm == 1
+    assert cone_box() == 0     # warm: no compile
     counting._compiled_shape.cache_clear()
-    assert cone_box() == one_compile + warm
+    assert cone_box() == 1
 
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
     boxes = [decomp.region((20, 20), n) for n in [(1, 1), (2, 3)]]

@@ -399,6 +399,37 @@ def test_elimination_properties():
     assert len(seen) == 4
 
 
+def test_fraction_free_inverse_properties():
+    """On seeded integer matrices of sizes 1-6 with entries in [-9, 9],
+    some made singular by a repeated or combined row or a zero column:
+    None exactly when det(a) == 0, else (d, m) with a m = d I and d the
+    determinant up to sign, all integers."""
+    rng = random.Random(43)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 6)
+        a = _random_int_matrix(rng, n, n)
+        kind = rng.random()
+        if n > 1 and kind < 0.15:
+            a[-1] = list(a[0])
+        elif n > 1 and kind < 0.3:
+            a[-1] = [x - 3 * y for x, y in zip(a[0], a[1])]
+        elif kind < 0.35:
+            for row in a:
+                row[-1] = 0
+        solved = linalg.fraction_free_inverse(a)
+        det = linalg.det(a)
+        assert (solved is None) == (det == 0)
+        seen.add(det == 0)
+        if solved is not None:
+            d, m = solved
+            assert all(type(x) is int for x in [d] + sum(m, []))
+            assert abs(d) == abs(det)
+            assert mat_mul(a, m) == [[d * x for x in row]
+                                     for row in _identity(n)]
+    assert seen == {True, False}
+
+
 def test_integer_inverse_unimodular():
     a = [[1, 2], [1, 3]]
     inv = linalg.integer_inverse(a)
