@@ -164,20 +164,17 @@ def triangulate_polytope(vertices, order="lex"):
     """Placing triangulation of conv(vertices); returns tuples of vertex indices.
 
     Deterministic: vertices are processed in exact lexicographic order
-    ("lex"), reversed ("revlex"), or as given ("given").  Each output simplex
-    has dim+1 vertices where dim is the affine dimension of the hull.
+    ("lex") or reversed ("revlex").  Each output simplex has dim+1 vertices
+    where dim is the affine dimension of the hull.
     """
+    if order not in ("lex", "revlex"):
+        raise ValueError(f"unknown order {order!r}")
     pts = [tuple(Fraction(x) for x in v) for v in vertices]
     n = len(pts)
     if n == 0:
         raise DegenerateInputError("no vertices")
-    orderidx = list(range(n))
-    if order == "lex":
-        orderidx.sort(key=lambda i: pts[i])
-    elif order == "revlex":
-        orderidx.sort(key=lambda i: pts[i], reverse=True)
-    elif order != "given":
-        raise ValueError(f"unknown order {order!r}")
+    orderidx = sorted(range(n), key=lambda i: pts[i],
+                      reverse=order == "revlex")
     seq = [pts[i] for i in orderidx]
 
     basis_pos, basis_vecs = _affine_basis(seq)

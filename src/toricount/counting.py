@@ -68,12 +68,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import itemgetter
 import random
 
 from . import linalg
-from .cones import dual_cone, effective_decomposition, nu_simplicial
+from .cones import dual_cone, effective_decomposition
 from .errors import BudgetError, DegenerateInputError
 from .heights import _evaluator
 from .tamagawa import nu_of_box
@@ -97,8 +97,8 @@ class Region:
     The cone restriction is membership of h in a rational cone of the dual
     Picard space, stored through its facet functionals: h is inside when
     prod_i H_{e_i}^{f_i} >= 1 for every facet vector f.  A rational facet is
-    cleared to an integer vector d f, d > 0 (_cleared), which bounds the
-    same points: H^{d f} >= 1 iff H^f >= 1.  `shape` is all of it but the
+    cleared to an integer vector d f, d > 0 (linalg.cleared), which bounds
+    the same points: H^{d f} >= 1 iff H^f >= 1.  `shape` is all of it but the
     scales gamma: the key of _compiled_shape.
     """
 
@@ -115,11 +115,14 @@ class Region:
             if c.gamma <= 0:
                 raise DegenerateInputError("constraint scale must be positive")
         self.constraints = tuple(cons)
-        facets = [_cleared([Fraction(x) for x in f])[0] for f in facets]
+        facets = [linalg.cleared([Fraction(x) for x in f])[0] for f in facets]
         if cone_generators is not None:
             gens = [list(g) for g in cone_generators]
             if gens:
                 dim = len(gens[0])
+                if any(len(g) != dim for g in gens):
+                    raise DegenerateInputError(
+                        "cone generators differ in length")
                 facets += [tuple(f) for f in dual_cone(gens, dim)]
         self.facets = tuple(dict.fromkeys(facets))
         self.shape = (tuple(c.cls for c in cons), tuple(c.s for c in cons),
@@ -131,24 +134,31 @@ def region_from_json(obj):
 
     {"constraints": [{"class": [...], "gamma": "p/q", "s": "p/q"}, ...],
      "cone": {"generators": [[...], ...]}}   (or "facets": [[...], ...])
+
+    Any other shape is a DegenerateInputError; _compiled_shape checks the
+    lengths against the rank.
     """
     def frac(x):
-        if isinstance(x, str):
-            return Fraction(x)
-        if isinstance(x, (int, Fraction)):
-            return Fraction(x)
-        raise DegenerateInputError(f"not a rational: {x!r}")
+        if not isinstance(x, (str, int, Fraction)):
+            raise DegenerateInputError(f"not a rational: {x!r}")
+        return Fraction(x)
+
+    def vec(v):
+        if not isinstance(v, list):
+            raise DegenerateInputError(f"not a list: {v!r}")
+        return [frac(x) for x in v]
 
     if not isinstance(obj, dict) or "constraints" not in obj:
         raise DegenerateInputError("region JSON needs a 'constraints' list")
-    cons = []
-    for c in obj["constraints"]:
-        cons.append((tuple(frac(x) for x in c["class"]),
-                     frac(c.get("gamma", 1)), frac(c.get("s", 0))))
-    facets = [[frac(x) for x in f] for f in obj.get("facets", ())]
-    gens = None
-    if "cone" in obj:
-        gens = obj["cone"].get("generators")
+    try:
+        cons = [(vec(c["class"]), frac(c.get("gamma", 1)), frac(c.get("s", 0)))
+                for c in obj["constraints"]]
+        facets = [vec(f) for f in obj.get("facets", [])]
+        gens = obj.get("cone", {}).get("generators")
+        gens = None if gens is None else [vec(g) for g in gens]
+    except (KeyError, TypeError, AttributeError, ValueError,
+            ZeroDivisionError) as exc:
+        raise DegenerateInputError(f"malformed region JSON: {exc!r}") from exc
     return Region(cons, facets=facets, cone_generators=gens)
 
 
@@ -173,17 +183,9 @@ def _sides(e, bn, bd, num, den):
     return lhs, rhs
 
 
-def _cleared(vec):
-    """(integer vector, d) with vec == integer vector / d, d > 0 least."""
-    d = 1
-    for x in vec:
-        d = lcm(d, x.denominator)
-    return tuple(int(x * d) for x in vec), d
-
-
 def _over(num, den):
     """num / den, an integer vector over a nonzero integer, as (e, d) with
-    num / den == e / d and d > 0 least: _cleared without Fractions."""
+    num / den == e / d and d > 0 least: linalg.cleared without Fractions."""
     g = gcd(den, *num)
     if den < 0:
         g = -g
@@ -219,9 +221,10 @@ def _vertex_program(classes, cls_rows, s_vals, facets):
     """
     rho, k = len(classes[0]), len(cls_rows)
     uniq = list(dict.fromkeys(classes))
-    rows = [_cleared(tuple(q) + tuple(int(b == i) for b in range(k)) + (s,))
+    rows = [linalg.cleared(tuple(q) + tuple(int(b == i) for b in range(k))
+                           + (s,))
             for i, (q, s) in enumerate(zip(cls_rows, s_vals))]
-    rows += [_cleared(tuple(-x for x in q) + (0,) * (k + 1))
+    rows += [linalg.cleared(tuple(-x for x in q) + (0,) * (k + 1))
              for q in uniq + list(facets)]
     rows = [(v[:rho], v[rho:], m) for v, m in rows]
     if dual_cone([[-x for x in q] for q, _, _ in rows], rho):
@@ -338,7 +341,7 @@ def _compile_constraints(lattice, shape):
     nef, anti, mixed = [], [], []
     for i, row in enumerate([tuple(q) + (s,) for q, s in zip(cls_rows, s_vals)]
                             + [tuple(-x for x in f) + (0,) for f in facets]):
-        (*e, ds), d = _cleared(row)
+        (*e, ds), d = linalg.cleared(row)
         v = tuple(d if b == i else 0 for b in range(k)) + (ds,)
         reps = [lattice.class_representative(s, e)
                 for s in range(len(lattice.fan.max_cones))]
@@ -543,9 +546,11 @@ def _compiled_shape(lattice, shape, tally):
     cones whose complement holds its ray and the pair exponents, and the
     _signature_program with the depths whose children walk runs.
     Every call of the shape shares the entry, so none may change it."""
-    fan, n = lattice.fan, lattice.fan.n_rays
+    fan, n, rho = lattice.fan, lattice.fan.n_rays, lattice.rank
+    if any(len(v) != rho for v in shape[0] + shape[2]):
+        raise DegenerateInputError(f"region vectors need {rho} entries")
     if shape[2]:
-        eff_dual = dual_cone([list(c) for c in lattice.classes], lattice.rank)
+        eff_dual = dual_cone([list(c) for c in lattice.classes], rho)
         shape = shape[:2] + (tuple(f for f in shape[2] if any(
             linalg.vec_dot(f, g) < 0 for g in eff_dual)),)
     vertex_program, limit = _vertex_program(lattice.classes, *shape)
@@ -1154,27 +1159,30 @@ def enumerate_region(lattice, region, B, fingerprints=None,
 # -- dual-basis data for box machinery --------------------------------------
 
 def _dual_basis_data(lattice, l_rows):
-    """(c, det, gens): c_i = <omega, L_i^*>, |det L|, dual basis generators.
-
-    c solves sum_i c_i L_i = omega.  Raises unless the L_i form a basis with
-    every c_i > 0, the anticanonical class interior to their positive span:
-    the standing assumption of the box machinery.
+    """(c, det, gens, nu_neg): c_i = <omega, L_i^*>, |det L|, the dual basis
+    L_i^* and nu(-Lambda) of its cone, from one fraction-free inverse of E =
+    diag(m) L, L's rows cleared: E^-1 = M / d, L^-1 = E^-1 diag(m) and |det
+    L| = |d| / prod m_i.  c = omega L^-1 solves sum_i c_i L_i = omega, so
+    nu(-Lambda) = |det L^*| / prod <omega, L_i^*> is 1 / (|det L| prod c_i).
+    Raises unless the L_i form a basis with every c_i > 0, the standing
+    assumption of the box machinery.
     """
     rho = lattice.rank
-    a = [[Fraction(x) for x in row] for row in l_rows]
-    if len(a) != rho or any(len(r) != rho for r in a):
+    if len(l_rows) != rho or any(len(r) != rho for r in l_rows):
         raise DegenerateInputError("need rho basis classes L_i")
-    d = linalg.det(a)
-    if d == 0:
+    rows = [linalg.cleared(row) for row in l_rows]
+    solved = linalg.fraction_free_inverse([e for e, _ in rows])
+    if solved is None:
         raise DegenerateInputError("L_i do not form a basis")
-    at = [[a[i][j] for i in range(rho)] for j in range(rho)]
-    c = linalg.solve_exact(at, [Fraction(x) for x in lattice.anticanonical])
+    d, inv = solved
+    gens = [[Fraction(x[i] * m, d) for x in inv]
+            for i, (_, m) in enumerate(rows)]
+    c = [linalg.vec_dot(lattice.anticanonical, g) for g in gens]
     if any(x <= 0 for x in c):
         raise DegenerateInputError(
             "anticanonical class is not interior to the cone of the L_i")
-    inv = linalg.inverse(a)
-    gens = [[inv[j][i] for j in range(rho)] for i in range(rho)]
-    return c, abs(d), gens
+    det = Fraction(abs(d), prod(m for _, m in rows))
+    return c, det, gens, 1 / (det * prod(c))
 
 
 def _check_subcone(lattice, gens):
@@ -1257,7 +1265,7 @@ def count_box(lattice, l_rows, lows, highs, b_vec, tau=None,
     lows/highs are the multiplicative bounds e^{a_i} < e^{b_i} (rationals).
     The L_i are checked (_dual_basis_data) before anything is enumerated.
     """
-    c, d, _ = _dual_basis_data(lattice, l_rows)
+    c, d, _, _ = _dual_basis_data(lattice, l_rows)
     lows = [Fraction(x) for x in lows]
     highs = [Fraction(x) for x in highs]
     b_vec = [Fraction(x) for x in b_vec]
@@ -1376,11 +1384,10 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
     histogram only N(w_0) is enumerated.  `budget` bounds the candidates
     visited over the whole call; `visited` is the sum over the corners.
     """
-    c, _, gens = _dual_basis_data(lattice, l_rows)
+    c, _, gens, nu_neg = _dual_basis_data(lattice, l_rows)
     _check_subcone(lattice, gens)
     b_vec = tuple(Fraction(x) for x in b_vec)
     rho = len(b_vec)
-    nu_neg = nu_simplicial(gens, lattice.anticanonical)
     decomp = decomposition or _drawn_decomposition(l_rows, seed)
     walls = decomp.walls(b_vec) if histogram else [[b] for b in b_vec]
     corners = {}

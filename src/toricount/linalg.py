@@ -3,15 +3,16 @@
 Everything here works on plain Python ints and fractions.Fraction so results
 stay exact at any size.  Matrices are lists of lists (row major).  Sizes in
 this package are tiny (ambient dimension at most 8), so clarity wins over
-asymptotics.  One exact Gauss-Jordan elimination serves rank, solve_exact,
-det, inverse and nullspace, and a fraction-free one inverts integer
-matrices in integers; the row Hermite form canonicalises the class
-lattice's projection; iroot and floor_rational_power turn exact bounds into
-integer coordinate caps.
+asymptotics.  One fraction-free Gauss-Jordan elimination, in integers,
+serves rank, solve_exact, det, inverse, nullspace and the integer inverses:
+the entry points that take rationals clear each row to integers first
+(cleared), and nothing is eliminated over Fraction.  The row Hermite form
+canonicalises the class lattice's projection; iroot and
+floor_rational_power turn exact bounds into integer coordinate caps.
 """
 
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 
 def mat_vec(a, v):
@@ -37,16 +38,18 @@ def vec_gcd(v):
     return g
 
 
+def cleared(vec):
+    """(ints, d) with vec == ints / d, d > 0 least, for ints and Fractions."""
+    d = lcm(*(x.denominator for x in vec))
+    return tuple(int(x * d) for x in vec), d
+
+
 def primitive_vector(v):
     """Scale a nonzero rational vector to a primitive integer vector.
 
     Keeps orientation (multiplies by a positive rational only).
     """
-    fracs = [Fraction(x) for x in v]
-    den = 1
-    for f in fracs:
-        den = den * f.denominator // gcd(den, f.denominator)
-    ints = [int(f * den) for f in fracs]
+    ints, _ = cleared(v)
     g = vec_gcd(ints)
     if g == 0:
         raise ValueError("zero vector has no primitive representative")
@@ -96,19 +99,19 @@ def hermite_row_form(a):
     return h
 
 
-def _eliminate(a, width):
-    """Exact Gauss-Jordan elimination on the first `width` columns of a.
+def _eliminate(m, width):
+    """Fraction-free Gauss-Jordan elimination of the integer rows m, in
+    place, on their first `width` columns (Bareiss, Math. Comp. 22, 1968).
 
-    Rows may carry further (augmented) columns, which ride along.  Returns
-    (m, pivots, det): m is the reduced matrix over Fraction, its first
-    len(pivots) rows have a 1 in column pivots[i] and zeros above and below,
-    and det is the product of the pivots with the sign of the row swaps,
-    which is the determinant of a square a of full rank.
+    Further (augmented) columns ride along.  Each step cross-multiplies
+    every other row by the pivot and divides exactly by the previous pivot;
+    a column with no pivot is skipped.  Returns (pivots, d, sign): the
+    first len(pivots) rows end as d times the reduced row echelon form, the
+    rest are zero on the first `width` columns, and sign * d is the
+    determinant of a square m of full rank, sign the parity of the swaps.
     """
-    m = [[Fraction(x) for x in row] for row in a]
     n = len(m)
-    pivots = []
-    det = Fraction(1)
+    pivots, d, sign = [], 1, 1
     for c in range(width):
         r = len(pivots)
         if r == n:
@@ -118,21 +121,22 @@ def _eliminate(a, width):
             continue
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
-            det = -det
-        det *= m[r][c]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
+            sign = -sign
+        top = m[r]
+        p = top[c]
         for i in range(n):
-            if i != r and m[i][c]:
+            if i != r:
                 f = m[i][c]
-                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+                m[i] = [(p * x - f * y) // d for x, y in zip(m[i], top)]
+        d = p
         pivots.append(c)
-    return m, pivots, det
+    return pivots, d, sign
 
 
 def rank(a):
     """Rank of a rational matrix."""
-    return len(_eliminate(a, len(a[0]) if a else 0)[1])
+    return len(_eliminate([cleared(row)[0] for row in a],
+                          len(a[0]) if a else 0)[0])
 
 
 def solve_exact(a, b):
@@ -142,58 +146,49 @@ def solve_exact(a, b):
     arbitrary solution (free variables set to zero) is returned.
     """
     m = len(a[0]) if a else 0
-    aug, pivots, _ = _eliminate([list(row) + [y] for row, y in zip(a, b)], m)
+    aug = [cleared(list(row) + [y])[0] for row, y in zip(a, b)]
+    pivots, d, _ = _eliminate(aug, m)
     if any(row[m] for row in aug[len(pivots):]):
         return None
     x = [Fraction(0)] * m
     for row, c in zip(aug, pivots):
-        x[c] = row[m]
+        x[c] = Fraction(row[m], d)
     return x
 
 
 def det(a):
-    """Exact determinant of a square rational matrix."""
-    _, pivots, d = _eliminate(a, len(a))
-    return d if len(pivots) == len(a) else Fraction(0)
+    """Exact determinant of a square rational matrix: sign * d / prod m_i."""
+    rows = [cleared(row) for row in a]
+    pivots, d, sign = _eliminate([e for e, _ in rows], len(a))
+    if len(pivots) < len(a):
+        return Fraction(0)
+    return Fraction(sign * d, prod(m for _, m in rows))
 
 
 def inverse(a):
-    """Exact inverse of a square rational matrix; ValueError if singular."""
+    """Exact inverse of a square rational matrix; ValueError if singular.
+    Each row of [a | I] is cleared whole, so the right block ends as d a^-1."""
     n = len(a)
-    m, pivots, _ = _eliminate(
-        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
-        n)
+    rows = [cleared(list(row) + [int(i == j) for j in range(n)])[0]
+            for i, row in enumerate(a)]
+    pivots, d, _ = _eliminate(rows, n)
     if len(pivots) < n:
         raise ValueError("matrix is singular")
-    return [row[n:] for row in m]
+    return [[Fraction(x, d) for x in row[n:]] for row in rows]
 
 
 def fraction_free_inverse(a):
     """(d, m) with inverse(a) == m / d, all integers, for a square integer
     matrix a; None when a is singular.
 
-    One fraction-free Gauss-Jordan elimination of [a | I] (Bareiss, Math.
-    Comp. 22, 1968): each step cross-multiplies the other rows by the pivot
-    and divides exactly by the previous pivot, so the left block ends as
+    One _eliminate of [a | I], with no clearing: its left block ends as
     d I, d = det(a) up to the sign of the row swaps.
     """
     n = len(a)
     m = [list(row) + [int(i == j) for j in range(n)]
          for i, row in enumerate(a)]
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c]), None)
-        if piv is None:
-            return None
-        m[c], m[piv] = m[piv], m[c]
-        top = m[c]
-        p = top[c]
-        for i in range(n):
-            f = m[i][c]
-            if i != c:
-                m[i] = [(p * x - f * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-    return prev, [row[n:] for row in m]
+    pivots, d, _ = _eliminate(m, n)
+    return (d, [row[n:] for row in m]) if len(pivots) == n else None
 
 
 def integer_inverse(a):
@@ -208,13 +203,14 @@ def integer_inverse(a):
 def nullspace(a):
     """Basis of the rational right nullspace {x : a x = 0}."""
     m = len(a[0]) if a else 0
-    mat, pivots, _ = _eliminate(a, m)
+    rows = [cleared(row)[0] for row in a]
+    pivots, d, _ = _eliminate(rows, m)
     basis = []
     for fc in (c for c in range(m) if c not in pivots):
         v = [Fraction(0)] * m
         v[fc] = Fraction(1)
-        for row, pc in zip(mat, pivots):
-            v[pc] = -row[fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = Fraction(-row[fc], d)
         basis.append(v)
     return basis
 

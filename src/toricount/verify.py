@@ -264,7 +264,7 @@ def run_anticanonical(exp):
 
 def _hyperbola_setup(lat, l_rows, b_top, budget):
     """Tables for the rounded-height sums, floor-complete up to b_top, with
-    the dual-basis data (alphas, dual generators) they were built from.
+    the dual-basis data (alphas, nu(-Lambda)) they were built from.
 
     alphas solves sum_i alpha_i L_i = omega (_dual_basis_data, which also
     checks that every alpha_i > 0).  A queried floor cell y has every
@@ -276,7 +276,7 @@ def _hyperbola_setup(lat, l_rows, b_top, budget):
     cutoff relaxed by 2^{ceil of that sum}, keep every needed point in the
     tabulated set; the ceil table needs no slack.
     """
-    alphas, _, gens = counting._dual_basis_data(lat, l_rows)
+    alphas, _, _, nu_neg = counting._dual_basis_data(lat, l_rows)
     caps = [linalg.floor_rational_power(Fraction(b_top), x.denominator,
                                         x.numerator) for x in alphas]
     loose = [not lat.is_nef(row) for row in l_rows]
@@ -287,7 +287,7 @@ def _hyperbola_setup(lat, l_rows, b_top, budget):
                                           [c + x for c, x in zip(caps, loose)],
                                           extra_constraints=extra,
                                           budget=budget)
-    return alphas, gens, caps, f_floor, f_ceil
+    return alphas, nu_neg, caps, f_floor, f_ceil
 
 
 def run_hyperbola(exp):
@@ -297,9 +297,8 @@ def run_hyperbola(exp):
     tau = exp.ensure_tau()
     rho = lat.rank
     l_rows = _basis_rows(exp)
-    alphas, gens, caps, f_floor, f_ceil = _hyperbola_setup(
+    alphas, nu_neg, caps, f_floor, f_ceil = _hyperbola_setup(
         lat, l_rows, exp.grid[-1], exp.budget)
-    nu_neg = nu_simplicial(gens, lat.anticanonical)
     lead = float(nu_neg) * tau / factorial(rho - 1)
     region = counting.Region([(lat.anticanonical, 1, 1)],
                              facets=[[int(x) for x in row] for row in l_rows])

@@ -12,7 +12,10 @@ counting.coordinate_bounds replaced, as coordinate_bounds_exactlog: every
 vertex is rebuilt from Fractions on every call, with no compiled program.
 The compiled program itself has its Fraction reference too: the vertex
 program solved by Fraction inverses, as vertex_program_fractions, against
-the fraction-free elimination of counting._vertex_program.
+the fraction-free elimination of counting._vertex_program.  Every solve here
+runs its own Gauss-Jordan elimination over Fraction (_gauss_jordan), not
+linalg's fraction-free one, so neither reference shares the elimination it
+checks.
 
 And it keeps the numeric route to the section-limit constant c_P that
 cones.c_p_constant replaced with the exact face volume: the volumes of the
@@ -449,6 +452,77 @@ def naive_anticanonical_count(lattice, B):
     return naive_count(lattice, Region([(lattice.anticanonical, 1, 1)]), B)
 
 
+# -- exact linear algebra over Fraction --------------------------------------
+
+def _gauss_jordan(a, width):
+    """(m, pivots): Gauss-Jordan elimination over Fraction on the first
+    `width` columns of a, the reference for linalg's fraction-free pass.
+
+    Further (augmented) columns ride along.  The first len(pivots) rows of
+    m have a 1 in column pivots[i] and zeros above and below it; the rest
+    are zero on the first `width` columns.
+    """
+    m = [[Fraction(x) for x in row] for row in a]
+    n = len(m)
+    pivots = []
+    for c in range(width):
+        r = len(pivots)
+        if r == n:
+            break
+        piv = next((i for i in range(r, n) if m[i][c]), None)
+        if piv is None:
+            continue
+        m[r], m[piv] = m[piv], m[r]
+        inv = 1 / m[r][c]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+    return m, pivots
+
+
+def _rank(a):
+    return len(_gauss_jordan(a, len(a[0]) if a else 0)[1])
+
+
+def _solve(a, b):
+    """A solution of a x = b, free variables set to zero; None if there is
+    none."""
+    m = len(a[0]) if a else 0
+    aug, pivots = _gauss_jordan([list(row) + [y] for row, y in zip(a, b)], m)
+    if any(row[m] for row in aug[len(pivots):]):
+        return None
+    x = [Fraction(0)] * m
+    for row, c in zip(aug, pivots):
+        x[c] = row[m]
+    return x
+
+
+def _inverse(a):
+    """The inverse of a square matrix, or None when it is singular."""
+    n = len(a)
+    m, pivots = _gauss_jordan(
+        [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)],
+        n)
+    return [row[n:] for row in m] if len(pivots) == n else None
+
+
+def _nullspace(a):
+    """A basis of {x : a x = 0}, one vector per column without a pivot."""
+    m = len(a[0]) if a else 0
+    mat, pivots = _gauss_jordan(a, m)
+    basis = []
+    for fc in (c for c in range(m) if c not in pivots):
+        v = [Fraction(0)] * m
+        v[fc] = Fraction(1)
+        for row, pc in zip(mat, pivots):
+            v[pc] = -row[fc]
+        basis.append(v)
+    return basis
+
+
 # -- coordinate bounds by symbolic logarithms ------------------------------
 
 class ExactLog:
@@ -550,10 +624,9 @@ def coordinate_bounds_exactlog(lattice, region, B):
 
     verts = []
     for idx in combinations(range(len(rows)), rho):
-        mat = [list(rows[i][0]) for i in idx]
-        if linalg.rank(mat) < rho:
+        inv = _inverse([list(rows[i][0]) for i in idx])
+        if inv is None:
             continue
-        inv = linalg.inverse(mat)
         vert = []
         for j in range(rho):
             acc = ExactLog.zero()
@@ -599,7 +672,7 @@ def _cleared(vec):
 
 def vertex_program_fractions(classes, cls_rows, s_vals, facets):
     """The vertex program of counting._vertex_program, the reference for
-    it: every rho-subset of rows inverted over Fraction by linalg.inverse,
+    it: every rho-subset of rows inverted over Fraction by _inverse,
     its vertex, tests and objectives formed in Fractions and each cleared
     to the least positive denominator.  Returns the same (program, limit)
     tuples."""
@@ -617,9 +690,8 @@ def vertex_program_fractions(classes, cls_rows, s_vals, facets):
 
     program, limit = [], set()
     for idx in combinations(range(len(rows)), rho):
-        try:
-            inv = linalg.inverse([rows[i][0] for i in idx])
-        except ValueError:  # singular subset: no vertex
+        inv = _inverse([rows[i][0] for i in idx])
+        if inv is None:  # singular subset: no vertex
             continue
         vert = [[sum(inv[j][t] * rows[i][1][b] for t, i in enumerate(idx))
                  for b in range(k + 1)] for j in range(rho)]
@@ -653,7 +725,7 @@ def naive_extreme_rays(gens, d):
     sorted."""
     rays = set()
     for sub in combinations([list(g) for g in gens], d - 1):
-        kernel = linalg.nullspace(sub)
+        kernel = _nullspace(sub)
         if len(kernel) != 1:  # rank below d - 1
             continue
         k = kernel[0]
@@ -681,9 +753,9 @@ def polytope_vertices(poly, level=None):
     for subset in combinations(range(len(ineqs)), s - len(eqs)):
         mat = [ineqs[i][0] for i in subset] + [q for q, _ in eqs]
         rhs = [ineqs[i][1] for i in subset] + [b for _, b in eqs]
-        if linalg.rank(mat) < s:
+        if _rank(mat) < s:
             continue
-        sol = linalg.solve_exact(mat, rhs)
+        sol = _solve(mat, rhs)
         if sol is None:
             continue
         if all(linalg.vec_dot(r, sol) <= b for r, b in ineqs):

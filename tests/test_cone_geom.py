@@ -268,6 +268,9 @@ def test_triangulate_square():
         assert len(s) == 3
         covered.update(s)
     assert covered == {0, 1, 2, 3}
+    assert cones.triangulate_polytope(verts, order="revlex") != tri
+    with pytest.raises(ValueError, match="unknown order"):
+        cones.triangulate_polytope(verts, order="given")
 
 
 def test_section_measure_normalization():

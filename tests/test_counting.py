@@ -135,10 +135,24 @@ def test_region_from_json_shapes():
 
 
 def test_region_from_json_errors():
-    with pytest.raises(DegenerateInputError):
-        region_from_json({"cone": {}})
-    with pytest.raises(DegenerateInputError):
-        region_from_json({"constraints": [{"class": [1], "gamma": 1.5}]})
+    """Malformed region JSON is a DegenerateInputError: when it is parsed,
+    or, for a length that does not match the rank, when the region is
+    compiled, here on P1xP1 (rho = 2)."""
+    pp = get_lattice("P1xP1")
+    anti = {"class": [2, 2], "s": 1}
+    for obj in [
+            {"cone": {}},
+            {"constraints": [{"class": [1], "gamma": 1.5}]},
+            {"constraints": [{"gamma": 1}]},
+            {"constraints": [[2, 2]]},
+            {"constraints": [{"class": ["x", 2]}]},
+            {"constraints": [{"class": [2]}]},
+            {"constraints": [{"class": [2, 2, 2], "s": 1}]},
+            {"constraints": [anti], "facets": [[1]]},
+            {"constraints": [anti], "cone": {"generators": [[1, 0],
+                                                            [1, 1, 0]]}}]:
+        with pytest.raises(DegenerateInputError):
+            enumerate_region(pp, region_from_json(obj), 100)
 
 
 # -- coordinate bounds -------------------------------------------------------
@@ -1613,6 +1627,23 @@ def test_nu_neg_cone_values():
     assert nu_neg([[1, -1], [0, 1]]) == Fraction(1, 8)
     with pytest.raises(DegenerateInputError):
         nu_neg([[1, -1], [0, -1]])
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES + list(OFF_BUILTIN_FANS))
+def test_dual_basis_nu_closed_form(name):
+    """On every piece Lambda of the effective decomposition, with the L_i
+    its facets, _dual_basis_data's one elimination gives c with sum_i c_i
+    L_i = omega, |det L|, and nu(-Lambda) = 1 / (|det L| prod c_i), which
+    equals nu_simplicial on Lambda's generators and on the dual basis."""
+    lat = get_lattice(name)
+    omega = list(lat.anticanonical)
+    dec = effective_decomposition([list(c) for c in lat.classes], omega)
+    for piece, nu in zip(dec.cones, dec.nus):
+        l_rows = dual_cone([list(g) for g in piece], lat.rank)
+        c, det, gens, nu_neg = counting._dual_basis_data(lat, l_rows)
+        assert [linalg.vec_dot(c, col) for col in zip(*l_rows)] == omega
+        assert det == abs(linalg.det(l_rows))
+        assert nu_neg == nu == nu_simplicial(gens, omega)
 
 
 # -- box decompositions and histograms ----------------------------------------

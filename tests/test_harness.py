@@ -1,9 +1,13 @@
 """Experiment harness, report emission, and the command line."""
 
+import ast
 import json
 import os
+import subprocess
+import sys
 from fractions import Fraction
 from math import pi
+from pathlib import Path
 
 import pytest
 
@@ -181,18 +185,18 @@ def test_run_hyperbola_f1():
 
 def test_run_hyperbola_solves_dual_basis_once(monkeypatch):
     """The tables' set-up solves L's dual basis, and nu(-Lambda) comes
-    from that same solve: one linalg.inverse per warm run."""
+    from that same solve: one linalg.fraction_free_inverse per warm run."""
     exp = Experiment(get_lattice("P1xP1"), "hyperbola", [100, 400],
                      tau=TAU_PP, params={"l_rows": [[1, -1], [0, 1]]})
     run_experiment(exp)  # compiles the vertex programs
     calls = []
-    inverse = linalg.inverse
+    inverse = linalg.fraction_free_inverse
 
     def counted(a):
         calls.append(1)
         return inverse(a)
 
-    monkeypatch.setattr(linalg, "inverse", counted)
+    monkeypatch.setattr(linalg, "fraction_free_inverse", counted)
     _, summary = run_experiment(exp)
     assert summary["nu_neg"] == "1/8"
     assert len(calls) == 1
@@ -424,6 +428,16 @@ def test_cli_exit_code_bad_region_json(tmp_path, capsys):
     assert "region file" in capsys.readouterr().err
 
 
+def test_cli_exit_code_malformed_region(tmp_path, capsys):
+    """A class shorter than the rank is refused with exit code 2, not
+    counted or raised as a traceback."""
+    region = tmp_path / "region.json"
+    region.write_text(json.dumps({"constraints": [{"class": [2]}]}))
+    rc = cli.main(["count", "P1xP1", "--region", str(region), "--B", "100"])
+    assert rc == 2
+    assert "need 2 entries" in capsys.readouterr().err
+
+
 def test_cli_exit_code_bad_grid(capsys):
     rc = cli.main(["verify", "P1", "--theorem", "anticanonical",
                    "--grid", "100,10", "--tau", "1.0"])
@@ -524,3 +538,34 @@ def test_cli_argparse_rejects_unknown_theorem():
     with pytest.raises(SystemExit) as exc:
         cli.main(["verify", "P1", "--theorem", "nonsense", "--grid", "10"])
     assert exc.value.code == 2
+
+
+# -- the benchmark's trace hooks ----------------------------------------------
+
+
+def test_bench_layers_resolve_in_a_fresh_import():
+    """Every layer that bench/tracing.py wraps names a function that a
+    fresh `import toricount` loads, a method on its own class: the traced
+    run replaces each by name and fails on one that is gone.  LAYERS is
+    read from the file's syntax tree, so nothing under bench/ runs."""
+    root = Path(__file__).resolve().parent.parent
+    tree = ast.parse((root / "bench" / "tracing.py").read_text())
+    layers = next(node.value for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [getattr(t, "id", None) for t in node.targets]
+                  == ["LAYERS"])
+    targets = [(v.elts[0].value, v.elts[1].value) for v in layers.values]
+    assert len(targets) == len(layers.keys) >= 10
+    script = ("import sys, toricount\n"
+              f"for mod, attr in {targets!r}:\n"
+              "    owner, _, name = attr.rpartition('.')\n"
+              "    obj = sys.modules[mod]\n"
+              "    if owner:\n"
+              "        vars(getattr(obj, owner))[name]\n"
+              "    else:\n"
+              "        getattr(obj, name)\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr

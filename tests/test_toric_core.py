@@ -363,40 +363,48 @@ def _minor_rank(a):
 
 def test_elimination_properties():
     """rank, nullspace, det, inverse and solve_exact on seeded random
-    integer matrices, singular ones and inconsistent systems included;
+    matrices, singular ones and inconsistent systems included;
     consistency is decided independently, by the minors of a and of a
-    augmented with b."""
-    rng = random.Random(41)
+    augmented with b.  Half are integer matrices; the other half have
+    entries with denominators 1-6, which every entry point clears row by
+    row, so det's scale and the sign of its row swaps are checked against
+    the Leibniz formula."""
     seen = set()
-    for _ in range(300):
-        n, m = rng.randint(1, 4), rng.randint(1, 4)
-        a = _random_int_matrix(rng, n, m, -3, 3)
-        if n > 1 and rng.random() < 0.3:
-            a[-1] = [2 * x for x in a[0]]
-        null = linalg.nullspace(a)
-        assert linalg.rank(a) == _minor_rank(a)
-        assert linalg.rank(a) + len(null) == m
-        assert all(linalg.mat_vec(a, x) == [0] * n for x in null)
-        b = [rng.randint(-3, 3) for _ in range(n)]
-        if rng.random() < 0.5:
-            b = linalg.mat_vec(a, [rng.randint(-2, 2) for _ in range(m)])
-        x = linalg.solve_exact(a, b)
-        consistent = _minor_rank(a) == _minor_rank(
-            [row + [y] for row, y in zip(a, b)])
-        assert (x is not None) == consistent
-        assert x is None or linalg.mat_vec(a, x) == b
-        seen.add(("consistent", consistent))
-        if n == m:
-            d = linalg.det(a)
-            assert d == _leibniz(a)
-            seen.add(("singular", d == 0))
-            if d:
-                assert mat_mul(linalg.inverse(a), a) == \
-                    _identity(n)
-            else:
-                with pytest.raises(ValueError):
-                    linalg.inverse(a)
-    assert len(seen) == 4
+    for seed, rational in ((41, False), (47, True)):
+        rng = random.Random(seed)
+        for _ in range(300):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            a = _random_int_matrix(rng, n, m, -3, 3)
+            if rational:
+                a = [[Fraction(x, rng.randint(1, 6)) for x in row]
+                     for row in a]
+            if n > 1 and rng.random() < 0.3:
+                a[-1] = [2 * x for x in a[0]]
+            null = linalg.nullspace(a)
+            assert linalg.rank(a) == _minor_rank(a)
+            assert linalg.rank(a) + len(null) == m
+            assert all(linalg.mat_vec(a, x) == [0] * n for x in null)
+            b = [Fraction(rng.randint(-3, 3), rng.randint(1, 6) if rational
+                          else 1) for _ in range(n)]
+            if rng.random() < 0.5:
+                b = linalg.mat_vec(a, [rng.randint(-2, 2) for _ in range(m)])
+            x = linalg.solve_exact(a, b)
+            consistent = _minor_rank(a) == _minor_rank(
+                [row + [y] for row, y in zip(a, b)])
+            assert (x is not None) == consistent
+            assert x is None or linalg.mat_vec(a, x) == b
+            seen.add((rational, "consistent", consistent))
+            if n == m:
+                d = linalg.det(a)
+                assert d == _leibniz(a)
+                seen.add((rational, "singular", d == 0))
+                if d:
+                    assert mat_mul(linalg.inverse(a), a) == \
+                        _identity(n)
+                else:
+                    with pytest.raises(ValueError):
+                        linalg.inverse(a)
+    assert len(seen) == 8
 
 
 def test_fraction_free_inverse_properties():
@@ -487,6 +495,9 @@ def test_floor_rational_power():
 
 
 def test_primitive_vector():
+    assert linalg.cleared([Fraction(1, 2), 3, Fraction(-1, 3)]) == \
+        ((3, 18, -2), 6)
+    assert linalg.cleared([4, -6]) == ((4, -6), 1)
     assert linalg.primitive_vector([4, -6]) == [2, -3]
     assert linalg.primitive_vector([Fraction(1, 2), Fraction(3, 2)]) == [1, 3]
 
