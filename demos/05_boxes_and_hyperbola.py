@@ -6,13 +6,15 @@ difference of the corner counts N(c) = #{1 <= H_{L_i} <= c_i}; corners at
 the wall below 1 must count exactly 0 and the dropped nu mass obeys a
 power tail.
 
-Second, the rounded-height tables: floor and ceiling fingerprints give
-sums that bracket the exact anticanonical count; with integer heights
-the three numbers coincide.
+Second, the rounded-height sums: over the staircase {y : y_0^2 y_1^2 <= B},
+each run of equal caps of the last coordinate is one box of rounded
+heights, counted by one enumeration; the floor and ceiling sums bracket
+the exact anticanonical count, and with integer heights the three
+numbers coincide.
 """
 
-from toricount import (class_lattice, count_cone_box, hyperbola_sum,
-                       resolve_fan, tabulate_f, tamagawa)
+from toricount import (class_lattice, count_anticanonical, count_cone_box,
+                       hyperbola_sum, resolve_fan, tabulate_f, tamagawa)
 
 
 def box_demo(lat, tau):
@@ -33,18 +35,15 @@ def box_demo(lat, tau):
 
 
 def sandwich_demo(lat, B=400):
-    # both rows are nef, so their heights are integers and the floor cells
-    # the sum reads need no slack: the caps B^(1/2) and H_omega <= B
-    caps = [int(B ** 0.5)] * 2
-    cutoff = [(list(lat.anticanonical), B, 0)]
-    floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], caps,
-                                 extra_constraints=cutoff)
+    # both rows are nef, so their heights are integers: the floor and
+    # ceiling boxes coincide and one table serves both sums
+    floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], [[2, 2]], [B])
     lo = hyperbola_sum(ceil_t, [[2, 2]], B)
     hi = hyperbola_sum(floor_t, [[2, 2]], B)
-    from toricount import count_anticanonical
     direct = count_anticanonical(lat, B)["count"]
     print(f"\nceil sum {lo} <= direct {direct} <= floor sum {hi} at B={B}")
-    print(f"table sizes: floor {len(floor_t.data)}, ceil {len(ceil_t.data)}")
+    print(f"staircase boxes: {len(floor_t.data)}, one table for both sums: "
+          f"{floor_t is ceil_t}")
 
 
 if __name__ == "__main__":

@@ -44,13 +44,6 @@ Each run and gcd class then costs one memo lookup and, past one child, one
 Moebius count: on P1xP1 the (x0, x1) loop takes one step per run of equal
 floor(B / max(x0, x1)^2), the grouping by max-norm of the hyperbola method.
 
-The rounded-height tables of tabulate_f are tallied on the same path.  The
-leaf then walks the last coordinate and adds each point to its floor and
-ceiling fingerprint cells; the signature also holds, per group of the
-max-monomials that make up the basis heights, the largest prefix monomial,
-so equal signatures give equal fingerprints, and a stored subtree keeps
-its two sub-tables, which a hit merges into the caller's.
-
 A region's shape is all of it but its scales gamma, and what depends on
 the shape alone is compiled once per shape (_compiled_shape): the split of
 the constraints, the vertex solve of the per-coordinate caps
@@ -61,6 +54,10 @@ Their lower walls at 1 are facets, which the compile drops on effective
 rows: a P1xP1 corner evaluates 4 vertex subsets of 2 tests, about 40 us
 of a 0.2 ms call on a shared 2-core VM, where the walls as constraints
 gave 9 subsets of 4 tests, 80-120 us of a 0.4 ms call.
+
+The rounded-height sums of the hyperbola method are counts of staircase
+boxes, one plain call each (tabulate_f), so the enumerator has one leaf
+and one memo key.
 """
 
 from collections import namedtuple
@@ -79,7 +76,6 @@ from .heights import _evaluator
 from .tamagawa import nu_of_box
 
 DEFAULT_BUDGET = 10 ** 10
-TABLE_LIMIT = 20_000_000  # floor-table cells a tally may hold
 
 
 @dataclass(frozen=True)
@@ -273,8 +269,7 @@ def coordinate_bounds(lattice, region, B):
     and floors exp of the best by linalg.floor_rational_power: every step is
     an exact integer comparison, so the bounds equal the rational sup's.
     """
-    return _evaluated(_compiled_shape(lattice, region.shape, False),
-                      region, B)[0]
+    return _evaluated(_compiled_shape(lattice, region.shape), region, B)[0]
 
 
 def _evaluated(shape, region, B):
@@ -315,8 +310,6 @@ class EnumerationResult:
     count: int
     visited: int
     reused: int = 0  # subtrees taken from the signature memo
-    floor: dict = None  # with fingerprints: floor fingerprint -> count
-    ceil: dict = None   # with fingerprints: ceiling fingerprint -> count
     order: tuple = None  # the rays in descent order (_descent_order)
 
 
@@ -368,7 +361,7 @@ def _blockable(cones, groups, ray):
     return out
 
 
-def _signature_program(pair_reps, anti_reps, cones, n, lists=(), owners=()):
+def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
     """Index lists of the subtree signature of enumerate_region, per
     eligible depth d.
 
@@ -380,42 +373,33 @@ def _signature_program(pair_reps, anti_reps, cones, n, lists=(), owners=()):
     always hold the same least quota and the same moving pairs; (2) per
     anti-nef constraint, its reps and their indices grouped the same way
     (a call reads its threshold c); (3) the cones grouped by the set of
-    remaining rays outside them; (4) for a tally, the distinct prefix
-    vectors w[:d] of the max-monomial lists `lists`, and per list
-    the groups of its reps with the same remaining vector, zero included,
-    as indices into those prefix vectors; (5) without a tally, when the
-    children of depth d - 1 are counted by runs (_blockable), per group of
-    (1) its pairs (index, w[d-1]) with w[d-1] > 0, per group of (3) its
-    cones that hold ray d - 1, and all cones that hold it; else None.  A
-    zero prefix vector gives the monomial 1, which never exceeds the
-    others, so it is left out, and a group of nothing else is constant and
-    left out whole.  Groups (1), (3) and (4), and the cones of (5), come as
-    itemgetters that always return a tuple: repeating the first index
-    changes neither a min, a max nor a gcd.  Depth d in 1..n-1 is eligible
-    unless some group of (1) or (4) has a single nonconstant prefix
-    monomial y^v: its part of the key then takes a new value on nearly
-    every prefix, so lookups there would miss.  A hit at the leaf depth
-    n-1 saves only one closed-form Moebius sum, so it is keyed only where
-    its parent's runs are long: without a tally, when every group of (3)
-    has a cone that holds ray n-2 (else a group's gcd carries the parent's
-    coordinate, as y0 does on P1xP1), and when no pair of (1) has
-    w[n-2] > 0 (else the quotas move with the parent's coordinate, as on
-    F1, and runs are about one child long).  This test is written out
-    rather than left to _blockable, which decides runs, not eligibility.
+    remaining rays outside them; (4) when the children of depth d - 1 are
+    counted by runs (_blockable), per group of (1) its pairs (index,
+    w[d-1]) with w[d-1] > 0, per group of (3) its cones that hold ray
+    d - 1, and all cones that hold it; else None.  Groups (1) and (3), and
+    the cones of (4), come as itemgetters that always return a tuple:
+    repeating the first index changes neither a min nor a gcd.  Depth d in
+    1..n-1 is eligible unless some group of (1) has a single nonconstant
+    prefix monomial y^v (a zero prefix vector gives the monomial 1): its
+    part of the key then takes a new value on nearly every prefix, so
+    lookups there would miss.  A hit at the leaf depth n-1 saves only one
+    closed-form Moebius sum, so it is keyed only where its parent's runs
+    are long: when every group of (3) has a cone that holds ray n-2 (else
+    a group's gcd carries the parent's coordinate, as y0 does on P1xP1),
+    and when no pair of (1) has w[n-2] > 0 (else the quotas move with the
+    parent's coordinate, as on F1, and runs are about one child long).
+    This test is written out rather than left to _blockable, which decides
+    runs, not eligibility.
     """
     def getters(groups):
         return [itemgetter(*grp, grp[0]) for grp in groups]
 
-    def by_rest(vecs, d, zero=False):
+    def by_rest(vecs, d):
         groups = {}
         for i, w in enumerate(vecs):
-            if zero or any(w[d:]):
+            if any(w[d:]):
                 groups.setdefault(w[d:], []).append(i)
         return list(groups.values())
-
-    def single(vecs, groups, d):
-        return any(len({vecs[i][:d] for i in grp}) == 1
-                   and any(vecs[grp[0]][:d]) for grp in groups)
 
     program = {}
     for d in range(1, n):
@@ -426,7 +410,8 @@ def _signature_program(pair_reps, anti_reps, cones, n, lists=(), owners=()):
                 kept.setdefault(frozenset((owners[i], pair_reps[i][:d])
                                           for i in grp), grp)
             nef = list(kept.values())
-        if single(pair_reps, nef, d):
+        if any(len({pair_reps[i][:d] for i in grp}) == 1
+               and any(pair_reps[grp[0]][:d]) for grp in nef):
             continue
         outside = {}
         for s, cone in enumerate(cones):
@@ -436,32 +421,21 @@ def _signature_program(pair_reps, anti_reps, cones, n, lists=(), owners=()):
             unheld = any(all(d - 1 not in cones[s] for s in grp)
                          for grp in outside.values())
             moving = any(pair_reps[i][d - 1] > 0 for grp in nef for i in grp)
-            if lists or unheld or moving:
+            if unheld or moving:
                 continue
-        heads = sorted({w[:d] for reps in lists for w in reps if any(w[:d])})
-        tally = []
-        for reps in lists:
-            for grp in by_rest(reps, d, zero=True):
-                idx = {heads.index(reps[i][:d]) for i in grp
-                       if any(reps[i][:d])}
-                if idx:
-                    tally.append(sorted(idx))
-        if any(len(grp) == 1 for grp in tally):
-            continue
         anti = [(reps, by_rest(reps, d)) for reps in anti_reps]
-        held = None if lists else _blockable(cones, outside.values(), d - 1)
+        held = _blockable(cones, outside.values(), d - 1)
         runs = None
         if held is not None:
             moving = [[(i, pair_reps[i][d - 1]) for i in grp
                        if pair_reps[i][d - 1]] for grp in nef]
             holders = [s for s, cone in enumerate(cones) if d - 1 in cone]
             runs = (moving, getters(held), itemgetter(*holders, holders[0]))
-        program[d] = (getters(nef), anti, getters(outside.values()),
-                      (heads, getters(tally)), runs)
+        program[d] = (getters(nef), anti, getters(outside.values()), runs)
     return program
 
 
-def _descent_order(n, cones, pair_reps, lists, limit, closed):
+def _descent_order(n, cones, pair_reps, limit, closed):
     """The ray order enumerate_region descends in, for one region shape:
     order[i] is the ray at depth i.
 
@@ -487,17 +461,14 @@ def _descent_order(n, cones, pair_reps, lists, limit, closed):
         relabelled = (frozenset(map(moved, pair_reps)),
                       frozenset(frozenset(map(depth_of.get, c))
                                 for c in cones),
-                      frozenset(frozenset(map(moved, side))
-                                for side in lists),
                       frozenset(map(moved, limit)))
         # orders that a symmetry of the fan maps onto each other relabel
         # it alike, and score alike
         if relabelled not in scores:
-            reps, cone_sets, tally, vertices = relabelled
-            program = (_signature_program(list(reps), (), list(cone_sets), n,
-                                          [list(side) for side in tally])
+            reps, cone_sets, vertices = relabelled
+            program = (_signature_program(list(reps), (), list(cone_sets), n)
                        if closed else {})
-            runs = [d + 1 not in program or program[d + 1][4] is None
+            runs = [d + 1 not in program or program[d + 1][3] is None
                     for d in range(n - 1)]
             eligible = [d not in program for d in range(1, n)]
             nodes = []
@@ -525,14 +496,14 @@ _Shape = namedtuple("_Shape", "vertex_program order nef anti mixed mono "
 
 
 @lru_cache(maxsize=256)
-def _compiled_shape(lattice, shape, tally):
+def _compiled_shape(lattice, shape):
     """What enumerate_region needs of a region that neither gamma nor B
-    moves, per lattice, Region.shape and tally flag.  A facet f that pairs
-    >= 0 with the whole dual effective cone is dropped first: no region
-    loses a point by it, a box region with no cone restriction included.
-    Proof: such an f lies in the effective cone, the dual of the dual, so
-    f = sum_lam c_lam [D_lam] with rationals c_lam >= 0.  A canonical point
-    has nonzero integer coordinates and |y_lam| <= H_{[D_lam]}, the bound
+    moves, per lattice and Region.shape.  A facet f that pairs >= 0 with
+    the whole dual effective cone is dropped first: no region loses a point
+    by it, a box region with no cone restriction included.  Proof: such an
+    f lies in the effective cone, the dual of the dual, so f = sum_lam
+    c_lam [D_lam] with rationals c_lam >= 0.  A canonical point has nonzero
+    integer coordinates and |y_lam| <= H_{[D_lam]}, the bound
     coordinate_bounds rests on, so every H_{[D_lam]} >= 1 (the ray-class
     rows of _vertex_program) and H^f = prod H_{[D_lam]}^{c_lam} >= 1: the
     point meets the facet whatever region it is counted in.  So the lower
@@ -542,10 +513,10 @@ def _compiled_shape(lattice, shape, tally):
     vertex program, the constraints (_compile_constraints), the order
     (_descent_order) and, relabelled by it (depth i holds the ray
     order[i]), the representatives, the max-monomial lists of the classes a
-    tally or a mixed constraint reads (empty for the others), per depth the
-    cones whose complement holds its ray and the pair exponents, and the
-    _signature_program with the depths whose children walk runs.
-    Every call of the shape shares the entry, so none may change it."""
+    mixed constraint reads (empty for the others), per depth the cones
+    whose complement holds its ray and the pair exponents, and the
+    _signature_program with the depths whose children walk runs.  Every
+    call of the shape shares the entry, so none may change it."""
     fan, n, rho = lattice.fan, lattice.fan.n_rays, lattice.rank
     if any(len(v) != rho for v in shape[0] + shape[2]):
         raise DegenerateInputError(f"region vectors need {rho} entries")
@@ -555,27 +526,25 @@ def _compiled_shape(lattice, shape, tally):
             linalg.vec_dot(f, g) < 0 for g in eff_dual)),)
     vertex_program, limit = _vertex_program(lattice.classes, *shape)
     nef, anti, mixed = _compile_constraints(lattice, shape)
-    mono = _evaluator(lattice).nef_split[2] if tally or mixed else ()
-    lists = tuple(side for pair in mono for side in pair) if tally else ()
     order = _descent_order(n, fan.max_cones,
                            tuple(w for _, reps in nef for w in reps),
-                           lists, limit, not mixed)
+                           limit, not mixed)
     moved = itemgetter(*order)
     nef = [(v, [moved(w) for w in reps]) for v, reps in nef]
     anti = [(v, [moved(w) for w in reps]) for v, reps in anti]
     mono = [[[moved(w) for w in side] for side in pair]
-            if tally or any(e[j] for _, e in mixed) else ([], [])
-            for j, pair in enumerate(mono)]
+            if any(e[j] for _, e in mixed) else ([], [])
+            for j, pair in enumerate(
+                _evaluator(lattice).nef_split[2] if mixed else ())]
     cones = [{order.index(lam) for lam in c} for c in fan.max_cones]
     pair_reps = [w for _, reps in nef for w in reps]
     program = {} if mixed else _signature_program(
         pair_reps, [reps for _, reps in anti], cones, n,
-        [side for pair in mono for side in pair] if tally else (),
         [j for j, (_, reps) in enumerate(nef) for _ in reps])
     return _Shape(vertex_program, order, nef, anti, mixed, mono,
                   [[lam not in c for c in cones] for lam in range(n)],
                   [[w[d] for w in pair_reps] for d in range(n)], program,
-                  {d - 1: spec for d, spec in program.items() if spec[4]})
+                  {d - 1: spec for d, spec in program.items() if spec[3]})
 
 
 def _leaf_pieces(lo, hi, mixed, terms):
@@ -622,14 +591,12 @@ def _leaf_pieces(lo, hi, mixed, terms):
     return pieces
 
 
-def enumerate_region(lattice, region, B, fingerprints=None,
-                     budget=DEFAULT_BUDGET, first_range=None):
+def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
+                     first_range=None):
     """Count canonical torsor points with multi-height in the region.
 
     Deterministic lexicographic walk over coordinate magnitudes with exact
-    membership.  `fingerprints`, a list of integer class rows L_1..L_k,
-    asks for a tally: the result's `floor` and `ceil` map each fingerprint
-    (floor H_{L_i})_i, resp. (ceil H_{L_i})_i, to its number of points.
+    membership.
 
     Heights are integers throughout: each basis class is split once per
     lattice as e_i = a_i - b_i with a_i, b_i nef (HeightEvaluator.nef_split),
@@ -669,8 +636,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     disjoint pieces once overlapping gaps are merged, and each piece is
     counted by the Moebius sum above, whose G0 does not depend on m.  The
     anti-nef lower end of leaf_start is the case a = 0 with L_0 = c, kept
-    as its own code.  A tally walks the m of each piece and tests
-    gcd(m, G0) alone.
+    as its own code.
 
     Subtree memo.  On the closed path (no mixed constraint) the count and
     `visited` of the subtree below a prefix at depth d, 1 <= d <= n-1, are
@@ -685,11 +651,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
           already reaches c, or else, per group of its representatives with
           the same nonzero remaining vector, ceil(c / max P_w);
       (c) per group of cones with the same set T of remaining rays outside
-          the cone, the gcd g_T of their prefix complement products;
-      (d) with a tally only, per max-monomial list of nef_split (the
-          a-list and the b-list of each basis class, 2 rho lists) and per
-          group of its representatives with the same remaining vector, zero
-          vector included, the largest prefix monomial max P_w.
+          the cone, the gcd g_T of their prefix complement products.
     Proof that it is complete: below the prefix, every test the descent
     and the leaf make is one of these.  (a) A nef pair's test at any depth
     is X <= Q, X the product of the new coordinates to the powers of v, and
@@ -707,28 +669,17 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     prefix complement product and R_s the product of the new coordinates
     outside s.  R_s depends on s only through T_s, so p divides all of
     them iff, for every group, p divides g_T or a new coordinate in T; the
-    Moebius sum reads only the primes of G0.  (d) Below the prefix a
-    list's max-monomial is max_w P_w X_w, and
-    X_w depends on w only through its group g, so it equals
-    max_g (max_{w in g} P_w) X_g: equal keys give equal max-monomials, so
-    equal H_{e_j} and equal fingerprints, point for point.  A group whose
-    prefix monomials are all 1 is constant and left out of the key.  At
-    the leaf depth n-1 the subtree is one interval count: part (a) and
-    bounds[n-1] give its cap, and its width, the visited it adds; part (b)
-    gives the lower end of leaf_start; and the group T = {} of part (c) is
-    G0, whose primes are all the Moebius sum reads.  The bounds, the
-    weight, the rows L_i and the budget are fixed for the call, and depth
-    0, where first_range acts, is never stored.  So equal
-    signatures have equal subtrees, node for node, and with a tally equal
-    floor and ceiling sub-tables.  A depth is used only when
-    _signature_program finds it eligible, decided once per shape.  With a
-    tally a stored entry also keeps the subtree's two sub-tables: a miss
-    opens fresh ones for its leaves, storing merges them into the parent's,
-    and a hit merges the stored ones.  The key, the leaf and this
-    bookkeeping are chosen once per call, so a count without a tally does
-    no tally work at any node.
+    Moebius sum reads only the primes of G0.  At the leaf depth n-1 the
+    subtree is one interval count: part (a) and bounds[n-1] give its cap,
+    and its width, the visited it adds; part (b) gives the lower end of
+    leaf_start; and the group T = {} of part (c) is G0, whose primes are
+    all the Moebius sum reads.  The bounds, the weight and the budget are
+    fixed for the call, and depth 0, where first_range acts, is never
+    stored.  So equal signatures have equal subtrees, node for node.  A
+    depth is used only when _signature_program finds it eligible, decided
+    once per shape.
 
-    Runs.  Without a tally, a depth d whose child depth d + 1 is eligible does
+    Runs.  A depth d whose child depth d + 1 is eligible does
     not walk its children m one by one when every group of part (c) at d + 1
     has a cone that holds ray d (_blockable; decided once per shape).  It
     takes maximal runs [a, e] of m with equal parts (a) and (b), keyed from
@@ -765,34 +716,24 @@ def enumerate_region(lattice, region, B, fingerprints=None,
     max-monomial lists and the cones are permuted to match.  Relabelling
     the rays permutes the coordinates of the torsor points and changes no
     height, so everything above holds of the relabelled fan as written.
-    The count, the tally (its fingerprints are heights of classes, not of
-    rays) and `reused` are reported as they are; `order` gives the order.
+    The count and `reused` are reported as they are; `order` gives the
+    order.
 
     `first_range=(lo, hi)` restricts the first coordinate descended, that
     of ray order[0], so that tests can pin one prefix or add up slices.
     `visited` counts descent nodes plus full leaf widths, reused subtrees
-    included, so it does not depend on the memo or the tally, only on the
-    order.  Raises BudgetError past `budget` candidates,
-    DegenerateInputError when a tally's floor table (the whole one or a
-    subtree's, whose cells all reach the whole one) passes TABLE_LIMIT
-    cells, checked after each leaf and each merge, and DegenerateInputError
-    for a fan with no ample class (a complete fan that is not projective).
+    included, so it does not depend on the memo, only on the order.  Raises
+    BudgetError past `budget` candidates, and DegenerateInputError for a
+    fan with no ample class (a complete fan that is not projective).
     """
     _evaluator(lattice).nef_split  # raises for a fan that is not projective
     n, rho = lattice.fan.n_rays, lattice.rank
-    tally = fingerprints is not None
-    rows = [[int(x) for x in row] for row in fingerprints or ()]
     (_, order, nef_cons, anti_cons, mixed_cons, mono, outside, wcol, program,
-     by_runs) = shape = _compiled_shape(lattice, region.shape, tally)
+     by_runs) = shape = _compiled_shape(lattice, region.shape)
     bounds, *bases = _evaluated(shape, region, B)
-
-    def empty():
-        return EnumerationResult(count=0, visited=0,
-                                 floor={} if tally else None,
-                                 ceil={} if tally else None, order=order)
-
+    empty = EnumerationResult(count=0, visited=0, order=order)
     if any(m == 0 for m in bounds):
-        return empty()
+        return empty
     bounds = [bounds[lam] for lam in order]
     weight = 1 << (n - rho)
 
@@ -818,16 +759,13 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         bn, bd = _sides(v, 1, 1, *bases)
         quota[0] += [bn // bd] * len(reps)
     if 0 in quota[0]:
-        return empty()
+        return empty
     thresholds = [-(-bd // bn) for bn, bd in (_sides(v, 1, 1, *bases)
                                               for v, _ in anti_cons)]
     mixed_cons = [(e, *_sides(v, 1, 1, *bases)) for v, e in mixed_cons]
     # per-cone running complement products
     comp_prod = [[1] * len(lattice.fan.max_cones)]
     memo = {}
-    # the floor and ceiling tables of the subtrees being stored, innermost
-    # last, under the whole call's
-    tables = [({}, {})]
 
     def leaf_cap(depth, quotas):
         cap = bounds[depth]
@@ -912,45 +850,10 @@ def enumerate_region(lattice, region, B, fingerprints=None,
         return [[[(prefix(w, depth), w[depth]) for w in vecs] for vecs in side]
                 for side in zip(*mono)]
 
-    def guard(table):
-        if len(table) > TABLE_LIMIT:
-            raise DegenerateInputError("f table exceeds the memory guard")
-
-    def merge(sub):
-        for table, part in zip(tables[-1], sub):
-            for y, cnt in part.items():
-                table[y] = table.get(y, 0) + cnt
-        guard(tables[-1][0])
-
-    def leaf_walk(lo, hi, depth):
-        """The tally's leaf: the last coordinates of [lo, hi], or of its
-        _leaf_pieces, one by one."""
-        nonlocal count
-        lo, g0 = leaf_start(lo, hi, depth)
-        terms = leaf_terms(depth)
-        floor_t, ceil_t = tables[-1]
-        for a, b in (_leaf_pieces(lo, hi, mixed_cons, terms) if mixed_cons
-                     else ((lo, hi),)):
-            for m in range(a, b + 1):
-                if gcd(m, g0) != 1:
-                    continue
-                num, den = ([max(p * m ** w for p, w in half)
-                             for half in side] for side in terms)
-                count += weight
-                yf, yc = [], []
-                for row in rows:
-                    lhs, rhs = _sides(row, 1, 1, num, den)
-                    yf.append(lhs // rhs)
-                    yc.append(-(-lhs // rhs))
-                yf, yc = tuple(yf), tuple(yc)
-                floor_t[yf] = floor_t.get(yf, 0) + weight
-                ceil_t[yc] = ceil_t.get(yc, 0) + weight
-        guard(floor_t)
-
     def signature(depth, comp, quotas):
         """The memo key of the subtree below the prefix mags[:depth], given
         that prefix's complement products and nef quotas."""
-        nef, anti, coprime, _, _ = program[depth]
+        nef, anti, coprime, _ = program[depth]
         key = [depth]
         for get in nef:
             key.append(min(get(quotas)))
@@ -963,40 +866,12 @@ def enumerate_region(lattice, region, B, fingerprints=None,
             key.append(gcd(*get(comp)))
         return tuple(key)
 
-    def tally_signature(depth, comp, quotas):
-        """signature with part (d): the largest prefix monomial per group
-        of each max-monomial list."""
-        heads, groups = program[depth][3]
-        vals = [prefix(v, depth) for v in heads]
-        return signature(depth, comp, quotas) + tuple(max(get(vals))
-                                                      for get in groups)
-
-    def tally_lookup(sig):
-        hit = memo.get(sig)
-        if hit is None:
-            tables.append(({}, {}))
-        else:
-            merge(hit[2])
-        return hit
-
-    def tally_store(sig, entry):
-        sub = tables.pop()
-        merge(sub)
-        memo[sig] = entry + (sub,)
-
-    if tally:
-        leaf, key_of = leaf_walk, tally_signature
-        lookup, store = tally_lookup, tally_store
-    else:
-        leaf, key_of = leaf_count, signature
-        lookup, store = memo.get, memo.__setitem__
-
     def walk_runs(depth, lo, hi, spec):
         """The children m in [lo, hi] of a blockable depth, one step per
         run of equal parts (a) and (b) and class D = gcd(m, L) in it."""
         nonlocal visited, count, reused
         quotas, base, col = quota[-1], comp_prod[-1], wcol[depth]
-        nef, anti, coprime, _, (moving, holders, held) = spec
+        nef, anti, coprime, (moving, holders, held) = spec
         ell = lcm(*(gcd(*get(base)) for get in holders))
         coprime_to = gcd(*held(base))
         primes = {p for lam in range(depth) for p in primes_of(mags[lam])
@@ -1108,7 +983,7 @@ def enumerate_region(lattice, region, B, fingerprints=None,
             visited += hi - lo + 1
             if visited > budget:
                 raise BudgetError(over)
-            leaf(lo, hi, depth)
+            leaf_count(lo, hi, depth)
             return
         visited += 1
         if visited > budget:
@@ -1132,8 +1007,8 @@ def enumerate_region(lattice, region, B, fingerprints=None,
             mags[depth] = m
             sig = None
             if depth + 1 in program:
-                sig = key_of(depth + 1, newcomp, newq)
-                hit = lookup(sig)
+                sig = signature(depth + 1, newcomp, newq)
+                hit = memo.get(sig)
                 if hit is not None:
                     count += hit[0]
                     visited += hit[1]
@@ -1148,12 +1023,11 @@ def enumerate_region(lattice, region, B, fingerprints=None,
             comp_prod.pop()
             quota.pop()
             if sig is not None:
-                store(sig, (count - start[0], visited - start[1]))
+                memo[sig] = (count - start[0], visited - start[1])
 
     descend(0)
-    floor_t, ceil_t = tables[0] if tally else (None, None)
     return EnumerationResult(count=count, visited=visited, reused=reused,
-                             floor=floor_t, ceil=ceil_t, order=order)
+                             order=order)
 
 
 # -- dual-basis data for box machinery --------------------------------------
@@ -1196,10 +1070,10 @@ def _check_subcone(lattice, gens):
 
 # -- translated polyhedra and boxes -----------------------------------------
 
-def _box_region(l_rows, lows, highs, slopes=None, extra=()):
+def _box_region(l_rows, lows, highs, slopes=None):
     """lo_i B^{s_i} <= H_{L_i} <= hi_i B^{s_i} for every row L_i, as the
-    Region of the constraints (L_i, hi_i, s_i) and (-L_i, 1/lo_i, -s_i),
-    followed by the extra constraints; every s_i is 0 without slopes.
+    Region of the constraints (L_i, hi_i, s_i) and (-L_i, 1/lo_i, -s_i);
+    every s_i is 0 without slopes.
 
     A lower wall at lo_i = 1 with s_i = 0, H_{L_i} >= 1, is the facet L_i
     instead, the meaning of a facet.  _compiled_shape drops it once per
@@ -1213,7 +1087,7 @@ def _box_region(l_rows, lows, highs, slopes=None, extra=()):
             facets.append(row)
         else:
             cons.append(([-x for x in row], 1 / Fraction(lo), -s))
-    return Region(cons + list(extra), facets=facets)
+    return Region(cons, facets=facets)
 
 
 def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
@@ -1453,88 +1327,164 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
 
 @dataclass
 class FTable:
-    """Counts of points by rounded height fingerprint y = round(H_{L_i}),
-    with the `visited` and `reused` of the enumeration that built them."""
+    """Point counts by staircase box: `data` maps each box, one integer
+    range (lo, hi) of rounded heights per row L_i, to the number of points
+    whose rounded heights lie in it; `visited` sums the enumerations."""
 
-    variant: str           # "floor" or "ceil"
     l_rows: tuple
-    caps: tuple            # table covers y_i <= caps_i
-    data: dict             # tuple y -> count
+    data: dict
     visited: int = 0
-    reused: int = 0
-
-    def mass(self, b_vec):
-        b = [int(x) for x in b_vec]
-        if any(x > cap for x, cap in zip(b, self.caps)):
-            raise DegenerateInputError("table does not cover the requested box")
-        return sum(cnt for y, cnt in self.data.items()
-                   if all(yi <= bi for yi, bi in zip(y, b)))
 
 
-def tabulate_f(lattice, l_rows, b_max, extra_constraints=(),
-               budget=DEFAULT_BUDGET):
-    """One enumeration pass filling both rounded-height tables over
-    {h in Lambda, H_{L_i} <= Bmax_i}.
-
-    The enumerator tallies the floor and ceiling fingerprints itself
-    (enumerate_region with fingerprints=l_rows): its leaves walk the last
-    coordinate and add each point to its two cells, and on the closed path
-    a subtree whose signature repeats merges its stored sub-tables instead
-    of being walked again.  DegenerateInputError is raised while the
-    enumeration runs, as soon as a floor table passes TABLE_LIMIT cells.
-
-    extra_constraints (Region constraint triples) restrict the tabulated
-    domain further, e.g. to an anticanonical sublevel set; the caller must
-    keep the restriction floor-complete for the cells it will query.
-    """
-    b_max = [int(x) for x in b_max]
-    region = _box_region(l_rows, [1] * len(b_max), b_max,
-                         extra=extra_constraints)
-    res = enumerate_region(lattice, region, 1, fingerprints=l_rows,
-                           budget=budget)
-    l_t = tuple(tuple(r) for r in l_rows)
-    return tuple(FTable(variant, l_t, tuple(b_max), data, res.visited,
-                        res.reused)
-                 for variant, data in (("floor", res.floor),
-                                       ("ceil", res.ceil)))
-
-
-def hyperbola_sum(table, alphas, B):
-    """Exact sum of table values over {y : prod y_i^{alpha_{i,k}} <= B}."""
+def _hyperbola_domain(alphas, rho, B):
+    """S = {y >= 1 : prod_i y_i^{alpha_{k,i}} <= B for every row k}, each
+    row cleared once to (e, bn, bd), prod y^e <= bn / bd with e integer."""
     B = Fraction(B)
-    rho = len(table.caps)
     rows = [[Fraction(a) for a in row] for row in alphas]
     if any(len(r) != rho for r in rows):
         raise DegenerateInputError("alpha rows must match the table rank")
     if any(a < 0 for r in rows for a in r):
         raise DegenerateInputError("hyperbola exponents must be nonnegative")
-    for i in range(rho):
-        pos = [r[i] for r in rows if r[i] > 0]
-        if not pos:
-            raise DegenerateInputError(
-                "hyperbola domain is unbounded in a coordinate")
-        if B >= 1:
-            cap = min(linalg.floor_rational_power(B, a.denominator,
-                                                  a.numerator) for a in pos)
-            if cap > table.caps[i]:
-                raise DegenerateInputError(
-                    f"table covers y_{i} <= {table.caps[i]} but the domain "
-                    f"reaches {cap}")
-    # prod y^alpha <= B as prod y^e <= B^den, cleared once per alpha row
-    comps = []
+    if any(all(r[i] == 0 for r in rows) for i in range(rho)):
+        raise DegenerateInputError(
+            "hyperbola domain is unbounded in a coordinate")
+    out = []
     for r in rows:
-        den = 1
-        for a in r:
-            den = lcm(den, a.denominator)
-        comps.append(([int(a * den) for a in r],
-                      B.numerator ** den, B.denominator ** den))
-    ones = [1] * rho
-    total = 0
-    for y, cnt in table.data.items():
-        if all(lhs <= rhs for lhs, rhs in (_sides(e, bn, bd, y, ones)
-                                           for e, bn, bd in comps)):
-            total += cnt
-    return total
+        den = lcm(*(a.denominator for a in r))
+        out.append(([int(a * den) for a in r],
+                    B.numerator ** den, B.denominator ** den))
+    return out
+
+
+def _staircase(domain, rho):
+    """The boxes that tile the down-closed set S of _hyperbola_domain: per
+    point p of S's projection on the first rho - 2 coordinates and per run
+    [a, b] of coordinate rho - 2 on which the largest last coordinate M
+    stays the same, the box p x [a, b] x [1, M], as one (lo, hi) per
+    coordinate.  The run from a ends at the largest y with (p, y, M) in S,
+    since M does not increase along it; for rho = 1 S is the one box
+    [1, M]."""
+    def top(y, i):  # the largest y_i with y, its entry i replaced, in S
+        out = None
+        for e, bn, bd in domain:
+            q = bn // (bd * prod(v ** x for j, (v, x) in enumerate(zip(y, e))
+                                 if j != i))
+            if e[i]:
+                r = linalg.iroot(q, e[i])
+                out = r if out is None else min(out, r)
+            elif not q:
+                return 0
+        return out
+
+    if rho == 1:
+        m = top((1,), 0)
+        return [((1, m),)] if m else []
+    boxes = []
+
+    def walk(pre):
+        d = len(pre)
+        if d < rho - 2:
+            for v in range(1, top(pre + (1,) * (rho - d), d) + 1):
+                walk(pre + (v,))
+            return
+        a = 1
+        while m := top(pre + (a, 1), rho - 1):
+            end = top(pre + (a, m), rho - 2)
+            boxes.append(tuple((v, v) for v in pre) + ((a, end), (1, m)))
+            a = end + 1
+
+    walk(())
+    return boxes
+
+
+def _denominators(lattice, l_rows, caps):
+    """Per row L_i a bound D_i on the denominator of H_{L_i} at every
+    point of {1 <= H_{L_j} <= caps_j}: 1 on a nef row, whose heights are
+    integers, and otherwise prod_j den_j^{|L_ij|} at the region's
+    coordinate caps, den_j the b-list max-monomial of nef_split where L_ij
+    > 0 and the a-list one where L_ij < 0 (tabulate_f).  The point with
+    every coordinate 1 has every height 1, so each cap is >= 1 and so is
+    each D_i."""
+    bounds = coordinate_bounds(
+        lattice, _box_region(l_rows, [1] * len(caps), caps), 1)
+    mono = _evaluator(lattice).nef_split[2]
+    out = []
+    for row in l_rows:
+        d = 1
+        if not lattice.is_nef(row):
+            for x, (num, den) in zip(row, mono):
+                if x:
+                    d *= max(prod(m ** w for m, w in zip(bounds, v))
+                             for v in (den if x > 0 else num)) ** abs(x)
+        out.append(d)
+    return out
+
+
+def tabulate_f(lattice, l_rows, alphas, grid, budget=DEFAULT_BUDGET):
+    """The floor and ceiling tables of the rounded-height sums at every B
+    of the grid, as counts of staircase boxes (FTable).
+
+    Each B's domain S = {y >= 1 : prod y^alpha_k <= B} is tiled by the
+    boxes of _staircase, and the points of the cone {H_{L_i} >= 1} whose
+    rounded heights lie in a box are counted by one enumerate_region call
+    (boxes that two grid points share are counted once).  On each row,
+    for the box range [lo, hi]:
+      ceil: ceil H in [lo, hi] iff lo - 1 < H <= hi (H >= 1 when lo = 1);
+      floor: floor H in [lo, hi] iff lo <= H < hi + 1.
+    A strict wall is written as a rational non-strict one: H < c as
+    H <= c - 1/D and H > c as H >= c + 1/D, for integers c and D a bound on
+    the denominator of H_{L_i} over every point that the box with its walls
+    closed holds (_denominators: the box {1 <= H_{L_j} <= cap_j + 1}, cap_j
+    the largest hi of axis j, holds every closed box).  Proof: by
+    nef_split, H_{L_i} = prod_j (A_j / B_j)^{L_ij} on a canonical point,
+    A_j and B_j the integer max-monomials of e_j's a-list and b-list, so
+    H_{L_i} = N / P with N and P integers and P = prod_{L_ij > 0}
+    B_j^{L_ij} prod_{L_ij < 0} A_j^{-L_ij}.  Every max-monomial has
+    exponents >= 0, so it only grows with each |y_lam| <= M_lam (the
+    coordinate caps), and P <= D_i.  So H_{L_i} = p / q in lowest terms
+    with q | P, q <= D_i.  If H < c, then c - H = (c q - p) / q with
+    c q - p a positive integer, so c - H >= 1/q >= 1/D_i; and H <= c - 1/D_i
+    gives H < c.  The same holds for H > c.  A nef row has integer heights,
+    D = 1, and both roundings give the box lo <= H <= hi; when every row is
+    nef the two tables are one object.  Neither the enumerator nor
+    Constraint knows of strict walls.  `budget` bounds the candidates
+    visited over every box of both tables.
+    """
+    rho = len(l_rows)
+    boxes = list(dict.fromkeys(box for B in grid for box in _staircase(
+        _hyperbola_domain(alphas, rho, B), rho)))
+    l_rows = tuple(tuple(int(x) for x in row) for row in l_rows)
+    steps = [Fraction(1, d) for d in _denominators(
+        lattice, l_rows, [max((box[i][1] for box in boxes), default=0) + 1
+                          for i in range(rho)])]
+    roundings = [lambda lo, hi, f: (lo, hi + 1 - f)]  # floor
+    if any(f != 1 for f in steps):  # else the ceiling boxes are the same
+        roundings.append(lambda lo, hi, f: (lo - 1 + f if lo > 1 else 1, hi))
+    spent, tables = 0, []
+    for walls in roundings:
+        start, data = spent, {}
+        for box in boxes:
+            lows, highs = zip(*(walls(lo, hi, f)
+                                for (lo, hi), f in zip(box, steps)))
+            res = enumerate_region(lattice, _box_region(l_rows, lows, highs),
+                                   1, budget=budget - spent)
+            spent += res.visited
+            data[box] = res.count
+        tables.append(FTable(l_rows, data, spent - start))
+    return tables[0], tables[-1]
+
+
+def hyperbola_sum(table, alphas, B):
+    """Sum of the rounded-height counts f(y) over {y >= 1 : prod
+    y^alpha_k <= B}: the table's counts of B's staircase boxes
+    (tabulate_f)."""
+    rho = len(table.l_rows)
+    boxes = _staircase(_hyperbola_domain(alphas, rho, B), rho)
+    missing = [box for box in boxes if box not in table.data]
+    if missing:
+        raise DegenerateInputError(
+            f"table does not cover the box {missing[0]}")
+    return sum(table.data[box] for box in boxes)
 
 
 # -- anticanonical counts ----------------------------------------------------

@@ -4,7 +4,7 @@ Everything here works on plain Python ints and fractions.Fraction so results
 stay exact at any size.  Matrices are lists of lists (row major).  Sizes in
 this package are tiny (ambient dimension at most 8), so clarity wins over
 asymptotics.  One fraction-free Gauss-Jordan elimination, in integers,
-serves rank, solve_exact, det, inverse, nullspace and the integer inverses:
+serves rank, solve_exact, det, nullspace and the integer inverses:
 the entry points that take rationals clear each row to integers first
 (cleared), and nothing is eliminated over Fraction.  The row Hermite form
 canonicalises the class lattice's projection; iroot and
@@ -165,20 +165,8 @@ def det(a):
     return Fraction(sign * d, prod(m for _, m in rows))
 
 
-def inverse(a):
-    """Exact inverse of a square rational matrix; ValueError if singular.
-    Each row of [a | I] is cleared whole, so the right block ends as d a^-1."""
-    n = len(a)
-    rows = [cleared(list(row) + [int(i == j) for j in range(n)])[0]
-            for i, row in enumerate(a)]
-    pivots, d, _ = _eliminate(rows, n)
-    if len(pivots) < n:
-        raise ValueError("matrix is singular")
-    return [[Fraction(x, d) for x in row[n:]] for row in rows]
-
-
 def fraction_free_inverse(a):
-    """(d, m) with inverse(a) == m / d, all integers, for a square integer
+    """(d, m) with a^-1 == m / d, all integers, for a square integer
     matrix a; None when a is singular.
 
     One _eliminate of [a | I], with no clearing: its left block ends as

@@ -262,48 +262,32 @@ def run_anticanonical(exp):
     return rows, summary
 
 
-def _hyperbola_setup(lat, l_rows, b_top, budget):
-    """Tables for the rounded-height sums, floor-complete up to b_top, with
-    the dual-basis data (alphas, nu(-Lambda)) they were built from.
-
-    alphas solves sum_i alpha_i L_i = omega (_dual_basis_data, which also
-    checks that every alpha_i > 0).  A queried floor cell y has every
-    y_i >= 1 and prod y^alpha <= b_top, so y_i <= cap_i.  On canonical
-    points a nef row has an integer height, H_i = y_i <= cap_i; any other
-    row has H_i < y_i + 1 <= cap_i + 1 and y_i + 1 <= 2 y_i.  So H_omega =
-    prod H^alpha < 2^{sum alpha_i over the rows that are not nef} b_top,
-    and the caps cap_i, plus one on those rows, with the anticanonical
-    cutoff relaxed by 2^{ceil of that sum}, keep every needed point in the
-    tabulated set; the ceil table needs no slack.
-    """
-    alphas, _, _, nu_neg = counting._dual_basis_data(lat, l_rows)
-    caps = [linalg.floor_rational_power(Fraction(b_top), x.denominator,
-                                        x.numerator) for x in alphas]
-    loose = [not lat.is_nef(row) for row in l_rows]
-    total = sum(a for a, x in zip(alphas, loose) if x)
-    slack = Fraction(2) ** (-((-total.numerator) // total.denominator))
-    extra = [(list(lat.anticanonical), slack * Fraction(b_top), 0)]
-    f_floor, f_ceil = counting.tabulate_f(lat, l_rows,
-                                          [c + x for c, x in zip(caps, loose)],
-                                          extra_constraints=extra,
-                                          budget=budget)
-    return alphas, nu_neg, caps, f_floor, f_ceil
-
-
 def run_hyperbola(exp):
     """Rounded-height sums bracket the direct count on the cone of the L_i;
-    both follow the nu(-Lambda) tau main term."""
+    both follow the nu(-Lambda) tau main term.
+
+    alphas solves sum_i alpha_i L_i = omega (_dual_basis_data, which also
+    checks that every alpha_i > 0), and the sums run over prod y^alpha <= B
+    (counting.tabulate_f).  The summary's `caps` are the largest y_i at the
+    top of the grid, and `boxes` counts the staircase boxes enumerated for
+    both tables and their `visited`.
+    """
     lat = exp.lattice
     tau = exp.ensure_tau()
     rho = lat.rank
     l_rows = _basis_rows(exp)
-    alphas, nu_neg, caps, f_floor, f_ceil = _hyperbola_setup(
-        lat, l_rows, exp.grid[-1], exp.budget)
+    alphas, _, _, nu_neg = counting._dual_basis_data(lat, l_rows)
+    caps = [linalg.floor_rational_power(exp.grid[-1], x.denominator,
+                                        x.numerator) for x in alphas]
+    f_floor, f_ceil = counting.tabulate_f(lat, l_rows, [alphas], exp.grid,
+                                          budget=exp.budget)
+    tables = [f_floor] if f_ceil is f_floor else [f_floor, f_ceil]
+    spent = sum(t.visited for t in tables)
+    boxes = {"count": sum(len(t.data) for t in tables), "visited": spent}
     lead = float(nu_neg) * tau / factorial(rho - 1)
     region = counting.Region([(lat.anticanonical, 1, 1)],
                              facets=[[int(x) for x in row] for row in l_rows])
     rows, sandwich_ok = [], True
-    spent = f_floor.visited
     for b in exp.grid:
         lo = counting.hyperbola_sum(f_ceil, [alphas], b)
         hi = counting.hyperbola_sum(f_floor, [alphas], b)
@@ -319,10 +303,7 @@ def run_hyperbola(exp):
                      "sum_ceil": lo, "sum_floor": hi, "sandwich_ok": ok})
     summary = {"theorem": "hyperbola", "tau": tau, "nu_neg": str(nu_neg),
                "alphas": [str(x) for x in alphas], "caps": caps,
-               "table_sizes": [len(f_floor.data), len(f_ceil.data)],
-               "tabulation": {"visited": f_floor.visited,
-                              "reused": f_floor.reused},
-               "sandwich_ok_all": sandwich_ok,
+               "boxes": boxes, "sandwich_ok_all": sandwich_ok,
                "final_ratio": rows[-1]["ratio"]}
     return rows, summary
 

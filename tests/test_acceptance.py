@@ -197,9 +197,8 @@ def test_criterion_6c_rounded_height_sandwich():
     t0 = time.time()
     lat = get_lattice("P1xP1")
     B = 10 ** 4
-    floor_t, ceil_t = counting.tabulate_f(
-        lat, [[1, 0], [0, 1]], [200, 200],
-        extra_constraints=[(list(lat.anticanonical), 16 * B, 0)])
+    floor_t, ceil_t = counting.tabulate_f(lat, [[1, 0], [0, 1]], [[2, 2]],
+                                          [B])
     down = counting.hyperbola_sum(ceil_t, [[2, 2]], B)
     up = counting.hyperbola_sum(floor_t, [[2, 2]], B)
     direct = counting.count_anticanonical(lat, B)["count"]

@@ -5,16 +5,16 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd
+from math import gcd, lcm, prod
 from types import SimpleNamespace
 
 import pytest
 
-from toricount import counting, fans, heights, linalg, verify
+from toricount import counting, fans, heights, linalg
 from toricount.cones import (dual_cone, effective_decomposition,
                              nu_simplicial)
 from toricount.counting import (
-    DEFAULT_BUDGET, FTable, Region, anticanonical_region,
+    DEFAULT_BUDGET, Region, anticanonical_region,
     build_box_decomposition, coordinate_bounds, count_anticanonical,
     count_box, count_cone_box, count_translated_polyhedron,
     enumerate_region, hyperbola_sum, region_from_json, tabulate_f)
@@ -240,7 +240,8 @@ def test_coordinate_bounds_match_exactlog_oracle(name):
 def test_vertex_program_matches_fraction_oracle(name):
     """The fraction-free vertex program gives the very (program, limit)
     tuples of the Fraction solve, or the same error, on the anticanonical,
-    cone-box corner, lower-wall box and tally shapes, and on a builtin fan
+    cone-box corner, lower-wall box, staircase box and cut-off box shapes,
+    and on a builtin fan
     also on the seeded regions of test_coordinate_bounds_match_exactlog_oracle,
     whose rows and slopes lie in (1/2)Z."""
     lat = get_lattice(name)
@@ -249,8 +250,9 @@ def test_vertex_program_matches_fraction_oracle(name):
     regions = [anticanonical_region(lat),
                counting._box_region(rows, ones, caps),
                _unit_box(rows, caps),
-               counting._box_region(rows, ones, caps,
-                                    extra=[(lat.anticanonical, 32, 1)])]
+               counting._box_region(rows, [2] * lat.rank, caps),
+               Region(counting._box_region(rows, ones, caps).constraints
+                      + ((lat.anticanonical, 32, 1),), facets=rows)]
     if name in BUILTIN_NAMES:
         rng = random.Random(f"bounds-{name}")
         regions += [_random_region(rng, lat)[0] for _ in range(60)]
@@ -474,20 +476,16 @@ def _forced(order, **patches):
     counting._compiled_shape.cache_clear()
 
 
-def _both_leaf_paths(lat, region, B, **kw):
-    """Counts a region twice: as is, where the last coordinate is counted
-    in closed form, and as a tally of the basis heights with the signature
-    memo switched off, which walks it value by value, adds every point to a
-    cell and never reuses a subtree.  Both descend in the order chosen for
-    the first.  On a region with a mixed-sign constraint both paths read
-    the same _leaf_pieces, so there naive_count is their independent
-    check."""
+def _memo_on_and_off(lat, region, B, **kw):
+    """Counts a region twice: as is, and with the signature memo and the
+    runs switched off, which descends every prefix and never reuses a
+    subtree.  Both descend in the order chosen for the first, and agree on
+    count and visited.  Both count each leaf by the same closed form, so
+    naive_count is the independent check of that."""
     plain = enumerate_region(lat, region, B, **kw)
-    rows = [[int(i == j) for j in range(lat.rank)] for i in range(lat.rank)]
     with _forced(plain.order, _signature_program=lambda *a: {}) as run:
-        walked = run(lat, region, B, fingerprints=rows, **kw)
-    assert plain.count == walked.count == sum(walked.floor.values())
-    assert plain.visited == walked.visited
+        walked = run(lat, region, B, **kw)
+    assert (plain.count, plain.visited) == (walked.count, walked.visited)
     assert walked.reused == 0
     return plain
 
@@ -496,13 +494,15 @@ def _both_leaf_paths(lat, region, B, **kw):
                                     ("P1xP1", 1000), ("F1", 500)])
 def test_closed_form_leaf_anticanonical(name, B):
     lat = get_lattice(name)
-    assert _both_leaf_paths(lat, anticanonical_region(lat), B).count > 0
+    region = anticanonical_region(lat)
+    assert _memo_on_and_off(lat, region, B).count == naive_count(
+        lat, region, B) > 0
 
 
 def test_closed_form_leaf_mixed_region():
     lat = get_lattice("F1")
     region = Region([((1, 0), 4, 0), ((0, 1), 1, 1)])
-    assert _both_leaf_paths(lat, region, 30).count == 72924
+    assert _memo_on_and_off(lat, region, 30).count == 72924
 
 
 def _f1_box():
@@ -579,7 +579,7 @@ def test_mixed_leaf_products_of_maxima(name, cls, gamma):
     region = Region([(lat.anticanonical, 1, 1), (cls, gamma, 0)])
     _, _, mixed = counting._compile_constraints(lat, region.shape)
     assert [tuple(e) for _, e in mixed] == [cls]
-    assert _both_leaf_paths(lat, region, 300).count == naive_count(
+    assert _memo_on_and_off(lat, region, 300).count == naive_count(
         lat, region, 300) > 0
 
 
@@ -604,7 +604,7 @@ def test_closed_form_leaf_cone_boxes():
     b_vec = (20, 20)
     total = reused = 0
     for n_vec in product(*(range(1, k + 2) for k in decomp.kept(b_vec))):
-        res = _both_leaf_paths(lat, decomp.region(b_vec, n_vec), 1)
+        res = _memo_on_and_off(lat, decomp.region(b_vec, n_vec), 1)
         total += res.count
         reused += res.reused
     cone = count_cone_box(lat, [[1, 0], [0, 1]], b_vec, histogram=False)
@@ -612,7 +612,7 @@ def test_closed_form_leaf_cone_boxes():
     assert reused > 0
     box = Region([((1, 0), 12, 0), ((-1, 0), Fraction(1, 5), 0),
                   ((0, 1), 9, 0), ((0, -1), Fraction(2, 7), 0)])
-    assert _both_leaf_paths(lat, box, 1).count > 0
+    assert _memo_on_and_off(lat, box, 1).count == naive_count(lat, box, 1) > 0
 
 
 @pytest.mark.parametrize("name,B,low", [("P2", 20000, 7001),
@@ -627,7 +627,7 @@ def test_closed_form_leaf_anticanonical_annulus(name, B, low):
     full = anticanonical_region(lat)
     want = (enumerate_region(lat, full, B).count
             - enumerate_region(lat, full, low - 1).count)
-    assert _both_leaf_paths(lat, region, 1).count == want > 0
+    assert _memo_on_and_off(lat, region, 1).count == want > 0
 
 
 @pytest.mark.parametrize("name,B", [("P1xP1", 300), ("F1", 200)])
@@ -639,8 +639,10 @@ def test_closed_form_leaf_inclusion_exclusion_facets(name, B):
                    for cone in dec.cones]
     for k in range(1, len(facet_lists) + 1):
         for sub in combinations(facet_lists, k):
-            facets = [f for fl in sub for f in fl]
-            _both_leaf_paths(lat, anticanonical_region(lat, facets=facets), B)
+            region = anticanonical_region(lat, facets=[f for fl in sub
+                                                       for f in fl])
+            assert _memo_on_and_off(lat, region, B).count == naive_count(
+                lat, region, B)
 
 
 @pytest.mark.parametrize("low", [30030, 30031])
@@ -650,7 +652,7 @@ def test_closed_form_leaf_many_primes(low):
     coordinate alone."""
     lat = get_lattice("P1")
     region = Region([((1,), 30100, 0), ((-1,), Fraction(1, low), 0)])
-    res = _both_leaf_paths(lat, region, 1, first_range=(30030, 30030))
+    res = _memo_on_and_off(lat, region, 1, first_range=(30030, 30030))
     want = sum(1 for m in range(1, 30101)
                if gcd(m, 30030) == 1 and max(m, 30030) >= low)
     assert res.count == 2 * want
@@ -670,15 +672,12 @@ def test_visited_is_pinned():
 # -- subtree memo --------------------------------------------------------------
 
 
-def _own_program(lat, region, tally=False):
-    """_signature_program of the region's shape in the fan's own labels,
-    with the max-monomial lists of a tally or without."""
+def _own_program(lat, region):
+    """_signature_program of the region's shape in the fan's own labels."""
     nef, anti, _ = counting._compile_constraints(lat, region.shape)
-    mono = heights._evaluator(lat).nef_split[2] if tally else ()
     return counting._signature_program(
         [w for _, reps in nef for w in reps], [reps for _, reps in anti],
-        lat.fan.max_cones, lat.fan.n_rays,
-        [side for pair in mono for side in pair])
+        lat.fan.max_cones, lat.fan.n_rays)
 
 
 @pytest.mark.parametrize("name,depths", [("P1", []), ("P2", [1, 2]),
@@ -695,24 +694,12 @@ def test_signature_depths(name, depths):
     assert sorted(_own_program(lat, anticanonical_region(lat))) == depths
 
 
-@pytest.mark.parametrize("name,depths", [("P1", []), ("P2", []),
-                                         ("P3", [2]), ("P1xP1", [2]),
-                                         ("F1", [])])
-def test_signature_depths_with_tally(name, depths):
-    """A tally keys on the largest prefix monomial per group of each
-    max-monomial list; at depth 1 of P2 and P3 that is y_0 alone, which
-    never repeats, so the depth is skipped."""
-    lat = get_lattice(name)
-    program = _own_program(lat, anticanonical_region(lat), tally=True)
-    assert sorted(program) == depths
-
-
 @pytest.mark.parametrize("name,B", [("P1xP1", 10000), ("P3", 20000)])
 def test_memo_matches_streaming_walk(name, B):
     """Many hits at depth n-2 (6048 on P1xP1, 110 on P3) against the
-    per-point walk with no memo."""
+    walk of every prefix with no memo."""
     lat = get_lattice(name)
-    res = _both_leaf_paths(lat, anticanonical_region(lat), B)
+    res = _memo_on_and_off(lat, anticanonical_region(lat), B)
     assert res.reused > 100
 
 
@@ -724,7 +711,7 @@ def test_memo_keeps_prefix_gcd():
     lat = get_lattice("P3")
     B = 12 ** 4
     assert coordinate_bounds(lat, anticanonical_region(lat), B)[1] == 12
-    res = _both_leaf_paths(lat, anticanonical_region(lat), B,
+    res = _memo_on_and_off(lat, anticanonical_region(lat), B,
                            first_range=(6, 6))
     assert res.reused == (12 - 4) + (48 - 4)
 
@@ -742,7 +729,7 @@ def test_memo_keeps_anti_nef_threshold():
                   for k in range(2, cap + 1)]
     want = 4 * sum(a[kx] * a[ky] for kx in range(1, cap + 1)
                    for ky in range(1, cap + 1) if kx * ky >= c)
-    res = _both_leaf_paths(lat, region, 1)
+    res = _memo_on_and_off(lat, region, 1)
     assert res.count == want > 0
     assert res.reused > 0
 
@@ -798,13 +785,11 @@ def test_blockable_depths(name, blocked):
     """Children are counted by runs where every cone group of the child
     depth has a cone that holds the parent's ray: never at P2 and P3 depth
     0 (the cone outside all later rays misses ray 0) nor on F1 in its
-    builtin order, and never with a tally.  On P2 and P3 the parent of the
+    builtin order.  On P2 and P3 the parent of the
     leaf walks runs too."""
     lat = get_lattice(name)
     program = _own_program(lat, anticanonical_region(lat))
-    assert sorted(d for d, spec in program.items() if spec[4]) == blocked
-    tallied = _own_program(lat, anticanonical_region(lat), tally=True)
-    assert all(spec[4] is None for spec in tallied.values())
+    assert sorted(d for d, spec in program.items() if spec[3]) == blocked
 
 
 @pytest.mark.parametrize("name,B", [("P2", 3000), ("P3", 20000),
@@ -897,7 +882,7 @@ def test_blocked_descent_nested_depths():
         4, rays, list(combinations(range(5), 4)), name="P4"))
     region = anticanonical_region(lat)
     program = _own_program(lat, region)
-    assert sorted(d for d, spec in program.items() if spec[4]) == [2, 3, 4]
+    assert sorted(d for d, spec in program.items() if spec[3]) == [2, 3, 4]
     mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
     res = _blocked_and_per_child(lat, region, 8 ** 5)
     assert res.count == sum(m * (2 * (8 // d)) ** 5
@@ -1061,23 +1046,10 @@ def test_every_order_counts_alike(name, B):
             assert [run(lat, region, b).count for region, b in cases] == want
 
 
-@pytest.mark.parametrize("name,b_max", [("F1", [4, 6]), ("P1xP1", [8, 8])])
-def test_every_order_tallies_alike(name, b_max):
-    """A tally walks the max-monomials of nef_split, which the relabelling
-    moves with the rays: every order gives the brute-force tables."""
-    lat = get_lattice(name)
-    want = naive_tables(lat, [[1, 0], [0, 1]], b_max)
-    assert want[0]
-    for order in permutations(range(4)):
-        with _forced(order):
-            floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], b_max)
-        assert (floor_t.data, ceil_t.data) == want
-
-
 def test_chooser_keeps_the_order_of_symmetric_fans():
     """Ties keep the caller's order: P2, P3 and the builtin P1xP1 descend
-    as labelled, on the anticanonical region and, for P1xP1, on the box,
-    table and cone-box regions of the hyperbola pipeline."""
+    as labelled, on the anticanonical region and, for P1xP1, on the
+    corner, staircase-box and cone-box regions of the hyperbola pipeline."""
     for name in ("P2", "P3", "P1xP1"):
         lat = get_lattice(name)
         res = enumerate_region(lat, anticanonical_region(lat), 100)
@@ -1085,15 +1057,11 @@ def test_chooser_keeps_the_order_of_symmetric_fans():
     lat = get_lattice("P1xP1")
     rows = [[1, 0], [0, 1]]
     boxes = [counting._box_region(rows, [1, 1], [20, 20]),
-             counting._box_region(
-                 rows, [1, 1], [20, 20],
-                 extra=[(list(lat.anticanonical), 16 * 10 ** 2, 0)]),
+             counting._box_region(rows, [3, 1], [5, 7]),
              build_box_decomposition(lat, rows, seed=7).region((20, 20),
                                                                (2, 3))]
     for region in boxes:
-        for tally in (None, rows):
-            res = enumerate_region(lat, region, 1, fingerprints=tally)
-            assert res.order == (0, 1, 2, 3)
+        assert enumerate_region(lat, region, 1).order == (0, 1, 2, 3)
 
 
 def test_chooser_on_relabelled_fans():
@@ -1153,7 +1121,7 @@ def test_partition_splits_the_first_ray_of_the_order():
 
 
 def _outcome(res):
-    return res.count, res.visited, res.reused, res.order, res.floor, res.ceil
+    return res.count, res.visited, res.reused, res.order
 
 
 def _one_shape(kind):
@@ -1226,7 +1194,7 @@ def test_effective_facets_are_dropped():
     facets = dual_cone(cone, lat.rank)
     assert facets == [(0, 1), (1, 0)] and not lat.is_nef((0, 1))
     region = anticanonical_region(lat, facets=facets)
-    shape = counting._compiled_shape(lat, region.shape, False)
+    shape = counting._compiled_shape(lat, region.shape)
     assert not shape.mixed and not shape.anti and shape.program
     got = _outcome(enumerate_region(lat, region, 5000))
     assert got[:3] == (48252, 17541, 174)
@@ -1234,7 +1202,7 @@ def test_effective_facets_are_dropped():
                                             5000))
     lat = get_lattice("P1xP1")
     region = anticanonical_region(lat, facets=[(1, 0), (1, -1)])
-    shape = counting._compiled_shape(lat, region.shape, False)
+    shape = counting._compiled_shape(lat, region.shape)
     assert [e for _, e in shape.mixed] == [[-1, 1]] and not shape.anti
     assert enumerate_region(lat, region, 300).count == naive_count(
         lat, region, 300) > 0
@@ -1247,16 +1215,16 @@ def test_nef_groups_with_equal_pairs_are_one():
     groups, and count, visited and reused are those of both."""
     lat = get_lattice("P1xP1")
     region = anticanonical_region(lat)
-    shape = counting._compiled_shape(lat, region.shape, False)
-    nef, _, _, _, (moving, _, _) = shape.program[2]
+    shape = counting._compiled_shape(lat, region.shape)
+    nef, _, _, (moving, _, _) = shape.program[2]
     assert len(nef) == len(moving) == 1
     program = counting._signature_program
 
-    def apart(pair_reps, anti_reps, cones, n, lists=(), owners=()):
-        return program(pair_reps, anti_reps, cones, n, lists)
+    def apart(pair_reps, anti_reps, cones, n, owners=()):
+        return program(pair_reps, anti_reps, cones, n)
 
     with _forced(shape.order, _signature_program=apart) as run:
-        split = counting._compiled_shape(lat, region.shape, False)
+        split = counting._compiled_shape(lat, region.shape)
         assert len(split.program[2][0]) == 2
         both = _outcome(run(lat, region, 30000))
     assert _outcome(enumerate_region(lat, region, 30000)) == both
@@ -1266,7 +1234,7 @@ def test_nef_groups_with_equal_pairs_are_one():
     region = Region([((1, 1), 30, 0), ((1, 3), 90, 0)])
     with _forced((0, 1, 2, 3)) as run:
         assert run(lat, region, 1).count == naive_count(lat, region, 1) == 3012
-        shape = counting._compiled_shape(lat, region.shape, False)
+        shape = counting._compiled_shape(lat, region.shape)
         assert len(shape.program[2][0]) == 2
 
 
@@ -1295,7 +1263,7 @@ def test_lower_walls_at_one_change_nothing():
     assert _outcome(enumerate_region(lat, walls, 1)) == cold
     assert plain[0] == naive_count(lat, upper, 1) > cold[0]
     assert cold[0] == naive_count(lat, walls, 1) > 0
-    shape = counting._compiled_shape(lat, ones.shape, False)
+    shape = counting._compiled_shape(lat, ones.shape)
     assert len(shape.anti) == 2 and shape.program
     assert all(len(spec[1]) == 2 for spec in shape.program.values())
 
@@ -1330,13 +1298,13 @@ def test_box_corner_shapes_drop_effective_walls():
     corner = counting._box_region(rows, [1, 1], (20, 20))
     walls = _unit_box(rows, (20, 20))
     lat = get_lattice("P1xP1")
-    shapes = [counting._compiled_shape(lat, region.shape, False)
+    shapes = [counting._compiled_shape(lat, region.shape)
               for region in (corner, walls)]
     assert [len(shape.anti) for shape in shapes] == [0, 2]
     assert [[len(tests) for tests, _ in shape.vertex_program]
             for shape in shapes] == [[2] * 4, [4] * 9]
     lat = get_lattice("F1")
-    shapes = [counting._compiled_shape(lat, region.shape, False)
+    shapes = [counting._compiled_shape(lat, region.shape)
               for region in (corner, walls)]
     assert [len(shape.mixed) for shape in shapes] == [1, 2]
 
@@ -1350,7 +1318,7 @@ def test_box_wall_on_a_row_that_is_not_effective_is_applied():
     rows = [[1, 0], [0, 1], [1, -1]]
     box = counting._box_region(rows, [1, 1, 1], [12, 12, 3])
     assert box.facets == ((1, 0), (0, 1), (1, -1))
-    shape = counting._compiled_shape(lat, box.shape, False)
+    shape = counting._compiled_shape(lat, box.shape)
     assert [e for _, e in shape.mixed] == [[1, -1], [-1, 1]]
     unwalled = Region([(row, hi, 0) for row, hi in zip(rows, [12, 12, 3])])
     count = enumerate_region(lat, box, 1).count
@@ -1370,23 +1338,6 @@ def test_box_region_clears_rational_rows():
     assert half.facets == whole.facets == ((1, 0), (0, 1))
     assert _outcome(enumerate_region(lat, half, 1))[:2] \
         == _outcome(enumerate_region(lat, whole, 1))[:2]
-
-
-@pytest.mark.parametrize("name", ["P1xP1", "F1"])
-def test_shape_cache_keys_the_tally(name):
-    """A tally and a plain count of one shape, in either order on a shared
-    cache, each give what a call on a cold cache gives."""
-    lat = get_lattice(name)
-    rows = [[1, 0], [0, 1]]
-    region = counting._box_region(rows, [2, 1], [6, 8])
-    for first, second in ((None, rows), (rows, None)):
-        counting._compiled_shape.cache_clear()
-        shared = [enumerate_region(lat, region, 1, fingerprints=tally)
-                  for tally in (first, second)]
-        for res, tally in zip(shared, (first, second)):
-            counting._compiled_shape.cache_clear()
-            fresh = enumerate_region(lat, region, 1, fingerprints=tally)
-            assert _outcome(res) == _outcome(fresh) and fresh.count > 0
 
 
 def test_enumerations_compile_each_shape_once(monkeypatch):
@@ -1734,23 +1685,34 @@ def test_cone_box_rejects_cone_outside_dual_effective():
 # -- f tables and hyperbola sums ----------------------------------------------
 
 
+def _staircase_sum(table, alphas, B):
+    """The sum of a brute-force table over S = {y : prod y^alpha_k <= B},
+    each row decided in Fractions as prod y^(den alpha) <= B^den."""
+    def inside(y, row):
+        den = lcm(*(Fraction(a).denominator for a in row))
+        return prod(Fraction(v) ** (Fraction(a) * den)
+                    for v, a in zip(y, row)) <= Fraction(B) ** den
+
+    return sum(cnt for y, cnt in table.items()
+               if all(inside(y, row) for row in alphas))
+
+
 def test_hyperbola_three_way_p1():
     lat = get_lattice("P1")
-    floor_t, ceil_t = tabulate_f(lat, [[1]], [200])
-    assert floor_t.variant == "floor" and ceil_t.variant == "ceil"
+    floor_t, ceil_t = tabulate_f(lat, [[1]], [[2]], [10 ** 4])
+    assert floor_t is ceil_t  # the row is nef: one table
     direct = enumerate_region(lat, anticanonical_region(lat), 10 ** 4).count
     assert direct == 12174
-    s_floor = hyperbola_sum(floor_t, [[2]], 10 ** 4)
-    s_ceil = hyperbola_sum(ceil_t, [[2]], 10 ** 4)
-    assert s_floor == s_ceil == direct
-    # same domain written with a fractional exponent
+    assert hyperbola_sum(floor_t, [[2]], 10 ** 4) == direct
+    # same domain written with a fractional exponent: the same box
     assert hyperbola_sum(floor_t, [[Fraction(1, 2)]], 10) == direct
 
 
 def test_hyperbola_sandwich_f1():
     lat = get_lattice("F1")
-    floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], [7, 16])
-    for B in (50, 100, 200):
+    grid = (50, 100, 200)
+    floor_t, ceil_t = tabulate_f(lat, [[1, 0], [0, 1]], [[3, 2]], grid)
+    for B in grid:
         direct = enumerate_region(lat, anticanonical_region(lat), B).count
         s_floor = hyperbola_sum(floor_t, [[3, 2]], B)
         s_ceil = hyperbola_sum(ceil_t, [[3, 2]], B)
@@ -1758,46 +1720,79 @@ def test_hyperbola_sandwich_f1():
 
 
 def test_hyperbola_floor_needs_slack_on_non_nef_rows():
-    """A floor table of F1 with no slack on its row (0, 1), which is not
-    nef, misses cells the sum at 10^3 reads: its sum_floor is 7,996, not
-    the 9,188 of run_hyperbola.  The wrong sum still brackets the count
-    from above, so only a pinned value catches it."""
+    """F1's floor boxes reach up to H < hi + 1, written hi + 1 - 1/D, on
+    its row (0, 1), which is not nef.  With D = 1 there, as on a nef row,
+    the walls close at hi and the floor sum at 10^3 reads 7,356, not the
+    9,188 of run_hyperbola.  The wrong sum still brackets the count from
+    above, so only a pinned value catches it."""
     lat = get_lattice("F1")
     rows = [[1, 0], [0, 1]]
     B = 1000
     direct = enumerate_region(lat, anticanonical_region(lat), B).count
-    cutoff = [(list(lat.anticanonical), B, 0)]
-    floor_t, ceil_t = tabulate_f(lat, rows, [10, 31],
-                                 extra_constraints=cutoff)
-    short = hyperbola_sum(floor_t, [[3, 2]], B)
-    assert hyperbola_sum(ceil_t, [[3, 2]], B) == 7356 <= direct == short
-    _, _, _, floor_t, _ = verify._hyperbola_setup(lat, rows, B, DEFAULT_BUDGET)
-    assert floor_t.caps == (10, 32)
-    assert hyperbola_sum(floor_t, [[3, 2]], B) == 9188 > short == 7996
+    floor_t, ceil_t = tabulate_f(lat, rows, [[3, 2]], [B])
+    assert counting._denominators(lat, rows, [11, 32]) == [1, 3872]
+    assert hyperbola_sum(ceil_t, [[3, 2]], B) == 7356 <= direct == 7996
+    assert hyperbola_sum(floor_t, [[3, 2]], B) == 9188
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(counting, "_denominators", lambda lat, rows, caps: [1, 1])
+        short, _ = tabulate_f(lat, rows, [[3, 2]], [B])
+    assert hyperbola_sum(short, [[3, 2]], B) == 7356
+
+
+@pytest.mark.parametrize("name,rows", [("F1", [[1, 0], [0, 1]]),
+                                       ("F2", [[1, 0], [0, 1]]),
+                                       ("P1xP1", [[1, -1], [0, 1]])])
+def test_strict_walls_at_one_over_d(name, rows):
+    """H < c is H <= c - 1/D and H > c is H >= c + 1/D for every integer c,
+    D = _denominators (the proof is in tabulate_f): on seeded boxes
+    {1 <= H_{L_j} <= hi_j}, each wall on the row that is not nef counts
+    what naive_count's points count by the strict inequality.  A wall at
+    c - 1, the rule with D = 1, counts fewer on some box."""
+    lat = get_lattice(name)
+    i = next(j for j, row in enumerate(rows) if not lat.is_nef(row))
+    rng = random.Random(f"strict-{name}")
+    weight = sign_class_count(lat)
+    fewer = False
+    for _ in range(3):
+        highs = [rng.randint(3, 6) for _ in rows]
+        step = Fraction(1, counting._denominators(lat, rows, highs)[i])
+        heights = [mh.of_class(rows[i]) for _, mh in
+                   _naive_points(lat, _unit_box(rows, highs), 1)]
+        for c in range(1, highs[i] + 1):
+            below, above = list(highs), [1] * len(rows)
+            below[i], above[i] = c - step, c + step
+            assert enumerate_region(
+                lat, counting._box_region(rows, [1] * len(rows), below),
+                1).count == weight * sum(h < c for h in heights)
+            assert enumerate_region(
+                lat, counting._box_region(rows, above, highs),
+                1).count == weight * sum(h > c for h in heights)
+            below[i] = max(c - 1, 1)
+            fewer |= enumerate_region(
+                lat, counting._box_region(rows, [1] * len(rows), below),
+                1).count < weight * sum(h < c for h in heights)
+    assert fewer
 
 
 def test_hyperbola_tables_with_a_non_nef_row_match_naive():
-    """P1xP1 with rows (1, -1), (0, 1): the first is not nef.  The tables
-    of run_hyperbola equal the brute-force ones over their own domain, and
-    their sums equal those of brute-force tables over the domain with
-    every cap doubled and H_omega <= 2^{ceil(sum alpha)} B."""
+    """P1xP1 with rows (1, -1), (0, 1): the first is not nef.  The box
+    sums equal the sums over S of brute-force tables over a domain that
+    holds every point they read: a floor cell y of S at B <= 100 has y <=
+    (10, 3) and H_i < y_i + 1 <= 2 y_i, so every cap doubled and H_omega =
+    H^alpha < 2^(sum alpha) B = 64 B."""
     lat = get_lattice("P1xP1")
     rows = [[1, -1], [0, 1]]
-    b_top = 100
-    alphas, _, caps, floor_t, ceil_t = verify._hyperbola_setup(
-        lat, rows, b_top, DEFAULT_BUDGET)
     assert [lat.is_nef(row) for row in rows] == [False, True]
-    assert alphas == [2, 4] and caps == [10, 3] and floor_t.caps == (11, 3)
-    assert (floor_t.data, ceil_t.data) == naive_tables(
-        lat, rows, floor_t.caps, [(lat.anticanonical, 4 * b_top, 0)])
-    wide = naive_tables(lat, rows, [20, 6],
-                        [(lat.anticanonical, 64 * b_top, 0)])
+    alphas = counting._dual_basis_data(lat, rows)[0]
+    assert alphas == [2, 4]
+    grid = (10, 37, 99, 100)
+    floor_t, ceil_t = tabulate_f(lat, rows, [alphas], grid)
+    assert floor_t is not ceil_t
+    wide = naive_tables(lat, rows, [20, 6], [(lat.anticanonical, 6400, 0)])
     sums = []
-    for B in (10, 37, 99, 100):
+    for B in grid:
         got = [hyperbola_sum(t, [alphas], B) for t in (floor_t, ceil_t)]
-        assert got == [hyperbola_sum(FTable(v, (), (20, 6), data), [alphas],
-                                     B)
-                       for v, data in zip(("floor", "ceil"), wide)]
+        assert got == [_staircase_sum(t, [alphas], B) for t in wide]
         sums.append(tuple(got))
     assert sums == [(28, 28), (140, 108), (620, 364), (652, 396)]
 
@@ -1835,18 +1830,23 @@ def _fraction_tables(lat, l_rows, b_max):
     ("P1xP1", [[1, -1], [0, 1]], [3, 6]),
     ("F1", [[1, 0], [0, 1]], [7, 16])])
 def test_tabulate_f_matches_fraction_fingerprints(name, l_rows, b_max):
-    """Integer fingerprints give the tables the Fraction ones give; on F1
-    the basis class (0, 1) is not nef, so its heights are Fractions."""
+    """The box sums over S = {y_0 y_1 <= B} equal the sums over S of the
+    tables whose fingerprints come from Fraction powers of the basis
+    heights over {1 <= H_{L_i} <= b_max_i}, at every B < min(b_max): a
+    point that S reads has H_i < y_i + 1 <= B + 1 <= b_max_i.  On F1 the
+    basis class (0, 1) is not nef, so its heights are Fractions."""
     lat = get_lattice(name)
-    floor_t, ceil_t = tabulate_f(lat, l_rows, b_max)
-    floor_d, ceil_d = _fraction_tables(lat, l_rows, b_max)
-    assert floor_t.data == floor_d and ceil_t.data == ceil_d
-    assert floor_d
+    grid = range(1, min(b_max))
+    tables = tabulate_f(lat, l_rows, [[1, 1]], grid)
+    want = _fraction_tables(lat, l_rows, b_max)
+    for B in grid:
+        assert [hyperbola_sum(t, [[1, 1]], B) for t in tables] == \
+            [_staircase_sum(t, [[1, 1]], B) for t in want]
+    assert want[0]
 
 
 @pytest.mark.parametrize("name,l_rows,b_max,extra", [
-    # k = 41..44 all give floor(8000 / k^2) = 4: only the largest prefix
-    # monomial of the signature keeps their x-prefixes apart
+    # H_omega = (H_0 H_1)^2 <= 43^2 on every point the sums read
     ("P1xP1", [[1, 0], [0, 1]], [44, 44], [((2, 2), 8000, 0)]),
     ("P1xP1", [[1, -1], [0, 1]], [3, 6], []),
     ("P1xP1", [[1, 1], [0, 1]], [30, 5], []),
@@ -1855,112 +1855,66 @@ def test_tabulate_f_matches_fraction_fingerprints(name, l_rows, b_max):
     ("P2", [[1]], [16], []),
     ("P3", [[1]], [6], [])])
 def test_tabulate_f_matches_naive_tables(name, l_rows, b_max, extra):
-    """The tables equal the brute-force ones, built from multi_height with
-    no descent and no memo."""
+    """The box sums over S = {prod y_i <= B} equal the sums over S of the
+    brute-force tables, built from multi_height with no descent and no
+    memo, at every B < min(b_max), as in the Fraction test above; `extra`
+    cuts the brute force only where no point that S reads lies."""
     lat = get_lattice(name)
-    floor_t, ceil_t = tabulate_f(lat, l_rows, b_max, extra_constraints=extra)
+    alphas = [[1] * len(l_rows)]
+    grid = range(1, min(b_max))
+    tables = tabulate_f(lat, l_rows, alphas, grid)
     want = naive_tables(lat, l_rows, b_max, extra)
-    assert (floor_t.data, ceil_t.data) == want
+    for B in grid:
+        assert [hyperbola_sum(t, alphas, B) for t in tables] == \
+            [_staircase_sum(t, alphas, B) for t in want]
     assert want[0]
 
 
 def test_tabulate_f_reports_its_enumeration():
-    """The tables carry visited and reused; visited does not depend on the
-    memo or the tally (its value predates both on the criterion 6c
-    region), and P1xP1 reuses subtrees."""
+    """The criterion 6c table: 19 boxes, one table for both roundings
+    (both rows are nef), whose counts add up to the count at 10^4.  It
+    reports the visited of its box counts, and its budget covers them
+    all: the exact budget passes, one less raises."""
     lat = get_lattice("P1xP1")
-    floor_t, ceil_t = tabulate_f(
-        lat, [[1, 0], [0, 1]], [200, 200],
-        extra_constraints=[(list(lat.anticanonical), 16 * 10 ** 4, 0)])
-    assert floor_t.visited == ceil_t.visited == 922220
-    assert floor_t.reused == ceil_t.reused > 0
-    assert sum(floor_t.data.values()) == 2333572
-
-
-def test_table_limit_is_checked_at_leaves(monkeypatch):
-    """The guard stops the walk: F1 in its builtin order reuses no
-    subtree, so only a leaf can pass the limit, and with a budget one short
-    of the whole run the guard still fires before the budget does."""
-    lat = get_lattice("F1")
-    region = Region([((1, 0), 7, 0), ((-1, 0), 1, 0),
-                     ((0, 1), 16, 0), ((0, -1), 1, 0)])
-    rows = [[1, 0], [0, 1]]
-    with _forced(range(4)) as run:
-        full = run(lat, region, 1, fingerprints=rows)
-        assert len(full.floor) > 5 and full.reused == 0
-        with pytest.raises(BudgetError):
-            run(lat, region, 1, fingerprints=rows, budget=full.visited - 1)
-        monkeypatch.setattr(counting, "TABLE_LIMIT", 5)
-        with pytest.raises(DegenerateInputError):
-            run(lat, region, 1, fingerprints=rows, budget=full.visited - 1)
-        with pytest.raises(DegenerateInputError):
-            tabulate_f(lat, [[1, 0], [0, 1]], [7, 16])
-
-
-def test_table_limit_is_checked_at_merges(monkeypatch):
-    """On P1xP1 under H_{e_2} <= 3 each stored subtree has at most three
-    cells, so only a merge can pass the limit of 5.  It raises during the
-    run: with a budget one short of the whole run, the guard still fires
-    before the budget does."""
-    lat = get_lattice("P1xP1")
-    floor_t, _ = tabulate_f(lat, [[1, 0], [0, 1]], [44, 3])
-    assert len(floor_t.data) > 5 and floor_t.reused > 0
-    with pytest.raises(BudgetError):
-        tabulate_f(lat, [[1, 0], [0, 1]], [44, 3],
-                   budget=floor_t.visited - 1)
-    monkeypatch.setattr(counting, "TABLE_LIMIT", 5)
-    with pytest.raises(DegenerateInputError):
-        tabulate_f(lat, [[1, 0], [0, 1]], [44, 3],
-                   budget=floor_t.visited - 1)
-    monkeypatch.setattr(counting, "TABLE_LIMIT", len(floor_t.data))
-    again, _ = tabulate_f(lat, [[1, 0], [0, 1]], [44, 3])
+    rows, B = [[1, 0], [0, 1]], 10 ** 4
+    floor_t, ceil_t = tabulate_f(lat, rows, [[2, 2]], [B])
+    assert floor_t is ceil_t and len(floor_t.data) == 19
+    assert sum(floor_t.data.values()) == 143748
+    again, _ = tabulate_f(lat, rows, [[2, 2]], [B], budget=floor_t.visited)
     assert again.data == floor_t.data
+    with pytest.raises(BudgetError):
+        tabulate_f(lat, rows, [[2, 2]], [B], budget=floor_t.visited - 1)
 
 
 def test_hyperbola_sum_rational_bounds():
-    """The integer membership test agrees with a Fraction evaluation for
-    rational B and rational exponents."""
+    """Rational B and rational exponents: the staircase's integer roots
+    agree with a Fraction evaluation over the brute-force table."""
     lat = get_lattice("P1xP1")
-    floor_t, _ = tabulate_f(lat, [[1, 0], [0, 1]], [12, 12])
+    rows = [[1, 0], [0, 1]]
+    want, _ = naive_tables(lat, rows, [12, 12])
     for alphas, B in [([[2, 2]], Fraction(289, 2)),
                       ([[Fraction(3, 2), Fraction(1, 2)]], Fraction(10, 3)),
                       ([[1, 0], [Fraction(1, 2), 1]], Fraction(50, 7))]:
-        want = sum(cnt for y, cnt in floor_t.data.items()
-                   if all(Fraction(y[0]) ** a[0] * Fraction(y[1]) ** a[1]
-                          <= B for a in alphas))
-        assert hyperbola_sum(floor_t, alphas, B) == want > 0
-
-
-def test_ftable_mass():
-    lat = get_lattice("P1")
-    floor_t, _ = tabulate_f(lat, [[1]], [50])
-    assert floor_t.mass((50,)) == sum(floor_t.data.values())
-    assert floor_t.mass((10,)) == \
-        enumerate_region(lat, anticanonical_region(lat), 100).count
-    with pytest.raises(DegenerateInputError):
-        floor_t.mass((51,))
+        table, _ = tabulate_f(lat, rows, alphas, [B])
+        assert hyperbola_sum(table, alphas, B) == \
+            _staircase_sum(want, alphas, B) > 0
 
 
 def test_hyperbola_sum_validation():
+    """A table holds the boxes of its own grid only."""
     lat = get_lattice("P1")
-    floor_t, _ = tabulate_f(lat, [[1]], [50])
+    table, _ = tabulate_f(lat, [[1]], [[1]], [50])
+    assert hyperbola_sum(table, [[1]], 50) == enumerate_region(
+        lat, anticanonical_region(lat), 2500).count
     with pytest.raises(DegenerateInputError):
-        hyperbola_sum(floor_t, [[-1]], 10)
+        hyperbola_sum(table, [[-1]], 10)
     with pytest.raises(DegenerateInputError):
-        hyperbola_sum(floor_t, [[1]], 300)      # cap exceeds the table
+        hyperbola_sum(table, [[1]], 300)      # a box the table lacks
     with pytest.raises(DegenerateInputError):
-        hyperbola_sum(floor_t, [[1, 1]], 10)    # rank mismatch
+        hyperbola_sum(table, [[1, 1]], 10)    # rank mismatch
+    with pytest.raises(DegenerateInputError):
+        tabulate_f(lat, [[1]], [[-1]], [10])
     pp = get_lattice("P1xP1")
-    fl, _ = tabulate_f(pp, [[1, 0], [0, 1]], [5, 5])
+    fl, _ = tabulate_f(pp, [[1, 0], [0, 1]], [[1, 1]], [5])
     with pytest.raises(DegenerateInputError):
         hyperbola_sum(fl, [[1, 0]], 4)          # unbounded second coordinate
-
-
-def test_tabulate_extra_constraints_restrict():
-    lat = get_lattice("P1")
-    full, _ = tabulate_f(lat, [[1]], [50])
-    low, _ = tabulate_f(lat, [[1]], [50],
-                        extra_constraints=[((2,), 100, 0)])
-    assert sum(low.data.values()) == \
-        enumerate_region(lat, anticanonical_region(lat), 100).count
-    assert sum(low.data.values()) < sum(full.data.values())

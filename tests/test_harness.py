@@ -148,7 +148,8 @@ def test_run_hyperbola_p1():
     exp = Experiment(get_lattice("P1"), "hyperbola", [100, 1000], tau=TAU_P1)
     rows, summary = run_experiment(exp)
     assert summary["caps"] == [31]
-    assert summary["table_sizes"] == [31, 31]
+    # one box per grid point, and one table for both roundings (nef row)
+    assert summary["boxes"]["count"] == 2
     assert summary["sandwich_ok_all"]
     assert summary["alphas"] == ["2"]
     assert [r["count"] for r in rows] == [126, 1230]
@@ -162,25 +163,42 @@ def test_run_hyperbola_p1xp1():
     rows, summary = run_experiment(exp)
     assert [r["count"] for r in rows] == [836, 3908]
     assert summary["sandwich_ok_all"]
-    # the tables' enumeration: visited as before the memo, subtrees reused
-    assert summary["tabulation"]["visited"] == 1636
-    assert summary["tabulation"]["reused"] > 0
+    # the staircase boxes of both grid points, one table for both roundings
+    assert summary["boxes"] == {"count": 13, "visited": 3182}
     for r in rows:
         assert r["sum_ceil"] == r["count"] == r["sum_floor"]
 
 
 def test_run_hyperbola_f1():
     """F1's basis class (0, 1) is not nef, so the sums differ from the
-    count, and only its row of the floor table gets slack."""
+    count, and the floor and ceiling boxes are counted apart."""
     exp = Experiment(get_lattice("F1"), "hyperbola", [1000, 10000], tau=1.0)
     rows, summary = run_experiment(exp)
     assert summary["alphas"] == ["3", "2"] and summary["caps"] == [21, 100]
     assert [(r["sum_ceil"], r["count"], r["sum_floor"]) for r in rows] == [
         (7356, 7996, 9188), (94940, 102316, 114772)]
     assert summary["sandwich_ok_all"]
-    # a count gate on the tabulated domain: 1,280,917 with every cap
-    # doubled and H_omega <= 32 B
-    assert summary["tabulation"]["visited"] == 132764
+    # 17 staircase boxes for the two grid points, per rounding
+    assert summary["boxes"]["count"] == 34
+
+
+def test_hyperbola_sum_calls_as_the_trace_reads_them(monkeypatch):
+    """The traced benchmark wraps counting.hyperbola_sum and reads
+    len(args[0].data) off each call: one call per grid point and rounding,
+    each on a table of box counts."""
+    calls = []
+    hyperbola_sum = counting.hyperbola_sum
+
+    def traced(*args, **kwargs):
+        calls.append(len(args[0].data))
+        return hyperbola_sum(*args, **kwargs)
+
+    monkeypatch.setattr(counting, "hyperbola_sum", traced)
+    exp = Experiment(get_lattice("P1xP1"), "hyperbola", [50, 166, 500],
+                     tau=TAU_PP)
+    rows, summary = run_experiment(exp)
+    assert [r["count"] for r in rows] == [356, 1252, 4964]
+    assert calls == [summary["boxes"]["count"]] * 2 * len(exp.grid)
 
 
 def test_run_hyperbola_solves_dual_basis_once(monkeypatch):
@@ -494,14 +512,14 @@ def test_verify_budget_is_per_run(capsys):
 
 
 def test_hyperbola_budget_covers_tables_and_grid():
-    """The tables and every direct count draw on one budget, which the run
-    uses up exactly."""
+    """The boxes of both tables and every direct count draw on one budget,
+    which the run uses up exactly."""
     lat = get_lattice("P1xP1")
     exp = Experiment(lat, "hyperbola", [100, 400], tau=TAU_PP)
     _, summary = run_experiment(exp)
     region = counting.Region([(lat.anticanonical, 1, 1)],
                              facets=[[1, 0], [0, 1]])
-    total = summary["tabulation"]["visited"] + sum(
+    total = summary["boxes"]["visited"] + sum(
         counting.enumerate_region(lat, region, b).visited for b in exp.grid)
     exp.budget = total
     run_experiment(exp)

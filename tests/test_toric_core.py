@@ -13,7 +13,7 @@ from toricount import fans, linalg
 from toricount.errors import (IncompleteFanError, MalformedFanError,
                               SingularConeError, TorsionError)
 from conftest import BUILTIN_NAMES, get_lattice
-from naive_oracle import place_heights
+from naive_oracle import _inverse, place_heights
 
 # (classes, anticanonical) per fan, pinned
 PINNED_CLASSES = {
@@ -335,8 +335,9 @@ def test_solve_and_inverse_exact():
         b = [Fraction(rng.randint(-9, 9)) for _ in range(n)]
         x = linalg.solve_exact(a, b)
         assert [linalg.vec_dot(row, x) for row in a] == b
-        inv = linalg.inverse(a)
-        assert mat_mul(a, inv) == _identity(n)
+        d, m = linalg.fraction_free_inverse([[int(x) for x in row]
+                                             for row in a])
+        assert [[Fraction(x, d) for x in row] for row in m] == _inverse(a)
 
 
 def test_solve_exact_singular_returns_none():
@@ -362,7 +363,8 @@ def _minor_rank(a):
 
 
 def test_elimination_properties():
-    """rank, nullspace, det, inverse and solve_exact on seeded random
+    """rank, nullspace, det, fraction_free_inverse (against the oracle's
+    _inverse, rows cleared first) and solve_exact on seeded random
     matrices, singular ones and inconsistent systems included;
     consistency is decided independently, by the minors of a and of a
     augmented with b.  Half are integer matrices; the other half have
@@ -398,12 +400,15 @@ def test_elimination_properties():
                 d = linalg.det(a)
                 assert d == _leibniz(a)
                 seen.add((rational, "singular", d == 0))
+                rows = [linalg.cleared(row) for row in a]
+                solved = linalg.fraction_free_inverse([e for e, _ in rows])
                 if d:
-                    assert mat_mul(linalg.inverse(a), a) == \
-                        _identity(n)
+                    # a = diag(1/k) E, so a^-1 = E^-1 diag(k) = m diag(k) / d
+                    e_det, m = solved
+                    assert [[Fraction(x * k, e_det) for x, (_, k) in
+                             zip(row, rows)] for row in m] == _inverse(a)
                 else:
-                    with pytest.raises(ValueError):
-                        linalg.inverse(a)
+                    assert solved is None and _inverse(a) is None
     assert len(seen) == 8
 
 
