@@ -12,7 +12,9 @@ default path calls it.
 """
 
 from fractions import Fraction
-from math import comb, exp, expm1, log, sqrt
+from itertools import repeat
+from math import comb, exp, expm1, isqrt, log, prod, sqrt
+from operator import add, mul, truediv
 
 import numpy as np
 
@@ -24,18 +26,7 @@ _STRATA = 64
 
 
 def is_prime(n):
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    return n > 1 and all(n % f for f in range(2, isqrt(n) + 1))
 
 
 def _sieve(n):
@@ -43,9 +34,10 @@ def _sieve(n):
     True at the primes."""
     sieve = np.ones(n + 1, dtype=bool)
     sieve[:2] = False
-    for p in range(2, int(n ** 0.5) + 1):
+    sieve[4::2] = False
+    for p in range(3, isqrt(n) + 1, 2):
         if sieve[p]:
-            sieve[p * p::p] = False
+            sieve[p * p::2 * p] = False
     return sieve
 
 
@@ -100,34 +92,37 @@ def euler_product(fan, p_max):
     t = S sum_{p > p_max} p^-j0 <= S integral_{p_max}^inf x^-j0 dx
       = S / ((j0 - 1) p_max^(j0 - 1)).
 
-    Rounding: a factor is the integer ratio sum_j q_j p^(n-j) / p^n, which
-    int division rounds once, correctly, and each step of the running
-    product rounds once.  So value = V prod_{i <= 2 pi(p_max)} (1 + eps_i)
-    for the exact partial product V, with |eps_i| <= u = 2^-53, and
+    Rounding: the factor at p is N_p / p^n for the integer
+    N_p = sum_j q_j p^(n-j) = p^n + delta_p, where Horner passes over
+    q[j0:] alone give delta_p = sum_{j >= j0} q_j p^(n-j).  int / int
+    rounds N_p / p^n once, correctly, and math.prod from 1.0 multiplies
+    left to right, each step rounding once, as a loop over the primes
+    would.  So value = V prod_{i <= 2 pi(p_max)} (1 + eps_i) for the
+    exact partial product V, with |eps_i| <= u = 2^-53, and
     |value - V| <= g V with g = 2 pi(p_max) u / (1 - 2 pi(p_max) u).
 
     With E = V T and V <= value / (1 - g):
     |E - value| <= V (exp(t) - 1 + g) <= value (expm1(t) + g) / (1 - g).
 
-    The loop stops before the first p with S 2^54 < p^j0.  From there on
+    The primes stop before the first p with S 2^54 < p^j0.  From there on
     |Q(1/p) - 1| <= S / p^j0 < 2^-54, half the spacing of the doubles just
     below 1, so every later factor rounds to exactly 1.0 and multiplying by
     it is exact: value is the same double as over all p <= p_max, and the
     bound above, which counts pi(p_max) factors, still holds.
     """
-    if p_max < 100:
-        raise DegenerateInputError("p_max must be at least 100")
+    if not isinstance(p_max, int) or p_max < 100:
+        raise DegenerateInputError("p_max must be an int, at least 100")
     q = euler_polynomial(fan)
     j0 = next(j for j, c in enumerate(q) if j and c)  # Q(1) = 0, so exists
     s = sum(map(abs, q[1:]))
     sieve = _sieve(p_max)
     n = fan.n_rays
-    value = 1.0
-    for p in np.flatnonzero(sieve[:iroot(s << 54, j0) + 1]).tolist():
-        num = 0
-        for c in q:
-            num = num * p + c
-        value *= num / p ** n
+    primes = np.flatnonzero(sieve[:iroot(s << 54, j0) + 1]).tolist()
+    delta = repeat(q[j0])
+    for c in q[j0 + 1:]:
+        delta = map(add, map(mul, delta, primes), repeat(c))
+    powers = list(map(pow, primes, repeat(n)))
+    value = prod(map(truediv, map(add, powers, delta), powers), start=1.0)
     t = s / ((j0 - 1) * float(p_max) ** (j0 - 1))
     g = 2 * int(np.count_nonzero(sieve)) * 2.0 ** -53
     g /= 1.0 - g
@@ -264,10 +259,10 @@ def tamagawa(lattice, p_max=10 ** 5, samples=None, seed=None):
     tau.error bounds |tau - 2^{-rho} omega_inf E| for E the infinite Euler
     product: omega_inf is exact, so the bound is 2^{-rho} omega_inf
     tail_bound.  The float product 2^{-rho} omega_inf value rounds once,
-    and that rounding is covered too: the running product of
-    `euler_product` starts with an exact multiplication by 1.0, so it
-    rounds at most 2 pi(p_max) - 1 times against the 2 pi(p_max) its
-    tail_bound allows for.
+    and that rounding is covered too: the math.prod of `euler_product`
+    starts with an exact multiplication by 1.0, so it rounds at most
+    2 pi(p_max) - 1 times against the 2 pi(p_max) its tail_bound allows
+    for.
     """
     # samples and seed are accepted and ignored: omega_inf is exact, and
     # callers such as bench/workloads.py still pass them.

@@ -31,8 +31,12 @@ def _primes(n):
 
 def test_primes_up_to():
     assert _primes(1) == []
+    assert _primes(2) == [2]
+    assert _primes(3) == [2, 3]
+    assert _primes(4) == [2, 3]
     assert _primes(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert _primes(1000) == [n for n in range(1001) if tamagawa.is_prime(n)]
+    for n in (1000, 10 ** 4):
+        assert _primes(n) == [k for k in range(n + 1) if tamagawa.is_prime(k)]
     assert len(_primes(10 ** 4)) == 1229
 
 
@@ -96,12 +100,15 @@ def test_euler_product_closed_forms():
 
 def test_euler_polynomial():
     """(1 - 1/p)^rho omega_p = Q(1/p) with integer Q = 1 + O(x^2)."""
+    names = BUILTIN_NAMES + list(OFF_BUILTIN_FANS)
     q = {name: tamagawa.euler_polynomial(get_lattice(name).fan)
-         for name in BUILTIN_NAMES}
+         for name in names}
     assert q["P1"] == [1, 0, -1]
     assert q["P3"] == [1, 0, 0, 0, -1]
-    assert q["P1xP1"] == q["F1"] == [1, 0, -2, 0, 1]
-    for name in BUILTIN_NAMES:
+    assert q["P1xP1"] == q["F1"] == q["F2"] == [1, 0, -2, 0, 1]
+    assert q["BlP2"] == [1, 0, -5, 5, 0, -1]
+    assert q["P1xP2"] == [1, 0, -1, -1, 0, 1]
+    for name in names:
         fan = get_lattice(name).fan
         rho = fan.n_rays - fan.dim
         for p in (2, 3, 97):
@@ -142,7 +149,7 @@ def _euler_every_prime(fan, p_max):
     return value, value * (expm1(t) + g) / (1.0 - g)
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES)
+@pytest.mark.parametrize("name", BUILTIN_NAMES + list(OFF_BUILTIN_FANS))
 def test_euler_product_stops_where_factors_round_to_one(name):
     """Past the first p with S 2^54 < p^j0 every factor rounds to 1.0, so
     the early stop changes neither the value nor the bound by one bit."""
@@ -156,6 +163,16 @@ def test_euler_product_stops_where_factors_round_to_one(name):
 def test_euler_product_enforces_minimum_pmax():
     with pytest.raises(DegenerateInputError):
         tamagawa.euler_product(get_lattice("P1").fan, 50)
+
+
+@pytest.mark.parametrize("p_max", [1e5, 100000.0, "100000"],
+                         ids=["1e5", "100000.0", "str"])
+def test_pmax_must_be_an_int(p_max):
+    lat = get_lattice("P1")
+    with pytest.raises(DegenerateInputError):
+        tamagawa.euler_product(lat.fan, p_max)
+    with pytest.raises(DegenerateInputError):
+        tamagawa.tamagawa(lat, p_max=p_max)
 
 
 def test_omega_p_table():
