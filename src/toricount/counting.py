@@ -22,18 +22,18 @@ fails on at most one gap of the interval per term of its left side
 
 Prefixes that leave the same subtree are counted once.  On the closed path
 each prefix of depth 1..n-1 has an integer signature: per group of nef
-monomials with the same remaining exponents, the least quota floor(bound /
-prefix monomial); per anti-nef constraint, whether it already holds, or per
-group its least threshold ceil(c / prefix monomial); per group of cones with
-the same remaining rays outside them, the gcd of their prefix complement
-products.  Equal signatures have equal subtrees (the proof is in
-enumerate_region), so a per-call memo maps each signature to its (count,
+monomials with the same remaining exponents v, the gcd(v)-th root of the least
+quota floor(bound / prefix monomial); per anti-nef constraint, whether it
+already holds, or per group its least threshold ceil(c / prefix monomial); per
+group of cones with the same remaining rays outside them, the gcd of their
+prefix complement products.  Equal signatures have equal subtrees (the proof is
+in enumerate_region), so a per-call memo maps each signature to its (count,
 visited).  A depth where some nef group has a single nonconstant prefix
-monomial is skipped, since its signatures would not repeat; F1 in its
-builtin order has no other depth, and the order chosen for it, (y0, y2, y1,
-y3), keys depth 2.  The leaf depth n-1, whose subtree is one closed-form
-count, is keyed only where its parent walks long runs (P2 and P3, not
-P1xP1 or F1 in any order).
+monomial is skipped, since its signatures would not repeat; F1 in its builtin
+order has no other depth, and the order chosen for it, (y0, y2, y1, y3), keys
+depth 2.  The leaf depth n-1, whose subtree is one closed-form count, is keyed
+only where its parent walks long runs (P2 and P3, not P1xP1 or F1 in any
+order).
 
 Children with equal signatures are also counted together.  Along the
 children m of a prefix the quota and threshold parts of the signature are
@@ -42,7 +42,7 @@ integer roots; where every cone group holds the prefix's own ray, the gcd
 part depends on m only through gcd(m, L) for an integer L of the prefix.
 Each run and gcd class then costs one memo lookup and, past one child, one
 Moebius count: on P1xP1 the (x0, x1) loop takes one step per run of equal
-floor(B / max(x0, x1)^2), the grouping by max-norm of the hyperbola method.
+floor(sqrt(B) / max(x0, x1)), the max-norm grouping of the hyperbola method.
 
 A region's shape is all of it but its scales gamma, and what depends on
 the shape alone is compiled once per shape (_compiled_shape): the split of
@@ -370,7 +370,8 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
     all-zero vectors left out, and one group kept of those that hold the
     same set of (constraint, prefix vector w[:d]) pairs, owners[i] the
     constraint of pair i (with no owners, every group is kept): they
-    always hold the same least quota and the same moving pairs; (2) per
+    always hold the same least quota and the same moving pairs, and the
+    kept one comes as (itemgetter, g), g its root (enumerate_region); (2) per
     anti-nef constraint, its reps and their indices grouped the same way
     (a call reads its threshold c); (3) the cones grouped by the set of
     remaining rays outside them; (4) when the children of depth d - 1 are
@@ -404,12 +405,6 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
     program = {}
     for d in range(1, n):
         nef = by_rest(pair_reps, d)
-        if owners:
-            kept = {}
-            for grp in nef:
-                kept.setdefault(frozenset((owners[i], pair_reps[i][:d])
-                                          for i in grp), grp)
-            nef = list(kept.values())
         if any(len({pair_reps[i][:d] for i in grp}) == 1
                and any(pair_reps[grp[0]][:d]) for grp in nef):
             continue
@@ -423,6 +418,17 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
             moving = any(pair_reps[i][d - 1] > 0 for grp in nef for i in grp)
             if unheld or moving:
                 continue
+        # groups merged here hold the same prefix vectors, so the tests
+        # above, made before the merge, read them alike
+        kept, roots = {}, {}
+        for grp in nef:
+            owned = (frozenset((owners[i], pair_reps[i][:d]) for i in grp)
+                     if owners else tuple(grp))
+            kept.setdefault(owned, grp)
+            roots[owned] = gcd(roots.get(owned, 0), *pair_reps[grp[0]][d:])
+        nef = list(kept.values())
+        roots = [g if any(sum(pair_reps[i][:d]) for i in grp) else 1
+                 for grp, g in zip(nef, roots.values())]
         anti = [(reps, by_rest(reps, d)) for reps in anti_reps]
         held = _blockable(cones, outside.values(), d - 1)
         runs = None
@@ -431,7 +437,8 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
                        if pair_reps[i][d - 1]] for grp in nef]
             holders = [s for s, cone in enumerate(cones) if d - 1 in cone]
             runs = (moving, getters(held), itemgetter(*holders, holders[0]))
-        program[d] = (getters(nef), anti, getters(outside.values()), runs)
+        program[d] = (list(zip(getters(nef), roots)), anti,
+                      getters(outside.values()), runs)
     return program
 
 
@@ -646,7 +653,7 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     a monomial its exponents from position d on, the signature is d
     together with
       (a) per group of nef pairs with the same nonzero remaining vector v,
-          the least quota Q;
+          iroot(Q, g), Q the least quota and g = gcd(v);
       (b) per anti-nef constraint, a mark that some prefix monomial P_w
           already reaches c, or else, per group of its representatives with
           the same nonzero remaining vector, ceil(c / max P_w);
@@ -657,7 +664,11 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     is X <= Q, X the product of the new coordinates to the powers of v, and
     its leaf cap is the largest m with X' m^{v_last} <= Q; pairs with the
     same v test the same X, so together they test X <= min Q, and a zero
-    remaining vector leaves a quota the parent already found >= 1.  (b)
+    remaining vector leaves a quota the parent already found >= 1.  Each X
+    is Y^g, Y the product to the powers of v / g, and Y^g <= Q iff Y <=
+    iroot(Q, g).  A group kept for others of its quota takes g over all their
+    v: iroot(iroot(Q, g), h) = iroot(Q, g h); one with only zero prefix
+    vectors keys Q (g = 1), the call's own.  (b)
     The leaf tests max_w P_w X_w >= c, X_w >= 1.  If some P_w >= c, it holds
     on every leaf.  Otherwise P_w X >= c iff X >= ceil(c / P_w), and the
     leaf's lower end uses ceil(c / (P_w X')) = ceil(ceil(c / P_w) / X');
@@ -682,17 +693,18 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     Runs.  A depth d whose child depth d + 1 is eligible does
     not walk its children m one by one when every group of part (c) at d + 1
     has a cone that holds ray d (_blockable; decided once per shape).  It
-    takes maximal runs [a, e] of m with equal parts (a) and (b), keyed from
-    the run's own bounds: floor(q / m^w) >= v iff m <= iroot(floor(q / v),
-    w), so a group's least quota v at a, the least of its least parent quota
-    and floor(q / a^w) <= q over its pairs with w_d > 0, holds up to the
-    least such root over those pairs; ceil(c / M) = t iff M (t - 1) < c <=
-    M t, and M = max P_w m^{w_d} is nondecreasing, so a threshold t >= 2 holds
-    while every P_w m^{w_d} <= floor((c - 1) / (t - 1)), and the mark while
-    every P_w m^{w_d} <= c - 1.  Both parts are monotone, so a run's values
-    never come back and runs have distinct signatures.  Within a run the
-    children with equal D = gcd(m, L) have equal signatures, where, with
-    base_s the prefix complement products, A is the gcd of base_s over the
+    takes maximal runs [a, e] of m with equal parts (a) and (b), keyed from the
+    run's own bounds.  A group's least quota v at a is the least of its least
+    parent quota and floor(q / a^w) <= q over its pairs with w_d > 0, and its
+    part (a) is r = iroot(v, g).  Along m the quotas that do not move stay >= v
+    >= r^g, and floor(q / m^w) >= r^g iff m <= iroot(floor(q / r^g), w), so r
+    holds up to the least such root over the moving pairs.  ceil(c / M) = t iff
+    M (t - 1) < c <= M t, and M = max P_w m^{w_d} is nondecreasing, so a
+    threshold t >= 2 holds while every P_w m^{w_d} <= floor((c - 1) / (t - 1)),
+    and the mark while every P_w m^{w_d} <= c - 1.  Both parts are monotone, so
+    a run's values never come back and runs have distinct signatures.  Within a
+    run the children with equal D = gcd(m, L) have equal signatures, where,
+    with base_s the prefix complement products, A is the gcd of base_s over the
     cones that hold ray d, and L the lcm over the groups of (c) of h, the gcd
     of base_s over the group's cones that hold ray d.  Proof: a group's part
     (c) is gcd(h, m k), k the gcd of base_s over its other cones; at each
@@ -855,8 +867,9 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         that prefix's complement products and nef quotas."""
         nef, anti, coprime, _ = program[depth]
         key = [depth]
-        for get in nef:
-            key.append(min(get(quotas)))
+        for get, g in nef:
+            q = min(get(quotas))
+            key.append(linalg.iroot(q, g) if g > 1 else q)
         for c, (reps, groups) in zip(thresholds, anti):
             pref = [prefix(w, depth) for w in reps]
             key.append(None if max(pref) >= c else
@@ -896,23 +909,24 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
             comp = [b * d if out else b
                     for b, out in zip(base, outside[depth])]
             classes[d] = terms, tuple(gcd(*get(comp)) for get in coprime)
-        fixed = [(min(get(quotas)), [(quotas[i], w) for i, w in pairs])
-                 for get, pairs in zip(nef, moving)]
+        fixed = [(min(get(quotas)), g, [(quotas[i], w) for i, w in pairs])
+                 for (get, g), pairs in zip(nef, moving)]
         prefs = [[prefix(w, depth) for w in reps] for reps, _ in anti]
         a = lo
         while a <= hi:
             # parts (a) and (b) of the child a, and the last m <= hi that
-            # keeps them: floor(q / m^w) >= v iff m <= iroot(floor(q / v), w)
+            # keeps them: r = iroot(v, g) while m <= iroot(floor(q / r^g), w)
             end, key = hi, [depth + 1]
-            for v, pairs in fixed:
+            for v, g, pairs in fixed:
                 for q, w in pairs:
                     if q // a ** w < v:
                         v = q // a ** w
+                key.append(linalg.iroot(v, g) if g > 1 else v)
+                v = key[-1] ** g
                 for q, w in pairs:
                     r = linalg.iroot(q // v, w)
                     if r < end:
                         end = r
-                key.append(v)
             # ceil(c / M) = t iff M (t - 1) < c <= M t, and P m^w < c iff
             # m <= iroot(floor((c - 1) / P), w)
             for c, (reps, groups), pref in zip(thresholds, anti, prefs):
@@ -1189,10 +1203,6 @@ class BoxDecomposition:
     l_rows: tuple
     ratios: tuple
 
-    def kept(self, b_vec):
-        """Largest box index per axis not excluded by the emptiness bound."""
-        return tuple(len(w) - 1 for w in self.walls(b_vec))
-
     def walls(self, b_vec):
         """Per axis the wall values w_0 = B_i > w_1 > ... > w_k, each one
         division by r_i from the last; w_k is the first wall below 1 (k >= 1),
@@ -1204,13 +1214,6 @@ class BoxDecomposition:
                 w.append(w[-1] / r)
             out.append(w)
         return out
-
-    def region(self, b_vec, n_vec):
-        """Closed region for box D_{n,B}: B r^{-n_i} <= H_{L_i} <= B r^{-(n_i-1)}."""
-        highs = [Fraction(b) / r ** (n - 1)
-                 for b, r, n in zip(b_vec, self.ratios, n_vec)]
-        return _box_region(self.l_rows, [h / r for h, r in
-                                         zip(highs, self.ratios)], highs)
 
 
 def build_box_decomposition(lattice, l_rows, seed=0, ratios=None):

@@ -5,7 +5,7 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from types import SimpleNamespace
 
 import pytest
@@ -316,7 +316,7 @@ def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
     assert cone_box() == 1
 
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
-    boxes = [decomp.region((20, 20), n) for n in [(1, 1), (2, 3)]]
+    boxes = [_box(decomp, (20, 20), n) for n in [(1, 1), (2, 3)]]
     got = [coordinate_bounds(lat, box, 1) for box in boxes]
     assert got[0] != got[1]
     assert got == [coordinate_bounds_exactlog(lat, box, 1) for box in boxes]
@@ -603,8 +603,8 @@ def test_closed_form_leaf_cone_boxes():
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
     b_vec = (20, 20)
     total = reused = 0
-    for n_vec in product(*(range(1, k + 2) for k in decomp.kept(b_vec))):
-        res = _memo_on_and_off(lat, decomp.region(b_vec, n_vec), 1)
+    for n_vec in product(*(range(1, k + 2) for k in _kept(decomp, b_vec))):
+        res = _memo_on_and_off(lat, _box(decomp, b_vec, n_vec), 1)
         total += res.count
         reused += res.reused
     cone = count_cone_box(lat, [[1, 0], [0, 1]], b_vec, histogram=False)
@@ -762,6 +762,175 @@ def test_memo_hits_respect_budget():
         enumerate_region(lat, region, 1000, budget=res.visited - 1)
 
 
+# -- root keys -----------------------------------------------------------------
+
+
+def _moebius(n):
+    """mu(0), ..., mu(n), mu(0) = 0, by trial division."""
+    mu = [0, 1] + [1] * (n - 1)
+    for p in range(2, n + 1):
+        if all(p % q for q in range(2, p)):
+            for k in range(p, n + 1, p):
+                mu[k] *= 0 if k % (p * p) == 0 else -1
+    return mu
+
+
+def _prefixes_less_keys(lat, B, depth):
+    """The prefixes at `depth` of the anticanonical region at B less their
+    distinct subtree keys, by brute force from the definition in
+    enumerate_region: per group of nef pairs with the same nonzero
+    remaining vector v, iroot(least quota, gcd(v)); per group of cones with
+    the same remaining rays outside, the gcd of the prefix complement
+    products.  Where `depth` is the only memo depth, every such prefix is
+    looked up and each distinct key misses once, so this is `reused`."""
+    region = anticanonical_region(lat)
+    order = enumerate_region(lat, region, B).order
+    ((_, reps),), _, _ = counting._compile_constraints(lat, region.shape)
+    reps = [tuple(w[lam] for lam in order) for w in reps]
+    cones = [{order.index(lam) for lam in c} for c in lat.fan.max_cones]
+    caps = [coordinate_bounds(lat, region, B)[lam] for lam in order[:depth]]
+    prefixes, keys = 0, set()
+    for y in product(*(range(1, c + 1) for c in caps)):
+        quotas = [B // prod(x ** e for x, e in zip(y, w)) for w in reps]
+        comps = [prod(x for i, x in enumerate(y) if i not in c)
+                 for c in cones]
+        if 0 in quotas or gcd(*comps) != 1:
+            continue
+        prefixes += 1
+        least, outside = {}, {}
+        for q, w in zip(quotas, reps):
+            if any(w[depth:]):
+                least[w[depth:]] = min(least.get(w[depth:], q), q)
+        for c, comp in zip(cones, comps):
+            rest = tuple(lam for lam in range(depth, len(order))
+                         if lam not in c)
+            outside[rest] = gcd(outside.get(rest, 0), comp)
+        keys.add((frozenset((v, linalg.iroot(q, gcd(*v)))
+                            for v, q in least.items()),
+                  frozenset(outside.items())))
+    return prefixes - len(keys)
+
+
+@pytest.mark.parametrize("B,want", [(5000, 2972), (30000, 18362),
+                                    (10 ** 6, 608321)])
+def test_p1xp1_reused_is_prefixes_less_root_keys(B, want):
+    """P1xP1 keys depth 2 alone.  Its prefixes there are the coprime (x0,
+    x1) in [1, N]^2, N = isqrt(B), and one with max(x0, x1) = k keys to
+    isqrt(B // k^2): the two -K groups hold the same quotas B // x0^2 and
+    B // x1^2, with the root 2 of their remaining vectors (0, 2) and
+    (2, 0), and the gcd part is gcd(x0, x1) = 1.  Every k <= N is the
+    max-norm of (k, 1).  Keyed by B // k^2 itself, reused read 2956, 18330
+    and 608196."""
+    lat = get_lattice("P1xP1")
+    big = isqrt(B)
+    mu = _moebius(big)
+    coprime = sum(mu[d] * (big // d) ** 2 for d in range(1, big + 1))
+    keys = {isqrt(B // k ** 2) for k in range(1, big + 1)}
+    res = enumerate_region(lat, anticanonical_region(lat), B)
+    assert res.reused == coprime - len(keys) == want
+    if B <= 30000:
+        assert _prefixes_less_keys(lat, B, 2) == want
+
+
+def _check_roots(pair_reps, owners, program):
+    """Each kept group's root is the gcd of the remaining vectors of every
+    group it stands for (those that hold the same (constraint, prefix
+    vector) pairs), or 1 where all its prefix vectors are zero.  Returns
+    the roots."""
+    roots = []
+    for d, (nef, *_) in program.items():
+        rests = {}
+        for i, w in enumerate(pair_reps):
+            if any(w[d:]):
+                rests.setdefault(w[d:], []).append(i)
+        stands_for = {}
+        for rest, grp in rests.items():
+            held = frozenset((owners[i], pair_reps[i][:d]) for i in grp)
+            stands_for.setdefault(held, []).append(rest)
+        assert len(nef) == len(stands_for)
+        for get, g in nef:
+            grp = get(range(len(pair_reps)))
+            held = frozenset((owners[i], pair_reps[i][:d]) for i in grp)
+            if any(any(pair_reps[i][:d]) for i in grp):
+                assert g == gcd(*(x for rest in stands_for[held]
+                                  for x in rest)), (d, grp)
+            else:
+                assert g == 1, (d, grp)
+            roots.append(g)
+    return roots
+
+
+def test_root_is_the_gcd_of_the_groups_kept():
+    """_check_roots on the compiled programs of the anticanonical regions
+    of every tested fan and of seeded random regions, and on a program
+    whose kept group stands for the remaining vectors (2, 0) and (0, 3):
+    its root is 1, not the 2 of the kept group alone.  The program is made
+    up: the regions tried on the tested fans merge only groups with equal
+    own roots."""
+    roots = []
+    for name in BUILTIN_NAMES + list(OFF_BUILTIN_FANS):
+        lat = get_lattice(name)
+        rng = random.Random(f"roots-{name}")
+        regions = [anticanonical_region(lat)] + [
+            _random_region(rng, lat)[0] for _ in range(30)]
+        for region in regions:
+            try:
+                shape = counting._compiled_shape(lat, region.shape)
+            except DegenerateInputError:
+                continue
+            roots += _check_roots(
+                [w for _, reps in shape.nef for w in reps],
+                [j for j, (_, reps) in enumerate(shape.nef) for _ in reps],
+                shape.program)
+    assert {1, 2, 3} <= set(roots)
+    pair_reps = [(1, 0, 2, 0), (0, 1, 2, 0), (1, 0, 0, 3), (0, 1, 0, 3)]
+    program = counting._signature_program(
+        pair_reps, [], [{0, 2}, {0, 3}, {1, 2}, {1, 3}], 4, [0] * 4)
+    assert len(program[2][0]) == 1
+    assert _check_roots(pair_reps, [0] * 4, program) == [1]
+
+
+@pytest.mark.parametrize("name,B", [("F1", 30000), ("F2", 30000),
+                                    ("P1xP2", 20000)])
+def test_root_keys_match_the_walk(name, B):
+    """Memo and runs on and off, and runs against the walk of every child
+    with the memo on, where groups key by a root g > 1 of a quota that
+    moves with the prefix: the anticanonical regions of F1, F2 and P1xP2,
+    whole and in first_range slices."""
+    lat = _p1xp2() if name == "P1xP2" else get_lattice(name)
+    region = anticanonical_region(lat)
+    shape = counting._compiled_shape(lat, region.shape)
+    assert any(g > 1 for spec in shape.program.values() for _, g in spec[0])
+    full = _memo_on_and_off(lat, region, B)
+    assert _blocked_and_per_child(lat, region, B).reused == full.reused > 0
+    parts = _slices(coordinate_bounds(lat, region, B)[full.order[0]], 3)
+    assert sum(_memo_on_and_off(lat, region, B, first_range=r).count
+               for r in parts) == full.count > 0
+
+
+def test_root_keys_of_two_constraints():
+    """H_(1,1) <= 30 and H_(1,3) <= 90 on P1xP1, descended as labelled: at
+    depth 2 the H_(1,3) group keys by the cube root of its quota, the
+    H_(1,1) group by its quota.  P2's and P3's groups have all-zero prefix
+    vectors, so their quotas are the call's own and key as they are; they
+    are counted on first_range slices."""
+    lat = get_lattice("P1xP1")
+    region = Region([((1, 1), 30, 0), ((1, 3), 90, 0)])
+    with _forced((0, 1, 2, 3)):
+        shape = counting._compiled_shape(lat, region.shape)
+        assert sorted(g for _, g in shape.program[2][0]) == [1, 3]
+        assert _memo_on_and_off(lat, region, 1).count == naive_count(
+            lat, region, 1) == 3012
+    for name, first in (("P2", (5, 30)), ("P3", (6, 6))):
+        lat = get_lattice(name)
+        region = anticanonical_region(lat)
+        shape = counting._compiled_shape(lat, region.shape)
+        assert all(g == 1 for spec in shape.program.values()
+                   for _, g in spec[0])
+        assert _memo_on_and_off(lat, region, 10 ** 5,
+                                first_range=first).reused
+
+
 # -- blocked descent --------------------------------------------------------
 
 
@@ -816,8 +985,8 @@ def test_blocked_descent_cone_boxes():
     lat = get_lattice("P1xP1")
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
     b_vec = (20, 20)
-    regions = [decomp.region(b_vec, n_vec) for n_vec in
-               product(*(range(1, k + 2) for k in decomp.kept(b_vec)))]
+    regions = [_box(decomp, b_vec, n_vec) for n_vec in
+               product(*(range(1, k + 2) for k in _kept(decomp, b_vec)))]
     assert len(regions) == 24
     total = sum(_blocked_and_per_child(lat, r, 1).count for r in regions)
     assert total == 260100
@@ -903,26 +1072,28 @@ def test_blocked_descent_respects_budget():
 
 def test_p1xp1_at_a_million():
     """The closed form of bench/reference.py, sum_k a(k) A(N / k), gives
-    20879748; visited and reused are those of the per-child loop."""
+    20879748; visited is that of the per-child loop, and reused is the
+    count of test_p1xp1_reused_is_prefixes_less_root_keys."""
     lat = get_lattice("P1xP1")
     start = time.perf_counter()
     res = enumerate_region(lat, anticanonical_region(lat), 10 ** 6)
     elapsed = time.perf_counter() - start
     assert (res.count, res.visited, res.reused) == (20879748, 8509144,
-                                                    608196)
+                                                    608321)
     assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
 def test_p1xp1_at_ten_million():
-    """The closed form of bench/reference.py at 10^7.  Of the 105,799 runs
-    at depth 1, 45,656 cover one child, which is counted with no class
-    sums."""
+    """The closed form of bench/reference.py at 10^7.  Of the 16,098 runs
+    at depth 1, 2,097 cover one child, which is counted with no class
+    sums; keyed by the raw quota there were 105,799 runs, 45,656 of one
+    child."""
     lat = get_lattice("P1xP1")
     start = time.perf_counter()
     res = enumerate_region(lat, anticanonical_region(lat), 10 ** 7)
     elapsed = time.perf_counter() - start
     assert (res.count, res.visited, res.reused) == (242924644, 99024948,
-                                                    6078045)
+                                                    6078340)
     assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
@@ -1000,11 +1171,7 @@ def test_leaf_memo_at_scale(name, B, want):
     lat = get_lattice(name)
     n = lat.fan.n_rays
     big = linalg.iroot(B, n)
-    mu = [0, 1] + [1] * (big - 1)
-    for p in range(2, big + 1):
-        if all(p % q for q in range(2, p)):
-            for k in range(p, big + 1, p):
-                mu[k] *= 0 if k % (p * p) == 0 else -1
+    mu = _moebius(big)
     assert sum(mu[d] * (2 * (big // d)) ** n
                for d in range(1, big + 1)) // 2 == want[0]
     start = time.perf_counter()
@@ -1058,8 +1225,8 @@ def test_chooser_keeps_the_order_of_symmetric_fans():
     rows = [[1, 0], [0, 1]]
     boxes = [counting._box_region(rows, [1, 1], [20, 20]),
              counting._box_region(rows, [3, 1], [5, 7]),
-             build_box_decomposition(lat, rows, seed=7).region((20, 20),
-                                                               (2, 3))]
+             _box(build_box_decomposition(lat, rows, seed=7), (20, 20),
+                  (2, 3))]
     for region in boxes:
         assert enumerate_region(lat, region, 1).order == (0, 1, 2, 3)
 
@@ -1138,7 +1305,7 @@ def _one_shape(kind):
                      for g, B in ((2, 12), (3, 14), (4, 10))]
     lat = get_lattice("P1xP1")  # box lower walls: regions of a cone box
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
-    return lat, [(decomp.region((8, 8), n_vec), 1)
+    return lat, [(_box(decomp, (8, 8), n_vec), 1)
                  for n_vec in ((2, 1), (2, 2), (3, 1), (1, 2))]
 
 
@@ -1163,13 +1330,14 @@ def test_shape_cache_keeps_no_call_data(kind):
 
 
 @pytest.mark.parametrize("name,B,want", [
-    ("P1xP1", 5000, (65444, 26552, 2956, (0, 1, 2, 3))),
+    ("P1xP1", 5000, (65444, 26552, 2972, (0, 1, 2, 3))),
     ("P2", 10 ** 6, (3330772, 1000101, 9900, (0, 1, 2)))])
 def test_nef_facets_change_no_count(name, B, want):
     """The facets of the inclusion-exclusion terms are nef here, so each is
     an anti-nef constraint with threshold c = 1, which every point meets:
-    with and without them, count, visited, reused and order are the
-    values of the enumerator that still carried such constraints."""
+    with and without them, count, visited and order are the values of the
+    enumerator that still carried such constraints, and reused on P1xP1 is
+    that of test_p1xp1_reused_is_prefixes_less_root_keys."""
     lat = get_lattice(name)
     dec = effective_decomposition([list(c) for c in lat.classes],
                                   list(lat.anticanonical))
@@ -1197,7 +1365,8 @@ def test_effective_facets_are_dropped():
     shape = counting._compiled_shape(lat, region.shape)
     assert not shape.mixed and not shape.anti and shape.program
     got = _outcome(enumerate_region(lat, region, 5000))
-    assert got[:3] == (48252, 17541, 174)
+    assert got[:3] == (48252, 17541, 176)
+    assert got[2] == _prefixes_less_keys(lat, 5000, 2)
     assert got == _outcome(enumerate_region(lat, anticanonical_region(lat),
                                             5000))
     lat = get_lattice("P1xP1")
@@ -1228,7 +1397,7 @@ def test_nef_groups_with_equal_pairs_are_one():
         assert len(split.program[2][0]) == 2
         both = _outcome(run(lat, region, 30000))
     assert _outcome(enumerate_region(lat, region, 30000)) == both
-    assert both[:3] == (470244, 191138, 18330)
+    assert both[:3] == (470244, 191138, 18362)
     # H_(1,1) <= 30 and H_(1,3) <= 90: the groups of the two constraints
     # hold the same prefix vectors, but not the same quotas
     region = Region([((1, 1), 30, 0), ((1, 3), 90, 0)])
@@ -1404,7 +1573,7 @@ def test_interleaved_p1xp1_at_a_million():
     assert runs[inter][1].order == (0, 2, 1, 3)
     for _, res in runs.values():
         assert (res.count, res.visited, res.reused) == (20879748, 8509144,
-                                                        608196)
+                                                        608321)
     assert runs[inter][0] < 2 * runs[builtin][0], runs
 
 
@@ -1600,10 +1769,25 @@ def test_dual_basis_nu_closed_form(name):
 # -- box decompositions and histograms ----------------------------------------
 
 
+def _box(decomp, b_vec, n_vec):
+    """Closed region of box n of a BoxDecomposition:
+    B_i r_i^{-n_i} <= H_{L_i} <= B_i r_i^{-(n_i-1)}."""
+    highs = [Fraction(b) / r ** (n - 1)
+             for b, r, n in zip(b_vec, decomp.ratios, n_vec)]
+    return counting._box_region(decomp.l_rows, [h / r for h, r in
+                                                zip(highs, decomp.ratios)],
+                                highs)
+
+
+def _kept(decomp, b_vec):
+    """Largest box index per axis not excluded by the emptiness bound."""
+    return tuple(len(w) - 1 for w in decomp.walls(b_vec))
+
+
 def test_box_decomposition_walls_and_locate():
     lat = get_lattice("P1")
     decomp = build_box_decomposition(lat, [[1]], ratios=[Fraction(2)])
-    assert decomp.kept((8,)) == (4,)
+    assert _kept(decomp, (8,)) == (4,)
 
 
 def test_box_decomposition_validation():
