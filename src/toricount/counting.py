@@ -14,14 +14,19 @@ the largest of its per-cone monomials, so each basis class is split once per
 lattice into nef classes, e_i = a_i - b_i, and H_{e_i} is a ratio of two such
 maxima.  Every constraint, region facets included, is compiled once per
 region shape to integer exponents, and per call to an integer bound
-fraction; the descent decides the nef ones exactly, and the last coordinate
-is counted in closed form by Moebius inversion over an interval, or over
-the pieces of it that the constraints of mixed sign leave: each of them
-fails on at most one gap of the interval per term of its left side
-(enumerate_region).
+fraction; the descent decides the nef ones exactly.  With no constraint of
+mixed sign (the closed path) the last two coordinates (u, v) are counted
+together in closed form: the caps and lower ends of v are step functions
+of u, constant on blocks that end at exact integer roots, and the gcd
+conditions are lifted by a double Moebius sum over each block, Dirichlet's
+hyperbola method as de la Breteche uses it on toric surfaces (J. Number
+Theory 87, 2001).  Otherwise the last coordinate alone is counted by
+Moebius inversion over the pieces of its interval that the constraints of
+mixed sign leave: each of them fails on at most one gap of the interval per
+term of its left side (enumerate_region).
 
 Prefixes that leave the same subtree are counted once.  On the closed path
-each prefix of depth 1..n-1 has an integer signature: per group of nef
+each prefix of depth 1..n-2 has an integer signature: per group of nef
 monomials with the same remaining exponents v, the gcd(v)-th root of the least
 quota floor(bound / prefix monomial); per anti-nef constraint, whether it
 already holds, or per group its least threshold ceil(c / prefix monomial); per
@@ -31,9 +36,7 @@ in enumerate_region), so a per-call memo maps each signature to its (count,
 visited).  A depth where some nef group has a single nonconstant prefix
 monomial is skipped, since its signatures would not repeat; F1 in its builtin
 order has no other depth, and the order chosen for it, (y0, y2, y1, y3), keys
-depth 2.  The leaf depth n-1, whose subtree is one closed-form count, is keyed
-only where its parent walks long runs (P2 and P3, not P1xP1 or F1 in any
-order).
+depth 2.
 
 Children with equal signatures are also counted together.  Along the
 children m of a prefix the quota and threshold parts of the signature are
@@ -56,15 +59,16 @@ of a 0.2 ms call on a shared 2-core VM, where the walls as constraints
 gave 9 subsets of 4 tests, 80-120 us of a 0.4 ms call.
 
 The rounded-height sums of the hyperbola method are counts of staircase
-boxes, one plain call each (tabulate_f), so the enumerator has one leaf
-and one memo key.
+boxes, one plain call each (tabulate_f), so the enumerator has one memo
+key and one leaf per path: the 2-D leaf on the closed path, the 1-D leaf of
+mixed pieces otherwise.
 """
 
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from itertools import combinations, permutations, product
+from itertools import combinations, compress, permutations, product
 from math import gcd, lcm, prod
 from operator import itemgetter
 import random
@@ -76,6 +80,9 @@ from .heights import _evaluator
 from .tamagawa import nu_of_box
 
 DEFAULT_BUDGET = 10 ** 10
+# mu + 1 in a byte: negate mu, and flag mu != 0
+_NEGATED = bytes.maketrans(b"\0\2", b"\2\0")
+_SQUAREFREE = bytes.maketrans(b"\0\1\2", b"\1\0\1")
 
 
 @dataclass(frozen=True)
@@ -92,7 +99,8 @@ class Region:
 
     The cone restriction is membership of h in a rational cone of the dual
     Picard space, stored through its facet functionals: h is inside when
-    prod_i H_{e_i}^{f_i} >= 1 for every facet vector f.  A rational facet is
+    prod_i H_{e_i}^{f_i} >= 1 for every facet vector f, of ints and
+    Fractions.  A rational facet is
     cleared to an integer vector d f, d > 0 (linalg.cleared), which bounds
     the same points: H^{d f} >= 1 iff H^f >= 1.  `shape` is all of it but the
     scales gamma: the key of _compiled_shape.
@@ -111,7 +119,7 @@ class Region:
             if c.gamma <= 0:
                 raise DegenerateInputError("constraint scale must be positive")
         self.constraints = tuple(cons)
-        facets = [linalg.cleared([Fraction(x) for x in f])[0] for f in facets]
+        facets = [linalg.cleared(f)[0] for f in facets]
         if cone_generators is not None:
             gens = [list(g) for g in cone_generators]
             if gens:
@@ -266,8 +274,8 @@ def coordinate_bounds(lattice, region, B):
     integer exponent vectors.  A call then decides each test prod base^e <= 1
     by cross-multiplying numerators and denominators (_sides), compares two
     objectives e1/d1 and e2/d2 as the sign of e1 d2 - e2 d1 the same way,
-    and floors exp of the best by linalg.floor_rational_power: every step is
-    an exact integer comparison, so the bounds equal the rational sup's.
+    and floors exp of the best, (lhs / rhs)^(1/d), as iroot(lhs // rhs, d):
+    every step is exact in integers, so the bounds equal the rational sup's.
     """
     return _evaluated(_compiled_shape(lattice, region.shape), region, B)[0]
 
@@ -275,42 +283,64 @@ def coordinate_bounds(lattice, region, B):
 def _evaluated(shape, region, B):
     """The coordinate bounds of the region at B in the caller's labels, and
     the numerators and denominators of the bases (gamma_1, ..., gamma_k, B)
-    they were evaluated at."""
+    they were evaluated at.  Each distinct exponent vector is decided once
+    per call, for vertex tests and objective comparisons alike, and each
+    distinct best objective e / d is rooted once: floor((lhs / rhs)^(1/d))
+    = iroot(lhs // rhs, d), as m^d <= lhs / rhs iff m^d <= lhs // rhs."""
     B = Fraction(B)
     if B <= 0:
         raise DegenerateInputError("B must be a positive rational")
     bases = [c.gamma for c in region.constraints] + [B]
     num = [b.numerator for b in bases]
     den = [b.denominator for b in bases]
+    decided = {}
+
+    def holds(e):
+        """prod base^e <= 1."""
+        if e not in decided:
+            lhs, rhs = _sides(e, 1, 1, num, den)
+            decided[e] = lhs <= rhs
+        return decided[e]
+
     best = None
     for tests, objs in shape.vertex_program:
-        if any(lhs > rhs for lhs, rhs in (_sides(e, 1, 1, num, den)
-                                          for e in tests)):
+        if not all(map(holds, tests)):
             continue
         if best is None:
             best = list(objs)
             continue
-        for lam, ((e1, d1), (e2, d2)) in enumerate(zip(objs, best)):
-            diff = [a * d2 - b * d1 for a, b in zip(e1, e2)]
-            g = gcd(*diff)
-            if g:
-                lhs, rhs = _sides([x // g for x in diff], 1, 1, num, den)
-                if lhs > rhs:
-                    best[lam] = (e1, d1)
+        for lam, (new, old) in enumerate(zip(objs, best)):
+            if new != old:
+                (e1, d1), (e2, d2) = new, old
+                diff = [a * d2 - b * d1 for a, b in zip(e1, e2)]
+                g = gcd(*diff)
+                if g and not holds(tuple(x // g for x in diff)):
+                    best[lam] = new
     if best is None:
         return [0] * len(shape.order), num, den
-    return [linalg.floor_rational_power(Fraction(*_sides(e, 1, 1, num, den)),
-                                        1, d) for e, d in best], num, den
+    roots = {}
+    for e, d in best:
+        if (e, d) not in roots:
+            lhs, rhs = _sides(e, 1, 1, num, den)
+            roots[e, d] = linalg.iroot(lhs // rhs, d)
+    return [roots[obj] for obj in best], num, den
 
 
 # -- enumeration -----------------------------------------------------------
 
 @dataclass
 class EnumerationResult:
+    """count: the points; visited: descent nodes plus full leaf widths, as
+    the walk of every prefix would visit them; reused: the subtrees taken
+    from the signature memo, one per hit whatever the depth of the subtree
+    or the visited it adds, so a count by a coarser key, or at fewer depths,
+    can reuse fewer and still save more; order: the rays in descent order
+    (_descent_order)."""
+
     count: int
     visited: int
-    reused: int = 0  # subtrees taken from the signature memo
-    order: tuple = None  # the rays in descent order (_descent_order)
+    reused: int = 0
+    order: tuple = None
 
 
 def _compile_constraints(lattice, shape):
@@ -380,17 +410,11 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
     d - 1, and all cones that hold it; else None.  Groups (1) and (3), and
     the cones of (4), come as itemgetters that always return a tuple:
     repeating the first index changes neither a min nor a gcd.  Depth d in
-    1..n-1 is eligible unless some group of (1) has a single nonconstant
+    1..n-2 is eligible unless some group of (1) has a single nonconstant
     prefix monomial y^v (a zero prefix vector gives the monomial 1): its
     part of the key then takes a new value on nearly every prefix, so
-    lookups there would miss.  A hit at the leaf depth n-1 saves only one
-    closed-form Moebius sum, so it is keyed only where its parent's runs
-    are long: when every group of (3) has a cone that holds ray n-2 (else
-    a group's gcd carries the parent's coordinate, as y0 does on P1xP1),
-    and when no pair of (1) has w[n-2] > 0 (else the quotas move with the
-    parent's coordinate, as on F1, and runs are about one child long).
-    This test is written out rather than left to _blockable, which decides
-    runs, not eligibility.
+    lookups there would miss.  The leaf depth n-1 has no key: on the
+    closed path the 2-D leaf counts it together with its parent.
     """
     def getters(groups):
         return [itemgetter(*grp, grp[0]) for grp in groups]
@@ -403,7 +427,7 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
         return list(groups.values())
 
     program = {}
-    for d in range(1, n):
+    for d in range(1, n - 1):
         nef = by_rest(pair_reps, d)
         if any(len({pair_reps[i][:d] for i in grp}) == 1
                and any(pair_reps[grp[0]][:d]) for grp in nef):
@@ -412,12 +436,6 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
         for s, cone in enumerate(cones):
             rest = tuple(lam for lam in range(d, n) if lam not in cone)
             outside.setdefault(rest, []).append(s)
-        if d == n - 1:  # the leaf: keyed only below long runs
-            unheld = any(all(d - 1 not in cones[s] for s in grp)
-                         for grp in outside.values())
-            moving = any(pair_reps[i][d - 1] > 0 for grp in nef for i in grp)
-            if unheld or moving:
-                continue
         # groups merged here hold the same prefix vectors, so the tests
         # above, made before the merge, read them alike
         kept, roots = {}, {}
@@ -598,6 +616,21 @@ def _leaf_pieces(lo, hi, mixed, terms):
     return pieces
 
 
+def _lower_end(c, terms, top):
+    """The least v >= 1 with max P v^b >= c over the terms (P, b): 1 when
+    some P >= c, top + 1 when no v reaches c, else the least ceiling root
+    of order b of ceil(c / P) over the terms with b > 0."""
+    end = top + 1
+    for p, b in terms:
+        if p >= c:
+            return 1
+        if b:
+            q = -(-c // p)
+            r = linalg.iroot(q, b)
+            end = min(end, r + (r ** b < q))
+    return end
+
+
 def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                      first_range=None):
     """Count canonical torsor points with multi-height in the region.
@@ -613,15 +646,50 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     Q = floor(bn / (bd y^w[:d])) of the prefix y_0..y_{d-1}: the point fits
     iff the rest of its monomial stays <= Q, and a child m divides Q by
     m^{w_d} (floor(floor(a/b)/c) = floor(a/(bc))), so a zero quota prunes
-    and the leaf cap is min iroot(Q, w_last).  The last coordinate m then
-    runs over [lo, cap]; an anti-nef constraint max_s pref_s m^{w_s} >= c
-    raises lo to min_s ceil((c/pref_s)^{1/w_s}), and m keeps the point
-    coprime iff gcd(m, G0) = 1, G0 the gcd of the prefix complement products
-    over the cones holding the last ray.  Those m are counted as
-    sum_{d | rad G0} mu(d) (floor(cap/d) - floor((lo-1)/d)), the Moebius
-    treatment of torsor coprimality (Salberger, Asterisque 251; de la
-    Breteche, J. Number Theory 87).  The descent's per-coordinate caps come
-    from coordinate_bounds.
+    and the leaf cap is min iroot(Q, w_last).  The 1-D leaf: the last
+    coordinate m runs over [lo, cap]; an anti-nef constraint max_s pref_s
+    m^{w_s} >= c raises lo to min_s ceil((c/pref_s)^{1/w_s}), and m keeps
+    the point coprime iff gcd(m, G0) = 1, G0 the gcd of the prefix
+    complement products over the cones holding the last ray.  Those m are
+    counted as sum_{d | rad G0} mu(d) (floor(cap/d) - floor((lo-1)/d)),
+    the Moebius treatment of torsor coprimality (Salberger, Asterisque 251;
+    de la Breteche, J. Number Theory 87).  The descent's per-coordinate
+    caps come from coordinate_bounds.
+
+    The 2-D leaf.  On the closed path (no mixed constraint) depth n-2
+    counts the last two coordinates (u, v) = (y_{n-2}, y_{n-1}) at once and
+    adds what the walk of u, with the 1-D leaf below each u, would add.  The
+    nef pairs with (w_{n-2}, w_{n-1}) = (a, b) read u^a v^b <= Q, Q their
+    least quota, and u <= hi, the walk's cap, keeps every Q // u^a >= 1.
+    Blocks: cap_v(u) = min(bounds[n-1], iroot(Q // u^a, b) over b > 0) does
+    not increase with u, and cap_v(u') >= c iff Q >= c^b u'^a for every
+    pair with b > 0, so the cap c holds up to the least iroot(Q // c^b, a)
+    over the pairs with a, b > 0.  Lower ends: an anti-nef constraint the
+    prefix does not meet reads max_w P_w u^a v^b >= c.  Its lower end t(u)
+    is 1 once some P_w u^a >= c, else the least ceil root of order b of
+    ceil(c / (P_w u^a)) over its terms with b > 0 (no v, bounds[n-1] + 1,
+    if none), and lo_v(u) is the largest t.  t does not increase with u,
+    and t >= 2 holds while v = t - 1 fails every term, P_w u^a (t - 1)^b
+    <= c - 1 ((t - 1)^0 = 1), that is up to the least iroot((c - 1) //
+    (P_w (t - 1)^b), a) over the terms with a > 0.  So [lo, hi] falls into
+    maximal blocks of constant (cap_v, lo_v).  Coprimality: with base_s
+    the prefix complement products, let h0 be their gcd over the cones
+    that hold u, h1 over the others, g_both over the cones that hold u and
+    v and g_u over those that hold v but not u.  The walk keeps u iff
+    gcd(h0, u h1) = 1, that is iff gcd(u, h0) = 1, as gcd(h0, h1) = 1 (the
+    prefix passed); the 1-D leaf keeps v iff gcd(v, G0) = 1, G0 = gcd(g_both,
+    u g_u), and e | G0 iff e | g_both and e / (e, g_u) | u.  So the count is
+    weight * sum_{d | rad h0} sum_e mu(d) mu(e) sum_u (floor(cap_v / e) -
+    floor((lo_v - 1) / e)), u over the multiples of lcm(d, e / (e, g_u)) in
+    the blocks with lo_v <= cap_v, floor(b / k) - floor((a - 1) / k) of them
+    in [a, b].  e runs over the divisors of rad g_both or, where no cone
+    holds u and v (g_both = 0: P1xP1, F1), over the squarefree e <=
+    min(cap_v, hi g_u), from one table of mu per call.  `visited` gains the
+    1-D leaves' widths, sum_{d | rad h0} mu(d) sum_u cap_v(u) over the
+    multiples u of d, and the leaf raises BudgetError once it has added
+    them.  Where g_both = 0 and e would run more than four times past the
+    u (a short slice of u far from 1, or one u with a large g_u), the leaf
+    hands its u back to the walk and the 1-D leaf.
 
     Mixed constraints.  The descent does not test a constraint of mixed
     sign; the leaf cuts [lo, cap] into pieces instead (_leaf_pieces).
@@ -646,10 +714,11 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     as its own code.
 
     Subtree memo.  On the closed path (no mixed constraint) the count and
-    `visited` of the subtree below a prefix at depth d, 1 <= d <= n-1, are
+    `visited` of the subtree below a prefix at depth d, 1 <= d <= n-2, are
     stored under its signature, and a later prefix with the same signature
-    adds them without descending (`reused` counts those hits); at the leaf
-    depth n-1 the subtree is the leaf itself.  With the remaining vector of
+    adds them without descending (`reused` counts those hits, one per
+    subtree whatever its depth); at depth n-2 the subtree is the 2-D leaf.
+    With the remaining vector of
     a monomial its exponents from position d on, the signature is d
     together with
       (a) per group of nef pairs with the same nonzero remaining vector v,
@@ -680,11 +749,14 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     prefix complement product and R_s the product of the new coordinates
     outside s.  R_s depends on s only through T_s, so p divides all of
     them iff, for every group, p divides g_T or a new coordinate in T; the
-    Moebius sum reads only the primes of G0.  At the leaf depth n-1 the
-    subtree is one interval count: part (a) and bounds[n-1] give its cap,
-    and its width, the visited it adds; part (b) gives the lower end of
-    leaf_start; and the group T = {} of part (c) is G0, whose primes are
-    all the Moebius sum reads.  The bounds, the weight and the budget are
+    Moebius sum reads only the primes of G0.  At depth n-2 the subtree is
+    the 2-D leaf, which adds what the walk and 1-D leaves would, and reads
+    only these parts too: u^a v^b <= Q iff u^{a/g} v^{b/g} <= iroot(Q, g),
+    g = gcd(a, b), so its caps of v follow from part (a) and bounds[n-1];
+    lo_v reads part (b), as ceil(c / (P_w u^a)) = ceil(ceil(c / P_w) /
+    u^a); and h0, h1, g_both and g_u are gcds of part (c)'s groups: T = {}
+    and {n-1}, {n-2} and {n-2, n-1}, {}, and {n-2}.  The bounds, the
+    weight and the budget are
     fixed for the call, and depth 0, where first_range acts, is never
     stored.  So equal signatures have equal subtrees, node for node.  A
     depth is used only when _signature_program finds it eligible, decided
@@ -822,38 +894,128 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         gcd(m, G0) = 1, G0 their gcd over the cones that hold the last ray.
         """
         for c, (_, reps) in zip(thresholds, anti_cons):
-            ends = []
-            for w in reps:
-                pref = prefix(w, depth)
-                if pref >= c:
-                    break
-                if w[depth]:
-                    q = -(-c // pref)
-                    r = linalg.iroot(q, w[depth])
-                    ends.append(r + (r ** w[depth] < q))
-            else:  # with no ends, no cone's monomial ever reaches c
-                lo = max(lo, min(ends, default=hi + 1))
+            lo = max(lo, _lower_end(c, [(prefix(w, depth), w[depth])
+                                        for w in reps], hi))
         return lo, gcd(*(b for b, out in zip(comp_prod[-1], outside[depth])
                          if not out))
 
     def leaf_count(lo, hi, depth):
-        """Admissible last coordinates in [lo, hi], in closed form: one
-        Moebius sum over the interval, or over each of its _leaf_pieces."""
+        """Admissible last coordinates in [lo, hi] in closed form: one
+        Moebius sum over each of the _leaf_pieces that the mixed
+        constraints leave (the whole interval when there are none)."""
         nonlocal count
         lo, g0 = leaf_start(lo, hi, depth)
         if hi < lo:
             return
+        divs = squarefree_divisors(g0, depth, hi)
+        count += weight * sum(
+            mu * (b // d - (a - 1) // d) for a, b in _leaf_pieces(
+                lo, hi, mixed_cons, leaf_terms(depth)) for d, mu in divs)
+
+    def squarefree_divisors(g, depth, top):
+        """(d, mu(d)) for the d <= top dividing rad g, g a product of
+        powers of the magnitudes mags[:depth]."""
         divs = [(1, 1)]
+        if g == 1:
+            return divs
         for p in {p for lam in range(depth) for p in primes_of(mags[lam])
-                  if g0 % p == 0}:
-            divs += [(d * p, -mu) for d, mu in divs if d * p <= hi]
-        if mixed_cons:
-            count += weight * sum(
-                mu * (b // d - (a - 1) // d) for a, b in _leaf_pieces(
-                    lo, hi, mixed_cons, leaf_terms(depth)) for d, mu in divs)
-        else:
-            count += weight * sum(mu * (hi // d - (lo - 1) // d)
-                                  for d, mu in divs)
+                  if g % p == 0}:
+            divs += [(d * p, -mu) for d, mu in divs if d * p <= top]
+        return divs
+
+    table = [bytearray(b"\1"), b""]  # mu + 1 per e, and e squarefree
+
+    def squarefree_upto(top):
+        """(e, mu(e)) for the squarefree e <= top in increasing order, from
+        one table of mu + 1 per call, a bytearray sieved anew to twice its
+        size (at most bounds[n - 1] + 1) when a larger top asks for it."""
+        if top >= len(table[0]):
+            size = min(max(top, 2 * len(table[0])), bounds[n - 1]) + 1
+            code, composite = bytearray(b"\2") * size, bytearray(size)
+            code[0] = 1
+            for p in range(2, size):
+                if not composite[p]:
+                    q = p * p
+                    composite[q::p] = b"\1" * len(range(q, size, p))
+                    code[p::p] = code[p::p].translate(_NEGATED)
+                    code[q::q] = b"\1" * len(range(q, size, q))
+            table[:] = code, code.translate(_SQUAREFREE)
+        code, flags = table
+        return ((e, code[e] - 1) for e in compress(range(top + 1), flags))
+
+    # the 2-D leaf: the pairs that bound v = y_{n-1}, by their exponents
+    # (a, b) of u = y_{n-2} and v, and the cones that hold u, v or both
+    v_pairs = {}
+    for i, ab in enumerate(zip(wcol[n - 2], wcol[n - 1])):
+        if ab[1]:
+            v_pairs.setdefault(ab, []).append(i)
+    v_pairs = [(a, b, itemgetter(*idx, idx[0]))
+               for (a, b), idx in v_pairs.items()]
+    # the cones that hold u, that hold u and v, and that hold v but not u
+    out_uv = list(zip(outside[n - 2], outside[n - 1]))
+    cone_groups = [[s for s, out in enumerate(out_uv) if out in outs]
+                   for outs in ({(0, 0), (0, 1)}, {(0, 0)}, {(1, 0)})]
+
+    def leaf_pair(lo, hi):
+        """The last two coordinates (u, v) below the prefix mags[:n-2], u in
+        [lo, hi], in closed form: the count and visited that the walk of u,
+        and the leaf below each u, would add (enumerate_region)."""
+        nonlocal count, visited
+        quotas, base = quota[-1], comp_prod[-1]
+        top = bounds[n - 1]
+        caps = [(a, b, min(get(quotas))) for a, b, get in v_pairs]
+        walls = []  # per anti-nef constraint not yet met: its (P_w, a, b)
+        for c, (_, reps) in zip(thresholds, anti_cons):
+            terms = [(prefix(w, n - 2), w[n - 2], w[n - 1]) for w in reps]
+            if max(p for p, _, _ in terms) < c:
+                walls.append((c, terms))
+        blocks = []  # (first u, last u, cap_v, lo_v - 1), cap_v >= 1
+        u = lo
+        while u <= hi:
+            cap = min([top] + [linalg.iroot(q // u ** a, b)
+                               for a, b, q in caps])
+            end = min([hi] + [linalg.iroot(q // cap ** b, a)
+                              for a, b, q in caps if a])
+            low = 1
+            for c, terms in walls:
+                t = _lower_end(c, [(p * u ** a, b) for p, a, b in terms], top)
+                if t > 1:  # holds while v = t - 1 fails every term
+                    low = max(low, t)
+                    end = min([end] + [
+                        linalg.iroot((c - 1) // (p * (t - 1) ** b), a)
+                        for p, a, b in terms if a])
+            blocks.append((u, end, cap, low - 1))
+            u = end + 1
+        h0, g_both, g_u = (gcd(*map(base.__getitem__, grp))
+                           for grp in cone_groups)
+        live = [blk for blk in blocks if blk[3] < blk[2]]
+        cap = blocks[0][2]
+        if not g_both:
+            cap = min(cap, hi * g_u)
+            if sum(min(c, cap) for _, _, c, _ in live) > 4 * (hi - lo + 1):
+                return False  # e would run far past the u: walk them
+        ds = squarefree_divisors(h0, n - 2, hi)
+        for d, mu_d in ds:
+            for a, b, c, _ in blocks:
+                visited += mu_d * (b // d - (a - 1) // d) * c
+        if visited > budget:
+            raise BudgetError(over)
+        es = (squarefree_divisors(g_both, n - 2, cap) if g_both
+              else squarefree_upto(cap))
+        total = 0
+        for e, mu_e in es:
+            f = e // gcd(e, g_u)
+            for d, mu_d in ds:
+                k = lcm(d, f)
+                if k <= hi:
+                    part = 0
+                    for a, b, c, low in live:
+                        if c < e:
+                            break
+                        part += (b // k - (a - 1) // k) * (c // e - low // e)
+                    total += mu_d * mu_e * part
+        count += weight * total
+        return True
 
     def leaf_terms(depth):
         """Numerator and denominator halves of the split: per basis class,
@@ -993,7 +1155,7 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
             hi = min(hi, first_range[1])
         if hi < lo:
             return
-        if depth == n - 1:
+        if depth == n - 1:  # mixed regions, and the u the 2-D leaf walks
             visited += hi - lo + 1
             if visited > budget:
                 raise BudgetError(over)
@@ -1002,6 +1164,8 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         visited += 1
         if visited > budget:
             raise BudgetError(over)
+        if depth == n - 2 and not mixed_cons and leaf_pair(lo, hi):
+            return
         if depth in by_runs:
             walk_runs(depth, lo, hi, by_runs[depth])
             return

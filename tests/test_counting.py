@@ -680,16 +680,15 @@ def _own_program(lat, region):
         lat.fan.max_cones, lat.fan.n_rays)
 
 
-@pytest.mark.parametrize("name,depths", [("P1", []), ("P2", [1, 2]),
-                                         ("P3", [1, 2, 3]), ("P1xP1", [2]),
+@pytest.mark.parametrize("name,depths", [("P1", []), ("P2", [1]),
+                                         ("P3", [1, 2]), ("P1xP1", [2]),
                                          ("F1", [])])
 def test_signature_depths(name, depths):
-    """Memo depths lie in 1..n-1, never at depth 0, where first_range acts;
-    a depth with a nef group of one nonconstant prefix monomial (F1 in its
-    builtin order at depths 1 and 2, P1xP1 at depth 1) is skipped.  The
-    leaf depth n-1 is keyed only where its parent's runs are long: P1xP1's
-    leaf key would carry y0 (no cone group at depth 3 holds ray 2), and
-    F1's leaf quotas move with its parent's coordinate."""
+    """Memo depths lie in 1..n-2, never at depth 0, where first_range acts,
+    nor at the leaf depth n-1, which the 2-D leaf counts together with its
+    parent; a depth with a nef group of one nonconstant prefix monomial
+    (F1 in its builtin order at depths 1 and 2, P1xP1 at depth 1) is
+    skipped."""
     lat = get_lattice(name)
     assert sorted(_own_program(lat, anticanonical_region(lat))) == depths
 
@@ -705,15 +704,14 @@ def test_memo_matches_streaming_walk(name, B):
 
 def test_memo_keeps_prefix_gcd():
     """P3 prefixes (6, x1) have gcd 1, 2, 3 or 6: the subtree below depends
-    on it, and prefixes with equal gcd share one.  Below the four (6, x1)
-    descended, the 48 leaves (6, x1, x2) fall into the classes
-    gcd(6, x1, x2) = 1, 2, 3, 6, so 48 - 4 more reuse one."""
+    on it, and prefixes with equal gcd share one, so 12 - 4 of them reuse
+    one.  Below each, the 2-D leaf counts (x2, x3) with no key."""
     lat = get_lattice("P3")
     B = 12 ** 4
     assert coordinate_bounds(lat, anticanonical_region(lat), B)[1] == 12
     res = _memo_on_and_off(lat, anticanonical_region(lat), B,
                            first_range=(6, 6))
-    assert res.reused == (12 - 4) + (48 - 4)
+    assert res.reused == 12 - 4
 
 
 def test_memo_keeps_anti_nef_threshold():
@@ -912,8 +910,11 @@ def test_root_keys_of_two_constraints():
     """H_(1,1) <= 30 and H_(1,3) <= 90 on P1xP1, descended as labelled: at
     depth 2 the H_(1,3) group keys by the cube root of its quota, the
     H_(1,1) group by its quota.  P2's and P3's groups have all-zero prefix
-    vectors, so their quotas are the call's own and key as they are; they
-    are counted on first_range slices."""
+    vectors, so their quotas are the call's own and key as they are.  P2
+    keys depth 1 alone, where each x0 has its own gcd part, so its slice
+    x0 in [5, 30] reuses nothing; it counts 4 per coprime (x0, x1, x2)
+    with x1, x2 <= N = 46, N^3 <= 10^5, a Moebius sum.  P3 reuses the
+    subtrees of equal gcd(6, x1)."""
     lat = get_lattice("P1xP1")
     region = Region([((1, 1), 30, 0), ((1, 3), 90, 0)])
     with _forced((0, 1, 2, 3)):
@@ -921,14 +922,21 @@ def test_root_keys_of_two_constraints():
         assert sorted(g for _, g in shape.program[2][0]) == [1, 3]
         assert _memo_on_and_off(lat, region, 1).count == naive_count(
             lat, region, 1) == 3012
+    mu = _moebius(46)
     for name, first in (("P2", (5, 30)), ("P3", (6, 6))):
         lat = get_lattice(name)
         region = anticanonical_region(lat)
         shape = counting._compiled_shape(lat, region.shape)
         assert all(g == 1 for spec in shape.program.values()
                    for _, g in spec[0])
-        assert _memo_on_and_off(lat, region, 10 ** 5,
-                                first_range=first).reused
+        res = _memo_on_and_off(lat, region, 10 ** 5, first_range=first)
+        if name == "P2":
+            assert res.reused == 0
+            assert res.count == 4 * sum(
+                mu[d] * (30 // d - 4 // d) * (46 // d) ** 2
+                for d in range(1, 47))
+        else:
+            assert res.reused > 0
 
 
 # -- blocked descent --------------------------------------------------------
@@ -947,15 +955,15 @@ def _blocked_and_per_child(lat, region, B, **kw):
     return blocked
 
 
-@pytest.mark.parametrize("name,blocked", [("P1", []), ("P2", [2]),
-                                          ("P3", [2, 3]), ("P1xP1", [2]),
+@pytest.mark.parametrize("name,blocked", [("P1", []), ("P2", []),
+                                          ("P3", [2]), ("P1xP1", [2]),
                                           ("F1", [])])
 def test_blockable_depths(name, blocked):
     """Children are counted by runs where every cone group of the child
     depth has a cone that holds the parent's ray: never at P2 and P3 depth
     0 (the cone outside all later rays misses ray 0) nor on F1 in its
-    builtin order.  On P2 and P3 the parent of the
-    leaf walks runs too."""
+    builtin order.  The parent of the leaf depth walks no runs: the 2-D
+    leaf counts its children in closed form."""
     lat = get_lattice(name)
     program = _own_program(lat, anticanonical_region(lat))
     assert sorted(d for d, spec in program.items() if spec[3]) == blocked
@@ -1017,13 +1025,11 @@ def test_blocked_descent_anti_nef_threshold():
 def test_blocked_descent_gcd_classes():
     """P3 below x0 = 6: the x1 in [1, 12] fall into the classes
     gcd(x1, 6) = 1, 2, 3, 6, each one subtree, so 12 - 4 of them reuse
-    one, and the 48 leaves below the four descended fall into the classes
-    gcd(6, x1, x2), so 48 - 4 more do; other x0 give other divisor
-    lattices."""
+    one; other x0 give other divisor lattices."""
     lat = get_lattice("P3")
     region = anticanonical_region(lat)
     res = _blocked_and_per_child(lat, region, 12 ** 4, first_range=(6, 6))
-    assert res.reused == (12 - 4) + (48 - 4)
+    assert res.reused == 12 - 4
     for x0 in (1, 12, 24, 30):
         _blocked_and_per_child(lat, region, 30 ** 4, first_range=(x0, x0))
 
@@ -1042,16 +1048,17 @@ def test_blocked_descent_classes_differ_in_part_c(name, B):
 
 
 def test_blocked_descent_nested_depths():
-    """On P4 depths 1, 2 and 3 all count their children by runs, each
-    inside the subtrees the one before descends.  Its torus points of
-    anticanonical height <= N^5 number (1/2) sum_d mu(d) (2 floor(N/d))^5."""
+    """On P4 depths 1 and 2 count their children by runs, each inside
+    the subtrees the one before descends, and the 2-D leaf counts (y3, y4).
+    Its torus points of anticanonical height <= N^5 number
+    (1/2) sum_d mu(d) (2 floor(N/d))^5."""
     rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
             [-1, -1, -1, -1]]
     lat = fans.class_lattice(fans.make_fan(
         4, rays, list(combinations(range(5), 4)), name="P4"))
     region = anticanonical_region(lat)
     program = _own_program(lat, region)
-    assert sorted(d for d, spec in program.items() if spec[3]) == [2, 3, 4]
+    assert sorted(d for d, spec in program.items() if spec[3]) == [2, 3]
     mu = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
     res = _blocked_and_per_child(lat, region, 8 ** 5)
     assert res.count == sum(m * (2 * (8 // d)) ** 5
@@ -1097,7 +1104,7 @@ def test_p1xp1_at_ten_million():
     assert elapsed < 2.0, f"{elapsed:.2f} s"
 
 
-# -- leaf memo ----------------------------------------------------------------
+# -- the 2-D leaf ------------------------------------------------------------
 
 
 def _p1xp2():
@@ -1106,54 +1113,113 @@ def _p1xp2():
     return fans.class_lattice(fans.make_fan(3, rays, cones, name="P1xP2"))
 
 
-def _with_and_without_leaf_key(lat, region, B, **kw):
-    """Counts a region twice: with the leaf depth n-1 in the signature
-    program, by runs and child by child (_blocked_and_per_child), and with
-    the leaf depth dropped from the program.  count and visited agree; the
-    leaf key only adds hits."""
-    keyed = _blocked_and_per_child(lat, region, B, **kw)
-    signature_program = counting._signature_program
-
-    def leafless(*args):
-        program = signature_program(*args)
-        program.pop(lat.fan.n_rays - 1, None)
-        return program
-
-    with _forced(keyed.order, _signature_program=leafless) as run:
-        plain = run(lat, region, B, **kw)
-    assert (keyed.count, keyed.visited) == (plain.count, plain.visited)
-    assert keyed.reused >= plain.reused
-    return keyed, plain
+def _annulus(lat, B, low):
+    """low <= H_{omega^-1} <= B, counted at B = 1."""
+    anti = [-x for x in lat.anticanonical]
+    return Region([(lat.anticanonical, B, 0), (anti, Fraction(1, low), 0)])
 
 
-@pytest.mark.parametrize("name,B", [("P2", 20000), ("P3", 50000),
-                                    ("P1xP2", 6000)])
-def test_leaf_key_matches_leafless_program(name, B):
-    """On the anticanonical region, on annuli low <= H_{omega^-1} <= B,
-    whose anti-nef lower end is part (b) of the leaf key, and on the
-    ranges of a first-coordinate partition, all in the fans' own order:
-    the order chosen for P1xP2 puts the P2 rays first and does not key
-    its leaf."""
+@pytest.mark.parametrize("name,B", [("P1", 3000), ("P2", 2000),
+                                    ("P3", 1000), ("P1xP1", 1000),
+                                    ("F1", 1000), ("F2", 600),
+                                    ("BlP2", 400), ("P1xP2", 300)])
+def test_leaf_pair_matches_naive_count(name, B):
+    """The 2-D leaf against the brute force on every tested fan, with the
+    memo on and off: on the anticanonical region, where the caps of v fall
+    along u on BlP2 (pairs u v^2 and u^2 v); on the annulus B/3 <= H <= B,
+    whose anti-nef lower end lo_v falls along u too; and on first_range
+    slices, which add up to the whole."""
     lat = _p1xp2() if name == "P1xP2" else get_lattice(name)
-    with _forced(range(lat.fan.n_rays)):
-        full = anticanonical_region(lat)
-        keyed, plain = _with_and_without_leaf_key(lat, full, B)
-        assert keyed.count > 0 and keyed.reused > plain.reused
-        anti = [-x for x in lat.anticanonical]
-        for low in (B // 8, B // 3, B // 2):
-            region = Region([(lat.anticanonical, B, 0),
-                             (anti, Fraction(1, low), 0)])
-            assert _with_and_without_leaf_key(lat, region, 1)[0].count > 0
-        parts = _slices(coordinate_bounds(lat, full, B)[keyed.order[0]], 3)
-        assert sum(_with_and_without_leaf_key(lat, full, B, first_range=r)[0]
-                   .count for r in parts) == keyed.count
+    for region, b in ((anticanonical_region(lat), B),
+                      (_annulus(lat, B, -(-B // 3)), 1)):
+        res = _memo_on_and_off(lat, region, b)
+        assert res.count == naive_count(lat, region, b) > 0
+        parts = _slices(coordinate_bounds(lat, region, b)[res.order[0]], 3)
+        assert sum(_memo_on_and_off(lat, region, b, first_range=r).count
+                   for r in parts) == res.count
+
+
+@pytest.mark.parametrize("name,both,B", [("P1xP1", False, 30000),
+                                         ("F1", False, 30000),
+                                         ("P2", True, 10 ** 6),
+                                         ("P3", True, 10 ** 6)])
+def test_leaf_pair_coprimality_cases(name, both, B):
+    """Where no cone holds both u and v (P1xP1, F1) v is kept iff it is
+    coprime to u g_u, and e runs over every squarefree e up to the cap;
+    where one does (P2, P3), e runs over the divisors of rad g_both.  Both
+    against the per-child walk of the parents (with the runs off) and the
+    memo off, and on P2 and P3 against the closed form
+    (1/2) sum_d mu(d) (2 floor(N/d))^n, N = iroot(B, n)."""
+    lat = get_lattice(name)
+    region = anticanonical_region(lat)
+    shape = counting._compiled_shape(lat, region.shape)
+    n = lat.fan.n_rays
+    last = {shape.order[n - 2], shape.order[n - 1]}
+    assert any(last <= set(c) for c in lat.fan.max_cones) == both
+    res = _memo_on_and_off(lat, region, B)
+    assert _blocked_and_per_child(lat, region, B).count == res.count
+    if both:
+        big = linalg.iroot(B, n)
+        mu = _moebius(big)
+        assert res.count == sum(mu[d] * (2 * (big // d)) ** n
+                                for d in range(1, big + 1)) // 2
+
+
+@pytest.mark.parametrize("name,region,B", [
+    ("BlP2", None, 10 ** 4), ("P1xP1", (3000, 1001), 1),
+    ("BlP2", (3000, 1001), 1)])
+def test_leaf_pair_respects_budget(name, region, B):
+    """The 2-D leaf adds the visited of every u at once and raises after:
+    the exact budget passes and one less raises, on BlP2 at 10^4 and on
+    annuli 1001 <= H <= 3000."""
+    lat = get_lattice(name)
+    region = (anticanonical_region(lat) if region is None
+              else _annulus(lat, *region))
+    res = enumerate_region(lat, region, B)
+    assert enumerate_region(lat, region, B,
+                            budget=res.visited).count == res.count > 0
+    with pytest.raises(BudgetError):
+        enumerate_region(lat, region, B, budget=res.visited - 1)
+
+
+def test_leaf_pair_walks_a_short_u_range(monkeypatch):
+    """Where e would run more than four times past the u, as on a slice of
+    P1 far from 1 (one u = 3001 below a cap of v of 3100), the 2-D leaf
+    hands its u back to the walk, whose 1-D leaf cuts _leaf_pieces; on
+    P1xP1's anticanonical region nothing is walked.  Slices of 100 u walk
+    from u = 401 on, where e would run to min(3100, hi) > 4 * 100, and
+    walked and closed slices add up to (1/2) sum_d mu(d) (2 floor(N/d))^2,
+    N = 3100."""
+    calls = []
+    pieces = counting._leaf_pieces
+
+    def counted(*args):
+        calls.append(args[:2])
+        return pieces(*args)
+
+    monkeypatch.setattr(counting, "_leaf_pieces", counted)
+    lat = get_lattice("P1xP1")
+    enumerate_region(lat, anticanonical_region(lat), 1000)
+    assert calls == []
+    lat = get_lattice("P1")
+    region = anticanonical_region(lat)
+    res = enumerate_region(lat, region, 3100 ** 2, first_range=(3001, 3001))
+    assert calls == [(1, 3100)]
+    assert res.visited == 1 + 3100
+    mu = _moebius(3100)
+    assert sum(enumerate_region(lat, region, 3100 ** 2, first_range=r).count
+               for r in _slices(3100, 31)) == 2 * sum(
+                   mu[d] * (3100 // d) ** 2 for d in range(1, 3101))
+    assert len(calls) > 20
 
 
 def test_leaf_memo_respects_budget():
+    """P2 keys depth 1 alone, where no prefix repeats, so nothing is
+    reused; the budget holds on the 2-D leaf below every x0."""
     lat = get_lattice("P2")
     region = anticanonical_region(lat)
     res = enumerate_region(lat, region, 300000)
-    assert res.reused > 0
+    assert res.reused == 0
     assert enumerate_region(lat, region, 300000,
                             budget=res.visited).count == res.count
     with pytest.raises(BudgetError):
@@ -1161,13 +1227,14 @@ def test_leaf_memo_respects_budget():
 
 
 @pytest.mark.parametrize("name,B,want", [
-    ("P2", 10 ** 9, (3328184548, 1000001001, 999000)),
-    ("P3", 10 ** 10, (73713849720, 9971320909, 199080))])
+    ("P2", 10 ** 9, (3328184548, 1000001001, 0)),
+    ("P3", 10 ** 10, (73713849720, 9971320909, 99540))])
 def test_leaf_memo_at_scale(name, B, want):
     """The closed form (1/2) sum_d mu(d) (2 floor(N/d))^n, N = B^(1/n), of
-    bench/reference.py.  visited is that of the per-child loop.  The 1000^2
-    leaves (x0, x1) of P2 fall into the 1000 classes gcd(x0, x1), so all but
-    1000 of them reuse a stored leaf."""
+    bench/reference.py.  visited is that of the per-child loop.  P2 keys
+    depth 1 alone, where no x0 repeats a key.  P3 keys depth 2, where all
+    N^2 = 316^2 prefixes (x0, x1) pass and key by gcd(x0, x1) alone, so
+    all but the 316 distinct gcds reuse a subtree."""
     lat = get_lattice(name)
     n = lat.fan.n_rays
     big = linalg.iroot(B, n)
@@ -1331,13 +1398,14 @@ def test_shape_cache_keeps_no_call_data(kind):
 
 @pytest.mark.parametrize("name,B,want", [
     ("P1xP1", 5000, (65444, 26552, 2972, (0, 1, 2, 3))),
-    ("P2", 10 ** 6, (3330772, 1000101, 9900, (0, 1, 2)))])
+    ("P2", 10 ** 6, (3330772, 1000101, 0, (0, 1, 2)))])
 def test_nef_facets_change_no_count(name, B, want):
     """The facets of the inclusion-exclusion terms are nef here, so each is
     an anti-nef constraint with threshold c = 1, which every point meets:
     with and without them, count, visited and order are the values of the
     enumerator that still carried such constraints, and reused on P1xP1 is
-    that of test_p1xp1_reused_is_prefixes_less_root_keys."""
+    that of test_p1xp1_reused_is_prefixes_less_root_keys; on P2 it is 0,
+    as in test_leaf_memo_at_scale."""
     lat = get_lattice(name)
     dec = effective_decomposition([list(c) for c in lat.classes],
                                   list(lat.anticanonical))
