@@ -10,20 +10,20 @@ does not depend on how the rays are labelled, but which depths can use the
 memo and the runs below does.
 
 Heights stay in integers.  On a canonical point the height of a nef class is
-the largest of its per-cone monomials, so each basis class is split once per
-lattice into nef classes, e_i = a_i - b_i, and H_{e_i} is a ratio of two such
-maxima.  Every constraint, region facets included, is compiled once per
-region shape to integer exponents, and per call to an integer bound
-fraction; the descent decides the nef ones exactly.  With no constraint of
-mixed sign (the closed path) the last two coordinates (u, v) are counted
-together in closed form: the caps and lower ends of v are step functions
-of u, constant on blocks that end at exact integer roots, and the gcd
-conditions are lifted by a double Moebius sum over each block, Dirichlet's
-hyperbola method as de la Breteche uses it on toric surfaces (J. Number
-Theory 87, 2001).  Otherwise the last coordinate alone is counted by
-Moebius inversion over the pieces of its interval that the constraints of
-mixed sign leave: each of them fails on at most one gap of the interval per
-term of its left side (enumerate_region).
+the largest of its per-cone monomials, and the class e of a constraint of
+mixed sign is split once per region shape into nef classes, e = a - b
+(HeightEvaluator.split), so H_e is a ratio of two such maxima.  Every
+constraint, region facets included, is compiled once per region shape to
+integer exponents, and per call to an integer bound fraction; the descent
+decides the nef ones exactly.  With no constraint of mixed sign (the closed
+path) the last two coordinates (u, v) are counted together in closed form:
+the caps and lower ends of v are step functions of u, constant on blocks
+that end at exact integer roots, and the gcd conditions are lifted by a
+double Moebius sum over each block, Dirichlet's hyperbola method as de la
+Breteche uses it on toric surfaces (J. Number Theory 87, 2001).  Otherwise
+the last coordinate alone is counted by Moebius inversion over the pieces of
+its interval that the constraints of mixed sign leave: each of them fails on
+at most one gap of the interval per monomial of a (enumerate_region).
 
 Prefixes that leave the same subtree are counted once.  On the closed path
 each prefix of depth 1..n-2 has an integer signature: per group of nef
@@ -357,10 +357,14 @@ def _compile_constraints(lattice, shape):
     one, so their bounds round to the quota floor(bound) and the threshold
     c = ceil(1/bound) without changing the point set.  Entries are (v,
     reps), reps the per-cone representatives of e (nef) or the distinct
-    ones of -e (anti-nef), and (v, e) (mixed).
+    ones of -e (anti-nef), and (v, (monomials(a), monomials(b))) (mixed),
+    (a, b) the nef split of e itself (HeightEvaluator.split): on a
+    canonical point H_e = H_a / H_b, and each side is the largest of its
+    monomials.
     """
     cls_rows, s_vals, facets = shape
     k = len(cls_rows)
+    ev = _evaluator(lattice)
     nef, anti, mixed = [], [], []
     for i, row in enumerate([tuple(q) + (s,) for q, s in zip(cls_rows, s_vals)]
                             + [tuple(-x for x in f) + (0,) for f in facets]):
@@ -373,7 +377,7 @@ def _compile_constraints(lattice, shape):
         elif all(x <= 0 for w in reps for x in w):
             anti.append((v, sorted({tuple(-x for x in w) for w in reps})))
         else:
-            mixed.append((v, e))
+            mixed.append((v, tuple(map(ev.monomials, ev.split(e)))))
     return nef, anti, mixed
 
 
@@ -516,8 +520,8 @@ def _descent_order(n, cones, pair_reps, limit, closed):
     return min(candidates, key=score)
 
 
-_Shape = namedtuple("_Shape", "vertex_program order nef anti mixed mono "
-                    "outside wcol program by_runs")
+_Shape = namedtuple("_Shape", "vertex_program order nef anti mixed outside "
+                    "wcol program by_runs")
 
 
 @lru_cache(maxsize=256)
@@ -537,11 +541,11 @@ def _compiled_shape(lattice, shape):
     and is compiled as the constraint H^{-L_i} <= 1.  The entry holds the
     vertex program, the constraints (_compile_constraints), the order
     (_descent_order) and, relabelled by it (depth i holds the ray
-    order[i]), the representatives, the max-monomial lists of the classes a
-    mixed constraint reads (empty for the others), per depth the cones
-    whose complement holds its ray and the pair exponents, and the
-    _signature_program with the depths whose children walk runs.  Every
-    call of the shape shares the entry, so none may change it."""
+    order[i]), the representatives and the monomials of each mixed
+    constraint's nef split, per depth the cones whose complement holds its
+    ray and the pair exponents, and the _signature_program with the depths
+    whose children walk runs.  Every call of the shape shares the entry, so
+    none may change it."""
     fan, n, rho = lattice.fan, lattice.fan.n_rays, lattice.rank
     if any(len(v) != rho for v in shape[0] + shape[2]):
         raise DegenerateInputError(f"region vectors need {rho} entries")
@@ -557,44 +561,30 @@ def _compiled_shape(lattice, shape):
     moved = itemgetter(*order)
     nef = [(v, [moved(w) for w in reps]) for v, reps in nef]
     anti = [(v, [moved(w) for w in reps]) for v, reps in anti]
-    mono = [[[moved(w) for w in side] for side in pair]
-            if any(e[j] for _, e in mixed) else ([], [])
-            for j, pair in enumerate(
-                _evaluator(lattice).nef_split[2] if mixed else ())]
+    mixed = [(v, [[moved(w) for w in side] for side in pair])
+             for v, pair in mixed]
     cones = [{order.index(lam) for lam in c} for c in fan.max_cones]
     pair_reps = [w for _, reps in nef for w in reps]
     program = {} if mixed else _signature_program(
         pair_reps, [reps for _, reps in anti], cones, n,
         [j for j, (_, reps) in enumerate(nef) for _ in reps])
-    return _Shape(vertex_program, order, nef, anti, mixed, mono,
+    return _Shape(vertex_program, order, nef, anti, mixed,
                   [[lam not in c for c in cones] for lam in range(n)],
                   [[w[d] for w in pair_reps] for d in range(n)], program,
                   {d - 1: spec for d, spec in program.items() if spec[3]})
 
 
-def _leaf_pieces(lo, hi, mixed, terms):
-    """[lo, hi] less the m that fail a mixed constraint (e, bn, bd), as
-    disjoint intervals in increasing order, at the leaf_terms `terms`; the
-    rule and its proof are in enumerate_region."""
-    def times(poly, half):  # max-plus: exponent of m -> largest coefficient
-        out = {}
-        for a, c in poly.items():
-            for p, w in half:
-                if out.get(a + w, 0) < c * p:
-                    out[a + w] = c * p
-        return out
-
+def _leaf_pieces(lo, hi, mixed):
+    """[lo, hi] less the m that fail a mixed constraint, as disjoint
+    intervals in increasing order.  Each constraint is a pair of lists of
+    (coefficient, exponent of m) terms and holds iff the largest term of
+    the left list is at most the largest of the right one; the rule and
+    its proof are in enumerate_region."""
     gaps = []
-    for e, bn, bd in mixed:
-        lhs, rhs = {0: bd}, {0: bn}
-        for num, den, x in zip(*terms, e):
-            if x < 0:
-                num, den, x = den, num, -x
-            for _ in range(x):
-                lhs, rhs = times(lhs, num), times(rhs, den)
-        for a, la in lhs.items():
+    for lhs, rhs in mixed:
+        for la, a in lhs:
             below, above = 0, hi + 1  # m <= below or m >= above passes
-            for b, rb in rhs.items():
+            for rb, b in rhs:
                 if a > b:
                     below = max(below, linalg.iroot(rb // la, a - b))
                 elif a < b:
@@ -638,10 +628,11 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     Deterministic lexicographic walk over coordinate magnitudes with exact
     membership.
 
-    Heights are integers throughout: each basis class is split once per
-    lattice as e_i = a_i - b_i with a_i, b_i nef (HeightEvaluator.nef_split),
-    and on a canonical point H_{e_i} is the ratio of the two max-monomials.
-    Nef constraints are decided by the descent.  It carries, per (nef
+    Heights are integers throughout: on a canonical point the height of a
+    nef class is the largest of its per-cone monomials, and a class e of
+    mixed sign is split once per shape as e = e+ - e- with e+ and e- nef
+    (HeightEvaluator.split), so H_e = H_{e+} / H_{e-}.  Nef constraints are
+    decided by the descent.  It carries, per (nef
     constraint, cone) pair with representative w and bound bn/bd, the quota
     Q = floor(bn / (bd y^w[:d])) of the prefix y_0..y_{d-1}: the point fits
     iff the rest of its monomial stays <= Q, and a child m divides Q by
@@ -692,26 +683,25 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     hands its u back to the walk and the 1-D leaf.
 
     Mixed constraints.  The descent does not test a constraint of mixed
-    sign; the leaf cuts [lo, cap] into pieces instead (_leaf_pieces).
-    With the prefix fixed, every max-monomial of nef_split is a maximum
-    max_w P_w m^{w_last} of terms in m, so a mixed constraint,
-    cross-multiplied as in _sides, compares two products of such maxima,
-    times bd and bn.  All terms are positive, so a product of maxima is the
-    maximum of the products: multiplied out as a max-plus product, keeping
-    the largest coefficient per exponent of m, it reads max_a L_a m^a <=
-    max_b R_b m^b.  That holds iff every a has some b with L_a m^a <= R_b
-    m^b.  For a = b that test does not depend on m.  For a > b it holds
-    iff m^{a-b} <= R_b / L_a, and m^{a-b} is an integer, so iff m <=
-    iroot(floor(R_b / L_a), a - b); for a < b iff m^{b-a} >= ceil(L_a /
-    R_b), that is from the ceiling root of ceil(L_a / R_b) of order b - a
-    on.  So the m that fail term a are those above every root of the first
-    kind and below every root of the second: one gap, and none when some
-    a = b test holds.  The admissible m are [lo, cap] less the union of
-    these gaps over every term and every mixed constraint, a union of
-    disjoint pieces once overlapping gaps are merged, and each piece is
-    counted by the Moebius sum above, whose G0 does not depend on m.  The
-    anti-nef lower end of leaf_start is the case a = 0 with L_0 = c, kept
-    as its own code.
+    sign; the leaf cuts [lo, cap] into pieces instead (_leaf_pieces).  A
+    mixed constraint H_e <= bn / bd reads bd H_{e+} <= bn H_{e-}.  With the
+    prefix fixed each side is one maximum of terms in m, one per monomial w
+    of its class, P_w the prefix part of y^w: bd P_w m^{w_last} over the
+    monomials of e+, and bn P_w m^{w_last} over those of e-.  So it reads
+    max_a L_a m^a <= max_b R_b m^b over these terms, two of which may share
+    an exponent of m.  That holds iff every left term a has some right term
+    b with L_a m^a <= R_b m^b.  For a = b that test does not depend on m.
+    For a > b it holds iff m^{a-b} <= R_b / L_a, and m^{a-b} is an integer,
+    so iff m <= iroot(floor(R_b / L_a), a - b); for a < b iff m^{b-a} >=
+    ceil(L_a / R_b), that is from the ceiling root of ceil(L_a / R_b) of
+    order b - a on.  So the m that fail term a are those above every root
+    of the first kind and below every root of the second, over the right
+    terms: one gap, and none when some a = b test holds.  The admissible m
+    are [lo, cap] less the union of these gaps over every left term and
+    every mixed constraint, a union of disjoint pieces once overlapping gaps
+    are merged, and each piece is counted by the Moebius sum above, whose
+    G0 does not depend on m.  The anti-nef lower end of leaf_start is the
+    case a = 0 with L_0 = c, kept as its own code.
 
     Subtree memo.  On the closed path (no mixed constraint) the count and
     `visited` of the subtree below a prefix at depth d, 1 <= d <= n-2, are
@@ -797,11 +787,11 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     Order.  The descent runs on the fan relabelled by the order that
     _descent_order picks for the region's shape: depth i holds the ray
     order[i], and the bounds, the representatives of the constraints, the
-    max-monomial lists and the cones are permuted to match.  Relabelling
-    the rays permutes the coordinates of the torsor points and changes no
-    height, so everything above holds of the relabelled fan as written.
-    The count and `reused` are reported as they are; `order` gives the
-    order.
+    monomials of the mixed ones and the cones are permuted to match.
+    Relabelling the rays permutes the coordinates of the torsor points and
+    changes no height, so everything above holds of the relabelled fan as
+    written.  The count and `reused` are reported as they are; `order`
+    gives the order.
 
     `first_range=(lo, hi)` restricts the first coordinate descended, that
     of ray order[0], so that tests can pin one prefix or add up slices.
@@ -812,7 +802,7 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     """
     _evaluator(lattice).nef_split  # raises for a fan that is not projective
     n, rho = lattice.fan.n_rays, lattice.rank
-    (_, order, nef_cons, anti_cons, mixed_cons, mono, outside, wcol, program,
+    (_, order, nef_cons, anti_cons, mixed_cons, outside, wcol, program,
      by_runs) = shape = _compiled_shape(lattice, region.shape)
     bounds, *bases = _evaluated(shape, region, B)
     empty = EnumerationResult(count=0, visited=0, order=order)
@@ -837,7 +827,8 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
 
     # at this gamma and B: per (nef constraint, cone) pair the quota
     # floor(bound / prefix monomial), a prefix fitting iff every quota is
-    # >= 1; per anti-nef constraint c; per mixed one its bound bn / bd
+    # >= 1; per anti-nef constraint c; per mixed one its bound bn / bd, as
+    # the factors (bd, bn) of its (left, right) monomials
     quota = [[]]
     for v, reps in nef_cons:
         bn, bd = _sides(v, 1, 1, *bases)
@@ -846,7 +837,8 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         return empty
     thresholds = [-(-bd // bn) for bn, bd in (_sides(v, 1, 1, *bases)
                                               for v, _ in anti_cons)]
-    mixed_cons = [(e, *_sides(v, 1, 1, *bases)) for v, e in mixed_cons]
+    mixed_cons = [(_sides(v, 1, 1, *bases)[::-1], pair)
+                  for v, pair in mixed_cons]
     # per-cone running complement products
     comp_prod = [[1] * len(lattice.fan.max_cones)]
     memo = {}
@@ -908,9 +900,12 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         if hi < lo:
             return
         divs = squarefree_divisors(g0, depth, hi)
+        terms = [[[(c * prefix(w, depth), w[depth]) for w in side]
+                  for c, side in zip(factors, pair)]
+                 for factors, pair in mixed_cons]
         count += weight * sum(
-            mu * (b // d - (a - 1) // d) for a, b in _leaf_pieces(
-                lo, hi, mixed_cons, leaf_terms(depth)) for d, mu in divs)
+            mu * (b // d - (a - 1) // d)
+            for a, b in _leaf_pieces(lo, hi, terms) for d, mu in divs)
 
     def squarefree_divisors(g, depth, top):
         """(d, mu(d)) for the d <= top dividing rad g, g a product of
@@ -1016,13 +1011,6 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                     total += mu_d * mu_e * part
         count += weight * total
         return True
-
-    def leaf_terms(depth):
-        """Numerator and denominator halves of the split: per basis class,
-        the (prefix monomial, last exponent) pairs at the prefix mags[:depth].
-        """
-        return [[[(prefix(w, depth), w[depth]) for w in vecs] for vecs in side]
-                for side in zip(*mono)]
 
     def signature(depth, comp, quotas):
         """The memo key of the subtree below the prefix mags[:depth], given
@@ -1566,25 +1554,15 @@ def _staircase(domain, rho):
 
 def _denominators(lattice, l_rows, caps):
     """Per row L_i a bound D_i on the denominator of H_{L_i} at every
-    point of {1 <= H_{L_j} <= caps_j}: 1 on a nef row, whose heights are
-    integers, and otherwise prod_j den_j^{|L_ij|} at the region's
-    coordinate caps, den_j the b-list max-monomial of nef_split where L_ij
-    > 0 and the a-list one where L_ij < 0 (tabulate_f).  The point with
-    every coordinate 1 has every height 1, so each cap is >= 1 and so is
-    each D_i."""
+    point of {1 <= H_{L_j} <= caps_j}: the largest monomial of b_i at the
+    region's coordinate caps, (a_i, b_i) the nef split of L_i
+    (HeightEvaluator.split), so 1 on a nef row, whose b_i is 0
+    (tabulate_f)."""
     bounds = coordinate_bounds(
         lattice, _box_region(l_rows, [1] * len(caps), caps), 1)
-    mono = _evaluator(lattice).nef_split[2]
-    out = []
-    for row in l_rows:
-        d = 1
-        if not lattice.is_nef(row):
-            for x, (num, den) in zip(row, mono):
-                if x:
-                    d *= max(prod(m ** w for m, w in zip(bounds, v))
-                             for v in (den if x > 0 else num)) ** abs(x)
-        out.append(d)
-    return out
+    ev = _evaluator(lattice)
+    return [max(prod(m ** w for m, w in zip(bounds, v))
+                for v in ev.monomials(ev.split(row)[1])) for row in l_rows]
 
 
 def tabulate_f(lattice, l_rows, alphas, grid, budget=DEFAULT_BUDGET):
@@ -1602,16 +1580,14 @@ def tabulate_f(lattice, l_rows, alphas, grid, budget=DEFAULT_BUDGET):
     H <= c - 1/D and H > c as H >= c + 1/D, for integers c and D a bound on
     the denominator of H_{L_i} over every point that the box with its walls
     closed holds (_denominators: the box {1 <= H_{L_j} <= cap_j + 1}, cap_j
-    the largest hi of axis j, holds every closed box).  Proof: by
-    nef_split, H_{L_i} = prod_j (A_j / B_j)^{L_ij} on a canonical point,
-    A_j and B_j the integer max-monomials of e_j's a-list and b-list, so
-    H_{L_i} = N / P with N and P integers and P = prod_{L_ij > 0}
-    B_j^{L_ij} prod_{L_ij < 0} A_j^{-L_ij}.  Every max-monomial has
-    exponents >= 0, so it only grows with each |y_lam| <= M_lam (the
-    coordinate caps), and P <= D_i.  So H_{L_i} = p / q in lowest terms
-    with q | P, q <= D_i.  If H < c, then c - H = (c q - p) / q with
-    c q - p a positive integer, so c - H >= 1/q >= 1/D_i; and H <= c - 1/D_i
-    gives H < c.  The same holds for H > c.  A nef row has integer heights,
+    the largest hi of axis j, holds every closed box).  Proof: H_{L_i} =
+    H_a / H_b on a canonical point, L_i = a - b its nef split, where H_b is
+    an integer <= D_i: the largest monomial of b, whose exponents are >= 0,
+    is at most its value at the coordinate caps.  So H_{L_i} = p / q in
+    lowest terms with q | H_b, q <= D_i.  If H < c, then c - H =
+    (c q - p) / q with c q - p a positive integer, so c - H >= 1/q >= 1/D_i;
+    and H <= c - 1/D_i gives H < c.  The same holds for H > c.  A nef row
+    has integer heights,
     D = 1, and both roundings give the box lo <= H <= hi; when every row is
     nef the two tables are one object.  Neither the enumerator nor
     Constraint knows of strict walls.  `budget` bounds the candidates

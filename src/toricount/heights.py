@@ -73,44 +73,50 @@ class HeightEvaluator:
         self._sign_pivots = [pivots[i] for i in order]
 
     @cached_property
-    def nef_split(self):
-        """Nef classes a_i, b_i with e_i = a_i - b_i, and their monomials.
+    def _ample(self):
+        """The ample class A, the sum of the extremal rays of the nef cone,
+        and the nef inequalities g with their pairings <g, A> > 0.  Raises
+        DegenerateInputError when the fan has no ample class."""
+        ineqs = [g for g in self.lattice.nef_inequalities() if any(g)]
+        ample = [sum(col) for col in zip(*dual_cone(ineqs, self.rho))]
+        pair = [sum(x * y for x, y in zip(g, ample)) for g in ineqs]
+        if min(pair) <= 0:
+            raise DegenerateInputError(
+                "fan is not projective: its nef cone is not "
+                "full-dimensional, so there is no ample class to write "
+                "heights as ratios of nef heights")
+        return ample, list(zip(ineqs, pair))
 
-        b_i = 0 when e_i is nef; otherwise b_i = k*A with A the sum of the
-        extremal rays of the nef cone (an ample class) and k the least
-        integer making e_i + k*A nef.  Returns (a, b, mono): mono[i] is the
-        pair of deduplicated per-cone representative lists (w(sigma, a_i)
-        over sigma, w(sigma, b_i) over sigma), so that on a canonical point
-        H_{e_i} = max_w y^w over the first list / max_w y^w over the second.
-        Raises DegenerateInputError when the fan has no ample class.
+    def split(self, e):
+        """Nef classes (a, b) with e = a - b, so that H_e = H_a / H_b.
+
+        b = k*A, A the ample class and k the least integer making e + k*A
+        nef: <g, e> + k <g, A> >= 0 for every nef inequality g, that is
+        k >= ceil(-<g, e> / <g, A>).  A nef e has k = 0 and b = 0.
         """
+        ample, ineqs = self._ample
+        k = max([0] + [-(sum(x * y for x, y in zip(g, e)) // p)
+                       for g, p in ineqs])
+        return (tuple(x + k * y for x, y in zip(e, ample)),
+                tuple(k * y for y in ample))
+
+    def monomials(self, c):
+        """The distinct per-cone representatives of the class c, sorted: on
+        a canonical point the height of a nef c is max_w y^w over them."""
         lat = self.lattice
-        basis = [[1 if j == i else 0 for j in range(self.rho)]
-                 for i in range(self.rho)]
-        shifts = [0] * self.rho
-        ample = [0] * self.rho
-        if not all(lat.is_nef(e) for e in basis):
-            ineqs = [g for g in lat.nef_inequalities() if any(g)]
-            gens = dual_cone(ineqs, self.rho)
-            ample = [sum(col) for col in zip(*gens)]
-            pair = [sum(x * y for x, y in zip(g, ample)) for g in ineqs]
-            if min(pair) <= 0:
-                raise DegenerateInputError(
-                    "fan is not projective: its nef cone is not "
-                    "full-dimensional, so there is no ample class to write "
-                    "the basis heights as ratios of nef heights")
-            for i in range(self.rho):
-                shifts[i] = max([0] + [-(g[i] // p)
-                                       for g, p in zip(ineqs, pair)])
-        a = [[e + k * x for e, x in zip(row, ample)]
-             for row, k in zip(basis, shifts)]
-        b = [[k * x for x in ample] for k in shifts]
-        cones = range(len(self.fan.max_cones))
-        mono = [tuple(tuple(sorted({lat.class_representative(s, c)
-                                    for s in cones}))
-                      for c in (ai, bi))
-                for ai, bi in zip(a, b)]
-        return a, b, mono
+        return tuple(sorted({lat.class_representative(s, c)
+                             for s in range(len(self.fan.max_cones))}))
+
+    @cached_property
+    def nef_split(self):
+        """The split of every basis class e_i, as (a, b, mono): e_i = a_i -
+        b_i, and mono[i] is the pair (monomials(a_i), monomials(b_i)), so
+        that on a canonical point H_{e_i} = max_w y^w over the first list /
+        max_w y^w over the second.  Raises DegenerateInputError when the
+        fan has no ample class."""
+        a, b = zip(*(self.split([int(j == i) for j in range(self.rho)])
+                     for i in range(self.rho)))
+        return a, b, [tuple(map(self.monomials, pair)) for pair in zip(a, b)]
 
     # -- torsor point plumbing ------------------------------------------
 

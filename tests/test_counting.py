@@ -513,9 +513,10 @@ def _f1_box():
 
 
 def test_mixed_leaf_f1_box():
+    """The lower wall of (0, 1), a facet on an effective row, is dropped by
+    the compile; its upper wall is the one mixed constraint."""
     lat, box = _f1_box()
-    _, _, mixed = counting._compile_constraints(lat, box.shape)
-    assert [e for _, e in mixed] == [[0, 1], [0, -1]]
+    assert _mixed_split(lat, box) == [(0, 1)]
     res = enumerate_region(lat, box, 1)
     assert (res.count, res.visited) == (1040804, 605751)
 
@@ -536,33 +537,124 @@ def test_mixed_leaf_tests_no_candidate(monkeypatch):
     assert 0 < calls[0] < 1000
 
 
+def _mixed_split(lat, region):
+    """The class e of every mixed constraint of the region's compiled
+    shape, in order, each checked against its nef split: the compiled
+    lists are the per-cone monomials of nef classes a and b, relabelled by
+    the shape's order, with a - b = e, and they are monomials(a) and
+    monomials(b) of HeightEvaluator.split(e).  The mixed rows are read off
+    the region itself: its constraints, then its facets f as -f, each
+    cleared to integers, less the facets on the effective cone."""
+    shape = counting._compiled_shape(lat, region.shape)
+    ev = heights._evaluator(lat)
+    eff_dual = dual_cone([list(c) for c in lat.classes], lat.rank)
+    rows = [tuple(q) + (s,) for q, s in zip(*region.shape[:2])] + [
+        tuple(-x for x in f) + (0,) for f in region.facets
+        if any(linalg.vec_dot(f, g) < 0 for g in eff_dual)]
+    want = []
+    for row in rows:
+        e = linalg.cleared(row)[0][:-1]
+        if not (lat.is_nef(e) or lat.is_nef([-x for x in e])):
+            want.append(e)
+
+    def relabelled(w):
+        return tuple(w[lam] for lam in shape.order)
+
+    def class_of(w):  # w in the shape's labels
+        return tuple(sum(x * lat.classes[lam][i]
+                         for x, lam in zip(w, shape.order))
+                     for i in range(lat.rank))
+
+    got = []
+    for _, (left, right) in shape.mixed:
+        (a,), (b,) = {class_of(w) for w in left}, {class_of(w) for w in right}
+        assert lat.is_nef(a) and lat.is_nef(b)
+        e = tuple(x - y for x, y in zip(a, b))
+        assert [left, right] == [[relabelled(w) for w in ev.monomials(c)]
+                                 for c in ev.split(e)]
+        got.append(e)
+    assert got == want
+    return got
+
+
+def _mixed_regions(lat, rng):
+    """Seeded regions with a mixed constraint on the lattice: random
+    regions, boxes on the Picard basis with rational walls, and the
+    inclusion-exclusion terms of the anticanonical count."""
+    out = []
+    while len(out) < 12:
+        region, _ = _random_region(rng, lat)
+        out.append(region)
+    for _ in range(4):
+        highs = [Fraction(rng.randint(3, 30), rng.randint(1, 3))
+                 for _ in range(lat.rank)]
+        lows = [h / rng.randint(2, 9) for h in highs]
+        basis = [[int(i == j) for j in range(lat.rank)]
+                 for i in range(lat.rank)]
+        out.append(counting._box_region(basis, lows, highs))
+    dec = effective_decomposition([list(c) for c in lat.classes],
+                                  list(lat.anticanonical))
+    facet_lists = [dual_cone([list(g) for g in cone], lat.rank)
+                   for cone in dec.cones]
+    for k in range(1, len(facet_lists) + 1):
+        for sub in combinations(facet_lists, k):
+            out.append(anticanonical_region(
+                lat, facets=[f for fl in sub for f in fl]))
+    return out
+
+
+@pytest.mark.parametrize("name", ["F1", "F2", "BlP2", "dP6"])
+def test_each_mixed_constraint_is_split_once(name):
+    """Every mixed constraint of seeded regions compiles to the nef split
+    of its own class (_mixed_split), on the fans with a basis class that
+    is not nef; on dP6 some of them span three or more basis classes."""
+    lat = _dp6() if name == "dP6" else get_lattice(name)
+    rng = random.Random(f"split-{name}")
+    classes = []
+    for region in _mixed_regions(lat, rng):
+        try:
+            classes += _mixed_split(lat, region)
+        except DegenerateInputError:  # an unbounded random region
+            continue
+    assert len(classes) >= 10
+    if name == "dP6":
+        assert max(sum(map(bool, e)) for e in classes) >= 3
+
+
 def test_leaf_pieces_match_the_walk():
-    """_leaf_pieces on seeded random maxima of monomials in m, against the
-    per-candidate test: every m of [1, 60] cross-multiplied through
-    _sides.  Terms of the left side that fail on nested gaps, and roots
-    and ceiling roots that land exactly on an integer, occur among them."""
+    """_leaf_pieces on seeded random constraints, each a left and a right
+    list of (coefficient, exponent of m) terms, against the per-candidate
+    test max_a L_a m^a <= max_b R_b m^b on every m of [lo, 60].  Terms of
+    the left side that fail on nested gaps, roots and ceiling roots that
+    land exactly on an integer (a right term built as L_a t^(a-b) from a
+    left one), and terms of one side that share an exponent of m occur
+    among them."""
     rng = random.Random(3)
 
-    def half():
-        return [(rng.randint(1, 40), rng.randint(0, 3))
-                for _ in range(rng.randint(1, 3))]
+    def side():
+        terms = [(rng.randint(1, 40) * rng.randint(1, 10 ** 3),
+                  rng.randint(0, 4)) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:  # a second term with the same exponent
+            terms.append((rng.randint(1, 4 * 10 ** 4), terms[0][1]))
+        return terms
 
     for _ in range(400):
-        terms = [[half(), half()] for _ in range(2)]
-        mixed = [([rng.randint(-2, 2), rng.randint(-2, 2)],
-                  rng.randint(1, 10 ** 4), rng.randint(1, 10 ** 4))
-                 for _ in range(rng.randint(1, 2))]
+        mixed = []
+        for _ in range(rng.randint(1, 2)):
+            lhs, rhs = side(), side()
+            if rng.random() < 0.3:  # a root that lands on an integer
+                la, a = rng.choice(lhs)
+                b = rng.randint(0, 4)
+                if a != b:
+                    t = rng.randint(2, 9) ** abs(a - b)
+                    rhs.append((la * t if a > b else -(-la // t), b))
+            mixed.append((lhs, rhs))
         lo, hi = rng.randint(1, 20), 60
-        pieces = counting._leaf_pieces(lo, hi, mixed, terms)
+        pieces = counting._leaf_pieces(lo, hi, mixed)
         got = [m for a, b in pieces for m in range(a, b + 1)]
-        want = []
-        for m in range(lo, hi + 1):
-            num, den = ([max(p * m ** w for p, w in lst) for lst in side]
-                        for side in terms)
-            if all(lhs <= rhs for lhs, rhs in (
-                    counting._sides(e, bn, bd, num, den)
-                    for e, bn, bd in mixed)):
-                want.append(m)
+        want = [m for m in range(lo, hi + 1) if all(
+            max(c * m ** w for c, w in lhs) <= max(c * m ** w for c, w in rhs)
+            for lhs, rhs in mixed)]
         assert got == want
         assert all(b + 1 < c for (_, b), (c, _) in zip(pieces, pieces[1:]))
 
@@ -573,12 +665,11 @@ def test_leaf_pieces_match_the_walk():
                                             ("F2", (-1, 2), 5)])
 def test_mixed_leaf_products_of_maxima(name, cls, gamma):
     """A mixed constraint with an exponent 2, or over both basis classes,
-    multiplies maxima of monomials at the leaf; under an anticanonical
-    bound its pieces give naive_count's count."""
+    is split as its own class; under an anticanonical bound its pieces
+    give naive_count's count."""
     lat = get_lattice(name)
     region = Region([(lat.anticanonical, 1, 1), (cls, gamma, 0)])
-    _, _, mixed = counting._compile_constraints(lat, region.shape)
-    assert [tuple(e) for _, e in mixed] == [cls]
+    assert _mixed_split(lat, region) == [cls]
     assert _memo_on_and_off(lat, region, 300).count == naive_count(
         lat, region, 300) > 0
 
@@ -1113,6 +1204,14 @@ def _p1xp2():
     return fans.class_lattice(fans.make_fan(3, rays, cones, name="P1xP2"))
 
 
+def _dp6():
+    """P2 blown up in three torus-fixed points: 6 rays, rho = 4, and no
+    basis class nef."""
+    rays = [(1, 0), (1, 1), (0, 1), (-1, 0), (-1, -1), (0, -1)]
+    cones = [(i, (i + 1) % 6) for i in range(6)]
+    return fans.class_lattice(fans.make_fan(2, rays, cones, name="dP6"))
+
+
 def _annulus(lat, B, low):
     """low <= H_{omega^-1} <= B, counted at B = 1."""
     anti = [-x for x in lat.anticanonical]
@@ -1440,7 +1539,7 @@ def test_effective_facets_are_dropped():
     lat = get_lattice("P1xP1")
     region = anticanonical_region(lat, facets=[(1, 0), (1, -1)])
     shape = counting._compiled_shape(lat, region.shape)
-    assert [e for _, e in shape.mixed] == [[-1, 1]] and not shape.anti
+    assert _mixed_split(lat, region) == [(-1, 1)] and not shape.anti
     assert enumerate_region(lat, region, 300).count == naive_count(
         lat, region, 300) > 0
 
@@ -1555,8 +1654,7 @@ def test_box_wall_on_a_row_that_is_not_effective_is_applied():
     rows = [[1, 0], [0, 1], [1, -1]]
     box = counting._box_region(rows, [1, 1, 1], [12, 12, 3])
     assert box.facets == ((1, 0), (0, 1), (1, -1))
-    shape = counting._compiled_shape(lat, box.shape)
-    assert [e for _, e in shape.mixed] == [[1, -1], [-1, 1]]
+    assert _mixed_split(lat, box) == [(1, -1), (-1, 1)]
     unwalled = Region([(row, hi, 0) for row, hi in zip(rows, [12, 12, 3])])
     count = enumerate_region(lat, box, 1).count
     assert count == naive_count(lat, box, 1)
@@ -1650,9 +1748,13 @@ def test_interleaved_p1xp1_at_a_million():
 
 @pytest.mark.parametrize("name,B,expected", [("P2", 300, 724),
                                              ("F1", 100, 540),
-                                             ("P1xP1", 200, 1732)])
+                                             ("P1xP1", 200, 1732),
+                                             ("dP6", 50, 724),
+                                             ("dP6", 300, 7348)])
 def test_direct_equals_inclusion_exclusion(name, B, expected):
-    lat = get_lattice(name)
+    """dP6 at 50 is naive_count's value; its terms carry mixed facets over
+    three and four basis classes."""
+    lat = _dp6() if name == "dP6" else get_lattice(name)
     direct = count_anticanonical(lat, B, mode="direct")
     ie = count_anticanonical(lat, B, mode="inclusion_exclusion")
     assert direct["count"] == expected
