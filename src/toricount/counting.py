@@ -49,14 +49,14 @@ floor(sqrt(B) / max(x0, x1)), the max-norm grouping of the hyperbola method.
 
 A region's shape is all of it but its scales gamma, and what depends on
 the shape alone is compiled once per shape (_compiled_shape): the split of
-the constraints, the vertex solve of the per-coordinate caps
+the constraints, the vertex solve of the per-coordinate caps, indexed
 (coordinate_bounds), the order and the signature program.  A call only
 evaluates the caps, quotas, thresholds and mixed bounds at its gamma and
 B, as integer fractions; the box regions of a cone box share one shape.
 Their lower walls at 1 are facets, which the compile drops on effective
-rows: a P1xP1 corner evaluates 4 vertex subsets of 2 tests, about 40 us
-of a 0.2 ms call on a shared 2-core VM, where the walls as constraints
-gave 9 subsets of 4 tests, 80-120 us of a 0.4 ms call.
+rows: a P1xP1 corner decides 4 distinct tests for its 4 vertex subsets,
+and on a shared 2-core VM its box, shape lookup and caps take about 10 us
+of a 0.1-0.2 ms call, where they took 26 us before the shape held them.
 
 The rounded-height sums of the hyperbola method are counts of staircase
 boxes, one plain call each (tabulate_f), so the enumerator has one memo
@@ -106,6 +106,19 @@ class Region:
     scales gamma: the key of _compiled_shape.
     """
 
+    @classmethod
+    def _exact(cls, constraints, facets):
+        """The Region of Constraints with gamma > 0 and distinct integer
+        facets, taken as given (tuples).  Its shape hashes as the equal one
+        of Fractions does, so the two share one compiled entry."""
+        return cls.__new__(cls)._hold(constraints, facets)
+
+    def _hold(self, constraints, facets):
+        self.constraints, self.facets = constraints, facets
+        self.shape = (tuple(c.cls for c in constraints),
+                      tuple(c.s for c in constraints), facets)
+        return self
+
     def __init__(self, constraints, facets=(), cone_generators=None):
         cons = []
         for c in constraints:
@@ -118,7 +131,6 @@ class Region:
         for c in cons:
             if c.gamma <= 0:
                 raise DegenerateInputError("constraint scale must be positive")
-        self.constraints = tuple(cons)
         facets = [linalg.cleared(f)[0] for f in facets]
         if cone_generators is not None:
             gens = [list(g) for g in cone_generators]
@@ -128,9 +140,7 @@ class Region:
                     raise DegenerateInputError(
                         "cone generators differ in length")
                 facets += [tuple(f) for f in dual_cone(gens, dim)]
-        self.facets = tuple(dict.fromkeys(facets))
-        self.shape = (tuple(c.cls for c in cons), tuple(c.s for c in cons),
-                      self.facets)
+        self._hold(tuple(cons), tuple(dict.fromkeys(facets)))
 
 
 def region_from_json(obj):
@@ -174,9 +184,9 @@ def anticanonical_region(lattice, facets=(), cone_generators=None):
 
 # -- coordinate bounds -----------------------------------------------------
 
-def _sides(e, bn, bd, num, den):
-    """Both sides of prod (num_k/den_k)^{e_k} <= bn/bd, cross-multiplied."""
-    lhs, rhs = bd, bn
+def _sides(e, num, den):
+    """Both sides of prod (num_k/den_k)^{e_k} <= 1, cross-multiplied."""
+    lhs = rhs = 1
     for k, ei in enumerate(e):
         if ei > 0:
             lhs = lhs * num[k] ** ei
@@ -273,57 +283,85 @@ def coordinate_bounds(lattice, region, B):
     per shape (_vertex_program); gamma and B enter only as the bases of its
     integer exponent vectors.  A call then decides each test prod base^e <= 1
     by cross-multiplying numerators and denominators (_sides), compares two
-    objectives e1/d1 and e2/d2 as the sign of e1 d2 - e2 d1 the same way,
-    and floors exp of the best, (lhs / rhs)^(1/d), as iroot(lhs // rhs, d):
-    every step is exact in integers, so the bounds equal the rational sup's.
+    objectives e1/d1 and e2/d2 by the test of the sign of e1 d2 - e2 d1
+    (_indexed), and floors exp of the best, (lhs / rhs)^(1/d), as
+    iroot(lhs // rhs, d): every step is exact in integers, so the bounds
+    equal the rational sup's.
     """
     return _evaluated(_compiled_shape(lattice, region.shape), region, B)[0]
+
+
+def _indexed(vertex_program):
+    """_vertex_program's output as (subsets, tests, objectives, beats):
+    the distinct test vectors e (prod base^e <= 1), the distinct objectives
+    (e, d), per vertex subset the indices of its tests and per ray class of
+    its objective, and for each ordered pair (i, j) of distinct objectives
+    of one ray class the index of the test of i <= j, e_i d_j - e_j d_i
+    over its gcd (nonzero: every (e, d) is in lowest terms)."""
+    tests, objectives = {}, {}
+
+    def index(table, key):
+        return table.setdefault(key, len(table))
+
+    subsets = [(tuple(index(tests, t) for t in ts),
+                tuple(index(objectives, o) for o in os))
+               for ts, os in vertex_program]
+    objs = list(objectives)
+    beats = {}
+    for column in zip(*(os for _, os in subsets)):
+        for i, j in combinations(set(column), 2):
+            if (i, j) not in beats:
+                (e1, d1), (e2, d2) = objs[i], objs[j]
+                diff = [a * d2 - b * d1 for a, b in zip(e1, e2)]
+                g = gcd(*diff)
+                beats[i, j] = index(tests, tuple(x // g for x in diff))
+                beats[j, i] = index(tests, tuple(-x // g for x in diff))
+    return subsets, tuple(tests), tuple(objs), beats
 
 
 def _evaluated(shape, region, B):
     """The coordinate bounds of the region at B in the caller's labels, and
     the numerators and denominators of the bases (gamma_1, ..., gamma_k, B)
-    they were evaluated at.  Each distinct exponent vector is decided once
-    per call, for vertex tests and objective comparisons alike, and each
-    distinct best objective e / d is rooted once: floor((lhs / rhs)^(1/d))
-    = iroot(lhs // rhs, d), as m^d <= lhs / rhs iff m^d <= lhs // rhs."""
+    they were evaluated at.  Each test of _indexed is decided at most once,
+    when first needed, and a ray class's best objective so far gives way to
+    a new one i where the test beats[i, best] fails.  Each distinct best
+    e / d is rooted once: floor((lhs / rhs)^(1/d)) = iroot(lhs // rhs, d),
+    as m^d <= lhs / rhs iff m^d <= lhs // rhs."""
     B = Fraction(B)
     if B <= 0:
         raise DegenerateInputError("B must be a positive rational")
     bases = [c.gamma for c in region.constraints] + [B]
     num = [b.numerator for b in bases]
     den = [b.denominator for b in bases]
-    decided = {}
+    tests, beats = shape.tests, shape.beats
+    decided = [None] * len(tests)
 
-    def holds(e):
-        """prod base^e <= 1."""
-        if e not in decided:
-            lhs, rhs = _sides(e, 1, 1, num, den)
-            decided[e] = lhs <= rhs
-        return decided[e]
+    def holds(t):
+        """prod base^tests[t] <= 1."""
+        if decided[t] is None:
+            lhs, rhs = _sides(tests[t], num, den)
+            decided[t] = lhs <= rhs
+        return decided[t]
 
     best = None
-    for tests, objs in shape.vertex_program:
-        if not all(map(holds, tests)):
+    for subset, objs in shape.vertex_program:
+        if not all(map(holds, subset)):
             continue
         if best is None:
             best = list(objs)
             continue
         for lam, (new, old) in enumerate(zip(objs, best)):
-            if new != old:
-                (e1, d1), (e2, d2) = new, old
-                diff = [a * d2 - b * d1 for a, b in zip(e1, e2)]
-                g = gcd(*diff)
-                if g and not holds(tuple(x // g for x in diff)):
-                    best[lam] = new
+            if new != old and not holds(beats[new, old]):
+                best[lam] = new
     if best is None:
         return [0] * len(shape.order), num, den
     roots = {}
-    for e, d in best:
-        if (e, d) not in roots:
-            lhs, rhs = _sides(e, 1, 1, num, den)
-            roots[e, d] = linalg.iroot(lhs // rhs, d)
-    return [roots[obj] for obj in best], num, den
+    for i in best:
+        if i not in roots:
+            e, d = shape.objectives[i]
+            lhs, rhs = _sides(e, num, den)
+            roots[i] = linalg.iroot(lhs // rhs, d)
+    return [roots[i] for i in best], num, den
 
 
 # -- enumeration -----------------------------------------------------------
@@ -351,7 +389,7 @@ def _compile_constraints(lattice, shape):
     to integers, e = d q, and every facet f joins as the constraint
     H^{-f} <= 1.  The bound (gamma B^s)^d is prod base^v over the bases
     (gamma_1, ..., gamma_k, B) of coordinate_bounds, v = d at its gamma and
-    d s at B, so a call evaluates it as the fraction _sides(v, 1, 1, ...),
+    d s at B, so a call evaluates it as the fraction _sides(v, ...),
     the only part that depends on gamma and B.  On canonical points a nef
     class has an integer height and an anti-nef class the reciprocal of
     one, so their bounds round to the quota floor(bound) and the threshold
@@ -520,8 +558,9 @@ def _descent_order(n, cones, pair_reps, limit, closed):
     return min(candidates, key=score)
 
 
-_Shape = namedtuple("_Shape", "vertex_program order nef anti mixed outside "
-                    "wcol program by_runs")
+_Shape = namedtuple("_Shape", "vertex_program tests objectives beats order "
+                    "nef anti mixed outside wcol program by_runs v_pairs "
+                    "cone_groups")
 
 
 @lru_cache(maxsize=256)
@@ -543,9 +582,11 @@ def _compiled_shape(lattice, shape):
     (_descent_order) and, relabelled by it (depth i holds the ray
     order[i]), the representatives and the monomials of each mixed
     constraint's nef split, per depth the cones whose complement holds its
-    ray and the pair exponents, and the _signature_program with the depths
-    whose children walk runs.  Every call of the shape shares the entry, so
-    none may change it."""
+    ray and the pair exponents, the _signature_program (less depth 1,
+    where no key repeats: enumerate_region) with the depths whose children
+    walk runs, and what the 2-D leaf reads of the last two depths.  The
+    vertex program is held as _indexed gives it.  Every call of the shape
+    shares the entry, so none may change it."""
     fan, n, rho = lattice.fan, lattice.fan.n_rays, lattice.rank
     if any(len(v) != rho for v in shape[0] + shape[2]):
         raise DegenerateInputError(f"region vectors need {rho} entries")
@@ -568,10 +609,25 @@ def _compiled_shape(lattice, shape):
     program = {} if mixed else _signature_program(
         pair_reps, [reps for _, reps in anti], cones, n,
         [j for j, (_, reps) in enumerate(nef) for _ in reps])
-    return _Shape(vertex_program, order, nef, anti, mixed,
-                  [[lam not in c for c in cones] for lam in range(n)],
-                  [[w[d] for w in pair_reps] for d in range(n)], program,
-                  {d - 1: spec for d, spec in program.items() if spec[3]})
+    if any(0 not in c for c in cones):
+        program.pop(1, None)
+    outside = [[lam not in c for c in cones] for lam in range(n)]
+    wcol = [[w[d] for w in pair_reps] for d in range(n)]
+    # the 2-D leaf: the pairs that bound v = y_{n-1}, by their exponents
+    # (a, b) of u = y_{n-2} and v, and the cones that hold u, that hold u
+    # and v, and that hold v but not u
+    v_pairs = {}
+    for i, ab in enumerate(zip(wcol[n - 2], wcol[n - 1])):
+        if ab[1]:
+            v_pairs.setdefault(ab, []).append(i)
+    out_uv = list(zip(outside[n - 2], outside[n - 1]))
+    cone_groups = [[s for s, out in enumerate(out_uv) if out in outs]
+                   for outs in ({(0, 0), (0, 1)}, {(0, 0)}, {(1, 0)})]
+    return _Shape(*_indexed(vertex_program), order, nef, anti, mixed,
+                  outside, wcol, program,
+                  {d - 1: spec for d, spec in program.items() if spec[3]},
+                  [(a, b, itemgetter(*idx, idx[0]))
+                   for (a, b), idx in v_pairs.items()], cone_groups)
 
 
 def _leaf_pieces(lo, hi, mixed):
@@ -619,6 +675,31 @@ def _lower_end(c, terms, top):
             r = linalg.iroot(q, b)
             end = min(end, r + (r ** b < q))
     return end
+
+
+# mu + 1 per e < len, a bytearray, and the flags of the squarefree e: one
+# table for every call, grown by _squarefree_upto
+_MOEBIUS = [bytearray(b"\1"), b""]
+
+
+def _squarefree_upto(top, limit):
+    """(e, mu(e)) for the squarefree e <= top in increasing order, top <=
+    limit, from the module's table of mu + 1, sieved anew to twice its size
+    (at most limit + 1) when a larger top asks for it."""
+    table = _MOEBIUS
+    if top >= len(table[0]):
+        size = min(max(top, 2 * len(table[0])), limit) + 1
+        code, composite = bytearray(b"\2") * size, bytearray(size)
+        code[0] = 1
+        for p in range(2, size):
+            if not composite[p]:
+                q = p * p
+                composite[q::p] = b"\1" * len(range(q, size, p))
+                code[p::p] = code[p::p].translate(_NEGATED)
+                code[q::q] = b"\1" * len(range(q, size, q))
+        table[:] = code, code.translate(_SQUAREFREE)
+    code, flags = table
+    return ((e, code[e] - 1) for e in compress(range(top + 1), flags))
 
 
 def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
@@ -675,12 +756,13 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     the blocks with lo_v <= cap_v, floor(b / k) - floor((a - 1) / k) of them
     in [a, b].  e runs over the divisors of rad g_both or, where no cone
     holds u and v (g_both = 0: P1xP1, F1), over the squarefree e <=
-    min(cap_v, hi g_u), from one table of mu per call.  `visited` gains the
-    1-D leaves' widths, sum_{d | rad h0} mu(d) sum_u cap_v(u) over the
-    multiples u of d, and the leaf raises BudgetError once it has added
-    them.  Where g_both = 0 and e would run more than four times past the
-    u (a short slice of u far from 1, or one u with a large g_u), the leaf
-    hands its u back to the walk and the 1-D leaf.
+    min(cap_v, hi g_u), from the table of mu every call shares
+    (_squarefree_upto).  `visited` gains the 1-D leaves' widths, sum_{d |
+    rad h0} mu(d) sum_u cap_v(u) over the multiples u of d, and the leaf
+    raises BudgetError once it has added them.  Where g_both = 0 and e
+    would run more than four times past the u (a short slice of u far from
+    1, or one u with a large g_u), the leaf hands its u back to the walk
+    and the 1-D leaf.
 
     Mixed constraints.  The descent does not test a constraint of mixed
     sign; the leaf cuts [lo, cap] into pieces instead (_leaf_pieces).  A
@@ -750,7 +832,13 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     fixed for the call, and depth 0, where first_range acts, is never
     stored.  So equal signatures have equal subtrees, node for node.  A
     depth is used only when _signature_program finds it eligible, decided
-    once per shape.
+    once per shape, and never depth 1 when some group of part (c) there
+    holds only cones that miss ray 0 (_compiled_shape drops it after the
+    order is chosen): that group's gcd is the prefix complement product
+    x0 itself, and each x0 is visited once per call, so no key at depth 1
+    repeats.  Every complete fan has such a group, as some cone misses ray
+    0, and a cone that misses it holds one more of the rays 1..n-1 than a
+    cone that holds it, so the two never share their set T.
 
     Runs.  A depth d whose child depth d + 1 is eligible does
     not walk its children m one by one when every group of part (c) at d + 1
@@ -802,8 +890,9 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     """
     _evaluator(lattice).nef_split  # raises for a fan that is not projective
     n, rho = lattice.fan.n_rays, lattice.rank
-    (_, order, nef_cons, anti_cons, mixed_cons, outside, wcol, program,
-     by_runs) = shape = _compiled_shape(lattice, region.shape)
+    (*_, order, nef_cons, anti_cons, mixed_cons, outside, wcol, program,
+     by_runs, v_pairs, cone_groups) = shape = _compiled_shape(lattice,
+                                                             region.shape)
     bounds, *bases = _evaluated(shape, region, B)
     empty = EnumerationResult(count=0, visited=0, order=order)
     if any(m == 0 for m in bounds):
@@ -831,13 +920,13 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     # the factors (bd, bn) of its (left, right) monomials
     quota = [[]]
     for v, reps in nef_cons:
-        bn, bd = _sides(v, 1, 1, *bases)
+        bn, bd = _sides(v, *bases)
         quota[0] += [bn // bd] * len(reps)
     if 0 in quota[0]:
         return empty
-    thresholds = [-(-bd // bn) for bn, bd in (_sides(v, 1, 1, *bases)
+    thresholds = [-(-bd // bn) for bn, bd in (_sides(v, *bases)
                                               for v, _ in anti_cons)]
-    mixed_cons = [(_sides(v, 1, 1, *bases)[::-1], pair)
+    mixed_cons = [(_sides(v, *bases)[::-1], pair)
                   for v, pair in mixed_cons]
     # per-cone running complement products
     comp_prod = [[1] * len(lattice.fan.max_cones)]
@@ -918,39 +1007,6 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
             divs += [(d * p, -mu) for d, mu in divs if d * p <= top]
         return divs
 
-    table = [bytearray(b"\1"), b""]  # mu + 1 per e, and e squarefree
-
-    def squarefree_upto(top):
-        """(e, mu(e)) for the squarefree e <= top in increasing order, from
-        one table of mu + 1 per call, a bytearray sieved anew to twice its
-        size (at most bounds[n - 1] + 1) when a larger top asks for it."""
-        if top >= len(table[0]):
-            size = min(max(top, 2 * len(table[0])), bounds[n - 1]) + 1
-            code, composite = bytearray(b"\2") * size, bytearray(size)
-            code[0] = 1
-            for p in range(2, size):
-                if not composite[p]:
-                    q = p * p
-                    composite[q::p] = b"\1" * len(range(q, size, p))
-                    code[p::p] = code[p::p].translate(_NEGATED)
-                    code[q::q] = b"\1" * len(range(q, size, q))
-            table[:] = code, code.translate(_SQUAREFREE)
-        code, flags = table
-        return ((e, code[e] - 1) for e in compress(range(top + 1), flags))
-
-    # the 2-D leaf: the pairs that bound v = y_{n-1}, by their exponents
-    # (a, b) of u = y_{n-2} and v, and the cones that hold u, v or both
-    v_pairs = {}
-    for i, ab in enumerate(zip(wcol[n - 2], wcol[n - 1])):
-        if ab[1]:
-            v_pairs.setdefault(ab, []).append(i)
-    v_pairs = [(a, b, itemgetter(*idx, idx[0]))
-               for (a, b), idx in v_pairs.items()]
-    # the cones that hold u, that hold u and v, and that hold v but not u
-    out_uv = list(zip(outside[n - 2], outside[n - 1]))
-    cone_groups = [[s for s, out in enumerate(out_uv) if out in outs]
-                   for outs in ({(0, 0), (0, 1)}, {(0, 0)}, {(1, 0)})]
-
     def leaf_pair(lo, hi):
         """The last two coordinates (u, v) below the prefix mags[:n-2], u in
         [lo, hi], in closed form: the count and visited that the walk of u,
@@ -996,7 +1052,7 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         if visited > budget:
             raise BudgetError(over)
         es = (squarefree_divisors(g_both, n - 2, cap) if g_both
-              else squarefree_upto(cap))
+              else _squarefree_upto(cap, top))
         total = 0
         for e, mu_e in es:
             f = e // gcd(e, g_u)
@@ -1198,14 +1254,16 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
 
 # -- dual-basis data for box machinery --------------------------------------
 
-def _dual_basis_data(lattice, l_rows):
+def _dual_basis_data(lattice, l_rows, subcone=False):
     """(c, det, gens, nu_neg): c_i = <omega, L_i^*>, |det L|, the dual basis
     L_i^* and nu(-Lambda) of its cone, from one fraction-free inverse of E =
     diag(m) L, L's rows cleared: E^-1 = M / d, L^-1 = E^-1 diag(m) and |det
-    L| = |d| / prod m_i.  c = omega L^-1 solves sum_i c_i L_i = omega, so
-    nu(-Lambda) = |det L^*| / prod <omega, L_i^*> is 1 / (|det L| prod c_i).
-    Raises unless the L_i form a basis with every c_i > 0, the standing
-    assumption of the box machinery.
+    L| = |d| / prod m_i, so L_i^* = (m_i / d) M_i, M_i column i of M.  c =
+    omega L^-1 solves sum_i c_i L_i = omega, so nu(-Lambda) = |det L^*| /
+    prod <omega, L_i^*> is 1 / (|det L| prod c_i).  Raises unless the L_i
+    form a basis with every c_i > 0, the standing assumption of the box
+    machinery, and with `subcone` unless every <cls, L_i^*>, of the sign
+    of d <cls, M_i>, is >= 0: Lambda in the dual effective cone.
     """
     rho = lattice.rank
     if len(l_rows) != rho or any(len(r) != rho for r in l_rows):
@@ -1215,23 +1273,20 @@ def _dual_basis_data(lattice, l_rows):
     if solved is None:
         raise DegenerateInputError("L_i do not form a basis")
     d, inv = solved
-    gens = [[Fraction(x[i] * m, d) for x in inv]
-            for i, (_, m) in enumerate(rows)]
-    c = [linalg.vec_dot(lattice.anticanonical, g) for g in gens]
+    cols = list(zip(*inv))
+    c = [Fraction(m * linalg.vec_dot(lattice.anticanonical, col), d)
+         for col, (_, m) in zip(cols, rows)]
     if any(x <= 0 for x in c):
         raise DegenerateInputError(
             "anticanonical class is not interior to the cone of the L_i")
+    if subcone and any(d * linalg.vec_dot(cls, col) < 0
+                       for col in cols for cls in lattice.classes):
+        raise DegenerateInputError(
+            "cone is not contained in the dual effective cone")
+    gens = [[Fraction(x * m, d) for x in col]
+            for col, (_, m) in zip(cols, rows)]
     det = Fraction(abs(d), prod(m for _, m in rows))
     return c, det, gens, 1 / (det * prod(c))
-
-
-def _check_subcone(lattice, gens):
-    """Every dual-basis generator must pair >= 0 with every ray class."""
-    for g in gens:
-        for cls in lattice.classes:
-            if sum(Fraction(x) * y for x, y in zip(cls, g)) < 0:
-                raise DegenerateInputError(
-                    "cone is not contained in the dual effective cone")
 
 
 # -- translated polyhedra and boxes -----------------------------------------
@@ -1244,16 +1299,21 @@ def _box_region(l_rows, lows, highs, slopes=None):
     A lower wall at lo_i = 1 with s_i = 0, H_{L_i} >= 1, is the facet L_i
     instead, the meaning of a facet.  _compiled_shape drops it once per
     shape when L_i is effective, since every point meets it; a wall on a
-    row that is not effective stays a facet and is applied."""
+    row that is not effective stays a facet and is applied.  The bounds,
+    positive ints or Fractions, and the rows go into the Region as given
+    (Region._exact); only a rational row is cleared for its facet."""
     slopes = slopes or [0] * len(l_rows)
     cons, facets = [], []
     for row, lo, hi, s in zip(l_rows, lows, highs, slopes):
-        cons.append((list(row), hi, s))
+        row = tuple(row)
+        cons.append(Constraint(row, hi, s))
         if lo == 1 and s == 0:
-            facets.append(row)
+            facets.append(row if all(type(x) is int for x in row)
+                          else linalg.cleared(row)[0])
         else:
-            cons.append(([-x for x in row], 1 / Fraction(lo), -s))
-    return Region(cons, facets=facets)
+            cons.append(Constraint(tuple(-x for x in row), Fraction(1, lo),
+                                   -s))
+    return Region._exact(tuple(cons), tuple(dict.fromkeys(facets)))
 
 
 def count_translated_polyhedron(lattice, boxes, u, B, tau=None,
@@ -1311,6 +1371,8 @@ def count_box(lattice, l_rows, lows, highs, b_vec, tau=None,
     b_vec = [Fraction(x) for x in b_vec]
     if any(lo >= hi for lo, hi in zip(lows, highs)):
         raise DegenerateInputError("box needs a_i < b_i")
+    if any(lo <= 0 for lo in lows):
+        raise DegenerateInputError("box bounds e^{a_i} must be positive")
     if any(b < 1 for b in b_vec):
         raise DegenerateInputError("box scale parameters must be >= 1")
     region = _box_region(l_rows, [lo * b for lo, b in zip(lows, b_vec)],
@@ -1413,8 +1475,7 @@ def count_cone_box(lattice, l_rows, b_vec, seed=0, tau=None,
     histogram only N(w_0) is enumerated.  `budget` bounds the candidates
     visited over the whole call; `visited` is the sum over the corners.
     """
-    c, _, gens, nu_neg = _dual_basis_data(lattice, l_rows)
-    _check_subcone(lattice, gens)
+    c, _, _, nu_neg = _dual_basis_data(lattice, l_rows, subcone=True)
     b_vec = tuple(Fraction(x) for x in b_vec)
     rho = len(b_vec)
     decomp = decomposition or _drawn_decomposition(l_rows, seed)

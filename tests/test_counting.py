@@ -219,15 +219,43 @@ def _random_region(rng, lat):
     return Region(cons, facets=facets), B
 
 
+def _pipeline_boxes(lat, monkeypatch):
+    """The box regions that the cone-box and hyperbola pipelines build on
+    the basis rows, as they build them: every corner of a count_cone_box
+    at B_i = 12 on seeded walls (~2^28 denominators), the corners at the
+    wall below 1 included, and every staircase box of tabulate_f up to B =
+    60, with the strict walls hi + 1 - 1/D (and lo - 1 + 1/D on the
+    ceiling table of a row that is not nef)."""
+    rho = lat.rank
+    rows = [[int(i == j) for j in range(rho)] for i in range(rho)]
+    boxes, box_region = [], counting._box_region
+
+    def recorded(*args):
+        boxes.append(box_region(*args))
+        return boxes[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_box_region", recorded)
+        cone = count_cone_box(lat, rows, [12] * rho, seed=11)
+        corners = len(boxes)
+        tabulate_f(lat, rows, [counting._dual_basis_data(lat, rows)[0]],
+                   [20, 60])
+    assert cone["empty_boxes_ok"] and corners == prod(
+        k + 1 for k in cone["kept"])
+    return boxes
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_coordinate_bounds_match_exactlog_oracle(name):
+def test_coordinate_bounds_match_exactlog_oracle(name, monkeypatch):
     """The compiled integer program against the symbolic-log vertex solve,
-    on seeded random regions: equal bounds, or the same error."""
+    on seeded random regions and on the boxes the pipelines build
+    (_pipeline_boxes): equal bounds, or the same error."""
     lat = get_lattice(name)
     rng = random.Random(f"bounds-{name}")
+    inputs = [_random_region(rng, lat) for _ in range(60)]
+    inputs += [(box, 1) for box in _pipeline_boxes(lat, monkeypatch)]
     kinds = set()
-    for _ in range(60):
-        region, B = _random_region(rng, lat)
+    for region, B in inputs:
         got = _bounds_or_error(coordinate_bounds, lat, region, B)
         assert got == _bounds_or_error(coordinate_bounds_exactlog, lat,
                                        region, B), (region.constraints, B)
@@ -289,7 +317,11 @@ def test_coordinate_bounds_pinned_oracle_cases():
 def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
     """The 24 corner enumerations of a cone box share one constraint shape,
     so the vertex solve (_vertex_program) runs once for all of them; only
-    gamma differs, and each box still gets its own exact bounds."""
+    gamma differs, and each box still gets its own exact bounds.  On a
+    cold cache a count_cone_box call compiles one shape, and a tabulate_f
+    call one per distinct box shape: which rows have their lower wall at 1
+    (a facet).  Its staircase boxes, whose first row starts at 1 or above
+    it, make two, and _denominators' box shares the first."""
     lat = get_lattice("P1xP1")
     calls = []
     vertex_program = counting._vertex_program
@@ -314,6 +346,16 @@ def test_coordinate_bounds_compiles_once_per_shape(monkeypatch):
     assert cone_box() == 0     # warm: no compile
     counting._compiled_shape.cache_clear()
     assert cone_box() == 1
+    assert counting._compiled_shape.cache_info().misses == 1
+    for name in ("P1xP1", "F1"):
+        counting._compiled_shape.cache_clear()
+        staircase = get_lattice(name)
+        alphas = counting._dual_basis_data(staircase, [[1, 0], [0, 1]])[0]
+        tables = tabulate_f(staircase, [[1, 0], [0, 1]], [alphas], [20, 60])
+        assert tables[0].data.keys() == tables[1].data.keys()
+        shapes = {tuple(lo == 1 for lo, _ in box) for box in tables[0].data}
+        assert counting._compiled_shape.cache_info().misses == len(shapes) \
+            == 2
 
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
     boxes = [_box(decomp, (20, 20), n) for n in [(1, 1), (2, 3)]]
@@ -779,9 +821,15 @@ def test_signature_depths(name, depths):
     nor at the leaf depth n-1, which the 2-D leaf counts together with its
     parent; a depth with a nef group of one nonconstant prefix monomial
     (F1 in its builtin order at depths 1 and 2, P1xP1 at depth 1) is
-    skipped."""
+    skipped.  The shape compiled in that order then drops depth 1, where a
+    group of part (c) is x0 itself and no key repeats (_compiled_shape):
+    P2 keys no depth and P3 depth 2 alone."""
     lat = get_lattice(name)
-    assert sorted(_own_program(lat, anticanonical_region(lat))) == depths
+    region = anticanonical_region(lat)
+    assert sorted(_own_program(lat, region)) == depths
+    with _forced(range(lat.fan.n_rays)):
+        compiled = counting._compiled_shape(lat, region.shape).program
+    assert sorted(compiled) == [d for d in depths if d != 1]
 
 
 @pytest.mark.parametrize("name,B", [("P1xP1", 10000), ("P3", 20000)])
@@ -1002,10 +1050,10 @@ def test_root_keys_of_two_constraints():
     depth 2 the H_(1,3) group keys by the cube root of its quota, the
     H_(1,1) group by its quota.  P2's and P3's groups have all-zero prefix
     vectors, so their quotas are the call's own and key as they are.  P2
-    keys depth 1 alone, where each x0 has its own gcd part, so its slice
-    x0 in [5, 30] reuses nothing; it counts 4 per coprime (x0, x1, x2)
-    with x1, x2 <= N = 46, N^3 <= 10^5, a Moebius sum.  P3 reuses the
-    subtrees of equal gcd(6, x1)."""
+    keys no depth (depth 1, where each x0 has its own gcd part, is
+    dropped), so its slice x0 in [5, 30] reuses nothing; it counts 4 per
+    coprime (x0, x1, x2) with x1, x2 <= N = 46, N^3 <= 10^5, a Moebius
+    sum.  P3 reuses the subtrees of equal gcd(6, x1)."""
     lat = get_lattice("P1xP1")
     region = Region([((1, 1), 30, 0), ((1, 3), 90, 0)])
     with _forced((0, 1, 2, 3)):
@@ -1469,25 +1517,34 @@ def _one_shape(kind):
         lat = get_lattice("F1")
         return lat, [(Region([((1, 0), g, 0), ((0, 1), 1, 1)]), B)
                      for g, B in ((2, 12), (3, 14), (4, 10))]
+    if kind == "caps":  # the 2-D leaf's cap of v grows with B
+        lat = get_lattice("P1xP1")
+        return lat, [(anticanonical_region(lat), B) for B in (30, 300, 1000)]
     lat = get_lattice("P1xP1")  # box lower walls: regions of a cone box
     decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=7)
     return lat, [(_box(decomp, (8, 8), n_vec), 1)
                  for n_vec in ((2, 1), (2, 2), (3, 1), (1, 2))]
 
 
-@pytest.mark.parametrize("kind", ["annulus", "mixed", "box"])
-def test_shape_cache_keeps_no_call_data(kind):
+@pytest.mark.parametrize("kind", ["annulus", "mixed", "box", "caps"])
+def test_shape_cache_keeps_no_call_data(kind, monkeypatch):
     """One shape counted at several gamma and B, each on a cold shape cache
     and then all on the entry compiled for the last of them: count,
-    visited, reused and order agree, and the counts are naive_count's."""
+    visited, reused and order agree, and the counts are naive_count's.
+    Every call also shares the table of mu of _squarefree_upto: the cold
+    calls start on a fresh table in the given order, on "caps" one of
+    increasing cap, so that the table grows between calls, and the warm
+    calls on a fresh table in the reverse order."""
     lat, regions = _one_shape(kind)
+    monkeypatch.setattr(counting, "_MOEBIUS", [bytearray(b"\1"), b""])
     cold = []
     for region, B in regions:
         counting._compiled_shape.cache_clear()
         cold.append(_outcome(enumerate_region(lat, region, B)))
     compiled = counting._compiled_shape.cache_info().misses
+    monkeypatch.setattr(counting, "_MOEBIUS", [bytearray(b"\1"), b""])
     warm = [_outcome(enumerate_region(lat, region, B))
-            for region, B in regions]
+            for region, B in reversed(regions)][::-1]
     assert counting._compiled_shape.cache_info().misses == compiled
     assert warm == cold
     assert [res[0] for res in cold] == [naive_count(lat, region, B)
