@@ -43,8 +43,8 @@ children m of a prefix the quota and threshold parts of the signature are
 monotone step functions, so they are constant on runs of m that end at exact
 integer roots; where every cone group holds the prefix's own ray, the gcd
 part depends on m only through gcd(m, L) for an integer L of the prefix.
-Each run and gcd class then costs one memo lookup and, past one child, one
-Moebius count: on P1xP1 the (x0, x1) loop takes one step per run of equal
+Each run and gcd class then costs one Moebius count and, if it is nonzero,
+one memo lookup: on P1xP1 the (x0, x1) loop takes one step per run of equal
 floor(sqrt(B) / max(x0, x1)), the max-norm grouping of the hyperbola method.
 
 A region's shape is all of it but its scales gamma, and what depends on
@@ -54,9 +54,7 @@ the constraints, the vertex solve of the per-coordinate caps, indexed
 evaluates the caps, quotas, thresholds and mixed bounds at its gamma and
 B, as integer fractions; the box regions of a cone box share one shape.
 Their lower walls at 1 are facets, which the compile drops on effective
-rows: a P1xP1 corner decides 4 distinct tests for its 4 vertex subsets,
-and on a shared 2-core VM its box, shape lookup and caps take about 10 us
-of a 0.1-0.2 ms call, where they took 26 us before the shape held them.
+rows: a P1xP1 corner decides 4 distinct tests for its 4 vertex subsets.
 
 The rounded-height sums of the hyperbola method are counts of staircase
 boxes, one plain call each (tabulate_f), so the enumerator has one memo
@@ -69,7 +67,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
 from itertools import combinations, compress, permutations, product
-from math import gcd, lcm, prod
+from math import gcd, isqrt, lcm, prod
 from operator import itemgetter
 import random
 
@@ -228,10 +226,7 @@ def _vertex_program(classes, cls_rows, s_vals, facets):
     linalg.fraction_free_inverse inverts each subset as M / det, and the
     vertex is X / det, X = M P.  Row j's test is (Q_j X - det P_j) over
     m_j det and class c's pairing c X over det, each cleared by one gcd,
-    with det's sign, to the least positive denominator.  On a shared 2-core
-    VM, F1's anticanonical program takes 0.3-0.5 ms and BlP2's box with
-    lower-wall constraints 16-18 ms, where Fraction inverses took 1.2-2.0
-    and 100-130 ms.
+    with det's sign, to the least positive denominator.
     """
     rho, k = len(classes[0]), len(cls_rows)
     uniq = list(dict.fromkeys(classes))
@@ -559,8 +554,8 @@ def _descent_order(n, cones, pair_reps, limit, closed):
 
 
 _Shape = namedtuple("_Shape", "vertex_program tests objectives beats order "
-                    "nef anti mixed outside wcol program by_runs v_pairs "
-                    "cone_groups")
+                    "nef anti mixed outside wcol cap_pairs program by_runs "
+                    "v_pairs cone_groups")
 
 
 @lru_cache(maxsize=256)
@@ -582,9 +577,10 @@ def _compiled_shape(lattice, shape):
     (_descent_order) and, relabelled by it (depth i holds the ray
     order[i]), the representatives and the monomials of each mixed
     constraint's nef split, per depth the cones whose complement holds its
-    ray and the pair exponents, the _signature_program (less depth 1,
-    where no key repeats: enumerate_region) with the depths whose children
-    walk runs, and what the 2-D leaf reads of the last two depths.  The
+    ray, the pair exponents and those > 0 as leaf_cap reads them (index,
+    exponent), the _signature_program (less depth 1, where no key repeats:
+    enumerate_region) with the depths whose children walk runs, and what
+    the 2-D leaf reads of the last two depths.  The
     vertex program is held as _indexed gives it.  Every call of the shape
     shares the entry, so none may change it."""
     fan, n, rho = lattice.fan, lattice.fan.n_rays, lattice.rank
@@ -624,7 +620,9 @@ def _compiled_shape(lattice, shape):
     cone_groups = [[s for s, out in enumerate(out_uv) if out in outs]
                    for outs in ({(0, 0), (0, 1)}, {(0, 0)}, {(1, 0)})]
     return _Shape(*_indexed(vertex_program), order, nef, anti, mixed,
-                  outside, wcol, program,
+                  outside, wcol,
+                  [[(i, w) for i, w in enumerate(col) if w] for col in wcol],
+                  program,
                   {d - 1: spec for d, spec in program.items() if spec[3]},
                   [(a, b, itemgetter(*idx, idx[0]))
                    for (a, b), idx in v_pairs.items()], cone_groups)
@@ -866,11 +864,13 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     passed it): it holds iff gcd(D, A) = 1, as A | L.  So each D | L coprime
     to A is one class, of N_D = sum_{f | rad(L/D)} mu(f) (floor(e / Df) -
     floor((a - 1) / Df)) children, and adds N_D times the memo entry of its
-    signature; a miss builds the products and quotas of its least child and
-    descends it first.  A run of one child a takes no class sums: it is the
-    class gcd(a, L), kept iff gcd(a, A) = 1.  Classes are taken in order of
-    their least child, so the descents, and the memo each of them finds, are
-    those of the per-child walk, and count, visited and reused do not change.
+    signature; only a miss builds the products and quotas of a child, its
+    least, and descends it.  The order of the classes changes nothing:
+    count and visited are sums; reused is the sum of the N_D less the
+    misses, one per distinct signature met, in any order; visited only
+    grows and a check follows each increment, so BudgetError is raised iff
+    the final visited exceeds the budget; and equal signatures have equal
+    subtrees, so it does not matter which child of a class is descended.
 
     Order.  The descent runs on the fan relabelled by the order that
     _descent_order picks for the region's shape: depth i holds the ray
@@ -890,9 +890,9 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     """
     _evaluator(lattice).nef_split  # raises for a fan that is not projective
     n, rho = lattice.fan.n_rays, lattice.rank
-    (*_, order, nef_cons, anti_cons, mixed_cons, outside, wcol, program,
-     by_runs, v_pairs, cone_groups) = shape = _compiled_shape(lattice,
-                                                             region.shape)
+    (*_, order, nef_cons, anti_cons, mixed_cons, outside, wcol, cap_pairs,
+     program, by_runs, v_pairs, cone_groups) = shape = _compiled_shape(
+         lattice, region.shape)
     bounds, *bases = _evaluated(shape, region, B)
     empty = EnumerationResult(count=0, visited=0, order=order)
     if any(m == 0 for m in bounds):
@@ -934,11 +934,10 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
 
     def leaf_cap(depth, quotas):
         cap = bounds[depth]
-        for q, w in zip(quotas, wcol[depth]):
-            if w > 0:
-                c = linalg.iroot(q, w)
-                if c < cap:
-                    cap = c
+        for i, w in cap_pairs[depth]:
+            c = isqrt(quotas[i]) if w == 2 else linalg.iroot(quotas[i], w)
+            if c < cap:
+                cap = c
         return cap
 
     mags = [0] * n
@@ -961,7 +960,7 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                     out.append(p)
                     while x % p == 0:
                         x //= p
-                p += 1
+                p += 1 + (p > 2)
             factored[m] = out + [x] * (x > 1)
         return factored[m]
 
@@ -1089,32 +1088,33 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         """The children m in [lo, hi] of a blockable depth, one step per
         run of equal parts (a) and (b) and class D = gcd(m, L) in it."""
         nonlocal visited, count, reused
-        quotas, base, col = quota[-1], comp_prod[-1], wcol[depth]
+        quotas, base, out = quota[-1], comp_prod[-1], outside[depth]
         nef, anti, coprime, (moving, holders, held) = spec
-        ell = lcm(*(gcd(*get(base)) for get in holders))
+        ell = lcm(*[gcd(*get(base)) for get in holders])
         coprime_to = gcd(*held(base))
-        primes = {p for lam in range(depth) for p in primes_of(mags[lam])
-                  if ell % p == 0}
-        divs = [1]  # the D | L coprime to A
-        for p in primes:
-            if coprime_to % p:
-                k, ext = p, []
-                while ell % k == 0:
-                    ext += [d * k for d in divs]
-                    k *= p
-                divs += ext
-        # per class D the signed D f, f | rad(L / D), so that
-        # #{m in [a, e] : gcd(m, L) = D} = sum mu (e // Df - (a - 1) // Df),
-        # and part (c) of its children, that of the child D
-        classes = {}
-        for d in divs:
-            terms = [(d, 1)]
-            for p in primes:
-                if ell // d % p == 0:
-                    terms += [(k * p, -mu) for k, mu in terms]
-            comp = [b * d if out else b
-                    for b, out in zip(base, outside[depth])]
-            classes[d] = terms, tuple(gcd(*get(comp)) for get in coprime)
+        # per class D <= hi, D | L coprime to A: the signed D f <= hi, f |
+        # rad(L / D), so that #{m in [a, e] : gcd(m, L) = D} = sum mu (e //
+        # Df - (a - 1) // Df), and part (c) of its children, that of D
+        classes = [(1, [(1, 1)])]
+        if ell > 1:
+            for p in {p for lam in range(depth) for p in primes_of(mags[lam])
+                      if ell % p == 0}:
+                split = []
+                for d, own in classes:  # the classes d p^j, j < v_p(L)
+                    k = p
+                    while True:
+                        if ell % k:  # p no longer divides L / d
+                            split.append((d, own))
+                            break
+                        up = [(x * p, mu) for x, mu in own if x * p <= hi]
+                        split.append((d, own + [(x, -mu) for x, mu in up]))
+                        if not up or coprime_to % p == 0:
+                            break
+                        d, own, k = d * p, up, k * p
+                classes = split
+        for i, (d, terms) in enumerate(classes):
+            comp = [b * d if o else b for b, o in zip(base, out)]
+            classes[i] = d, terms, tuple([gcd(*get(comp)) for get in coprime])
         fixed = [(min(get(quotas)), g, [(quotas[i], w) for i, w in pairs])
                  for (get, g), pairs in zip(nef, moving)]
         prefs = [[prefix(w, depth) for w in reps] for reps, _ in anti]
@@ -1125,12 +1125,14 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
             end, key = hi, [depth + 1]
             for v, g, pairs in fixed:
                 for q, w in pairs:
-                    if q // a ** w < v:
-                        v = q // a ** w
-                key.append(linalg.iroot(v, g) if g > 1 else v)
-                v = key[-1] ** g
+                    x = q // a ** w
+                    if x < v:
+                        v = x
+                r = isqrt(v) if g == 2 else linalg.iroot(v, g) if g > 1 else v
+                key.append(r)
+                v = r ** g
                 for q, w in pairs:
-                    r = linalg.iroot(q // v, w)
+                    r = isqrt(q // v) if w == 2 else linalg.iroot(q // v, w)
                     if r < end:
                         end = r
             # ceil(c / M) = t iff M (t - 1) < c <= M t, and P m^w < c iff
@@ -1150,33 +1152,27 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                         if reps[i][depth]:
                             end = min(end, linalg.iroot(x // pref[i],
                                                         reps[i][depth]))
-            key = tuple(key)
-            if end == a:  # one child: no class sums
-                found = ([(a, 1, classes[gcd(a, ell)][1])]
-                         if gcd(a, coprime_to) == 1 else [])
-            else:
-                found = []  # (least m of the class, its children, part (c))
-                for d, (terms, part_c) in classes.items():
-                    if d <= end:
-                        times = 0
-                        for k, mu in terms:
-                            times += mu * (end // k - (a - 1) // k)
-                        if times:
-                            m = -(-a // d) * d
-                            while gcd(m, ell) != d:
-                                m += d
-                            found.append((m, times, part_c))
-                found.sort()
-            for m, times, part_c in found:
+            key, below = tuple(key), a - 1
+            for d, terms, part_c in classes:
+                if d > end:
+                    continue
+                times = 0
+                for k, mu in terms:
+                    times += mu * (end // k - below // k)
+                if not times:
+                    continue
                 sig = key + part_c
                 hit = memo.get(sig)
-                if hit is None:
+                if hit is None:  # descend a child of the class, the least
+                    m = -(-a // d) * d
+                    while gcd(m, ell) != d:
+                        m += d
                     start = count, visited
                     mags[depth] = m
-                    comp_prod.append([b * m if out else b
-                                      for b, out in zip(base, outside[depth])])
+                    comp_prod.append([b * m if o else b
+                                      for b, o in zip(base, out)])
                     quota.append([q // m ** w if w else q
-                                  for q, w in zip(quotas, col)])
+                                  for q, w in zip(quotas, wcol[depth])])
                     descend(depth + 1)
                     comp_prod.pop()
                     quota.pop()

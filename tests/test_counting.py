@@ -219,6 +219,31 @@ def _random_region(rng, lat):
     return Region(cons, facets=facets), B
 
 
+def _closed_region(rng, lat):
+    """A region with no mixed constraint, at B = 1: H_A <= t^k for an ample
+    A, a sum of the rays of the nef cone with weights 1 or 2 of sum k, and
+    2 <= t <= 12; maybe a second nef upper bound and an anti-nef lower
+    bound H_c >= 1 + t^k / j, c nef, of the same kind; maybe a nef facet."""
+    rays = dual_cone(lat.nef_inequalities(), lat.rank)
+
+    def nef(low):
+        ks = [rng.randint(low, 2) for _ in rays]
+        return (tuple(sum(k * r[i] for k, r in zip(ks, rays))
+                      for i in range(lat.rank)),
+                rng.randint(2, 12) ** sum(ks))
+
+    cons = [nef(1) + (0,)]
+    if rng.random() < 0.5:
+        cons.append(nef(0) + (0,))
+    if rng.random() < 0.5:
+        c, top = nef(0)
+        cons.append(([-x for x in c],
+                     Fraction(1, 1 + top // rng.randint(2, 9)), 0))
+    facets = [nef(0)[0]] if rng.random() < 0.3 else []
+    return Region([c for c in cons if any(c[0])],
+                  facets=[f for f in facets if any(f)]), 1
+
+
 def _pipeline_boxes(lat, monkeypatch):
     """The box regions that the cone-box and hyperbola pipelines build on
     the basis rows, as they build them: every corner of a count_cone_box
@@ -1186,15 +1211,19 @@ def test_blocked_descent_classes_differ_in_part_c(name, B):
     assert res.count == naive_count(lat, region, B)
 
 
+def _p4():
+    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+            [-1, -1, -1, -1]]
+    return fans.class_lattice(fans.make_fan(
+        4, rays, list(combinations(range(5), 4)), name="P4"))
+
+
 def test_blocked_descent_nested_depths():
     """On P4 depths 1 and 2 count their children by runs, each inside
     the subtrees the one before descends, and the 2-D leaf counts (y3, y4).
     Its torus points of anticanonical height <= N^5 number
     (1/2) sum_d mu(d) (2 floor(N/d))^5."""
-    rays = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
-            [-1, -1, -1, -1]]
-    lat = fans.class_lattice(fans.make_fan(
-        4, rays, list(combinations(range(5), 4)), name="P4"))
+    lat = _p4()
     region = anticanonical_region(lat)
     program = _own_program(lat, region)
     assert sorted(d for d, spec in program.items() if spec[3]) == [2, 3]
@@ -1206,6 +1235,33 @@ def test_blocked_descent_nested_depths():
     _blocked_and_per_child(lat, region, 12 ** 5, first_range=(6, 6))
 
 
+@pytest.mark.parametrize("name", ["P3", "P1xP2", "BlP2", "P4"])
+def test_blocked_descent_random_regions(name):
+    """Seeded regions with no mixed constraint, those of 60 _random_region
+    draws and 30 _closed_region ones, by runs and by the walk of every
+    child (_blocked_and_per_child): count, visited and reused agree.  P4
+    walks runs at two nested depths; BlP2 walks none in any order, so there
+    the switch must change nothing.  A region past 2 * 10^4 candidates, or
+    unbounded, is skipped."""
+    lat = _p4() if name == "P4" else get_lattice(name)
+    rng = random.Random(f"runs-{name}")
+    regions = [_random_region(rng, lat) for _ in range(60)]
+    regions += [_closed_region(rng, lat) for _ in range(30)]
+    counted, reused = 0, 0
+    for region, B in regions:
+        try:
+            shape = counting._compiled_shape(lat, region.shape)
+            if shape.mixed:
+                continue
+            res = _blocked_and_per_child(lat, region, B, budget=20000)
+        except (BudgetError, DegenerateInputError):
+            continue
+        counted += 1
+        reused += bool(shape.by_runs) and res.reused > 0
+    assert counted >= 20
+    assert (reused >= 10) == (name != "BlP2")
+
+
 def test_blocked_descent_respects_budget():
     lat = get_lattice("P1xP1")
     region = anticanonical_region(lat)
@@ -1214,6 +1270,24 @@ def test_blocked_descent_respects_budget():
                             budget=res.visited).count == res.count
     with pytest.raises(BudgetError):
         enumerate_region(lat, region, 30032, budget=res.visited - 1)
+
+
+@pytest.mark.parametrize("name,B,first", [("P3", 12 ** 4, (6, 6)),
+                                          ("P1xP2", 300, None)])
+def test_blocked_descent_budget_with_several_classes(name, B, first):
+    """test_blocked_descent_respects_budget where runs hold several gcd
+    classes (test_blocked_descent_gcd_classes,
+    test_blocked_descent_classes_differ_in_part_c), which a run takes in
+    any order (enumerate_region): the exact budget passes and one less
+    raises."""
+    lat = get_lattice(name)
+    region = anticanonical_region(lat)
+    res = enumerate_region(lat, region, B, first_range=first)
+    assert enumerate_region(lat, region, B, budget=res.visited,
+                            first_range=first).count == res.count
+    with pytest.raises(BudgetError):
+        enumerate_region(lat, region, B, budget=res.visited - 1,
+                         first_range=first)
 
 
 def test_p1xp1_at_a_million():
@@ -1231,8 +1305,8 @@ def test_p1xp1_at_a_million():
 
 def test_p1xp1_at_ten_million():
     """The closed form of bench/reference.py at 10^7.  Of the 16,098 runs
-    at depth 1, 2,097 cover one child, which is counted with no class
-    sums; keyed by the raw quota there were 105,799 runs, 45,656 of one
+    at depth 1, 2,097 cover one child, counted by the class loop like the
+    others; keyed by the raw quota there were 105,799 runs, 45,656 of one
     child."""
     lat = get_lattice("P1xP1")
     start = time.perf_counter()
@@ -1534,7 +1608,9 @@ def test_shape_cache_keeps_no_call_data(kind, monkeypatch):
     Every call also shares the table of mu of _squarefree_upto: the cold
     calls start on a fresh table in the given order, on "caps" one of
     increasing cap, so that the table grows between calls, and the warm
-    calls on a fresh table in the reverse order."""
+    calls on a fresh table in the reverse order.  The entry's pairs of
+    leaf_cap, per depth each (index, exponent) of exponent > 0 in the order
+    of its exponent column, are read, not changed, by the calls."""
     lat, regions = _one_shape(kind)
     monkeypatch.setattr(counting, "_MOEBIUS", [bytearray(b"\1"), b""])
     cold = []
@@ -1542,10 +1618,15 @@ def test_shape_cache_keeps_no_call_data(kind, monkeypatch):
         counting._compiled_shape.cache_clear()
         cold.append(_outcome(enumerate_region(lat, region, B)))
     compiled = counting._compiled_shape.cache_info().misses
+    entry = counting._compiled_shape(lat, regions[-1][0].shape)
+    want = [[(i, w) for i, w in enumerate(col) if w > 0]
+            for col in entry.wcol]
+    assert entry.cap_pairs == want and any(want)
     monkeypatch.setattr(counting, "_MOEBIUS", [bytearray(b"\1"), b""])
     warm = [_outcome(enumerate_region(lat, region, B))
             for region, B in reversed(regions)][::-1]
     assert counting._compiled_shape.cache_info().misses == compiled
+    assert entry.cap_pairs == want
     assert warm == cold
     assert [res[0] for res in cold] == [naive_count(lat, region, B)
                                         for region, B in regions]
