@@ -46,6 +46,9 @@ part depends on m only through gcd(m, L) for an integer L of the prefix.
 Each run and gcd class then costs one Moebius count and, if it is nonzero,
 one memo lookup: on P1xP1 the (x0, x1) loop takes one step per run of equal
 floor(sqrt(B) / max(x0, x1)), the max-norm grouping of the hyperbola method.
+Where the walks below consecutive x0 differ only in the condition gcd(x0,
+x1) = 1 (P1xP1, F1, F2), the x0 are taken in runs as well, one walk of x1
+per run, which counts its pairs by a double Moebius sum.
 
 A region's shape is all of it but its scales gamma, and what depends on
 the shape alone is compiled once per shape (_compiled_shape): the split of
@@ -428,6 +431,38 @@ def _blockable(cones, groups, ray):
     return out
 
 
+def _by_rest(vecs, d):
+    """The indices of vecs grouped by their remaining vector w[d:], with
+    all-zero vectors left out."""
+    groups = {}
+    for i, w in enumerate(vecs):
+        if any(w[d:]):
+            groups.setdefault(w[d:], []).append(i)
+    return list(groups.values())
+
+
+def _getters(groups):
+    return [itemgetter(*grp, grp[0]) for grp in groups]
+
+
+def _key_parts(pair_reps, anti_reps, nef, d, owners):
+    """Parts (1) and (2) of the signature at depth d (_signature_program),
+    nef the groups of pair_reps by _by_rest: the kept groups with their
+    roots, and per anti-nef constraint its reps and their groups."""
+    # groups merged here hold the same prefix vectors, so the eligibility
+    # test, made before the merge, reads them alike
+    kept, roots = {}, {}
+    for grp in nef:
+        owned = (frozenset((owners[i], pair_reps[i][:d]) for i in grp)
+                 if owners else tuple(grp))
+        kept.setdefault(owned, grp)
+        roots[owned] = gcd(roots.get(owned, 0), *pair_reps[grp[0]][d:])
+    nef = list(kept.values())
+    roots = [g if any(sum(pair_reps[i][:d]) for i in grp) else 1
+             for grp, g in zip(nef, roots.values())]
+    return nef, roots, [(reps, _by_rest(reps, d)) for reps in anti_reps]
+
+
 def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
     """Index lists of the subtree signature of enumerate_region, per
     eligible depth d.
@@ -453,19 +488,9 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
     lookups there would miss.  The leaf depth n-1 has no key: on the
     closed path the 2-D leaf counts it together with its parent.
     """
-    def getters(groups):
-        return [itemgetter(*grp, grp[0]) for grp in groups]
-
-    def by_rest(vecs, d):
-        groups = {}
-        for i, w in enumerate(vecs):
-            if any(w[d:]):
-                groups.setdefault(w[d:], []).append(i)
-        return list(groups.values())
-
     program = {}
     for d in range(1, n - 1):
-        nef = by_rest(pair_reps, d)
+        nef = _by_rest(pair_reps, d)
         if any(len({pair_reps[i][:d] for i in grp}) == 1
                and any(pair_reps[grp[0]][:d]) for grp in nef):
             continue
@@ -473,27 +498,16 @@ def _signature_program(pair_reps, anti_reps, cones, n, owners=()):
         for s, cone in enumerate(cones):
             rest = tuple(lam for lam in range(d, n) if lam not in cone)
             outside.setdefault(rest, []).append(s)
-        # groups merged here hold the same prefix vectors, so the tests
-        # above, made before the merge, read them alike
-        kept, roots = {}, {}
-        for grp in nef:
-            owned = (frozenset((owners[i], pair_reps[i][:d]) for i in grp)
-                     if owners else tuple(grp))
-            kept.setdefault(owned, grp)
-            roots[owned] = gcd(roots.get(owned, 0), *pair_reps[grp[0]][d:])
-        nef = list(kept.values())
-        roots = [g if any(sum(pair_reps[i][:d]) for i in grp) else 1
-                 for grp, g in zip(nef, roots.values())]
-        anti = [(reps, by_rest(reps, d)) for reps in anti_reps]
+        nef, roots, anti = _key_parts(pair_reps, anti_reps, nef, d, owners)
         held = _blockable(cones, outside.values(), d - 1)
         runs = None
         if held is not None:
             moving = [[(i, pair_reps[i][d - 1]) for i in grp
                        if pair_reps[i][d - 1]] for grp in nef]
             holders = [s for s, cone in enumerate(cones) if d - 1 in cone]
-            runs = (moving, getters(held), itemgetter(*holders, holders[0]))
-        program[d] = (list(zip(getters(nef), roots)), anti,
-                      getters(outside.values()), runs)
+            runs = (moving, _getters(held), itemgetter(*holders, holders[0]))
+        program[d] = (list(zip(_getters(nef), roots)), anti,
+                      _getters(outside.values()), runs)
     return program
 
 
@@ -558,6 +572,32 @@ _Shape = namedtuple("_Shape", "vertex_program tests objectives beats order "
                     "v_pairs cone_groups")
 
 
+def _pair_runs(pair_reps, anti_reps, cones, n, owners):
+    """What depth 0 reads to walk its children x0 by runs of equal parts
+    (1) and (2) of the signature at depth 1 (enumerate_region, "Pair
+    runs"), for a shape whose depth 1 walks runs: a depth of
+    _signature_program with the groups of (1) at depth 1 that hold a pair
+    with w[0] > 0 and those pairs (index, w[0]); or None where a cone
+    holds rays 0 and 1, or some group of (3) at depth 2 no cone with ray
+    0, as a walk of depth 1 could then hold a class D > 1 or a part (c)
+    that moves with x0."""
+    groups = {}
+    for s, cone in enumerate(cones):
+        groups.setdefault(frozenset(range(2, n)) - cone, []).append(s)
+    if any({0, 1} <= cone for cone in cones) or not all(
+            any(0 in cones[s] for s in grp) for grp in groups.values()):
+        return None
+    nef, roots, anti = _key_parts(pair_reps, anti_reps,
+                                  _by_rest(pair_reps, 1), 1, owners)
+    kept, moving = [], []
+    for grp, g in zip(nef, roots):
+        pairs = [(i, pair_reps[i][0]) for i in grp if pair_reps[i][0]]
+        if pairs:  # a group that no x0 moves ends no run
+            kept.append((itemgetter(*grp, grp[0]), g))
+            moving.append(pairs)
+    return kept, anti, (), (moving, (), None)
+
+
 @lru_cache(maxsize=256)
 def _compiled_shape(lattice, shape):
     """What enumerate_region needs of a region that neither gamma nor B
@@ -579,8 +619,9 @@ def _compiled_shape(lattice, shape):
     constraint's nef split, per depth the cones whose complement holds its
     ray, the pair exponents and those > 0 as leaf_cap reads them (index,
     exponent), the _signature_program (less depth 1, where no key repeats:
-    enumerate_region) with the depths whose children walk runs, and what
-    the 2-D leaf reads of the last two depths.  The
+    enumerate_region) with the depths whose children walk runs, depth 0
+    among them where _pair_runs allows, and what the 2-D leaf reads of the
+    last two depths.  The
     vertex program is held as _indexed gives it.  Every call of the shape
     shares the entry, so none may change it."""
     fan, n, rho = lattice.fan, lattice.fan.n_rays, lattice.rank
@@ -602,11 +643,17 @@ def _compiled_shape(lattice, shape):
              for v, pair in mixed]
     cones = [{order.index(lam) for lam in c} for c in fan.max_cones]
     pair_reps = [w for _, reps in nef for w in reps]
-    program = {} if mixed else _signature_program(
-        pair_reps, [reps for _, reps in anti], cones, n,
-        [j for j, (_, reps) in enumerate(nef) for _ in reps])
+    anti_reps = [reps for _, reps in anti]
+    owners = [j for j, (_, reps) in enumerate(nef) for _ in reps]
+    program = {} if mixed else _signature_program(pair_reps, anti_reps,
+                                                   cones, n, owners)
     if any(0 not in c for c in cones):
         program.pop(1, None)
+    by_runs = {d - 1: spec for d, spec in program.items() if spec[3]}
+    if 1 in by_runs and 0 not in by_runs:
+        spec = _pair_runs(pair_reps, anti_reps, cones, n, owners)
+        if spec:
+            by_runs[0] = spec
     outside = [[lam not in c for c in cones] for lam in range(n)]
     wcol = [[w[d] for w in pair_reps] for d in range(n)]
     # the 2-D leaf: the pairs that bound v = y_{n-1}, by their exponents
@@ -622,8 +669,7 @@ def _compiled_shape(lattice, shape):
     return _Shape(*_indexed(vertex_program), order, nef, anti, mixed,
                   outside, wcol,
                   [[(i, w) for i, w in enumerate(col) if w] for col in wcol],
-                  program,
-                  {d - 1: spec for d, spec in program.items() if spec[3]},
+                  program, by_runs,
                   [(a, b, itemgetter(*idx, idx[0]))
                    for (a, b), idx in v_pairs.items()], cone_groups)
 
@@ -872,6 +918,37 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
     the final visited exceeds the budget; and equal signatures have equal
     subtrees, so it does not matter which child of a class is descended.
 
+    Pair runs.  Depth 0 walks its children x0 by runs too, where the shape
+    allows it (_pair_runs, decided once per shape): depth 1 walks runs, no
+    cone holds rays 0 and 1, and every group of part (c) at depth 2 holds a
+    cone with ray 0.  Depth 1 keys nothing, as a group of its part (c) is
+    x0 itself, but the run rule above, applied to the groups of its parts
+    (a) and (b), cuts the x0 into maximal runs [u1, u2] on which those
+    parts stay equal.  By the proof of the memo, applied at depth 1, every
+    x0 of a run then has the same walk of depth 1 up to its gcd classes:
+    the same cap, the same runs [a, e] of x1 and the same parts (a) and (b)
+    at depth 2.  Every cone that holds ray 1 misses ray 0, so its
+    complement product is x0 and L = A = x0: the one class is D = 1, x1
+    coprime to x0, and its part (c) is 1 in every group, some cone of which
+    holds ray 0 and has the product 1.  So every x0 of the run meets the
+    same keys, and adds N(x0) = sum_{k | rad x0} mu(k) (floor(e / k) -
+    floor((a - 1) / k)) times the entry to a run [a, e].  One walk of depth
+    1, on u1's quotas and products, adds their sum, sum_k mu(k) (floor(u2 /
+    k) - floor((u1 - 1) / k)) (floor(e / k) - floor((a - 1) / k)) over the
+    squarefree k up to u2 and the cap of x1; a run of one x0 is walked as
+    before.  (Where a cone holds rays 0 and 1, some walk holds several
+    classes: a group of part (c) at depth 2 holds cones that agree on rays
+    2..n-1, and so hold equally many of rays 0 and 1, each cone having one
+    ray per dimension; a complete fan has cones that miss ray 0, whose
+    groups then have no cone with both, so L = x0 while A = 1.)
+    Count and visited are sums, and visited adds the u2 - u1 + 1 nodes of
+    depth 1 first (the cap of x1 is >= 1 below every x0 the cap of x0
+    allows, so each adds its node).  A key is met iff some N(x0) > 0, so
+    the misses, one per distinct key, and reused, the pairs less the
+    misses, are those of the walks of every x0; a miss descends one pair of
+    the block that the walk of its x0 counts, on that pair's own quotas and
+    products.  The budget check holds as in Runs.
+
     Order.  The descent runs on the fan relabelled by the order that
     _descent_order picks for the region's shape: depth i holds the ray
     order[i], and the bounds, the representatives of the constraints, the
@@ -941,7 +1018,7 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         return cap
 
     mags = [0] * n
-    factored = {}
+    factored = [(0, [])] * n  # per depth, its last magnitude and its primes
 
     def prefix(w, depth):
         """The monomial y^w over the assigned magnitudes mags[:depth]."""
@@ -951,18 +1028,22 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                 out *= mags[lam] ** w[lam]
         return out
 
-    def primes_of(m):
-        """Distinct primes of a magnitude, by trial division, cached."""
-        if m not in factored:
-            out, x, p = [], m, 2
+    def primes_at(lam):
+        """Distinct primes of the magnitude mags[lam], by trial division,
+        kept until the coordinate at depth lam moves."""
+        m, out = factored[lam]
+        if m != mags[lam]:
+            m = x = mags[lam]
+            out, p = [], 2
             while p * p <= x:
                 if x % p == 0:
                     out.append(p)
                     while x % p == 0:
                         x //= p
                 p += 1 + (p > 2)
-            factored[m] = out + [x] * (x > 1)
-        return factored[m]
+            out += [x] * (x > 1)
+            factored[lam] = m, out
+        return out
 
     def leaf_start(lo, hi, depth):
         """The least admissible last coordinate from lo, and G0.
@@ -1001,7 +1082,7 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
         divs = [(1, 1)]
         if g == 1:
             return divs
-        for p in {p for lam in range(depth) for p in primes_of(mags[lam])
+        for p in {p for lam in range(depth) for p in primes_at(lam)
                   if g % p == 0}:
             divs += [(d * p, -mu) for d, mu in divs if d * p <= top]
         return divs
@@ -1084,20 +1165,37 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
             key.append(gcd(*get(comp)))
         return tuple(key)
 
-    def walk_runs(depth, lo, hi, spec):
+    def push(depth, m):
+        """Puts m at depth, below the prefix on top of the stacks (the
+        empty one at depth 0), and its products and quotas on the stacks."""
+        parent = -1 if depth else 0
+        mags[depth] = m
+        comp_prod.append([b * m if o else b
+                          for b, o in zip(comp_prod[parent], outside[depth])])
+        quota.append([q // m ** w if w else q
+                      for q, w in zip(quota[parent], wcol[depth])])
+
+    def walk_runs(depth, lo, hi, spec, block=None):
         """The children m in [lo, hi] of a blockable depth, one step per
-        run of equal parts (a) and (b) and class D = gcd(m, L) in it."""
+        run of equal parts (a) and (b) and class D = gcd(m, L) in it; at
+        depth 0, one pair_run per run.  With block = (x0s, terms), the walk
+        at depth 1 stands for those of every x0 in the range x0s, mags[0]
+        its first, its one class D = 1 counting sum_k c_k (floor(e / k) -
+        floor((a - 1) / k)) pairs in a run [a, e] over the terms (k,
+        c_k)."""
         nonlocal visited, count, reused
         quotas, base, out = quota[-1], comp_prod[-1], outside[depth]
         nef, anti, coprime, (moving, holders, held) = spec
-        ell = lcm(*[gcd(*get(base)) for get in holders])
-        coprime_to = gcd(*held(base))
+        ell = lcm(*[gcd(*get(base)) for get in holders])  # 1 at depth 0
         # per class D <= hi, D | L coprime to A: the signed D f <= hi, f |
         # rad(L / D), so that #{m in [a, e] : gcd(m, L) = D} = sum mu (e //
         # Df - (a - 1) // Df), and part (c) of its children, that of D
-        classes = [(1, [(1, 1)])]
-        if ell > 1:
-            for p in {p for lam in range(depth) for p in primes_of(mags[lam])
+        classes = []  # depth 0 walks pair runs
+        if depth:
+            classes = [(1, [(1, 1)] if block is None else block[1])]
+        if ell > 1 and block is None:
+            coprime_to = gcd(*held(base))
+            for p in {p for lam in range(depth) for p in primes_at(lam)
                       if ell % p == 0}:
                 split = []
                 for d, own in classes:  # the classes d p^j, j < v_p(L)
@@ -1132,7 +1230,9 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                 key.append(r)
                 v = r ** g
                 for q, w in pairs:
-                    r = isqrt(q // v) if w == 2 else linalg.iroot(q // v, w)
+                    r = q // v
+                    if w > 1:
+                        r = isqrt(r) if w == 2 else linalg.iroot(r, w)
                     if r < end:
                         end = r
             # ceil(c / M) = t iff M (t - 1) < c <= M t, and P m^w < c iff
@@ -1152,6 +1252,8 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                         if reps[i][depth]:
                             end = min(end, linalg.iroot(x // pref[i],
                                                         reps[i][depth]))
+            if not depth:
+                pair_run(a, end)
             key, below = tuple(key), a - 1
             for d, terms, part_c in classes:
                 if d > end:
@@ -1163,19 +1265,21 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                     continue
                 sig = key + part_c
                 hit = memo.get(sig)
-                if hit is None:  # descend a child of the class, the least
-                    m = -(-a // d) * d
-                    while gcd(m, ell) != d:
-                        m += d
+                if hit is None:  # descend a child of the class
                     start = count, visited
-                    mags[depth] = m
-                    comp_prod.append([b * m if o else b
-                                      for b, o in zip(base, out)])
-                    quota.append([q // m ** w if w else q
-                                  for q, w in zip(quotas, wcol[depth])])
+                    if block is None:  # the least
+                        m = -(-a // d) * d
+                        while gcd(m, ell) != d:
+                            m += d
+                        push(depth, m)
+                    else:  # a pair the walk of its x0 counts, x0 first
+                        x0, m = next((x0, m) for x0 in block[0]
+                                     for m in range(a, end + 1)
+                                     if gcd(x0, m) == 1)
+                        push(0, x0)
+                        push(1, m)
                     descend(depth + 1)
-                    comp_prod.pop()
-                    quota.pop()
+                    del comp_prod[depth + 1:], quota[depth + 1:]
                     hit = memo[sig] = (count - start[0], visited - start[1])
                     times -= 1
                 count += times * hit[0]
@@ -1184,6 +1288,27 @@ def enumerate_region(lattice, region, B, budget=DEFAULT_BUDGET,
                 if visited > budget:
                     raise BudgetError(over)
             a = end + 1
+
+    def pair_run(u, end):
+        """The x0 in [u, end], a run with equal parts (a) and (b) at depth
+        1: one walk of depth 1 for them all (Pair runs)."""
+        nonlocal visited
+        push(0, u)
+        if end == u:
+            descend(1)
+        else:
+            visited += end - u + 1
+            if visited > budget:
+                raise BudgetError(over)
+            cap = leaf_cap(1, quota[-1])
+            terms = []  # mu(k) #{x0 in [u, end] : k | x0}
+            for k, mu in _squarefree_upto(min(end, cap), bounds[0]):
+                x0s = end // k - (u - 1) // k
+                if x0s:
+                    terms.append((k, mu * x0s))
+            walk_runs(1, 1, cap, by_runs[1], (range(u, end + 1), terms))
+        comp_prod.pop()
+        quota.pop()
 
     def descend(depth):
         nonlocal visited, count, reused

@@ -2,6 +2,7 @@
 
 import random
 import time
+import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -1304,10 +1305,11 @@ def test_p1xp1_at_a_million():
 
 
 def test_p1xp1_at_ten_million():
-    """The closed form of bench/reference.py at 10^7.  Of the 16,098 runs
-    at depth 1, 2,097 cover one child, counted by the class loop like the
-    others; keyed by the raw quota there were 105,799 runs, 45,656 of one
-    child."""
+    """The closed form of bench/reference.py at 10^7.  Depth 0 takes its
+    3,162 x0 in 111 runs, 65 of one x0, and walks depth 1 once per run:
+    6,216 runs of x1, 2,089 of one child, counted by the class loop like
+    the others.  Walked once per x0 there were 16,098 runs, 2,097 of one
+    child, and keyed by the raw quota 105,799 runs, 45,656 of one child."""
     lat = get_lattice("P1xP1")
     start = time.perf_counter()
     res = enumerate_region(lat, anticanonical_region(lat), 10 ** 7)
@@ -1315,6 +1317,180 @@ def test_p1xp1_at_ten_million():
     assert (res.count, res.visited, res.reused) == (242924644, 99024948,
                                                     6078340)
     assert elapsed < 2.0, f"{elapsed:.2f} s"
+
+
+# -- pair runs ---------------------------------------------------------------
+
+
+def _paired_and_per_x0(lat, region, B, **kw):
+    """Counts a region as is, where depth 0 may walk its children x0 by
+    runs (enumerate_region, "Pair runs"), and twice more in the order
+    chosen for it: with _pair_runs switched off, which walks depth 1 once
+    per x0, and with counting._blockable switched off, which walks every
+    child (_blocked_and_per_child).  count, visited and reused agree."""
+    paired = _blocked_and_per_child(lat, region, B, **kw)
+    with _forced(paired.order, _pair_runs=lambda *a: None) as run:
+        per_x0 = run(lat, region, B, **kw)
+    assert ((paired.count, paired.visited, paired.reused)
+            == (per_x0.count, per_x0.visited, per_x0.reused))
+    return paired
+
+
+def _pairs_walked(lat, region):
+    return 0 in counting._compiled_shape(lat, region.shape).by_runs
+
+
+@pytest.mark.parametrize("name,paired", [
+    ("P1", False), ("P2", False), ("P3", False), ("P1xP1", True),
+    ("F1", True), ("F2", True), ("BlP2", False), ("P1xP2", False)])
+def test_pair_runs_by_fan(name, paired):
+    """In the order chosen for the anticanonical region, depth 0 walks its
+    children by runs on P1xP1, F1 and F2, where depth 1 walks runs, no
+    cone holds rays 0 and 1 and every cone group at depth 2 holds ray 0.
+    P1, P2 and BlP2 walk no runs at depth 1; on P3 and P1xP2 a cone holds
+    rays 0 and 1, so a walk of depth 1 may hold several gcd classes."""
+    lat = get_lattice(name)
+    assert _pairs_walked(lat, anticanonical_region(lat)) == paired
+
+
+@pytest.mark.parametrize("name,B", [(name, B)
+                                    for name in ("P1xP1", "F1", "F2")
+                                    for B in (30000, 10 ** 5)])
+def test_pair_runs_anticanonical(name, B):
+    """Wide runs of x0: P1xP1 at 3 * 10^4 takes its 173 x0 in 25 runs."""
+    lat = get_lattice(name)
+    region = anticanonical_region(lat)
+    assert _pairs_walked(lat, region)
+    assert _paired_and_per_x0(lat, region, B).reused > 0
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_pair_runs_cone_boxes(seed):
+    """Every box of a seeded P1xP1 cone box at B = (60, 60), each corner
+    one pair-walked shape.  They add up to the points of height <= 60 in
+    both factors, 4 (sum_{k <= 60} a(k))^2, a(1) = 1 and a(k) = 2 phi(k)
+    (test_memo_keeps_anti_nef_threshold)."""
+    lat = get_lattice("P1xP1")
+    decomp = build_box_decomposition(lat, [[1, 0], [0, 1]], seed=seed)
+    b_vec = (60, 60)
+    regions = [_box(decomp, b_vec, n_vec) for n_vec in
+               product(*(range(1, k + 2) for k in _kept(decomp, b_vec)))]
+    assert all(_pairs_walked(lat, r) for r in regions)
+    side = 1 + 2 * sum(sum(gcd(j, k) == 1 for j in range(1, k + 1))
+                       for k in range(2, 61))
+    assert sum(_paired_and_per_x0(lat, r, 1).count
+               for r in regions) == 4 * side ** 2
+
+
+@pytest.mark.parametrize("name", ["P1xP1", "F1"])
+def test_pair_runs_staircase_boxes(name, monkeypatch):
+    """The staircase boxes of tabulate_f up to B = 3000 on the rays of the
+    nef cone, lower walls and strict walls included, as tabulate_f builds
+    them: each one pair-walked shape.  (F2's anticanonical class lies on
+    a ray of its nef cone, which tabulate_f refuses.)"""
+    lat = get_lattice(name)
+    rows = dual_cone(lat.nef_inequalities(), lat.rank)
+    boxes, box_region = [], counting._box_region
+
+    def recorded(*args):
+        boxes.append(box_region(*args))
+        return boxes[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(counting, "_box_region", recorded)
+        tabulate_f(lat, rows, [counting._dual_basis_data(lat, rows)[0]],
+                   [300, 3000])
+    assert len(boxes) >= 20
+    assert all(_pairs_walked(lat, box) for box in boxes)
+    assert sum(_paired_and_per_x0(lat, box, 1).count for box in boxes) > 0
+
+
+@pytest.mark.parametrize("name,B,low", [("P1xP1", 10 ** 5, 30001),
+                                        ("F1", 30000, 10001),
+                                        ("F2", 30000, 1001)])
+def test_pair_runs_annulus(name, B, low):
+    """low <= H_{omega^-1} <= B: the anti-nef threshold and its mark end
+    runs of x0 as well."""
+    lat = get_lattice(name)
+    region = _annulus(lat, B, low)
+    assert _pairs_walked(lat, region)
+    assert _paired_and_per_x0(lat, region, 1).count > 0
+
+
+def test_pair_runs_miss_on_a_coprime_pair():
+    """15 <= H_(1,0) <= 30 and H_(0,1) <= 50 on P1xP1, x0 in [10, 20]: the
+    first run of x0, [10, 14], is walked once, and its run of x1 = [15,
+    30] meets a key no walk has stored.  The miss descends the first
+    coprime pair, (10, 17): below (10, 15) the gcd 5 would bar every x2
+    divisible by 5.  The points are 4 times the coprime (x0, x1) with x0
+    in [10, 20] and 15 <= max(x0, x1) <= 30, times the coprime (x2, x3) in
+    [1, 50]^2."""
+    lat = get_lattice("P1xP1")
+    region = Region([((1, 0), 30, 0), ((-1, 0), Fraction(1, 15), 0),
+                     ((0, 1), 50, 0)])
+    assert _pairs_walked(lat, region)
+    first = sum(gcd(x0, x1) == 1 and 15 <= max(x0, x1)
+                for x0 in range(10, 21) for x1 in range(1, 31))
+    second = sum(gcd(x2, x3) == 1 for x2 in range(1, 51)
+                 for x3 in range(1, 51))
+    res = _paired_and_per_x0(lat, region, 1, first_range=(10, 20))
+    assert res.count == 4 * first * second == 983892
+
+
+@pytest.mark.parametrize("name,region,B", [
+    ("P1xP1", None, 10 ** 5), ("F1", None, 30000), ("F2", None, 30000),
+    ("P1xP1", (10 ** 5, 30001), 1)])
+def test_pair_runs_respect_budget(name, region, B):
+    """A run of x0 adds its nodes of depth 1, and each run of x1 its pairs
+    times the entry, before a budget check: the exact budget passes and one
+    less raises."""
+    lat = get_lattice(name)
+    region = (anticanonical_region(lat) if region is None
+              else _annulus(lat, *region))
+    assert _pairs_walked(lat, region)
+    res = enumerate_region(lat, region, B)
+    assert enumerate_region(lat, region, B,
+                            budget=res.visited).count == res.count > 0
+    with pytest.raises(BudgetError):
+        enumerate_region(lat, region, B, budget=res.visited - 1)
+
+
+@pytest.mark.parametrize("name,B,parts", [("P1xP1", 10 ** 5, 3),
+                                          ("P1xP1", 10 ** 5, 7),
+                                          ("F1", 30000, 4)])
+def test_pair_runs_first_range_slices(name, B, parts):
+    """first_range cuts the runs of x0 at its ends: the slices add up to
+    the whole in count and in visited, less the root node each slice
+    adds."""
+    lat = get_lattice(name)
+    region = anticanonical_region(lat)
+    full = enumerate_region(lat, region, B)
+    ranges = _slices(coordinate_bounds(lat, region, B)[full.order[0]], parts)
+    runs = [_paired_and_per_x0(lat, region, B, first_range=r)
+            for r in ranges]
+    assert sum(r.count for r in runs) == full.count
+    assert sum(r.visited for r in runs) == full.visited + len(ranges) - 1
+
+
+def test_leaf_parents_keep_no_primes():
+    """A mixed region factors the magnitudes of every leaf parent, and
+    keeps only the last one per depth: tracemalloc's peak of an F1 box
+    whose leaf parents grow tenfold stays where it was.  A cache of every
+    magnitude factored in the call held about 180 bytes per magnitude."""
+    lat = get_lattice("F1")
+    peaks = []
+    for top in (200, 2000):
+        box = counting._box_region([[1, 0], [0, 1]], [1, 1], [2, top])
+        assert _mixed_split(lat, box) == [(0, 1)]
+        assert coordinate_bounds(lat, box, 1)[:3] == [2, top, 2]
+        enumerate_region(lat, box, 1)
+        tracemalloc.start()
+        try:
+            enumerate_region(lat, box, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 100_000, peaks
 
 
 # -- the 2-D leaf ------------------------------------------------------------
